@@ -50,6 +50,10 @@ def test_validate_fills_defaults(tmp_path):
         lambda r: r["input"]["synth"].update(kind="brownian"),
         lambda r: r["input"]["synth"].pop("hurst"),
         lambda r: r.update(output_dir=""),
+        lambda r: r["pipeline"].append({"stage": "fit", "f_lo": "a", "f_hi": 1.0}),
+        lambda r: r["pipeline"].append({"stage": "lyapunov", "delay": "x"}),
+        lambda r: r["pipeline"][0].update(difference="no"),
+        lambda r: r["pipeline"].append({"stage": "lyapunov", "dim": True}),
     ],
 )
 def test_validate_rejects_bad_configs(tmp_path, mutate):
@@ -126,6 +130,42 @@ def test_main_exit_codes(tmp_path):
 
     # 4: filesystem error
     assert main(["run", "--config", str(tmp_path)]) == 4
+
+
+def _sine_csv(tmp_path):
+    path = tmp_path / "sine.csv"
+    write_csv(TimeSeries(np.sin(np.arange(512) / 3.0), 50.0), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["heisenberg", "--f-lo", "1", "--f-hi", "10", "--regime", "foo"],
+        ["lyapunov", "--delay", "x"],
+    ],
+)
+def test_one_shot_rejects_bad_values_before_output(tmp_path, args):
+    out = tmp_path / "out"
+    argv = args + ["--input", _sine_csv(tmp_path), "--outdir", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+def test_synth_rejects_malformed_component(tmp_path):
+    out = tmp_path / "sub" / "wave.csv"
+    argv = ["synth", "--kind", "sines", "--component", "0.5,x,0",
+            "--sample-rate", "100", "--n", "64", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.parent.exists()
+
+
+def test_unexpected_stage_exception_leaves_marker(tmp_path):
+    raw = _good_raw(tmp_path, pipeline=[{"stage": "mfdfa", "q_step": 0}])
+    cfg_path = tmp_path / "zero_step.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert (tmp_path / "out" / "mfdfa.failed").exists()
 
 
 def test_failed_stage_leaves_marker(tmp_path):
