@@ -121,8 +121,6 @@ def profile(x: TimeSeries | np.ndarray, sample_rate: float | None = None) -> Pro
         raise ValidationError("samples contain NaN or Inf")
     mean = data.mean()
     values = np.cumsum(data - mean)
-    # Pin the final value to exact zero range by removing the residual
-    # rounding drift; the drift is orders below any fluctuation of interest.
     return Profile(values=values, source_mean=float(mean), sample_rate=rate)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,6 +6,10 @@ import pytest
 
 from wavescope import ConfigError
 from wavescope.cli import (
+    FIGURE_NAMES,
+    _STAGE_FUNCS,
+    _STAGE_PARAMS,
+    _build_parser,
     _load_csv_sniffed,
     figure_repro,
     main,
@@ -12,6 +17,7 @@ from wavescope.cli import (
     validate_config,
 )
 from wavescope.signal_core import TimeSeries, write_csv
+from wavescope.synth import BounceParams, gen_bouncing_ball, gen_fbm
 
 
 def _good_raw(tmp_path, pipeline=None):
@@ -180,9 +186,115 @@ def test_failed_stage_leaves_marker(tmp_path):
     assert "band" in marker.read_text()
 
 
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "flags, stage",
+    [
+        ([], {"stage": "denoise"}),
+        (["--window", "hann", "--svg"], {"stage": "spectrum", "window": "hann"}),
+        (
+            ["--f-lo", "0.01", "--f-hi", "0.2"],
+            {"stage": "fit", "f_lo": 0.01, "f_hi": 0.2},
+        ),
+        (
+            ["--f-lo", "0.01", "--f-hi", "0.2", "--regime", "-2", "--svg"],
+            {"stage": "heisenberg", "f_lo": 0.01, "f_hi": 0.2, "regime": -2.0},
+        ),
+        (
+            ["--difference", "--q-step", "2"],
+            {"stage": "mfdfa", "difference": True, "q_step": 2.0},
+        ),
+        (["--pad", "periodic"], {"stage": "cwt", "pad": "periodic"}),
+        (["--max-peaks", "2", "--svg"], {"stage": "globalpower", "max_peaks": 2}),
+        (["--dim", "3", "--delay", "8"], {"stage": "lyapunov", "dim": 3, "delay": 8}),
+    ],
+)
+def test_one_shot_matches_one_stage_run(tmp_path, flags, stage):
+    if stage["stage"] == "lyapunov":
+        ts = gen_bouncing_ball(BounceParams(9.0, 25.0, 0.7, 80, seed=2))
+    else:
+        ts = gen_fbm(0.6, 4096, seed=3, sample_rate=1.0)
+    csv = tmp_path / "in.csv"
+    write_csv(ts, csv)
+    shot, piped = tmp_path / "shot", tmp_path / "piped"
+    argv = [stage["stage"], "--input", str(csv), "--outdir", str(shot)] + flags
+    assert main(argv) == 0
+    raw = {
+        "input": {"kind": "csv", "path": str(csv)},
+        "pipeline": [stage],
+        "output_dir": str(piped),
+        "formats": {"svg": "--svg" in flags},
+    }
+    run(validate_config(raw))
+    assert _files(shot) == _files(piped)
+
+
+def test_stage_subcommand_flags_are_the_declared_params():
+    assert set(_STAGE_FUNCS) == set(_STAGE_PARAMS)
+    ap = _build_parser()
+    subparsers = next(
+        a for a in ap._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    shared = {"-h", "--help", "--input", "--sample-rate", "--column"}
+    shared |= {"--outdir", "--svg"}
+    for name, params in _STAGE_PARAMS.items():
+        actions = subparsers.choices[name]._actions
+        flags = {flag for a in actions for flag in a.option_strings}
+        declared = {"--" + p.name.replace("_", "-") for p in params}
+        assert flags == declared | shared, name
+
+
+_FIGURE_FILES = {
+    "fig7": ["fig7a.svg", "fig7b.svg", "fig7.csv", "fig7.json"],
+    "fig8": ["fig8.svg", "fig8.csv"],
+    "fig9a": ["fig9a.svg", "fig9a.csv"],
+    "fig9b": ["fig9b.svg", "fig9b.csv"],
+    "fig10a": ["fig10a.svg", "fig10a.csv", "fig10a.json"],
+    "fig10b": ["fig10b.svg", "fig10b.csv"],
+    "fig11": [
+        "fig11_locked.svg",
+        "fig11_locked.csv",
+        "fig11_detuned.svg",
+        "fig11_detuned.csv",
+        "fig11.json",
+    ],
+    "fig12": ["fig12.svg", "fig12.csv", "fig12.json"],
+}
+
+
+def test_figure_repro_writes_every_figure_deterministically(tmp_path):
+    assert set(_FIGURE_FILES) == set(FIGURE_NAMES)
+    for name in FIGURE_NAMES:
+        first = figure_repro(name, tmp_path / "a")
+        assert [p.name for p in first] == _FIGURE_FILES[name]
+        assert [p.parent for p in first] == [tmp_path / "a"] * len(first)
+        figure_repro(name, tmp_path / "b")
+    assert _files(tmp_path / "a") == _files(tmp_path / "b")
+
+
 def test_figure_repro_rejects_unknown_name(tmp_path):
     with pytest.raises(ConfigError):
         figure_repro("fig99", tmp_path)
+
+
+def test_phase_subcommand_reports_locked_offset(tmp_path):
+    for name, phase in (("a.csv", 0.0), ("b.csv", 0.785)):
+        argv = ["synth", "--kind", "sines", "--component", f"0.578,1,{phase}",
+                "--sample-rate", "200", "--n", "4096", "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+    out = tmp_path / "sync"
+    argv = ["phase", "--input-a", str(tmp_path / "a.csv"), "--input-b",
+            str(tmp_path / "b.csv"), "--period", "0.578", "--outdir", str(out), "--svg"]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "phase.json", "phase.svg", "phase_difference.csv"
+    ]
+    info = json.loads((out / "phase.json").read_text())
+    assert info["median_rad"] == pytest.approx(-0.785, abs=1e-3)
+    assert len(info["segments"]) == 1
 
 
 def test_synth_subcommand_round_trip(tmp_path):
