@@ -557,14 +557,6 @@ def _stage_mfdfa(ts, params, outdir, prefix, fmts, artifacts, summary):
     return ts
 
 
-def _mean_power_outside_coi(sg, power):
-    """Per-scale mean of ``power`` over the coefficients outside the cone."""
-    mask = sg.reliable_mask()
-    return np.array(
-        [row[m].mean() if m.any() else np.nan for row, m in zip(power, mask)]
-    )
-
-
 def _scalogram_plot(path, sg, power, title):
     """Heatmap of log10 power relative to the variance, cone of influence drawn."""
     return svg.heatmap(
@@ -590,7 +582,7 @@ def _stage_cwt(ts, params, outdir, prefix, fmts, artifacts, summary):
         p = _write_table(
             outdir / f"{prefix}_scales.csv",
             ["scale_s", "period_s", "mean_power_outside_coi"],
-            [sg.scales, sg.periods, _mean_power_outside_coi(sg, power)],
+            [sg.scales, sg.periods, sg.mean_outside_coi(power)],
         )
         artifacts.append(p)
     if fmts["svg"]:
@@ -830,21 +822,13 @@ def _four_tone_series(n: int = 2**14, rate: float = 5000.0) -> TimeSeries:
 
 def _two_regime_noise(n: int = 2**15, rate: float = 50000.0, fc: float = 500.0):
     """Noise whose spectrum falls as f^-5/3 below fc and f^-7 above it."""
-    rng = np.random.default_rng(11)
-    half = n // 2
-    freqs = np.arange(1, half + 1) * (rate / n)
+    freqs = np.arange(1, n // 2 + 1) * (rate / n)
     amp = np.where(
         freqs <= fc,
         freqs ** (-5.0 / 6.0),
         fc ** (7.0 / 2.0 - 5.0 / 6.0) * freqs ** (-7.0 / 2.0),
     )
-    re = rng.standard_normal(half)
-    im = rng.standard_normal(half)
-    spec = np.zeros(half + 1, dtype=complex)
-    spec[1:half] = amp[: half - 1] * (re[: half - 1] + 1j * im[: half - 1])
-    spec[half] = amp[half - 1] * re[half - 1]
-    samples = np.fft.irfft(spec, n=n)
-    samples /= samples.std()
+    samples = synth._fourier_noise(amp, np.random.default_rng(11))
     return TimeSeries(samples, rate, label="two-regime noise")
 
 
@@ -900,7 +884,7 @@ def _fig8(outdir: Path) -> list[Path]:
         _write_table(
             outdir / "fig8.csv",
             ["period_s", "mean_power_outside_coi"],
-            [sg.periods, _mean_power_outside_coi(sg, power / sg.signal_variance)],
+            [sg.periods, sg.mean_outside_coi(power / sg.signal_variance)],
         )
     )
     return out
@@ -1274,7 +1258,6 @@ def main(argv: list[str] | None = None) -> int:
             for p in paths:
                 print(p)
             return 0
-        raise ConfigError(f"unhandled command {args.command!r}")
     except (ConfigError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

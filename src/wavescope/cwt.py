@@ -17,8 +17,7 @@ for time-averaged (global) power.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -100,6 +99,13 @@ class Scalogram:
     def reliable_mask(self) -> np.ndarray:
         """Boolean (scale, time) grid, True outside the cone of influence."""
         return self.periods[:, None] <= self.coi[None, :]
+
+    def mean_outside_coi(self, values: np.ndarray) -> np.ndarray:
+        """Per-scale mean of a (scale, time) grid outside the cone; NaN if none."""
+        mask = self.reliable_mask()
+        return np.array(
+            [row[m].mean() if m.any() else np.nan for row, m in zip(values, mask)]
+        )
 
 
 @dataclass
@@ -252,14 +258,19 @@ def cwt_morlet(
     )
 
 
-def _background_shape(sg: Scalogram, background: str, ar1: float | None):
-    """Normalized background spectrum at each scale's Fourier frequency."""
+def _background_shape(sg: Scalogram, background: str, ar1: float | None, series):
+    """Background spectrum per scale and the lag-1 coefficient it used.
+
+    A red background without ``ar1`` estimates it from ``series``.
+    """
     if background == "white":
         return np.ones(sg.scales.size), None
     if background != "red":
         raise ValidationError(f"unknown background {background!r}")
     if ar1 is None:
-        raise ValidationError("red background needs the lag-1 coefficient")
+        if series is None:
+            raise ValidationError("red background needs ar1 or the source series")
+        ar1 = _estimate_ar1(np.asarray(series, dtype=float))
     freq_norm = sg.periods ** -1.0 / sg.sample_rate  # cycles per sample
     shape = (1.0 - ar1 * ar1) / (
         1.0 + ar1 * ar1 - 2.0 * ar1 * np.cos(2.0 * math.pi * freq_norm)
@@ -296,11 +307,7 @@ def pointwise_significance(
     For ``background="red"`` the lag-1 coefficient is taken from ``ar1``
     or estimated from ``series``.
     """
-    if background == "red" and ar1 is None:
-        if series is None:
-            raise ValidationError("red background needs ar1 or the source series")
-        ar1 = _estimate_ar1(np.asarray(series, dtype=float))
-    shape, _ = _background_shape(sg, background, ar1)
+    shape, _ = _background_shape(sg, background, ar1, series)
     base = sg.signal_variance * _mean_power_scale(sg)
     return base * shape * (chi2.ppf(siglevel, 2) / 2.0)
 
@@ -318,21 +325,12 @@ def global_power(
     significance threshold uses the chi-squared law with the effective
     degrees of freedom of time averaging.
     """
-    mask = sg.reliable_mask()
-    counts = mask.sum(axis=1)
+    counts = sg.reliable_mask().sum(axis=1)
     keep = counts > 0
     if not np.any(keep):
         raise ValidationError("no scale has support outside the cone of influence")
-    power = np.zeros(sg.scales.size)
-    mag2 = np.abs(sg.coeffs) ** 2
-    for i in np.flatnonzero(keep):
-        power[i] = float(mag2[i, mask[i]].mean())
-
-    if background == "red" and ar1 is None:
-        if series is None:
-            raise ValidationError("red background needs ar1 or the source series")
-        ar1 = _estimate_ar1(np.asarray(series, dtype=float))
-    shape, ar1_used = _background_shape(sg, background, ar1)
+    power = sg.mean_outside_coi(np.abs(sg.coeffs) ** 2)
+    shape, ar1_used = _background_shape(sg, background, ar1, series)
     base = sg.signal_variance * _mean_power_scale(sg) * shape
     dt = 1.0 / sg.sample_rate
     n_avg = counts.astype(float)

@@ -5,7 +5,8 @@ embedding, nearest neighbor per point outside a Theiler exclusion window,
 then the average log separation as a function of forward iteration.  The
 slope of its initial linear region is the exponent.  The sign is the
 primary deliverable; magnitudes are meaningful only when the linear
-region is clean, which the fit diagnostics report.
+region is clean, which the fit diagnostics report.  The embedding
+dimension check (false nearest neighbors) reuses the estimator's pairs.
 
 For the impact map itself the exponent comes from tangent-space norm
 growth along the trajectory, which serves as the ground-truth oracle for
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,7 +27,7 @@ from .errors import (
     InsufficientNeighborsError,
     ValidationError,
 )
-from .signal_core import TimeSeries
+from .signal_core import TimeSeries, _fit_line
 from .synth import BounceParams, bounce_map_jacobian, bounce_map_trajectory
 
 __all__ = [
@@ -141,35 +142,6 @@ def _embed(x: np.ndarray, dim: int, delay: int) -> np.ndarray:
     return x[idx]
 
 
-def _fnn_fraction(x: np.ndarray, dim: int, delay: int, theiler: int) -> float:
-    """Share of nearest neighbors that separate when one dimension is added."""
-    m_ext = x.size - dim * delay
-    if m_ext < 32:
-        return 0.0
-    emb = _embed(x, dim, delay)[:m_ext]
-    tree = cKDTree(emb)
-    k = min(theiler + 2, m_ext - 1)
-    dist, idx = tree.query(emb, k=k + 1)
-    false = 0
-    counted = 0
-    for i in range(m_ext):
-        for d, j in zip(dist[i, 1:], idx[i, 1:]):
-            if abs(int(j) - i) > theiler and d > 0:
-                extra = abs(x[i + dim * delay] - x[int(j) + dim * delay])
-                counted += 1
-                false += extra / d > FNN_THRESHOLD
-                break
-    return false / counted if counted else 0.0
-
-
-def _fit_line(kk: np.ndarray, yy: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(kk, yy, 1)
-    resid = yy - (slope * kk + intercept)
-    ss_tot = float(np.sum((yy - yy.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return float(slope), r2
-
-
 def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     """Initial linear region of the divergence curve.
 
@@ -187,7 +159,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     n = yy.size
     min_len = 4
     if n <= 2 * min_len:
-        slope, r2 = _fit_line(kk, yy)
+        slope, _, r2 = _fit_line(kk, yy)
         return slope, (int(kk[0]), int(kk[-1])), r2
 
     def sse(lo: int, hi: int) -> float:
@@ -205,7 +177,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     # test, and for those the whole-curve trend is the right slope: the
     # mean of an oscillation, not its rising quarter-wave.
     if knee_sse > 0.5 * sse(0, n):
-        slope, r2 = _fit_line(kk, yy)
+        slope, _, r2 = _fit_line(kk, yy)
         return slope, (int(kk[0]), int(kk[-1])), r2
     # The breakpoint tends to land past the bend (the long flat side
     # dominates the cost), so trim the prefix where the local slope first
@@ -219,7 +191,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
                 prefix_end = max(min_len, i + 1)
                 break
     lengths = range(min_len, prefix_end + 1)
-    r2_by_len = {m: _fit_line(kk[:m], yy[:m])[1] for m in lengths}
+    r2_by_len = {m: _fit_line(kk[:m], yy[:m])[2] for m in lengths}
     top = max(r2_by_len.values())
     floor_eff = max(r2_floor, top - 0.005)
     passing = [m for m in lengths if r2_by_len[m] >= floor_eff]
@@ -227,7 +199,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
         best = max(passing)
     else:
         best = max(m for m in lengths if r2_by_len[m] >= top - 0.005)
-    slope, r2 = _fit_line(kk[:best], yy[:best])
+    slope, _, r2 = _fit_line(kk[:best], yy[:best])
     return slope, (int(kk[0]), int(kk[best - 1])), r2
 
 
@@ -239,8 +211,9 @@ def largest_lyapunov(
     A flat or contracting divergence curve yields a non-positive slope;
     the estimate's sign is its robust content.  Requires at least 1000
     samples.  Raises InsufficientNeighborsError when fewer than 10 valid
-    neighbor pairs exist.  A false-nearest-neighbor fraction above 10% at
-    the configured dimension triggers EmbeddingQualityWarning.
+    neighbor pairs exist.  A false-nearest-neighbor fraction above 10%,
+    measured over the estimator's own partner pairs, triggers
+    EmbeddingQualityWarning.
     """
     config = config if config is not None else EmbeddingConfig()
     x = ts.samples
@@ -250,15 +223,6 @@ def largest_lyapunov(
     if (config.dim - 1) * config.delay >= n // 2:
         raise ValidationError("embedding window exceeds half the series")
     theiler = config.theiler_window()
-
-    fnn = _fnn_fraction(x, config.dim, config.delay, theiler)
-    if fnn > FNN_WARN_FRACTION:
-        warnings.warn(
-            f"false-nearest-neighbor fraction {fnn:.1%} at dim={config.dim}; "
-            "consider a larger embedding dimension",
-            EmbeddingQualityWarning,
-            stacklevel=2,
-        )
 
     emb = _embed(x, config.dim, config.delay)
     m = emb.shape[0]
@@ -276,13 +240,27 @@ def largest_lyapunov(
     # Separations at rounding-noise scale carry no dynamics (they arise
     # from exact repeats of a periodic signal), so such pairs are skipped.
     floor = 1e-9 * float(np.std(x))
-    partner = np.full(m, -1)
-    for i in range(m):
-        for d, j in zip(dist[i, 1:], idx[i, 1:]):
-            j = int(j)
-            if abs(j - i) > theiler and d > floor:
-                partner[i] = j
-                break
+    rows = np.arange(m)
+    ok = (np.abs(idx[:, 1:] - rows[:, None]) > theiler) & (dist[:, 1:] > floor)
+    first = 1 + np.argmax(ok, axis=1)  # column 0 is the point itself
+    found = ok.any(axis=1)
+    partner = np.where(found, idx[rows, first], -1)
+    sep = dist[rows, first]
+    # False nearest neighbors among these pairs; both points need the
+    # (dim+1)-th delay coordinate.
+    ext = config.dim * config.delay
+    has_ext = found & (rows < m - config.delay) & (partner < m - config.delay)
+    if np.count_nonzero(has_ext) >= 32:
+        extra = np.abs(x[rows[has_ext] + ext] - x[partner[has_ext] + ext])
+        fnn = np.mean(extra / sep[has_ext] > FNN_THRESHOLD)
+        if fnn > FNN_WARN_FRACTION:
+            warnings.warn(
+                f"false-nearest-neighbor fraction {fnn:.1%} at dim={config.dim}; "
+                "consider a larger embedding dimension",
+                EmbeddingQualityWarning,
+                stacklevel=2,
+            )
+
     valid = np.flatnonzero(partner >= 0)
     # Both trajectories must stay inside the embedding for the full trace.
     valid = valid[(valid < m - max_iter) & (partner[valid] < m - max_iter)]

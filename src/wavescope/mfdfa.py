@@ -17,7 +17,6 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -29,7 +28,7 @@ from .errors import (
     ZeroVarianceError,
     ZeroVarianceWarning,
 )
-from .signal_core import Profile
+from .signal_core import Profile, _fit_line
 
 __all__ = [
     "MfdfaConfig",
@@ -177,15 +176,14 @@ def _moments(seg_var: np.ndarray, q_values: np.ndarray, scale: int) -> np.ndarra
     n_zero = seg_var.size - positive.size
     out = np.empty(q_values.size)
     log_v = np.log(positive) if positive.size else np.empty(0)
+    if n_zero and np.any(q_values <= 0):
+        warnings.warn(
+            f"scale {scale}: dropped {n_zero} zero-variance segments for q <= 0",
+            ZeroVarianceWarning,
+            stacklevel=3,
+        )
     for i, q in enumerate(q_values):
         if q < 0 or q == 0:
-            if n_zero:
-                warnings.warn(
-                    f"scale {scale}: dropped {n_zero} zero-variance segments "
-                    f"for q={q:g}",
-                    ZeroVarianceWarning,
-                    stacklevel=3,
-                )
             if positive.size == 0:
                 raise ZeroVarianceError(
                     f"scale {scale}: all segments have zero variance"
@@ -275,12 +273,7 @@ def generalized_hurst(
     hurst = np.empty(table.q_values.size)
     r2 = np.empty(table.q_values.size)
     for i in range(table.q_values.size):
-        log_f = np.log(table.fluctuation[i, sel])
-        slope, intercept = np.polyfit(log_s, log_f, 1)
-        resid = log_f - (slope * log_s + intercept)
-        ss_tot = float(np.sum((log_f - log_f.mean()) ** 2))
-        hurst[i] = slope
-        r2[i] = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+        hurst[i], _, r2[i] = _fit_line(log_s, np.log(table.fluctuation[i, sel]))
     poor = table.q_values[r2 < r2_floor]
     if poor.size:
         warnings.warn(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +130,15 @@ def detrend_mean(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise ValidationError("samples contain NaN or Inf")
     return data - data.mean()
+
+
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): (slope, intercept, r-squared)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    return float(slope), float(intercept), r2
 
 
 def _parse_float(token: str, row: int, path: str) -> float:

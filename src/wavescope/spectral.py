@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .signal_core import TimeSeries
+from .signal_core import TimeSeries, _fit_line
 
 __all__ = [
     "PowerSpectrum",
@@ -171,15 +170,12 @@ def fit_power_law(ps: PowerSpectrum, f_lo: float, f_hi: float) -> SpectrumFit:
     bf, bp = _band_average(ps.freqs[sel], ps.power[sel])
     if bf.size < 2:
         raise InsufficientBandError("band collapses to fewer than two averaged points")
-    slope, intercept = np.polyfit(bf, bp, 1)
-    resid = bp - (slope * bf + intercept)
-    ss_tot = float(np.sum((bp - bp.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    slope, intercept, r2 = _fit_line(bf, bp)
     return SpectrumFit(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         band=(float(f_lo), float(f_hi)),
-        r_squared=float(r2),
+        r_squared=r2,
         n_points=int(bf.size),
     )
 

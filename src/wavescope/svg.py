@@ -136,7 +136,7 @@ def _polyline(ax: _Axes, x: np.ndarray, y: np.ndarray, color: str, dashed: bool)
     )
 
 
-def _frame(ax: _Axes, xlabel, ylabel, title, width, height):
+def _frame(ax: _Axes, xlabel, ylabel, title):
     out = []
     out.append(
         f'<rect x="{_fmt(ax.x0)}" y="{_fmt(ax.y1)}" width="{_fmt(ax.x1 - ax.x0)}" '
@@ -225,7 +225,7 @@ def line_plot(
     xlim = _limits([s[0] for s in norm], xlog)
     ylim = _limits([s[1] for s in norm], ylog)
     ax = _Axes(width, height, xlim, ylim, xlog, ylog)
-    body = [_frame(ax, xlabel, ylabel, title, width, height)]
+    body = [_frame(ax, xlabel, ylabel, title)]
     for x0, x1 in bands:
         ex0 = min(max(ax.px(x0), ax.x0), ax.x1)
         ex1 = min(max(ax.px(x1), ax.x0), ax.x1)
@@ -323,7 +323,7 @@ def heatmap(
     ax = _Axes(width, height, xlim, ylim, False, ylog)
     body = []
     # cell edges: midpoints between centers, clamped at the limits
-    def edges_of(centers, lim, log):
+    def edges_of(centers, log):
         if log:
             c = np.log(centers)
             mid = np.concatenate([[c[0]], 0.5 * (c[1:] + c[:-1]), [c[-1]]])
@@ -332,8 +332,8 @@ def heatmap(
             [[centers[0]], 0.5 * (centers[1:] + centers[:-1]), [centers[-1]]]
         )
 
-    xe = edges_of(xc, xlim, False)
-    ye = edges_of(y, ylim, ylog)
+    xe = edges_of(xc, False)
+    ye = edges_of(y, ylog)
     for i in range(y.size):
         py0 = ax.py(float(ye[i]))
         py1 = ax.py(float(ye[i + 1]))
@@ -355,7 +355,7 @@ def heatmap(
         body.append(
             _polyline(ax, np.asarray(ox, float), np.asarray(oy, float), "#ffffff", True)
         )
-    body.append(_frame(ax, xlabel, ylabel, title, width, height).replace(
+    body.append(_frame(ax, xlabel, ylabel, title).replace(
         'fill="white" stroke="#444444"', 'fill="none" stroke="#444444"'
     ))
     out = Path(path)

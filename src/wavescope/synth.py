@@ -169,6 +169,19 @@ def gen_fbm(
     return TimeSeries(samples, sample_rate, label=f"fbm(H={hurst:g}, seed={seed})")
 
 
+def _fourier_noise(amplitude: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Unit-variance noise whose bin k = 1..n/2 has amplitude[k - 1]; n = 2 * size."""
+    half = amplitude.size
+    re = rng.standard_normal(half)
+    im = rng.standard_normal(half)
+    spec = np.zeros(half + 1, dtype=complex)
+    spec[1:half] = amplitude[: half - 1] * (re[: half - 1] + 1j * im[: half - 1])
+    spec[half] = amplitude[half - 1] * re[half - 1]
+    samples = np.fft.irfft(spec, n=2 * half)
+    samples /= samples.std()
+    return samples
+
+
 def gen_power_law_noise(
     beta: float,
     n: int,
@@ -185,17 +198,8 @@ def gen_power_law_noise(
         raise ValidationError("beta must lie in [0, 8]")
     if n < 8 or n & (n - 1):
         raise ValidationError("n must be a power of two, at least 8")
-    rng = np.random.default_rng(seed)
-    half = n // 2
-    freqs = np.arange(1, half + 1, dtype=float) / n
-    scale = freqs ** (-beta / 2.0)
-    re = rng.standard_normal(half)
-    im = rng.standard_normal(half)
-    spec = np.zeros(half + 1, dtype=complex)
-    spec[1:half] = scale[: half - 1] * (re[: half - 1] + 1j * im[: half - 1])
-    spec[half] = scale[half - 1] * re[half - 1]
-    samples = np.fft.irfft(spec, n=n)
-    samples /= samples.std()
+    freqs = np.arange(1, n // 2 + 1, dtype=float) / n
+    samples = _fourier_noise(freqs ** (-beta / 2.0), np.random.default_rng(seed))
     return TimeSeries(
         samples, sample_rate, label=f"powerlaw(beta={beta:g}, seed={seed})"
     )

@@ -9,6 +9,7 @@ from wavescope import (
     InsufficientNeighborsError,
     ValidationError,
 )
+from wavescope import lyapunov
 from wavescope.lyapunov import (
     EmbeddingConfig,
     estimate_delay,
@@ -128,6 +129,66 @@ def test_fnn_warning_on_undersized_embedding():
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             largest_lyapunov(ts, EmbeddingConfig(dim=2, delay=7))
+
+
+# ------------------------------------------------------ neighbor search
+
+
+def _brute_force_divergence(x, dim, delay):
+    """Partner search and divergence curve from the full distance matrix."""
+    m = x.size - (dim - 1) * delay
+    emb = x[np.arange(m)[:, None] + delay * np.arange(dim)[None, :]]
+    theiler = dim * delay
+    max_iter = min(300, m // 4)
+    k = min(2 * theiler + 3, 64, m - 1)
+    floor = 1e-9 * np.std(x)
+    dist = np.sqrt(((emb[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2))
+    a, b = [], []
+    for i in range(m):
+        # column 0 of the sorted row is the point itself
+        for j in np.argsort(dist[i], kind="stable")[1 : k + 1]:
+            if abs(j - i) > theiler and dist[i, j] > floor:
+                if i < m - max_iter and j < m - max_iter:
+                    a.append(i)
+                    b.append(j)
+                break
+    a, b = np.array(a), np.array(b)
+    divergence = np.array(
+        [
+            np.mean(np.log(np.linalg.norm(emb[a + s] - emb[b + s], axis=1)))
+            for s in range(max_iter + 1)
+        ]
+    )
+    return a.size, divergence
+
+
+def test_neighbor_search_matches_brute_force():
+    ts = _logistic(1000)
+    res = largest_lyapunov(ts, EmbeddingConfig(dim=2, delay=1))
+    n_pairs, divergence = _brute_force_divergence(ts.samples, 2, 1)
+    assert res.n_pairs == n_pairs
+    np.testing.assert_allclose(res.divergence, divergence, rtol=1e-12, atol=0)
+
+
+def test_one_tree_and_bounded_queries(monkeypatch):
+    # dim * delay = 1000: a query that grew with the Theiler window would
+    # ask for about a thousand neighbors per point.
+    trees, ks = [], []
+
+    class CountingTree(lyapunov.cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            super().__init__(data, *args, **kwargs)
+            trees.append(self)
+
+        def query(self, x, k=1, *args, **kwargs):
+            ks.append(k)
+            return super().query(x, k, *args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "cKDTree", CountingTree)
+    ts = TimeSeries(np.random.default_rng(0).standard_normal(20_000), 1.0)
+    largest_lyapunov(ts, EmbeddingConfig(dim=5, delay=200))
+    assert len(trees) == 1
+    assert ks and max(ks) <= 65
 
 
 # ------------------------------------------------------------- map oracle

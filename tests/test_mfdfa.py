@@ -12,6 +12,7 @@ from wavescope import (
     ZeroVarianceError,
     ZeroVarianceWarning,
 )
+from wavescope.dwt import daubechies, extract_fluctuation
 from wavescope.mfdfa import (
     FluctuationTable,
     MfdfaConfig,
@@ -97,6 +98,25 @@ def test_all_zero_variance_is_an_error():
     with pytest.warns(ZeroVarianceWarning):
         with pytest.raises((ZeroVarianceError, ValidationError)):
             fluctuation_function(np.zeros(512), MfdfaConfig(q_values=np.array([-2.0])))
+
+
+def test_zero_variance_warns_once_per_scale():
+    # Flat except for one burst: every scale but the largest has some
+    # zero-variance segments, and the 11 orders q <= 0 share one warning.
+    x = np.zeros(4096)
+    x[1024:1536] = np.sin(np.linspace(0.0, 6.0 * np.pi, 512))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = fluctuation_function(x)
+    zero = [w for w in caught if issubclass(w.category, ZeroVarianceWarning)]
+    affected = []
+    for lv, s in zip(table.levels, table.scales):
+        fluct = extract_fluctuation(x, daubechies(2), int(lv))
+        if np.any(segment_variance(fluct, int(s)) == 0):
+            affected.append(int(s))
+    assert len(affected) == 8
+    scales_warned = [str(w.message).split(":")[0] for w in zero]
+    assert scales_warned == [f"scale {s}" for s in affected]
 
 
 def test_thread_env_does_not_change_values(monkeypatch):
