@@ -152,7 +152,8 @@ _INPUT_PARAMS = {
     "synth": (_Param("synth", dict),),
 }
 
-#: Without its own seed, a synthetic input uses the run's seed.
+#: The run's seed; without its own seed, a synthetic input uses it.
+_RUN_SEED = _Param("seed", int, 0)
 _SEED = _Param("seed", int, None)
 
 _SYNTH_PARAMS = {
@@ -272,8 +273,8 @@ def validate_config(raw: dict) -> RunConfig:
         _check_entry(stage, "stage", _STAGE_PARAMS, f"pipeline[{i}]")
     if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
         raise ConfigError("output_dir: must be a non-empty string")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    seed = raw.get("seed", _RUN_SEED.default)
+    if not _RUN_SEED.accepts(seed) or seed < 0:
         raise ConfigError("seed: must be a non-negative integer")
     formats = raw.get("formats", {})
     if not isinstance(formats, dict):

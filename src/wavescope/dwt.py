@@ -18,9 +18,10 @@ artifacts and is the right choice for trend extraction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -94,10 +95,6 @@ class WaveletSpec:
     def support(self) -> int:
         return self.scaling.size
 
-    @property
-    def tap_name(self) -> str:
-        return f"db{self.support}-tap"
-
 
 def daubechies(vanishing_moments: int = 2) -> WaveletSpec:
     """Daubechies wavelet with the given number of vanishing moments.
@@ -121,12 +118,13 @@ class DwtDecomposition:
     """Multi-level DWT coefficient pyramid.
 
     ``details[j-1]`` holds level-j detail coefficients (level 1 is the
-    finest), ``approx`` the coarsest approximation.  ``lengths[k]`` is the
-    signal length entering level k+1, needed to invert the symmetric mode.
+    finest), or None for a band left out; ``approx`` is the coarsest
+    approximation.  ``lengths[k]`` is the signal length entering level k+1,
+    needed to invert the symmetric mode.
     """
 
     approx: np.ndarray
-    details: list[np.ndarray]
+    details: list[np.ndarray | None]
     boundary: str
     lengths: list[int]
     spec: WaveletSpec
@@ -134,10 +132,6 @@ class DwtDecomposition:
     @property
     def levels(self) -> int:
         return len(self.details)
-
-    @property
-    def original_length(self) -> int:
-        return self.lengths[0]
 
 
 def _analysis_periodic(x: np.ndarray, h: np.ndarray, g: np.ndarray):
@@ -148,13 +142,14 @@ def _analysis_periodic(x: np.ndarray, h: np.ndarray, g: np.ndarray):
     return windows @ h, windows @ g
 
 
-def _synthesis_periodic(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray):
+def _synthesis_periodic(a, d, h, g):
+    """Inverse of one periodic analysis step; ``d`` is None for a dropped band."""
     n = 2 * a.size
     L = h.size
     out = np.zeros(n)
     base = 2 * np.arange(a.size)
     for k in range(L):
-        contrib = a * h[k] + d * g[k]
+        contrib = a * h[k] if d is None else a * h[k] + d * g[k]
         np.add.at(out, (base + k) % n, contrib)
     return out
 
@@ -182,12 +177,14 @@ def _analysis_symmetric(x: np.ndarray, h: np.ndarray, g: np.ndarray):
 
 
 def _synthesis_symmetric(a, d, h, g, out_len: int):
+    """Inverse of one symmetric analysis step; ``d`` is None for a dropped band."""
     L = h.size
-    up_a = np.zeros(2 * a.size - 1)
-    up_a[::2] = a
-    up_d = np.zeros(2 * d.size - 1)
-    up_d[::2] = d
-    rec = np.convolve(up_a, h) + np.convolve(up_d, g)
+    up = np.zeros(2 * a.size - 1)
+    up[::2] = a
+    rec = np.convolve(up, h)
+    if d is not None:
+        up[::2] = d
+        rec = rec + np.convolve(up, g)
     return rec[L - 2 : L - 2 + out_len]
 
 
@@ -198,16 +195,10 @@ def dwt_max_level(n: int, spec: WaveletSpec) -> int:
     return int(math.floor(math.log2(n / (spec.support - 1))))
 
 
-def dwt_decompose(
-    x: np.ndarray, spec: WaveletSpec, levels: int, boundary: str = "symmetric"
-) -> DwtDecomposition:
-    """Multi-level discrete wavelet decomposition.
-
-    Requires ``len(x) >= 2**levels``; the periodic mode additionally needs
-    the length to be divisible by ``2**levels`` so that every stage stays
-    critically sampled.
-    """
-    x = np.asarray(x, dtype=float)
+def _analyse(x: np.ndarray, spec: WaveletSpec, levels: int, boundary: str):
+    """Check the arguments as :func:`dwt_decompose` documents, then run the
+    analysis pyramid, yielding ``(input length, approximation, detail)`` for
+    each level, finest first."""
     if x.ndim != 1:
         raise ValidationError("input must be one-dimensional")
     if levels < 1:
@@ -222,19 +213,30 @@ def dwt_decompose(
         raise ValidationError(
             "periodic boundary requires the length to be divisible by 2**levels"
         )
-    h, g = spec.scaling, spec.wavelet
-    details: list[np.ndarray] = []
-    lengths: list[int] = []
+    step = _analysis_periodic if boundary == "periodic" else _analysis_symmetric
     cur = x
     for _ in range(levels):
-        lengths.append(cur.size)
-        if boundary == "periodic":
-            cur, d = _analysis_periodic(cur, h, g)
-        else:
-            cur, d = _analysis_symmetric(cur, h, g)
+        size = cur.size
+        cur, d = step(cur, spec.scaling, spec.wavelet)
+        yield size, cur, d
+
+
+def dwt_decompose(
+    x: np.ndarray, spec: WaveletSpec, levels: int, boundary: str = "symmetric"
+) -> DwtDecomposition:
+    """Multi-level discrete wavelet decomposition.
+
+    Requires ``len(x) >= 2**levels``; the periodic mode additionally needs
+    the length to be divisible by ``2**levels`` so that every stage stays
+    critically sampled.
+    """
+    details: list[np.ndarray] = []
+    lengths: list[int] = []
+    for size, approx, d in _analyse(np.asarray(x, dtype=float), spec, levels, boundary):
+        lengths.append(size)
         details.append(d)
     return DwtDecomposition(
-        approx=cur, details=details, boundary=boundary, lengths=lengths, spec=spec
+        approx=approx, details=details, boundary=boundary, lengths=lengths, spec=spec
     )
 
 
@@ -264,9 +266,7 @@ def dwt_reconstruct(
     h, g = decomp.spec.scaling, decomp.spec.wavelet
     cur = decomp.approx if keep_approx else np.zeros_like(decomp.approx)
     for j in range(decomp.levels, 0, -1):
-        d = decomp.details[j - 1]
-        if not keep_details[j - 1]:
-            d = np.zeros_like(d)
+        d = decomp.details[j - 1] if keep_details[j - 1] else None
         out_len = decomp.lengths[j - 1]
         if decomp.boundary == "periodic":
             cur = _synthesis_periodic(cur, d, h, g)
@@ -312,25 +312,39 @@ def denoise(
     raise ValidationError(f"unknown denoise rule {rule!r}")
 
 
-def _detrend_once(values: np.ndarray, spec: WaveletSpec, level: int, boundary: str):
-    decomp = dwt_decompose(values, spec, level, boundary=boundary)
-    trend = dwt_reconstruct(decomp, keep={"approx"})
-    return values - trend
-
-
 def extract_fluctuation(
     values: np.ndarray,
     spec: WaveletSpec,
-    level: int,
+    level: int | Sequence[int],
     boundary: str = "symmetric",
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray]:
     """Bandpass fluctuation of a profile around its level-``level`` trend.
 
     The trend is the wavelet approximation at the requested level.  To keep
     edge distortion symmetric, the residual is computed on the profile and
     on its time reversal and the two are averaged after re-reversal.
+
+    ``level`` may also be an ascending sequence of levels, giving one array
+    per level in order.  Each direction is decomposed once, down to the
+    deepest level (Mallat's pyramid): O(n log n) time for n samples, and
+    memory of one length-n array per level plus O(n) for the two pyramids.
     """
     values = np.asarray(values, dtype=float)
-    fwd = _detrend_once(values, spec, level, boundary)
-    rev = _detrend_once(values[::-1], spec, level, boundary)[::-1]
-    return 0.5 * (fwd + rev)
+    levels = [operator.index(j) for j in np.atleast_1d(level)]
+    if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValidationError("levels must be ascending and >= 1")
+    out = list(_residuals(values, spec, levels, boundary))
+    for i, rev in enumerate(_residuals(values[::-1], spec, levels, boundary)):
+        out[i] = 0.5 * (out[i] + rev[::-1])
+    return out[0] if np.ndim(level) == 0 else out
+
+
+def _residuals(values, spec: WaveletSpec, levels: list[int], boundary: str):
+    """``values`` minus its trend at each of ``levels``, from one analysis pass."""
+    lengths: list[int] = []
+    for size, approx, _ in _analyse(values, spec, levels[-1], boundary):
+        lengths.append(size)
+        if len(lengths) in levels:
+            dropped = [None] * len(lengths)
+            trend = DwtDecomposition(approx, dropped, boundary, lengths, spec)
+            yield values - dwt_reconstruct(trend)

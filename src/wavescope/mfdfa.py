@@ -13,15 +13,13 @@ those segment variances.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .dwt import WaveletSpec, daubechies, extract_fluctuation
+from .dwt import BOUNDARY_MODES, WaveletSpec, daubechies, extract_fluctuation
 from .errors import (
     PoorFitWarning,
     ValidationError,
@@ -39,15 +37,6 @@ __all__ = [
     "fluctuation_function",
     "generalized_hurst",
 ]
-
-
-def _thread_cap() -> int:
-    """Parallelism cap from WAVESCOPE_THREADS; defaults to sequential."""
-    raw = os.environ.get("WAVESCOPE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def default_q_values() -> np.ndarray:
@@ -96,6 +85,10 @@ class MfdfaConfig:
             raise ValidationError("q_values must be non-empty")
         if self.min_segments < 4:
             raise ValidationError("min_segments must be >= 4")
+        if self.boundary not in BOUNDARY_MODES:
+            raise ValidationError(
+                f"boundary must be one of {BOUNDARY_MODES}, got {self.boundary!r}"
+            )
         if self.scales is not None:
             s = np.asarray(self.scales, dtype=int)
             if s.size < 1 or np.any(np.diff(s) <= 0):
@@ -206,8 +199,10 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
 
     Requested scales snap to the nearest dyadic wavelet level (duplicates
     collapse) and the snapped values are reported in the result.  The
-    per-level detrending jobs are independent; WAVESCOPE_THREADS > 1 lets
-    them run concurrently without changing any output value.
+    profile is decomposed once per direction for all levels (see
+    :func:`~wavescope.dwt.extract_fluctuation`): for n samples this takes
+    O(n log n) time, and memory holds one length-n fluctuation array per
+    level plus O(n) for the two wavelet pyramids.
     """
     cfg = cfg if cfg is not None else MfdfaConfig()
     values = prof.values if isinstance(prof, Profile) else np.asarray(prof, dtype=float)
@@ -225,17 +220,11 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
                 f"{cfg.min_segments} segments for n={n}"
             )
 
-    def one_level(level: int, scale: int) -> np.ndarray:
-        fluct = extract_fluctuation(values, cfg.wavelet, level, boundary=cfg.boundary)
-        seg = segment_variance(fluct, scale, cfg.min_segments)
-        return _moments(seg, cfg.q_values, scale)
-
-    workers = min(_thread_cap(), len(levels))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(one_level, levels, scales.tolist()))
-    else:
-        columns = [one_level(lv, int(s)) for lv, s in zip(levels, scales)]
+    flucts = extract_fluctuation(values, cfg.wavelet, levels, boundary=cfg.boundary)
+    columns = []
+    for fluct, s in zip(flucts, scales.tolist()):
+        seg = segment_variance(fluct, s, cfg.min_segments)
+        columns.append(_moments(seg, cfg.q_values, s))
     fq = np.column_stack(columns)
     return FluctuationTable(
         q_values=cfg.q_values.copy(),

@@ -235,8 +235,8 @@ def load_csv(
     return TimeSeries(data, sample_rate, label=path.name)
 
 
-def write_csv(ts: TimeSeries, path: str | Path, with_time: bool = True) -> None:
-    """Write a series as CSV with a header row.
+def write_csv(ts: TimeSeries, path: str | Path) -> None:
+    """Write a series as ``time_s,value`` CSV with a header row.
 
     Values are written with shortest round-trip float formatting, so
     loading the file back yields bit-identical samples.
@@ -244,12 +244,7 @@ def write_csv(ts: TimeSeries, path: str | Path, with_time: bool = True) -> None:
     path = Path(path)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if with_time:
-        writer.writerow(["time_s", "value"])
-        for t, v in zip(ts.times(), ts.samples):
-            writer.writerow([repr(float(t)), repr(float(v))])
-    else:
-        writer.writerow(["value"])
-        for v in ts.samples:
-            writer.writerow([repr(float(v))])
+    writer.writerow(["time_s", "value"])
+    for t, v in zip(ts.times(), ts.samples):
+        writer.writerow([repr(float(t)), repr(float(v))])
     path.write_text(buf.getvalue(), encoding="utf-8")

@@ -22,6 +22,9 @@ __all__ = ["line_plot", "heatmap"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+#: Canvas size in pixels of every plot.
+WIDTH = 720
+HEIGHT = 420
 _MARGIN_L = 64.0
 _MARGIN_R = 14.0
 _MARGIN_T = 30.0
@@ -67,9 +70,9 @@ def _tick_label(v: float) -> str:
 class _Axes:
     """Data-to-pixel mapping for one panel."""
 
-    def __init__(self, width, height, xlim, ylim, xlog, ylog):
-        self.x0, self.x1 = _MARGIN_L, width - _MARGIN_R
-        self.y0, self.y1 = height - _MARGIN_B, _MARGIN_T
+    def __init__(self, xlim, ylim, xlog, ylog):
+        self.x0, self.x1 = _MARGIN_L, WIDTH - _MARGIN_R
+        self.y0, self.y1 = HEIGHT - _MARGIN_B, _MARGIN_T
         self.xlim, self.ylim = xlim, ylim
         self.xlog, self.ylog = xlog, ylog
 
@@ -182,12 +185,12 @@ def _frame(ax: _Axes, xlabel, ylabel, title):
     return "".join(out)
 
 
-def _document(width: int, height: int, body: str) -> str:
+def _document(body: str) -> str:
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'
-        f'<rect width="{width}" height="{height}" fill="white"/>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
         + body
         + "</svg>\n"
     )
@@ -203,8 +206,6 @@ def line_plot(
     ylog: bool = False,
     vmarks: Sequence[tuple[float, str]] = (),
     bands: Sequence[tuple[float, float]] = (),
-    width: int = 720,
-    height: int = 420,
 ) -> Path:
     """Write a multi-series line plot.
 
@@ -224,7 +225,7 @@ def line_plot(
         norm.append((x, y, label, dashed))
     xlim = _limits([s[0] for s in norm], xlog)
     ylim = _limits([s[1] for s in norm], ylog)
-    ax = _Axes(width, height, xlim, ylim, xlog, ylog)
+    ax = _Axes(xlim, ylim, xlog, ylog)
     body = [_frame(ax, xlabel, ylabel, title)]
     for x0, x1 in bands:
         ex0 = min(max(ax.px(x0), ax.x0), ax.x1)
@@ -258,7 +259,7 @@ def line_plot(
         )
         ly += 14
     out = Path(path)
-    out.write_text(_document(width, height, "".join(body)), encoding="utf-8")
+    out.write_text(_document("".join(body)), encoding="utf-8")
     return out
 
 
@@ -294,8 +295,6 @@ def heatmap(
     ylog: bool = False,
     overlay: tuple[np.ndarray, np.ndarray] | None = None,
     max_cols: int = 192,
-    width: int = 720,
-    height: int = 420,
 ) -> Path:
     """Write a column-binned heatmap of z[row, col] over (y, x) axes.
 
@@ -320,7 +319,7 @@ def heatmap(
     span = zmax - zmin if zmax > zmin else 1.0
     xlim = (float(x.min()), float(x.max()))
     ylim = (float(y.min()), float(y.max()))
-    ax = _Axes(width, height, xlim, ylim, False, ylog)
+    ax = _Axes(xlim, ylim, False, ylog)
     body = []
     # cell edges: midpoints between centers, clamped at the limits
     def edges_of(centers, log):
@@ -359,5 +358,5 @@ def heatmap(
         'fill="white" stroke="#444444"', 'fill="none" stroke="#444444"'
     ))
     out = Path(path)
-    out.write_text(_document(width, height, "".join(body)), encoding="utf-8")
+    out.write_text(_document("".join(body)), encoding="utf-8")
     return out

@@ -51,6 +51,7 @@ def test_validate_fills_defaults(tmp_path):
         lambda r: r["pipeline"][0].update(bogus=True),
         lambda r: r.update(seed=-1),
         lambda r: r.update(seed="five"),
+        lambda r: r.update(seed=True),
         lambda r: r.update(formats={"pdf": True}),
         lambda r: r.update(formats={"svg": "yes"}),
         lambda r: r["input"]["synth"].update(kind="brownian"),

@@ -150,6 +150,32 @@ def test_extract_fluctuation_is_direction_symmetrized_residual():
     assert np.allclose(extract_fluctuation(x, spec, level), want, atol=1e-12)
 
 
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+def test_extract_fluctuation_levels_share_one_pyramid_exactly(boundary):
+    rng = np.random.default_rng(11)
+    x = np.cumsum(rng.standard_normal(4096))
+    spec = daubechies(2)
+    levels = [1, 2, 4, 7, 9]
+
+    def residual(v, level):
+        decomp = dwt_decompose(v, spec, level, boundary=boundary)
+        return v - dwt_reconstruct(decomp, keep={"approx"})
+
+    got = extract_fluctuation(x, spec, levels, boundary=boundary)
+    assert len(got) == len(levels)
+    for fluct, level in zip(got, levels):
+        want = 0.5 * (residual(x, level) + residual(x[::-1], level)[::-1])
+        assert np.array_equal(fluct, want)
+        assert np.array_equal(fluct, extract_fluctuation(x, spec, level, boundary))
+
+
+def test_extract_fluctuation_rejects_unordered_levels():
+    x = np.arange(256.0)
+    for levels in ([], [3, 2], [0, 1], [2, 2]):
+        with pytest.raises(ValidationError):
+            extract_fluctuation(x, daubechies(2), levels)
+
+
 def test_extract_fluctuation_kills_linear_trend():
     # db2 reproduces straight lines exactly away from the boundary folds
     x = 2.0 * np.arange(512) - 100.0

@@ -1,4 +1,3 @@
-import os
 import warnings
 
 import numpy as np
@@ -12,6 +11,7 @@ from wavescope import (
     ZeroVarianceError,
     ZeroVarianceWarning,
 )
+from wavescope import dwt
 from wavescope.dwt import daubechies, extract_fluctuation
 from wavescope.mfdfa import (
     FluctuationTable,
@@ -119,18 +119,36 @@ def test_zero_variance_warns_once_per_scale():
     assert scales_warned == [f"scale {s}" for s in affected]
 
 
-def test_thread_env_does_not_change_values(monkeypatch):
-    prof = profile(np.diff(gen_fbm(0.7, 4096, seed=5).samples))
-    cfg = MfdfaConfig(q_values=default_q_values())
-    monkeypatch.delenv("WAVESCOPE_THREADS", raising=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        seq = fluctuation_function(prof, cfg)
-    monkeypatch.setenv("WAVESCOPE_THREADS", "4")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        par = fluctuation_function(prof, cfg)
-    assert np.array_equal(seq.fluctuation, par.fluctuation)
+def test_zero_variance_warning_points_at_caller():
+    x = np.zeros(4096)
+    x[1024:1536] = np.sin(np.linspace(0.0, 6.0 * np.pi, 512))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fluctuation_function(x)
+    zero = [w for w in caught if issubclass(w.category, ZeroVarianceWarning)]
+    assert zero
+    assert all(w.filename == __file__ for w in zero)
+
+
+def test_one_analysis_pass_per_direction(monkeypatch):
+    # Mallat's pyramid: each direction is decomposed once down to the
+    # deepest level, not once per level.
+    calls = []
+    original = dwt._analysis_symmetric
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return original(*args)
+
+    monkeypatch.setattr(dwt, "_analysis_symmetric", counted)
+    prof = np.cumsum(np.random.default_rng(5).standard_normal(4096))
+    table = fluctuation_function(prof)
+    assert len(calls) == 2 * int(table.levels.max())
+
+
+def test_config_rejects_unknown_boundary():
+    with pytest.raises(ValidationError):
+        MfdfaConfig(boundary="wrap")
 
 
 def _exact_table(h_by_q, scales):
