@@ -1,10 +1,12 @@
 """Command line interface and config-driven pipeline runner.
 
-Everything written here is deterministic: JSON is emitted with sorted
-keys and repr-roundtrip floats, CSV numbers use repr, SVG uses fixed
-precision, and no artifact carries a timestamp.  Identical config and
-seed therefore produce byte-identical artifacts, which the run report
-makes checkable by hashing every file it writes.
+Pipeline stages, figure presets and ``phase`` write every file through
+one writer (``_writer``), which applies the formats, builds the path
+and records it.  Everything written is deterministic: JSON is emitted
+with sorted keys and repr-roundtrip floats, CSV numbers use repr, SVG
+uses fixed precision, and no artifact carries a timestamp.  Identical
+config and seed therefore produce byte-identical artifacts, which the
+run report makes checkable by hashing every file it writes.
 
 Exit codes: 0 success, 2 configuration problem, 3 stage failure,
 4 filesystem problem.
@@ -30,7 +32,7 @@ from .errors import (
     StageError,
     WavescopeError,
 )
-from .signal_core import TimeSeries, load_csv, profile, write_csv
+from .signal_core import TimeSeries, _write_table, load_csv, profile, write_csv
 
 __all__ = ["RunConfig", "RunReport", "validate_config", "run", "figure_repro", "main"]
 
@@ -52,23 +54,33 @@ def _plain(obj):
     return obj
 
 
-def _write_json(path: Path, obj) -> Path:
+def _write_json(path: Path, obj) -> None:
     path.write_text(
         json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    return path
-
-
-def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> Path:
-    rows = zip(*[np.asarray(c) for c in columns])
-    lines = [",".join(header)]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _writer(outdir: Path, prefix: str, wanted, written: list):
+    """The one artifact writer for stages, figure presets and ``phase``.
+
+    ``emit(name, write, *args, **kwargs)`` calls ``write(outdir / (prefix
+    + name), *args, **kwargs)`` when ``wanted(name)`` and then records the
+    path in ``written``.  Callers name ``write`` at the call
+    (``svg.line_plot``, ``write_csv``), never from a stored table, so a
+    wrapped module attribute sees every call.
+    """
+
+    def emit(name, write, /, *args, **kwargs):
+        if wanted(name):
+            path = outdir / (prefix + name)
+            write(path, *args, **kwargs)
+            written.append(path)
+
+    return emit
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +310,7 @@ def _load_csv_sniffed(path, sample_rate=None, column=0) -> TimeSeries:
     try:
         with open(path, encoding="utf-8") as fh:
             first = fh.readline()
-    except OSError:
+    except (OSError, UnicodeDecodeError):  # load_csv reports these
         first = ""
     fields = [f.strip().lower() for f in first.split(",")]
     for i, name in enumerate(fields):
@@ -351,9 +363,15 @@ def _build_input(cfg: RunConfig) -> TimeSeries:
 
 # --------------------------------------------------------------------------
 # pipeline stages
+#
+# Stage contract: ``_stage_x(ts, params, emit) -> (ts, info)``.  A stage
+# gets the series and its declared params with defaults filled in.  It
+# writes every file through ``emit`` (see _writer), inside the call, so a
+# failing write fails the stage and the stage's arrays die on return.  It
+# returns the series for the next stage and its summary entry.
 
 
-def _stage_denoise(ts, params, outdir, prefix, fmts, artifacts, summary):
+def _stage_denoise(ts, params, emit):
     """Wavelet denoising."""
     cleaned = dwt.denoise(
         ts.samples,
@@ -364,15 +382,11 @@ def _stage_denoise(ts, params, outdir, prefix, fmts, artifacts, summary):
         boundary=params["boundary"],
     )
     out = TimeSeries(cleaned, ts.sample_rate, label=ts.label)
-    if fmts["csv"]:
-        p = outdir / f"{prefix}_denoised.csv"
-        write_csv(out, p)
-        artifacts.append(p)
-    summary["denoise"] = {
+    emit("denoised.csv", lambda path: write_csv(out, path))
+    return out, {
         "rule": params["rule"],
         "residual_rms": float(np.sqrt(np.mean((ts.samples - cleaned) ** 2))),
     }
-    return out
 
 
 def _spectrum_plot(path, ps, title, guides=(), label="power"):
@@ -402,26 +416,18 @@ def _spectrum_plot(path, ps, title, guides=(), label="power"):
     )
 
 
-def _stage_spectrum(ts, params, outdir, prefix, fmts, artifacts, summary):
+def _stage_spectrum(ts, params, emit):
     """One-sided power spectrum."""
     ps = spectral.power_spectrum(ts, window=params["window"])
-    if fmts["csv"]:
-        p = _write_table(
-            outdir / f"{prefix}_spectrum.csv", ["freq_hz", "power"], [ps.freqs, ps.power]
-        )
-        artifacts.append(p)
-    if fmts["svg"]:
-        artifacts.append(
-            _spectrum_plot(outdir / f"{prefix}_spectrum.svg", ps, "power spectrum")
-        )
-    summary["spectrum"] = {
+    emit("spectrum.csv", _write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
+    emit("spectrum.svg", _spectrum_plot, ps, "power spectrum")
+    return ts, {
         "dominant_frequency_hz": spectral.dominant_frequency(ps),
         "n_bins": int(ps.freqs.size),
     }
-    return ts
 
 
-def _stage_fit(ts, params, outdir, prefix, fmts, artifacts, summary):
+def _stage_fit(ts, params, emit):
     """Power-law fit of the spectrum."""
     ps = spectral.power_spectrum(ts)
     fit = spectral.fit_power_law(ps, params["f_lo"], params["f_hi"])
@@ -443,18 +449,13 @@ def _stage_fit(ts, params, outdir, prefix, fmts, artifacts, summary):
     except WavescopeError as err:
         info["fractal_dimension"] = None
         info["fractal_dimension_note"] = str(err)
-    if fmts["json"]:
-        artifacts.append(_write_json(outdir / f"{prefix}_fit.json", info))
-    if fmts["svg"]:
-        guide = (fit, None, f"slope {fit.slope:.3g}")
-        artifacts.append(
-            _spectrum_plot(outdir / f"{prefix}_fit.svg", ps, "power-law fit", [guide])
-        )
-    summary["fit"] = info
-    return ts
+    emit("fit.json", _write_json, info)
+    guide = (fit, None, f"slope {fit.slope:.3g}")
+    emit("fit.svg", _spectrum_plot, ps, "power-law fit", [guide])
+    return ts, info
 
 
-def _stage_heisenberg(ts, params, outdir, prefix, fmts, artifacts, summary):
+def _stage_heisenberg(ts, params, emit):
     """Spectral regime comparison."""
     ps = spectral.power_spectrum(ts)
     res = spectral.heisenberg_fit(
@@ -472,17 +473,10 @@ def _stage_heisenberg(ts, params, outdir, prefix, fmts, artifacts, summary):
         "band_hz": list(res.fit.band),
         "r_squared": res.fit.r_squared,
     }
-    if fmts["json"]:
-        artifacts.append(_write_json(outdir / f"{prefix}_heisenberg.json", info))
-    if fmts["svg"]:
-        guide = (res.fit, res.target, f"target {res.target:.3g}")
-        artifacts.append(
-            _spectrum_plot(
-                outdir / f"{prefix}_heisenberg.svg", ps, "spectral regime fit", [guide]
-            )
-        )
-    summary["heisenberg"] = info
-    return ts
+    emit("heisenberg.json", _write_json, info)
+    guide = (res.fit, res.target, f"target {res.target:.3g}")
+    emit("heisenberg.svg", _spectrum_plot, ps, "spectral regime fit", [guide])
+    return ts, info
 
 
 def _write_fq_table(path, table):
@@ -490,7 +484,7 @@ def _write_fq_table(path, table):
     cols = [table.scales.astype(float)] + [
         table.fluctuation[i] for i in range(table.q_values.size)
     ]
-    return _write_table(path, header, cols)
+    _write_table(path, header, cols)
 
 
 def _fq_plot(path, table, rows, xlabel, title):
@@ -504,7 +498,7 @@ def _fq_plot(path, table, rows, xlabel, title):
     )
 
 
-def _stage_mfdfa(ts, params, outdir, prefix, fmts, artifacts, summary):
+def _stage_mfdfa(ts, params, emit):
     """Multifractal fluctuation analysis."""
     data = np.diff(ts.samples) if params["difference"] else ts.samples
     q_step = params["q_step"]
@@ -517,34 +511,23 @@ def _stage_mfdfa(ts, params, outdir, prefix, fmts, artifacts, summary):
         table.n / 8.0 if fit_hi is None else fit_hi,
     )
     table = mfdfa.generalized_hurst(table, fit_range=fit_range)
-    if fmts["csv"]:
-        artifacts.append(_write_fq_table(outdir / f"{prefix}_fq.csv", table))
-        p = _write_table(
-            outdir / f"{prefix}_hurst.csv",
-            ["q", "h", "r_squared"],
-            [table.q_values, table.hurst, table.fit_r2],
-        )
-        artifacts.append(p)
-    if fmts["svg"]:
-        rows = range(0, table.q_values.size, max(1, table.q_values.size // 6))
-        artifacts.append(
-            _fq_plot(
-                outdir / f"{prefix}_fq.svg",
-                table,
-                rows,
-                "scale (samples)",
-                "fluctuation function",
-            )
-        )
-        artifacts.append(
-            svg.line_plot(
-                outdir / f"{prefix}_hurst.svg",
-                [(table.q_values, table.hurst, "h(q)")],
-                xlabel="q",
-                ylabel="h(q)",
-                title="generalized Hurst exponents",
-            )
-        )
+    emit("fq.csv", _write_fq_table, table)
+    emit(
+        "hurst.csv",
+        _write_table,
+        ["q", "h", "r_squared"],
+        [table.q_values, table.hurst, table.fit_r2],
+    )
+    rows = range(0, table.q_values.size, max(1, table.q_values.size // 6))
+    emit("fq.svg", _fq_plot, table, rows, "scale (samples)", "fluctuation function")
+    emit(
+        "hurst.svg",
+        svg.line_plot,
+        [(table.q_values, table.hurst, "h(q)")],
+        xlabel="q",
+        ylabel="h(q)",
+        title="generalized Hurst exponents",
+    )
     info = {
         "h2": table.hurst_at(2.0) if np.any(np.isclose(table.q_values, 2.0)) else None,
         "delta_h": table.delta_h,
@@ -552,10 +535,8 @@ def _stage_mfdfa(ts, params, outdir, prefix, fmts, artifacts, summary):
         "n_scales": int(table.scales.size),
         "differenced": params["difference"],
     }
-    if fmts["json"]:
-        artifacts.append(_write_json(outdir / f"{prefix}_mfdfa.json", info))
-    summary["mfdfa"] = info
-    return ts
+    emit("mfdfa.json", _write_json, info)
+    return ts, info
 
 
 def _scalogram_plot(path, sg, power, title):
@@ -573,75 +554,66 @@ def _scalogram_plot(path, sg, power, title):
     )
 
 
-def _stage_cwt(ts, params, outdir, prefix, fmts, artifacts, summary):
+def _stage_cwt(ts, params, emit):
     """Morlet scalogram summary."""
     sg = cwtmod.cwt_morlet(
         ts, omega0=params["omega0"], norm=params["norm"], pad=params["pad"]
     )
     power = np.abs(sg.coeffs) ** 2
-    if fmts["csv"]:
-        p = _write_table(
-            outdir / f"{prefix}_scales.csv",
-            ["scale_s", "period_s", "mean_power_outside_coi"],
-            [sg.scales, sg.periods, sg.mean_outside_coi(power)],
-        )
-        artifacts.append(p)
-    if fmts["svg"]:
-        artifacts.append(
-            _scalogram_plot(
-                outdir / f"{prefix}_scalogram.svg",
-                sg,
-                power,
-                "scalogram, log10 power / variance",
-            )
-        )
-    summary["cwt"] = {
+    emit(
+        "scales.csv",
+        _write_table,
+        ["scale_s", "period_s", "mean_power_outside_coi"],
+        [sg.scales, sg.periods, sg.mean_outside_coi(power)],
+    )
+    emit(
+        "scalogram.svg",
+        _scalogram_plot,
+        sg,
+        power,
+        "scalogram, log10 power / variance",
+    )
+    return ts, {
         "n_scales": int(sg.scales.size),
         "period_range_s": [float(sg.periods[0]), float(sg.periods[-1])],
     }
-    return ts
 
 
-def _stage_globalpower(ts, params, outdir, prefix, fmts, artifacts, summary):
+def _stage_globalpower(ts, params, emit):
     """Time-averaged wavelet power."""
     sg = cwtmod.cwt_morlet(ts, omega0=params["omega0"])
     gp = cwtmod.global_power(sg, background=params["background"], series=ts.samples)
     peaks = cwtmod.dominant_periods(gp, max_count=params["max_peaks"])
-    if fmts["csv"]:
-        p = _write_table(
-            outdir / f"{prefix}_globalpower.csv",
-            ["scale_s", "period_s", "power", "significance_95"],
-            [gp.scales, gp.periods, gp.power, gp.significance_95],
-        )
-        artifacts.append(p)
-    if fmts["svg"]:
-        artifacts.append(
-            svg.line_plot(
-                outdir / f"{prefix}_globalpower.svg",
-                [
-                    (gp.periods, gp.power, "global power"),
-                    (gp.periods, gp.significance_95, "95% level", True),
-                ],
-                xlabel="period (s)",
-                ylabel="power",
-                title="global wavelet power",
-                xlog=True,
-                ylog=True,
-                vmarks=[(p_, f"{p_ * 1e3:.0f} ms") for p_ in peaks[:4]],
-            )
-        )
+    emit(
+        "globalpower.csv",
+        _write_table,
+        ["scale_s", "period_s", "power", "significance_95"],
+        [gp.scales, gp.periods, gp.power, gp.significance_95],
+    )
+    emit(
+        "globalpower.svg",
+        svg.line_plot,
+        [
+            (gp.periods, gp.power, "global power"),
+            (gp.periods, gp.significance_95, "95% level", True),
+        ],
+        xlabel="period (s)",
+        ylabel="power",
+        title="global wavelet power",
+        xlog=True,
+        ylog=True,
+        vmarks=[(p_, f"{p_ * 1e3:.0f} ms") for p_ in peaks[:4]],
+    )
     info = {
         "dominant_periods_s": peaks,
         "background": gp.background,
         "n_scales": int(gp.scales.size),
     }
-    if fmts["json"]:
-        artifacts.append(_write_json(outdir / f"{prefix}_globalpower.json", info))
-    summary["globalpower"] = info
-    return ts
+    emit("globalpower.json", _write_json, info)
+    return ts, info
 
 
-def _stage_lyapunov(ts, params, outdir, prefix, fmts, artifacts, summary):
+def _stage_lyapunov(ts, params, emit):
     """Largest Lyapunov exponent."""
     delay = params["delay"]
     if delay == "auto":
@@ -662,18 +634,14 @@ def _stage_lyapunov(ts, params, outdir, prefix, fmts, artifacts, summary):
         "delay": cfg.delay,
         "positive": res.positive,
     }
-    if fmts["json"]:
-        artifacts.append(_write_json(outdir / f"{prefix}_lyapunov.json", info))
-    if fmts["csv"]:
-        k = np.arange(res.divergence.size, dtype=float)
-        p = _write_table(
-            outdir / f"{prefix}_divergence.csv",
-            ["iteration", "mean_log_distance"],
-            [k, res.divergence],
-        )
-        artifacts.append(p)
-    summary["lyapunov"] = info
-    return ts
+    emit("lyapunov.json", _write_json, info)
+    emit(
+        "divergence.csv",
+        _write_table,
+        ["iteration", "mean_log_distance"],
+        [np.arange(res.divergence.size), res.divergence],
+    )
+    return ts, info
 
 
 # ``run`` looks each stage up here at call time, so wrapping an entry
@@ -746,8 +714,11 @@ def run(cfg: RunConfig) -> RunReport:
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    artifacts: list[Path] = []
+    written: list[Path] = []
     summary: dict = {}
+
+    def wanted(name):
+        return cfg.formats[name.rsplit(".", 1)[1]]
 
     def attempt(stage_name, fn, *args):
         try:
@@ -758,10 +729,7 @@ def run(cfg: RunConfig) -> RunReport:
             raise StageError(stage_name, f"{stage_name}: {err}") from err
 
     ts = attempt("input", _build_input, cfg)
-    if cfg.formats["csv"]:
-        p = outdir / "input.csv"
-        write_csv(ts, p)
-        artifacts.append(p)
+    _writer(outdir, "", wanted, written)("input.csv", lambda path: write_csv(ts, path))
     summary["input"] = {
         "n": int(ts.samples.size),
         "sample_rate_hz": float(ts.sample_rate),
@@ -769,22 +737,12 @@ def run(cfg: RunConfig) -> RunReport:
     }
     for i, stage in enumerate(cfg.pipeline):
         name = stage["stage"]
-        prefix = f"{i:02d}_{name}"
+        emit = _writer(outdir, f"{i:02d}_{name}_", wanted, written)
         params = _with_defaults(stage, _STAGE_PARAMS[name])
-        ts = attempt(
-            name,
-            _STAGE_FUNCS[name],
-            ts,
-            params,
-            outdir,
-            prefix,
-            cfg.formats,
-            artifacts,
-            summary,
-        )
+        ts, summary[name] = attempt(name, _STAGE_FUNCS[name], ts, params, emit)
     report = RunReport(
         artifacts=[
-            {"path": p.name, "sha256": _sha256(p)} for p in artifacts
+            {"path": p.name, "sha256": _sha256(p)} for p in written
         ],
         summary=summary,
         exit_code=0,
@@ -798,17 +756,6 @@ def run(cfg: RunConfig) -> RunReport:
 
 # --------------------------------------------------------------------------
 # figure reproduction presets
-
-FIGURE_NAMES = (
-    "fig7",
-    "fig8",
-    "fig9a",
-    "fig9b",
-    "fig10a",
-    "fig10b",
-    "fig11",
-    "fig12",
-)
 
 _FOUR_TONES = [(0.018, 0.7, 0.0), (0.049, 1.5, 0.8), (0.226, 0.7, 1.6), (0.578, 1.3, 2.4)]
 
@@ -833,65 +780,49 @@ def _two_regime_noise(n: int = 2**15, rate: float = 50000.0, fc: float = 500.0):
     return TimeSeries(samples, rate, label="two-regime noise")
 
 
-def _fig7(outdir: Path) -> list[Path]:
+def _fig7(emit) -> None:
     ts = synth.gen_power_law_noise(1.0, 2**14, seed=7, sample_rate=50000.0)
     prof = profile(ts)
     walk = TimeSeries(prof.values, ts.sample_rate)
     ps = spectral.power_spectrum(walk)
     fit = spectral.fit_power_law(ps, 330.0, 8000.0)
     hurst = spectral.hurst_from_alpha(min(fit.alpha_abs, 2.999))
-    out = []
     t = np.arange(prof.values.size) / ts.sample_rate
-    out.append(
-        svg.line_plot(
-            outdir / "fig7a.svg",
-            [(t, prof.values, "profile")],
-            xlabel="time (s)",
-            ylabel="cumulative sum",
-            title="profile of the series",
-        )
+    emit(
+        "fig7a.svg",
+        svg.line_plot,
+        [(t, prof.values, "profile")],
+        xlabel="time (s)",
+        ylabel="cumulative sum",
+        title="profile of the series",
     )
-    out.append(
-        _spectrum_plot(
-            outdir / "fig7b.svg",
-            ps,
-            "power law of the profile",
-            [(fit, None, f"slope {fit.slope:.2f}")],
-            label="profile power",
-        )
+    emit(
+        "fig7b.svg",
+        _spectrum_plot,
+        ps,
+        "power law of the profile",
+        [(fit, None, f"slope {fit.slope:.2f}")],
+        label="profile power",
     )
-    out.append(
-        _write_table(outdir / "fig7.csv", ["freq_hz", "power"], [ps.freqs, ps.power])
-    )
-    out.append(
-        _write_json(
-            outdir / "fig7.json",
-            {"alpha_abs": fit.alpha_abs, "slope": fit.slope, "hurst": hurst},
-        )
-    )
-    return out
+    emit("fig7.csv", _write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
+    info = {"alpha_abs": fit.alpha_abs, "slope": fit.slope, "hurst": hurst}
+    emit("fig7.json", _write_json, info)
 
 
-def _fig8(outdir: Path) -> list[Path]:
+def _fig8(emit) -> None:
     ts = _four_tone_series()
     sg = cwtmod.cwt_morlet(ts)
     power = np.abs(sg.coeffs) ** 2
-    out = [
-        _scalogram_plot(
-            outdir / "fig8.svg", sg, power, "scalogram with cone of influence"
-        )
-    ]
-    out.append(
-        _write_table(
-            outdir / "fig8.csv",
-            ["period_s", "mean_power_outside_coi"],
-            [sg.periods, sg.mean_outside_coi(power / sg.signal_variance)],
-        )
+    emit("fig8.svg", _scalogram_plot, sg, power, "scalogram with cone of influence")
+    emit(
+        "fig8.csv",
+        _write_table,
+        ["period_s", "mean_power_outside_coi"],
+        [sg.periods, sg.mean_outside_coi(power / sg.signal_variance)],
     )
-    return out
 
 
-def _fig9(outdir: Path, which: str) -> list[Path]:
+def _fig9(emit) -> None:
     ts = synth.gen_binomial_cascade(synth.CascadeParams(0.75, 14))
     q = np.arange(-10.0, 10.5, 1.0)
     table = mfdfa.fluctuation_function(profile(ts), mfdfa.MfdfaConfig(q_values=q))
@@ -900,95 +831,73 @@ def _fig9(outdir: Path, which: str) -> list[Path]:
         table = mfdfa.generalized_hurst(
             table, fit_range=(16.0, table.n / 16.0)
         )
-    out = []
-    if which == "fig9a":
-        sel = np.flatnonzero(np.isin(table.q_values, (-10, -5, -2, 0, 2, 5, 10)))
-        out.append(
-            _fq_plot(
-                outdir / "fig9a.svg",
-                table,
-                sel,
-                "scale s (samples)",
-                "fluctuation functions of the cascade",
-            )
-        )
-        out.append(_write_fq_table(outdir / "fig9a.csv", table))
-    else:
-        closed = np.array([synth.cascade_hurst(0.75, v) for v in table.q_values])
-        out.append(
-            svg.line_plot(
-                outdir / "fig9b.svg",
-                [
-                    (table.q_values, table.hurst, "measured h(q)"),
-                    (table.q_values, closed, "closed form", True),
-                ],
-                xlabel="q",
-                ylabel="h(q)",
-                title="generalized Hurst exponents",
-            )
-        )
-        out.append(
-            _write_table(
-                outdir / "fig9b.csv",
-                ["q", "h_measured", "h_closed_form"],
-                [table.q_values, table.hurst, closed],
-            )
-        )
-    return out
+    sel = np.flatnonzero(np.isin(table.q_values, (-10, -5, -2, 0, 2, 5, 10)))
+    emit(
+        "fig9a.svg",
+        _fq_plot,
+        table,
+        sel,
+        "scale s (samples)",
+        "fluctuation functions of the cascade",
+    )
+    emit("fig9a.csv", _write_fq_table, table)
+    closed = np.array([synth.cascade_hurst(0.75, v) for v in table.q_values])
+    emit(
+        "fig9b.svg",
+        svg.line_plot,
+        [
+            (table.q_values, table.hurst, "measured h(q)"),
+            (table.q_values, closed, "closed form", True),
+        ],
+        xlabel="q",
+        ylabel="h(q)",
+        title="generalized Hurst exponents",
+    )
+    emit(
+        "fig9b.csv",
+        _write_table,
+        ["q", "h_measured", "h_closed_form"],
+        [table.q_values, table.hurst, closed],
+    )
 
 
-def _fig10(outdir: Path, which: str) -> list[Path]:
+def _fig10(emit) -> None:
     ts = _four_tone_series()
     sg = cwtmod.cwt_morlet(ts)
     gp = cwtmod.global_power(sg, background="white", series=ts.samples)
     peaks = cwtmod.dominant_periods(gp, max_count=4)
-    out = []
-    if which == "fig10a":
-        out.append(
-            svg.line_plot(
-                outdir / "fig10a.svg",
-                [(gp.periods, gp.power, "global power")],
-                xlabel="period (s)",
-                ylabel="power",
-                title="time-averaged wavelet power",
-                xlog=True,
-                vmarks=[(p, f"{p * 1e3:.0f} ms") for p in sorted(peaks)],
-            )
-        )
-        out.append(
-            _write_table(
-                outdir / "fig10a.csv",
-                ["period_s", "power"],
-                [gp.periods, gp.power],
-            )
-        )
-        out.append(
-            _write_json(outdir / "fig10a.json", {"dominant_periods_s": sorted(peaks)})
-        )
-    else:
-        out.append(
-            svg.line_plot(
-                outdir / "fig10b.svg",
-                [
-                    (gp.periods, gp.power, "global power"),
-                    (gp.periods, gp.significance_95, "95% significance", True),
-                ],
-                xlabel="period (s)",
-                ylabel="power",
-                title="global power against the 95% level",
-                xlog=True,
-                ylog=True,
-            )
-        )
-        sig = gp.power > gp.significance_95
-        out.append(
-            _write_table(
-                outdir / "fig10b.csv",
-                ["period_s", "power", "significance_95", "significant"],
-                [gp.periods, gp.power, gp.significance_95, sig.astype(float)],
-            )
-        )
-    return out
+    emit(
+        "fig10a.svg",
+        svg.line_plot,
+        [(gp.periods, gp.power, "global power")],
+        xlabel="period (s)",
+        ylabel="power",
+        title="time-averaged wavelet power",
+        xlog=True,
+        vmarks=[(p, f"{p * 1e3:.0f} ms") for p in sorted(peaks)],
+    )
+    emit("fig10a.csv", _write_table, ["period_s", "power"], [gp.periods, gp.power])
+    emit("fig10a.json", _write_json, {"dominant_periods_s": sorted(peaks)})
+    emit(
+        "fig10b.svg",
+        svg.line_plot,
+        [
+            (gp.periods, gp.power, "global power"),
+            (gp.periods, gp.significance_95, "95% significance", True),
+        ],
+        xlabel="period (s)",
+        ylabel="power",
+        title="global power against the 95% level",
+        xlog=True,
+        ylog=True,
+    )
+    sig = gp.power > gp.significance_95
+    emit(
+        "fig10b.csv",
+        _write_table,
+        ["period_s", "power", "significance_95", "significant"],
+        [gp.periods, gp.power, gp.significance_95, sig],
+    )
 
 
 def _phase_comparison(sga, sgb, period: float):
@@ -1006,7 +915,7 @@ def _phase_comparison(sga, sgb, period: float):
     return float(sga.periods[idx]), cmp_, bands
 
 
-def _fig11(outdir: Path) -> list[Path]:
+def _fig11(emit) -> None:
     rate, n = 200.0, 2**13
     period = 0.578
     base = synth.gen_sine_mix([(period, 1.0, 0.0)], rate, n)
@@ -1018,89 +927,87 @@ def _fig11(outdir: Path) -> list[Path]:
     sgb = cwtmod.cwt_morlet(TimeSeries(locked.samples + noise(), rate))
     sgc = cwtmod.cwt_morlet(TimeSeries(detuned.samples + noise(), rate))
     # all three share one scale ladder, so each picks the same scale
-    out, cmps = [], {}
+    cmps = {}
     for tag, sg in (("locked", sgb), ("detuned", sgc)):
         _, cmp_, bands = _phase_comparison(sg, sga, period)
         cmps[tag] = cmp_
-        out.append(
-            svg.line_plot(
-                outdir / f"fig11_{tag}.svg",
-                [(cmp_.times, cmp_.delta, "phase difference")],
-                xlabel="time (s)",
-                ylabel="delta phi (rad)",
-                title=f"phase difference, {tag} pair",
-                bands=bands,
-            )
+        emit(
+            f"fig11_{tag}.svg",
+            svg.line_plot,
+            [(cmp_.times, cmp_.delta, "phase difference")],
+            xlabel="time (s)",
+            ylabel="delta phi (rad)",
+            title=f"phase difference, {tag} pair",
+            bands=bands,
         )
-        out.append(
-            _write_table(
-                outdir / f"fig11_{tag}.csv",
-                ["time_s", "delta_phi_rad"],
-                [cmp_.times, cmp_.delta],
-            )
+        emit(
+            f"fig11_{tag}.csv",
+            _write_table,
+            ["time_s", "delta_phi_rad"],
+            [cmp_.times, cmp_.delta],
         )
-    out.append(
-        _write_json(
-            outdir / "fig11.json",
-            {
-                "locked_median_rad": cmps["locked"].median,
-                "locked_segments": cmps["locked"].segments,
-                "detuned_segments": cmps["detuned"].segments,
-                "drift_bound_s": 0.4 / (2.0 * math.pi * (1.0 / period) * 0.01 / 1.01),
-            },
-        )
+    emit(
+        "fig11.json",
+        _write_json,
+        {
+            "locked_median_rad": cmps["locked"].median,
+            "locked_segments": cmps["locked"].segments,
+            "detuned_segments": cmps["detuned"].segments,
+            "drift_bound_s": 0.4 / (2.0 * math.pi * (1.0 / period) * 0.01 / 1.01),
+        },
     )
-    return out
 
 
-def _fig12(outdir: Path) -> list[Path]:
+def _fig12(emit) -> None:
     ts = _two_regime_noise()
     ps = spectral.power_spectrum(ts)
     neutral = spectral.heisenberg_fit(ps, 20.0, 400.0, regime="neutral")
     dissip = spectral.heisenberg_fit(ps, 800.0, 20000.0, regime="dissipation")
-    out = [
-        _spectrum_plot(
-            outdir / "fig12.svg",
-            ps,
-            "spectral regimes",
-            [
-                (neutral.fit, neutral.target, "-5/3 neutral"),
-                (dissip.fit, dissip.target, "-7 dissipation"),
-            ],
-        )
-    ]
-    out.append(
-        _write_table(outdir / "fig12.csv", ["freq_hz", "power"], [ps.freqs, ps.power])
+    emit(
+        "fig12.svg",
+        _spectrum_plot,
+        ps,
+        "spectral regimes",
+        [
+            (neutral.fit, neutral.target, "-5/3 neutral"),
+            (dissip.fit, dissip.target, "-7 dissipation"),
+        ],
     )
-    out.append(
-        _write_json(
-            outdir / "fig12.json",
-            {
-                "neutral": {"slope": neutral.fit.slope, "matches": neutral.matches},
-                "dissipation": {"slope": dissip.fit.slope, "matches": dissip.matches},
-            },
-        )
+    emit("fig12.csv", _write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
+    emit(
+        "fig12.json",
+        _write_json,
+        {
+            "neutral": {"slope": neutral.fit.slope, "matches": neutral.matches},
+            "dissipation": {"slope": dissip.fit.slope, "matches": dissip.matches},
+        },
     )
-    return out
+
+
+#: Each preset emits its files through the writer; a figure name keeps the
+#: files whose names start with it, so fig9a and fig9b share one preset.
+_FIGURES = {
+    "fig7": _fig7,
+    "fig8": _fig8,
+    "fig9a": _fig9,
+    "fig9b": _fig9,
+    "fig10a": _fig10,
+    "fig10b": _fig10,
+    "fig11": _fig11,
+    "fig12": _fig12,
+}
+FIGURE_NAMES = tuple(_FIGURES)
 
 
 def figure_repro(name: str, out_dir: str | Path) -> list[Path]:
     """Rebuild one documentation figure from its synthetic stand-in."""
-    if name not in FIGURE_NAMES:
+    if name not in _FIGURES:
         raise ConfigError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
     outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if name == "fig7":
-        return _fig7(outdir)
-    if name == "fig8":
-        return _fig8(outdir)
-    if name in ("fig9a", "fig9b"):
-        return _fig9(outdir, name)
-    if name in ("fig10a", "fig10b"):
-        return _fig10(outdir, name)
-    if name == "fig11":
-        return _fig11(outdir)
-    return _fig12(outdir)
+    written: list[Path] = []
+    _FIGURES[name](_writer(outdir, "", lambda f: f.startswith(name), written))
+    return written
 
 
 # --------------------------------------------------------------------------
@@ -1210,8 +1117,10 @@ def _cmd_phase(args) -> int:
     )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_table(
-        outdir / "phase_difference.csv",
+    emit = _writer(outdir, "", lambda f: args.svg or not f.endswith(".svg"), [])
+    emit(
+        "phase_difference.csv",
+        _write_table,
         ["time_s", "delta_phi_rad"],
         [cmp_.times, cmp_.delta],
     )
@@ -1221,16 +1130,16 @@ def _cmd_phase(args) -> int:
         "segments": cmp_.segments,
         "min_duration_s": cmp_.min_duration_s,
     }
-    _write_json(outdir / "phase.json", info)
-    if args.svg:
-        svg.line_plot(
-            outdir / "phase.svg",
-            [(cmp_.times, cmp_.delta, "delta phi")],
-            xlabel="time (s)",
-            ylabel="delta phi (rad)",
-            title="phase difference",
-            bands=bands,
-        )
+    emit("phase.json", _write_json, info)
+    emit(
+        "phase.svg",
+        svg.line_plot,
+        [(cmp_.times, cmp_.delta, "delta phi")],
+        xlabel="time (s)",
+        ylabel="delta phi (rad)",
+        title="phase difference",
+        bands=bands,
+    )
     print(f"phase: median {cmp_.median:+.4f} rad, {len(cmp_.segments)} segment(s)")
     return 0
 
@@ -1246,7 +1155,10 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_phase(args)
         if args.command == "run":
             with open(args.config, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                try:
+                    raw = json.load(fh)
+                except UnicodeDecodeError as err:
+                    raise ConfigError(f"{args.config}: not UTF-8 text ({err.reason})")
             cfg = validate_config(raw)
             report = run(cfg)
             print(

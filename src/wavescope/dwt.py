@@ -150,7 +150,7 @@ def _synthesis_periodic(a, d, h, g):
     base = 2 * np.arange(a.size)
     for k in range(L):
         contrib = a * h[k] if d is None else a * h[k] + d * g[k]
-        np.add.at(out, (base + k) % n, contrib)
+        out[(base + k) % n] += contrib  # distinct indices within one tap
     return out
 
 

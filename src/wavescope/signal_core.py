@@ -8,7 +8,6 @@ cumulative sum that turns noise-like records into walk-like ones.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,6 +156,14 @@ def _looks_like_header(fields: list[str]) -> bool:
     return False
 
 
+def _decoded(lines, path: Path):
+    """Pass ``lines`` on; a byte that is not UTF-8 raises ParseError."""
+    try:
+        yield from lines
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
 def load_csv(
     path: str | Path,
     sample_rate: float | None = None,
@@ -177,7 +184,8 @@ def load_csv(
     Raises
     ------
     ParseError
-        Malformed row, with the offending 1-based row number.
+        Malformed row, with the offending 1-based row number, or text
+        that is not UTF-8.
     ValidationError
         Non-finite values, fewer than two samples, missing rate, or
         non-uniform timestamps.
@@ -187,7 +195,7 @@ def load_csv(
     times: list[float] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for row_no, fields in enumerate(reader, start=1):
+        for row_no, fields in enumerate(_decoded(reader, path), start=1):
             if not fields or all(not f.strip() for f in fields):
                 continue
             fields = [f.strip() for f in fields]
@@ -241,10 +249,17 @@ def write_csv(ts: TimeSeries, path: str | Path) -> None:
     Values are written with shortest round-trip float formatting, so
     loading the file back yields bit-identical samples.
     """
+    _write_table(path, ["time_s", "value"], [ts.times(), ts.samples], eol="\r\n")
+
+
+def _write_table(path, header: list[str], columns, eol: str = "\n") -> None:
+    """Write equal-length numeric columns as CSV under a header row.
+
+    Every number is written as the ``repr`` of a float and every line,
+    the last too, ends with ``eol``.
+    """
     path = Path(path)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["time_s", "value"])
-    for t, v in zip(ts.times(), ts.samples):
-        writer.writerow([repr(float(t)), repr(float(v))])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    lists = [np.asarray(c, dtype=float).tolist() for c in columns]
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, row)) for row in zip(*lists))
+    path.write_text(eol.join(lines) + eol, encoding="utf-8")

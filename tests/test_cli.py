@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from wavescope import ConfigError
+from wavescope import ConfigError, ParseError
 from wavescope.cli import (
     FIGURE_NAMES,
     _STAGE_FUNCS,
@@ -16,7 +16,7 @@ from wavescope.cli import (
     run,
     validate_config,
 )
-from wavescope.signal_core import TimeSeries, write_csv
+from wavescope.signal_core import TimeSeries, load_csv, write_csv
 from wavescope.synth import BounceParams, gen_bouncing_ball, gen_fbm
 
 
@@ -135,8 +135,25 @@ def test_main_exit_codes(tmp_path):
     mangled.write_text("{not json")
     assert main(["run", "--config", str(mangled)]) == 2
 
+    # 2: a config that is not UTF-8
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"output_dir": "\xff"}')
+    assert main(["run", "--config", str(latin1)]) == 2
+
     # 4: filesystem error
     assert main(["run", "--config", str(tmp_path)]) == 4
+
+
+def test_undecodable_csv_is_a_parse_error(tmp_path):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"time_s,value\xff\n0.0,1.0\n0.5,2.0\n")
+    for load in (lambda: load_csv(bad, sample_rate=1.0), lambda: _load_csv_sniffed(bad)):
+        with pytest.raises(ParseError, match="latin1.csv"):
+            load()
+    out = tmp_path / "sync"
+    argv = ["phase", "--input-a", str(bad), "--input-b", _sine_csv(tmp_path),
+            "--period", "1", "--outdir", str(out)]
+    assert main(argv) == 3
 
 
 def _sine_csv(tmp_path):
@@ -185,6 +202,44 @@ def test_failed_stage_leaves_marker(tmp_path):
     marker = tmp_path / "out" / "fit.failed"
     assert marker.exists()
     assert "band" in marker.read_text()
+
+
+@pytest.mark.parametrize(
+    "synth, pipeline",
+    [
+        (
+            {"kind": "fbm", "hurst": 0.6, "n": 4096, "sample_rate": 1.0, "seed": 3},
+            [
+                {"stage": "spectrum", "window": "hann"},
+                {"stage": "fit", "f_lo": 0.01, "f_hi": 0.2},
+                {"stage": "heisenberg", "f_lo": 0.01, "f_hi": 0.2},
+                {"stage": "mfdfa", "difference": True},
+                {"stage": "cwt"},
+                {"stage": "globalpower"},
+                {"stage": "denoise"},
+            ],
+        ),
+        (
+            {"kind": "bounce", "amplitude": 9.0, "drive_freq": 25.0,
+             "restitution": 0.7, "n_impacts": 80, "seed": 2},
+            [{"stage": "lyapunov", "dim": 3, "delay": 8}],
+        ),
+    ],
+)
+def test_formats_off_writes_only_the_report(tmp_path, synth, pipeline):
+    reports = {}
+    for on in (False, True):
+        raw = {
+            "input": {"kind": "synth", "synth": synth},
+            "pipeline": pipeline,
+            "output_dir": str(tmp_path / f"formats_{on}"),
+            "formats": {"csv": on, "json": on, "svg": on},
+        }
+        reports[on] = run(validate_config(raw))
+    assert [p.name for p in (tmp_path / "formats_False").iterdir()] == ["report.json"]
+    assert reports[False].artifacts == []
+    assert reports[True].artifacts
+    assert reports[False].summary == reports[True].summary
 
 
 def _files(directory):

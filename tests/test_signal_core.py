@@ -80,6 +80,11 @@ def test_csv_round_trip_with_time_column(tmp_path):
     back = load_csv(path, column=1, time_column=0)
     assert back.sample_rate == pytest.approx(100.0)
     assert np.allclose(back.samples, ts.samples)
+    # exact bytes: header, CRLF line ends, repr numbers
+    write_csv(TimeSeries(np.array([-0.0, 1e-300, 0.1]), 4.0), path)
+    assert path.read_bytes() == (
+        b"time_s,value\r\n0.0,-0.0\r\n0.25,1e-300\r\n0.5,0.1\r\n"
+    )
 
 
 def test_csv_bare_column_needs_rate(tmp_path):
