@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .errors import LengthMismatchError, ScaleOutOfRangeError, ValidationError
 from .signal_core import TimeSeries
@@ -100,8 +100,9 @@ class Scalogram:
         """Boolean (scale, time) grid, True outside the cone of influence."""
         return self.periods[:, None] <= self.coi[None, :]
 
-    def mean_outside_coi(self, values: np.ndarray) -> np.ndarray:
-        """Per-scale mean of a (scale, time) grid outside the cone; NaN if none."""
+    def mean_outside_coi(self, values: Iterable[np.ndarray]) -> np.ndarray:
+        """Per-scale mean of a (scale, time) grid, or of its rows in scale
+        order, outside the cone; NaN if none."""
         mask = self.reliable_mask()
         return np.array(
             [row[m].mean() if m.any() else np.nan for row, m in zip(values, mask)]
@@ -295,6 +296,12 @@ def _mean_power_scale(sg: Scalogram) -> np.ndarray:
     return dt / sg.scales
 
 
+def _chi2_ppf(p, dof):
+    """Chi-squared quantile; the expression ``scipy.stats.chi2.ppf``
+    evaluates, without importing ``scipy.stats``."""
+    return 2.0 * gammaincinv(dof / 2.0, p)
+
+
 def pointwise_significance(
     sg: Scalogram,
     background: str = "white",
@@ -309,7 +316,7 @@ def pointwise_significance(
     """
     shape, _ = _background_shape(sg, background, ar1, series)
     base = sg.signal_variance * _mean_power_scale(sg)
-    return base * shape * (chi2.ppf(siglevel, 2) / 2.0)
+    return base * shape * (_chi2_ppf(siglevel, 2) / 2.0)
 
 
 def global_power(
@@ -329,14 +336,15 @@ def global_power(
     keep = counts > 0
     if not np.any(keep):
         raise ValidationError("no scale has support outside the cone of influence")
-    power = sg.mean_outside_coi(np.abs(sg.coeffs) ** 2)
+    # Row by row: a full (scale, time) power grid would double the peak.
+    power = sg.mean_outside_coi(np.abs(row) ** 2 for row in sg.coeffs)
     shape, ar1_used = _background_shape(sg, background, ar1, series)
     base = sg.signal_variance * _mean_power_scale(sg) * shape
     dt = 1.0 / sg.sample_rate
     n_avg = counts.astype(float)
     dof = 2.0 * np.sqrt(1.0 + (n_avg * dt / (MORLET_GAMMA * sg.scales)) ** 2)
     dof = np.maximum(dof, 2.0)
-    signif = base * chi2.ppf(siglevel, dof) / dof
+    signif = base * _chi2_ppf(siglevel, dof) / dof
     return GlobalPower(
         scales=sg.scales[keep],
         periods=sg.periods[keep],

@@ -116,23 +116,34 @@ def estimate_delay(x: TimeSeries | np.ndarray, max_lag: int | None = None) -> in
 
     Returns the first lag where the sample ACF drops below 0.05 (the
     documented zero-crossing convention).  If that never happens within
-    ``max_lag`` (default N/4), falls back to the first local minimum of
-    the lag-binned mutual information.
+    ``max_lag`` (default N/4; must be >= 1), falls back to the first
+    local minimum of the lag-binned mutual information, computed lag by
+    lag and stopped there; with no such minimum, to the lag where the ACF
+    is smallest.
+
+    Cost: O(N log N) for the ACF, plus O(N) per mutual-information lag up
+    to the stop lag L (the minimum plus one, else ``max_lag``); memory O(N).
     """
     data = x.samples if isinstance(x, TimeSeries) else np.asarray(x, dtype=float)
     if data.size < 256:
         raise ValidationError("need at least 256 samples to estimate a delay")
     if max_lag is None:
         max_lag = data.size // 4
+    elif max_lag < 1:
+        raise ValidationError(f"max_lag must be >= 1, got {max_lag}")
     max_lag = min(max_lag, data.size - 2)
     rho = _autocorr(data, max_lag)
     below = np.flatnonzero(rho[1:] < ACF_ZERO_LEVEL)
     if below.size:
         return int(below[0] + 1)
-    mi = np.array([_mutual_information(data, k) for k in range(1, max_lag + 1)])
-    for k in range(1, mi.size - 1):
-        if mi[k] < mi[k - 1] and mi[k] <= mi[k + 1]:
-            return k + 1
+    # mi(lag - 1) is a local minimum when it is below mi(lag - 2) and not
+    # above mi(lag); only the last three values are needed.
+    before = prev = math.nan
+    for lag in range(1, max_lag + 1):
+        cur = _mutual_information(data, lag)
+        if prev < before and prev <= cur:
+            return lag - 1
+        before, prev = prev, cur
     return int(np.argmin(rho[1:]) + 1)
 
 
@@ -203,6 +214,17 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     return slope, (int(kk[0]), int(kk[best - 1])), r2
 
 
+def _first_partner(tree, emb, rows, k, theiler, floor):
+    """Nearest of each row's ``k`` nearest neighbors outside the Theiler
+    window and above the separation floor, with its distance; -1 where
+    none qualifies."""
+    dist, idx = tree.query(emb[rows], k=k + 1)
+    ok = (np.abs(idx[:, 1:] - rows[:, None]) > theiler) & (dist[:, 1:] > floor)
+    first = 1 + np.argmax(ok, axis=1)  # column 0 is the point itself
+    at = np.arange(rows.size)
+    return np.where(ok.any(axis=1), idx[at, first], -1), dist[at, first]
+
+
 def largest_lyapunov(
     ts: TimeSeries, config: EmbeddingConfig | None = None
 ) -> LyapunovResult:
@@ -211,9 +233,16 @@ def largest_lyapunov(
     A flat or contracting divergence curve yields a non-positive slope;
     the estimate's sign is its robust content.  Requires at least 1000
     samples.  Raises InsufficientNeighborsError when fewer than 10 valid
-    neighbor pairs exist.  A false-nearest-neighbor fraction above 10%,
-    measured over the estimator's own partner pairs, triggers
-    EmbeddingQualityWarning.
+    neighbor pairs exist, naming the cause: points with no partner outside
+    the Theiler window among their k nearest (k = min(2 * theiler + 3, 64,
+    m - 1)), or pairs too close to the end to trace.  A
+    false-nearest-neighbor fraction above 10%, measured over the
+    estimator's own partner pairs, triggers EmbeddingQualityWarning.
+
+    Cost for m embedded points: the kd-tree O(m log m); the first
+    neighbor pass (two candidates per point) O(m log m); the second pass,
+    over the u points the first left without a partner, O(u k log m) time
+    and O(u k) memory; the divergence trace O(max_iter * pairs * dim).
     """
     config = config if config is not None else EmbeddingConfig()
     x = ts.samples
@@ -236,16 +265,20 @@ def largest_lyapunov(
     # Enough candidates to jump the Theiler window in ordinary data, but
     # capped so the query stays affordable on long series.
     k_query = min(2 * theiler + 3, 64, m - 1)
-    dist, idx = tree.query(emb, k=k_query + 1)
     # Separations at rounding-noise scale carry no dynamics (they arise
     # from exact repeats of a periodic signal), so such pairs are skipped.
     floor = 1e-9 * float(np.std(x))
     rows = np.arange(m)
-    ok = (np.abs(idx[:, 1:] - rows[:, None]) > theiler) & (dist[:, 1:] > floor)
-    first = 1 + np.argmax(ok, axis=1)  # column 0 is the point itself
-    found = ok.any(axis=1)
-    partner = np.where(found, idx[rows, first], -1)
-    sep = dist[rows, first]
+    # Most rows find their partner among the two nearest candidates; only
+    # the rest pay for the full candidate list.  Both passes read the same
+    # distance-sorted list, so the pick does not depend on the split.
+    partner, sep = _first_partner(tree, emb, rows, 2, theiler, floor)
+    unresolved = np.flatnonzero(partner < 0)
+    if unresolved.size:
+        partner[unresolved], sep[unresolved] = _first_partner(
+            tree, emb, unresolved, k_query, theiler, floor
+        )
+    found = partner >= 0
     # False nearest neighbors among these pairs; both points need the
     # (dim+1)-th delay coordinate.
     ext = config.dim * config.delay
@@ -261,13 +294,21 @@ def largest_lyapunov(
                 stacklevel=2,
             )
 
-    valid = np.flatnonzero(partner >= 0)
+    valid = np.flatnonzero(found)
+    if valid.size < 10:
+        raise InsufficientNeighborsError(
+            f"only {valid.size} of {m} embedded points have a neighbor outside "
+            f"the Theiler window of {theiler} samples among their {k_query} "
+            f"nearest (need >= 10); {m - valid.size} have none"
+        )
     # Both trajectories must stay inside the embedding for the full trace.
+    n_found = valid.size
     valid = valid[(valid < m - max_iter) & (partner[valid] < m - max_iter)]
     if valid.size < 10:
         raise InsufficientNeighborsError(
-            f"only {valid.size} usable neighbor pairs (need >= 10); the "
-            "series is too short or too periodic for divergence tracing"
+            f"only {valid.size} of {n_found} neighbor pairs stay inside the "
+            f"embedding for max_iter = {max_iter} steps (need >= 10); the "
+            "series is too short for divergence tracing"
         )
 
     pairs_a = valid

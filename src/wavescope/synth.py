@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import EmbeddingError, NyquistError, ValidationError
 from .signal_core import TimeSeries
@@ -284,6 +283,9 @@ def gen_bouncing_ball(
     impulses = np.zeros(n_samples)
     idx = np.minimum(np.round(impact_times * sample_rate).astype(int), n_samples - 1)
     np.add.at(impulses, idx, np.abs(vs))
+    # Deferred: scipy.signal costs about half of ``import wavescope``.
+    from scipy.signal import lfilter
+
     decay = math.exp(-1.0 / (sample_rate * IMPACT_RINGDOWN_S))
     samples = lfilter([1.0], [1.0, -decay], impulses)
     return TimeSeries(

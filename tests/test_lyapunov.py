@@ -17,7 +17,7 @@ from wavescope.lyapunov import (
     map_lyapunov,
 )
 from wavescope.signal_core import TimeSeries
-from wavescope.synth import BounceParams
+from wavescope.synth import BounceParams, gen_fbm
 
 
 def _logistic(n, x0=0.3, burn=200):
@@ -67,6 +67,28 @@ def test_estimate_delay_ar1_matches_analytic():
 def test_estimate_delay_needs_samples():
     with pytest.raises(ValidationError):
         estimate_delay(TimeSeries(np.arange(100.0), 1.0))
+
+
+@pytest.mark.parametrize("max_lag", [0, -5])
+def test_estimate_delay_rejects_max_lag_below_one(max_lag):
+    with pytest.raises(ValidationError, match="max_lag"):
+        estimate_delay(gen_fbm(0.7, 2**12, seed=10), max_lag=max_lag)
+
+
+def test_mutual_information_scan_stops_at_first_minimum(monkeypatch):
+    # The ACF of this realisation never drops below 0.05, so the delay is
+    # the first local minimum of the mutual information, at lag 75; the
+    # scan needs lag 76 to see it and nothing beyond.
+    calls = []
+    real = lyapunov._mutual_information
+
+    def counting(x, lag, *args, **kwargs):
+        calls.append(lag)
+        return real(x, lag, *args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "_mutual_information", counting)
+    assert estimate_delay(gen_fbm(0.7, 2**14, seed=1)) == 75
+    assert calls == list(range(1, 77))
 
 
 # ------------------------------------------------------- embedding config
@@ -119,8 +141,20 @@ def test_no_valid_pairs_when_theiler_exceeds_span():
     # than the index range that survives trace trimming, so no pair is usable
     rng = np.random.default_rng(3)
     ts = TimeSeries(rng.standard_normal(1000), 1.0)
-    with pytest.raises(InsufficientNeighborsError):
+    with pytest.raises(InsufficientNeighborsError, match="max_iter = 150 steps"):
         largest_lyapunov(ts, EmbeddingConfig(dim=5, delay=100))
+
+
+def test_missing_partners_name_the_window_and_the_cap():
+    # On a ramp every point's 64 nearest neighbors are its 32 predecessors
+    # and successors, all inside a 100-sample Theiler window.
+    ts = TimeSeries(np.arange(2000.0), 1.0)
+    with pytest.raises(
+        InsufficientNeighborsError,
+        match=r"only 0 of 1999 .* Theiler window of 100 samples among their 64 "
+        r"nearest .* 1999 have none",
+    ):
+        largest_lyapunov(ts, EmbeddingConfig(dim=2, delay=1, theiler=100))
 
 
 def test_fnn_warning_on_undersized_embedding():
@@ -135,7 +169,11 @@ def test_fnn_warning_on_undersized_embedding():
 
 
 def _brute_force_divergence(x, dim, delay):
-    """Partner search and divergence curve from the full distance matrix."""
+    """Partner search and divergence curve from the full distance matrix.
+
+    Also returns each point's partner rank in its sorted candidate list
+    (0 where no candidate within the cap qualifies).
+    """
     m = x.size - (dim - 1) * delay
     emb = x[np.arange(m)[:, None] + delay * np.arange(dim)[None, :]]
     theiler = dim * delay
@@ -144,10 +182,13 @@ def _brute_force_divergence(x, dim, delay):
     floor = 1e-9 * np.std(x)
     dist = np.sqrt(((emb[:, None, :] - emb[None, :, :]) ** 2).sum(axis=2))
     a, b = [], []
+    ranks = np.zeros(m, dtype=int)
     for i in range(m):
         # column 0 of the sorted row is the point itself
-        for j in np.argsort(dist[i], kind="stable")[1 : k + 1]:
+        order = np.argsort(dist[i], kind="stable")[1 : k + 1]
+        for rank, j in enumerate(order, start=1):
             if abs(j - i) > theiler and dist[i, j] > floor:
+                ranks[i] = rank
                 if i < m - max_iter and j < m - max_iter:
                     a.append(i)
                     b.append(j)
@@ -159,21 +200,29 @@ def _brute_force_divergence(x, dim, delay):
             for s in range(max_iter + 1)
         ]
     )
-    return a.size, divergence
+    return a.size, divergence, ranks
 
 
 def test_neighbor_search_matches_brute_force():
-    ts = _logistic(1000)
-    res = largest_lyapunov(ts, EmbeddingConfig(dim=2, delay=1))
-    n_pairs, divergence = _brute_force_divergence(ts.samples, 2, 1)
-    assert res.n_pairs == n_pairs
-    np.testing.assert_allclose(res.divergence, divergence, rtol=1e-12, atol=0)
+    # The logistic map finds nearly every partner among the two nearest
+    # candidates.  On the smooth fBm, with a 33-sample Theiler window, most
+    # points' nearest neighbors are their own temporal neighbors: the
+    # partner lies deeper in the list, and for a few not within the cap.
+    cases = [(_logistic(1000), 2, 1), (gen_fbm(0.7, 1024, seed=0), 3, 11)]
+    for ts, dim, delay in cases:
+        res = largest_lyapunov(ts, EmbeddingConfig(dim=dim, delay=delay))
+        n_pairs, divergence, ranks = _brute_force_divergence(ts.samples, dim, delay)
+        assert res.n_pairs == n_pairs
+        np.testing.assert_allclose(res.divergence, divergence, rtol=1e-12, atol=0)
+    unresolved = ranks == 0
+    assert np.mean(unresolved | (ranks > 2)) >= 0.10
+    assert np.any(unresolved)
 
 
 def test_one_tree_and_bounded_queries(monkeypatch):
     # dim * delay = 1000: a query that grew with the Theiler window would
     # ask for about a thousand neighbors per point.
-    trees, ks = [], []
+    trees, queries = [], []
 
     class CountingTree(lyapunov.cKDTree):
         def __init__(self, data, *args, **kwargs):
@@ -181,14 +230,24 @@ def test_one_tree_and_bounded_queries(monkeypatch):
             trees.append(self)
 
         def query(self, x, k=1, *args, **kwargs):
-            ks.append(k)
-            return super().query(x, k, *args, **kwargs)
+            dist, idx = super().query(x, k, *args, **kwargs)
+            queries.append((k, np.array(x), dist, idx))
+            return dist, idx
 
     monkeypatch.setattr(lyapunov, "cKDTree", CountingTree)
     ts = TimeSeries(np.random.default_rng(0).standard_normal(20_000), 1.0)
     largest_lyapunov(ts, EmbeddingConfig(dim=5, delay=200))
     assert len(trees) == 1
-    assert ks and max(ks) <= 65
+    assert [q[0] for q in queries] == [3, 65]
+    (_, pts1, dist1, idx1), (_, pts2, _, _) = queries
+    # Pass 1 asks about every point; pass 2 about exactly those without a
+    # partner outside the window among their two nearest.
+    rows = np.arange(pts1.shape[0])
+    floor = 1e-9 * np.std(ts.samples)
+    ok = (np.abs(idx1[:, 1:] - rows[:, None]) > 1000) & (dist1[:, 1:] > floor)
+    unresolved = ~ok.any(axis=1)
+    assert 0 < np.count_nonzero(unresolved) < rows.size
+    np.testing.assert_array_equal(pts2, pts1[unresolved])
 
 
 # ------------------------------------------------------------- map oracle
