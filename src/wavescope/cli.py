@@ -88,7 +88,10 @@ def _writer(outdir: Path, prefix: str, wanted, written: list):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; JSON's NaN and Infinity are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def _is_triple(v) -> bool:
@@ -101,7 +104,7 @@ def _is_triples(v) -> bool:
 
 #: kind -> (accepts a config value, parses one command-line word, wording)
 _KINDS = {
-    float: (_is_number, float, "a number"),
+    float: (_is_number, float, "a finite number"),
     int: (lambda v: _is_number(v) and isinstance(v, int), int, "an integer"),
     bool: (lambda v: isinstance(v, bool), None, "true or false"),
     str: (lambda v: isinstance(v, str), str, "a string"),
@@ -539,13 +542,19 @@ def _stage_mfdfa(ts, params, emit):
     return ts, info
 
 
-def _scalogram_plot(path, sg, power, title):
-    """Heatmap of log10 power relative to the variance, cone of influence drawn."""
+def _scalogram_plot(path, sg, title):
+    """Heatmap of log10 power relative to the variance, cone of influence drawn.
+
+    The grid is filled row by row, so no S x n temporary sits beside it.
+    """
+    z = np.empty(sg.coeffs.shape)
+    for out, row in zip(z, sg.coeffs):
+        np.log10(np.abs(row) ** 2 / sg.signal_variance + 1e-300, out=out)
     return svg.heatmap(
         path,
         sg.times,
         sg.periods,
-        np.log10(power / sg.signal_variance + 1e-300),
+        z,
         xlabel="time (s)",
         ylabel="period (s)",
         title=title,
@@ -559,20 +568,14 @@ def _stage_cwt(ts, params, emit):
     sg = cwtmod.cwt_morlet(
         ts, omega0=params["omega0"], norm=params["norm"], pad=params["pad"]
     )
-    power = np.abs(sg.coeffs) ** 2
+    power = (np.abs(row) ** 2 for row in sg.coeffs)
     emit(
         "scales.csv",
         _write_table,
         ["scale_s", "period_s", "mean_power_outside_coi"],
         [sg.scales, sg.periods, sg.mean_outside_coi(power)],
     )
-    emit(
-        "scalogram.svg",
-        _scalogram_plot,
-        sg,
-        power,
-        "scalogram, log10 power / variance",
-    )
+    emit("scalogram.svg", _scalogram_plot, sg, "scalogram, log10 power / variance")
     return ts, {
         "n_scales": int(sg.scales.size),
         "period_range_s": [float(sg.periods[0]), float(sg.periods[-1])],
@@ -812,13 +815,13 @@ def _fig7(emit) -> None:
 def _fig8(emit) -> None:
     ts = _four_tone_series()
     sg = cwtmod.cwt_morlet(ts)
-    power = np.abs(sg.coeffs) ** 2
-    emit("fig8.svg", _scalogram_plot, sg, power, "scalogram with cone of influence")
+    emit("fig8.svg", _scalogram_plot, sg, "scalogram with cone of influence")
+    power = (np.abs(row) ** 2 / sg.signal_variance for row in sg.coeffs)
     emit(
         "fig8.csv",
         _write_table,
         ["period_s", "mean_power_outside_coi"],
-        [sg.periods, sg.mean_outside_coi(power / sg.signal_variance)],
+        [sg.periods, sg.mean_outside_coi(power)],
     )
 
 

@@ -61,6 +61,8 @@ def test_validate_fills_defaults(tmp_path):
         lambda r: r["pipeline"].append({"stage": "lyapunov", "delay": "x"}),
         lambda r: r["pipeline"][0].update(difference="no"),
         lambda r: r["pipeline"].append({"stage": "lyapunov", "dim": True}),
+        lambda r: r["pipeline"].append({"stage": "cwt", "omega0": float("nan")}),
+        lambda r: r["input"]["synth"].update(sample_rate=float("inf")),
     ],
 )
 def test_validate_rejects_bad_configs(tmp_path, mutate):

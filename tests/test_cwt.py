@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,10 +115,84 @@ def test_omega0_and_norm_validation():
     ts = _tone(0.5, 100.0, 256)
     with pytest.raises(ValidationError):
         cwt_morlet(ts, omega0=3.0)
+    for omega0 in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            cwt_morlet(ts, omega0=omega0)
     with pytest.raises(ValidationError):
         cwt_morlet(ts, norm="l1")
     with pytest.raises(ValidationError):
         cwt_morlet(ts, pad="reflect")
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [[0.05, math.nan, 0.5], [math.nan], [0.05, math.inf], [-math.inf, 0.05]],
+)
+def test_non_finite_scales_are_rejected(scales):
+    with pytest.raises(ValidationError):
+        cwt_morlet(_tone(0.5, 100.0, 256), scales=scales)
+
+
+def _full_grid_cwt(ts, scales, omega0, norm, pad):
+    """Reference: the window evaluated and applied on the whole frequency
+    grid, every row inverted and scaled at its padded length."""
+    x = ts.samples - ts.samples.mean()
+    n, dt = x.size, ts.dt
+    n_fft = 1 << int(math.ceil(math.log2(2 * n))) if pad == "zero" else n
+    padded = np.zeros(n_fft)
+    padded[:n] = x
+    spec = np.fft.fft(padded)
+    omega = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=dt)
+    coeffs = np.empty((len(scales), n), dtype=complex)
+    for i, s in enumerate(scales):
+        arg = s * omega - omega0
+        window = np.where(omega > 0, np.exp(-0.5 * arg * arg), 0.0)
+        window = window * (math.pi**-0.25) * math.sqrt(2.0 * math.pi)
+        prefactor = math.sqrt(s) if norm == "l2" else 1.0
+        retained = 0.5 * (math.erf(s * math.pi / dt - omega0) + math.erf(omega0))
+        prefactor /= math.sqrt(retained)
+        row = np.fft.ifft(spec * window) * prefactor
+        coeffs[i] = row[:n]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "n, pad, norm, omega0, edge_scales",
+    [
+        (600, "zero", "l2", 6.0, False),
+        (600, "periodic", "l2", 6.0, False),
+        (777, "zero", "l2", 6.0, False),
+        (777, "periodic", "l2", 6.0, False),
+        (600, "zero", "eq4", 6.0, False),
+        (600, "zero", "l2", 8.0, False),
+        (777, "periodic", "eq4", 8.0, True),
+        (600, "zero", "l2", 6.0, True),
+    ],
+)
+def test_band_limited_window_matches_full_grid_bytes(n, pad, norm, omega0, edge_scales):
+    # Bytes, not a tolerance: the band only skips products with a window
+    # that is exactly zero, so even the signs of zero must agree.
+    rate = 20.0
+    ts = TimeSeries(np.random.default_rng(n).standard_normal(n), rate)
+    dt = 1.0 / rate
+    scales = [2.0 * dt, n * dt / 2.0] if edge_scales else default_scales(n, rate)
+    sg = cwt_morlet(ts, scales=scales, omega0=omega0, norm=norm, pad=pad)
+    want = _full_grid_cwt(ts, scales, omega0, norm, pad)
+    assert sg.coeffs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_cwt_working_memory_is_linear_in_the_padded_length(n):
+    # Documented bound: the S x n output plus O(n_fft) working arrays;
+    # 8 complex arrays of n_fft = 2 n leaves headroom over today's ~5.5.
+    ts = TimeSeries(np.random.default_rng(1).standard_normal(n), 1.0)
+    tracemalloc.start()
+    try:
+        sg = cwt_morlet(ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - sg.coeffs.nbytes <= 8 * 16 * (2 * n)
 
 
 def test_global_power_matches_masked_mean():
