@@ -203,6 +203,8 @@ def cwt_morlet(
     before transforming.  ``pad="zero"`` extends to the next power of two
     (edge effects tracked by the cone of influence); ``pad="periodic"``
     wraps the signal instead, making the transform exactly shift-covariant.
+    An ``omega0`` that leaves the smallest scale no window energy below
+    Nyquist (above about 12.2 at 2 dt) is refused with ValidationError.
 
     Each row multiplies the signal spectrum by the window and inverts it.
     The window is zero at and below zero frequency, and it underflows to
@@ -238,6 +240,13 @@ def cwt_morlet(
         raise ScaleOutOfRangeError(
             f"scales must lie within [{lo:g}, {hi:g}] s, got "
             f"[{scales[0]:g}, {scales[-1]:g}]"
+        )
+    # The retained mass grows with the scale, so the smallest scale decides
+    # whether every row keeps some window energy below Nyquist.
+    if not _retained_mass(scales[0], dt, omega0) > 0.0:
+        raise ValidationError(
+            f"omega0 = {omega0:g} leaves no Morlet energy below Nyquist at the "
+            f"smallest scale {scales[0]:g} s; lower omega0 or raise the smallest scale"
         )
 
     demeaned = x - x.mean()

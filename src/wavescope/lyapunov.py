@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .signal_core import TimeSeries, _fit_line
-from .synth import BounceParams, bounce_map_jacobian, bounce_map_trajectory
+from .synth import BounceParams, bounce_map_trajectory
 
 __all__ = [
     "EmbeddingConfig",
@@ -225,6 +225,32 @@ def _first_partner(tree, emb, rows, k, theiler, floor):
     return np.where(ok.any(axis=1), idx[at, first], -1), dist[at, first]
 
 
+def _divergence(x, dim, delay, pairs_a, pairs_b, max_iter):
+    """Mean log separation of the embedded pairs over 0..max_iter steps;
+    -inf at a step where every pair coincides.
+
+    Row p of the embedding difference at step k has column j equal to
+    x[pairs_a[p] + k + j delay] - x[pairs_b[p] + k + j delay], so each
+    column is a difference of one shifted view of the series, written
+    into one reused C-contiguous buffer: the einsum sees the bytes a
+    gather of embedding rows would give it.  O(max_iter pairs dim) time,
+    O(pairs dim) memory.
+    """
+    divergence = np.empty(max_iter + 1)
+    diff = np.empty((pairs_a.size, dim))
+    for k in range(max_iter + 1):
+        for j in range(dim):
+            xs = x[k + j * delay :]
+            np.subtract(xs[pairs_a], xs[pairs_b], out=diff[:, j])
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        nz = d > 0
+        if not np.any(nz):
+            divergence[k] = -np.inf
+        else:
+            divergence[k] = float(np.mean(np.log(d[nz])))
+    return divergence
+
+
 def largest_lyapunov(
     ts: TimeSeries, config: EmbeddingConfig | None = None
 ) -> LyapunovResult:
@@ -239,10 +265,13 @@ def largest_lyapunov(
     false-nearest-neighbor fraction above 10%, measured over the
     estimator's own partner pairs, triggers EmbeddingQualityWarning.
 
-    Cost for m embedded points: the kd-tree O(m log m); the first
-    neighbor pass (two candidates per point) O(m log m); the second pass,
-    over the u points the first left without a partner, O(u k log m) time
-    and O(u k) memory; the divergence trace O(max_iter * pairs * dim).
+    Cost for m embedded points: the embedding and kd-tree O(m dim)
+    memory, O(m log m) time to build; the first neighbor pass (two
+    candidates per point) O(m log m); the second pass, over the u points
+    the first left without a partner, O(u k log m) time and O(u k)
+    memory; the divergence trace, which reads the series itself once the
+    embedding and tree are freed, O(max_iter * pairs * dim) time and
+    O(pairs * dim) memory.
     """
     config = config if config is not None else EmbeddingConfig()
     x = ts.samples
@@ -311,18 +340,10 @@ def largest_lyapunov(
             "series is too short for divergence tracing"
         )
 
-    pairs_a = valid
-    pairs_b = partner[valid]
+    # The trace reads the series itself; free the embedding and the tree.
+    del emb, tree
+    divergence = _divergence(x, config.dim, config.delay, valid, partner[valid], max_iter)
     steps = np.arange(max_iter + 1)
-    divergence = np.empty(max_iter + 1)
-    for k in steps:
-        diff = emb[pairs_a + k] - emb[pairs_b + k]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        nz = d > 0
-        if not np.any(nz):
-            divergence[k] = -np.inf
-        else:
-            divergence[k] = float(np.mean(np.log(d[nz])))
     usable = np.isfinite(divergence)
     slope, fit_range, r2 = _linear_region(steps[usable], divergence[usable])
     return LyapunovResult(
@@ -335,6 +356,23 @@ def largest_lyapunov(
     )
 
 
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c with a single rounding, from exact integer arithmetic.
+
+    Every finite double is an integer over a power of two, so the sum is
+    one exact fraction; CPython's int / int true division rounds it
+    correctly.  An exact zero takes the IEEE sign: that of ``a * b + c``
+    when the product is a zero, else +0.0.
+    """
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    cn, cd = c.as_integer_ratio()
+    num = an * bn * cd + cn * ad * bd
+    if num == 0:
+        return a * b + c if an == 0 or bn == 0 else 0.0
+    return num / (ad * bd * cd)
+
+
 def map_lyapunov(
     p: BounceParams, n_impacts: int | None = None, burn_in: int = 1000
 ) -> float:
@@ -344,6 +382,13 @@ def map_lyapunov(
     dynamics reduce to pure velocity contraction, so the exponent is
     log(restitution) exactly; that branch is returned in closed form.
     Requires at least 10**4 impacts for the iterated estimate.
+
+    The tangent vector is advanced on scalars by the map's Jacobian
+    [[1, 1], [s, r + s]] with s = A sin(phi): the second row is the
+    exactly rounded fma(s, u0, (r + s) u1), which gives the bits of the
+    2x2 matrix product under a BLAS that evaluates that row with a fused
+    multiply-add, as OpenBLAS does.  Time is O(burn_in + n_impacts); memory is O(n_impacts),
+    the trajectory's phases held in one array.
     """
     if p.amplitude == 0.0:
         return math.log(p.restitution)
@@ -354,12 +399,15 @@ def map_lyapunov(
     # direction before accumulation starts.
     align = 200
     phis, _ = bounce_map_trajectory(p, n=align + n, burn_in=burn_in)
-    u = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    a, r = p.amplitude, p.restitution
+    u0 = u1 = 1.0 / math.sqrt(2.0)
     log_sum = 0.0
     for k, phi in enumerate(phis):
-        u = bounce_map_jacobian(float(phi), p) @ u
-        norm = math.hypot(u[0], u[1])
-        u /= norm
+        s = a * math.sin(phi)
+        u0, u1 = u0 + u1, _fma(s, u0, (r + s) * u1)
+        norm = math.hypot(u0, u1)
+        u0 /= norm
+        u1 /= norm
         if k >= align:
             log_sum += math.log(norm)
     return log_sum / n

@@ -235,9 +235,14 @@ def bounce_map_trajectory(
     """Iterate the impact map; returns (phases, velocities) after burn-in.
 
     The initial condition is drawn from the seeded generator, so the
-    trajectory is reproducible bit for bit.
+    trajectory is reproducible bit for bit.  Requires ``n >= 1`` and
+    ``burn_in >= 0``.
     """
     n = p.n_impacts if n is None else n
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if burn_in < 0:
+        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(p.seed)
     phi = float(rng.uniform(0.0, 2.0 * math.pi))
     v = float(rng.uniform(math.pi, 3.0 * math.pi))

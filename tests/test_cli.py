@@ -164,6 +164,14 @@ def _sine_csv(tmp_path):
     return str(path)
 
 
+def test_cwt_omega0_without_energy_below_nyquist_fails_the_stage(tmp_path):
+    out = tmp_path / "out"
+    argv = ["cwt", "--input", _sine_csv(tmp_path), "--outdir", str(out), "--omega0", "13"]
+    assert main(argv) == 3
+    marker = (out / "cwt.failed").read_text()
+    assert marker.startswith("ValidationError: omega0 = 13 leaves no Morlet energy")
+
+
 @pytest.mark.parametrize(
     "args",
     [

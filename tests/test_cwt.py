@@ -124,6 +124,23 @@ def test_omega0_and_norm_validation():
         cwt_morlet(ts, pad="reflect")
 
 
+def test_omega0_with_no_energy_below_nyquist_is_refused(monkeypatch):
+    # At omega0 = 13 the whole window of the smallest default scale, 2 dt,
+    # lies above Nyquist; the refusal comes before any FFT.
+    ts = _tone(0.5, 100.0, 256)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT ran before the refusal")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "fft", no_fft)
+        with pytest.raises(ValidationError, match=r"omega0 = 13 .* smallest scale 0\.02 s"):
+            cwt_morlet(ts, omega0=13.0)
+    # A ladder that starts higher keeps energy below Nyquist and runs.
+    sg = cwt_morlet(ts, scales=[0.04, 0.08], omega0=13.0)
+    assert np.all(np.isfinite(sg.coeffs))
+
+
 @pytest.mark.parametrize(
     "scales",
     [[0.05, math.nan, 0.5], [math.nan], [0.05, math.inf], [-math.inf, 0.05]],

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,13 @@ from wavescope.lyapunov import (
     map_lyapunov,
 )
 from wavescope.signal_core import TimeSeries
-from wavescope.synth import BounceParams, gen_fbm
+from wavescope.synth import (
+    BounceParams,
+    bounce_map_jacobian,
+    bounce_map_trajectory,
+    gen_bouncing_ball,
+    gen_fbm,
+)
 
 
 def _logistic(n, x0=0.3, burn=200):
@@ -250,6 +258,90 @@ def test_one_tree_and_bounded_queries(monkeypatch):
     np.testing.assert_array_equal(pts2, pts1[unresolved])
 
 
+# ------------------------------------------------------ divergence trace
+
+
+def _gathered_divergence(x, dim, delay, pairs_a, pairs_b, max_iter):
+    """The divergence curve from whole embedding rows gathered per step."""
+    m = x.size - (dim - 1) * delay
+    emb = x[np.arange(m)[:, None] + delay * np.arange(dim)[None, :]]
+    divergence = np.empty(max_iter + 1)
+    for k in range(max_iter + 1):
+        diff = emb[pairs_a + k] - emb[pairs_b + k]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        nz = d > 0
+        divergence[k] = np.mean(np.log(d[nz])) if np.any(nz) else -np.inf
+    return divergence
+
+
+def _noisy_bounce(amplitude, restitution):
+    ts = gen_bouncing_ball(BounceParams(amplitude, 25.0, restitution, 400, seed=2))
+    rng = np.random.default_rng(99)
+    noise = 0.01 * float(np.std(ts.samples)) * rng.standard_normal(ts.samples.size)
+    return TimeSeries(ts.samples + noise, ts.sample_rate)
+
+
+@pytest.mark.parametrize(
+    "make_ts, config",
+    [
+        (lambda: _logistic(5000), EmbeddingConfig(dim=2, delay=1)),
+        (lambda: _logistic(4000), EmbeddingConfig(dim=3, delay=2, theiler=40, max_iter=60)),
+        (lambda: gen_fbm(0.7, 2**12, seed=3), EmbeddingConfig(dim=4, delay=6)),
+        (lambda: _noisy_bounce(9.0, 0.7), EmbeddingConfig(dim=5, delay=8)),
+    ],
+    ids=["logistic", "logistic-explicit", "fbm", "bounce"],
+)
+def test_divergence_matches_gathered_rows_bytes(monkeypatch, make_ts, config):
+    ts = make_ts()
+    traced = []
+    real = lyapunov._divergence
+
+    def recording(*args):
+        traced.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lyapunov, "_divergence", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmbeddingQualityWarning)
+        res = largest_lyapunov(ts, config)
+    ((x, dim, delay, pairs_a, pairs_b, max_iter),) = traced
+    assert (dim, delay, pairs_a.size) == (config.dim, config.delay, res.n_pairs)
+    expected = _gathered_divergence(x, dim, delay, pairs_a, pairs_b, max_iter)
+    assert res.divergence.tobytes() == expected.tobytes()
+
+
+def test_divergence_of_coincident_pairs():
+    # Pairs that coincide drop out of the mean; a step where all do is -inf.
+    x = np.random.default_rng(5).standard_normal(400)
+    x[100:140] = x[200:240]
+    a = np.array([100, 101, 5, 7])
+    b = np.array([200, 201, 50, 70])
+    for pairs_a, pairs_b in ((a, b), (a[:2], b[:2])):
+        got = lyapunov._divergence(x, 3, 4, pairs_a, pairs_b, 40)
+        expected = _gathered_divergence(x, 3, 4, pairs_a, pairs_b, 40)
+        assert got.tobytes() == expected.tobytes()
+    assert np.isneginf(got[0]) and np.isfinite(got[-1])
+
+
+def test_lyapunov_peak_memory_is_linear_in_points_times_dim():
+    # The embedding, the tree and the neighbor queries each hold O(m dim)
+    # bytes; the trace adds one pairs x dim buffer whatever max_iter is.
+    # The traced peak reads about 3.6-3.9 x 8 m dim bytes here (the
+    # kd-tree's own nodes are C++ allocations that tracemalloc does not
+    # see); per-step copies of the pairs' embedding rows push it past 5.
+    dim = 5
+    for n in (2**12, 2**14):
+        ts = _logistic(n)
+        m = n - (dim - 1)
+        tracemalloc.start()
+        try:
+            largest_lyapunov(ts, EmbeddingConfig(dim=dim, delay=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * m * dim, (n, peak / (8 * m * dim))
+
+
 # ------------------------------------------------------------- map oracle
 
 
@@ -286,3 +378,78 @@ def test_map_lyapunov_sign_structure():
     lam_hi = map_lyapunov(BounceParams(8.0, 25.0, 0.85, 50_000, seed=1), burn_in=5000)
     assert lam_lo < -0.1
     assert lam_hi > 0.1
+
+
+def _map_lyapunov_by_matrix_product(p, n, burn_in):
+    """The impact-map exponent with the tangent advanced by the 2x2
+    Jacobian matrix product."""
+    phis, _ = bounce_map_trajectory(p, n=200 + n, burn_in=burn_in)
+    u = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    log_sum = 0.0
+    for k, phi in enumerate(phis):
+        u = bounce_map_jacobian(float(phi), p) @ u
+        norm = math.hypot(u[0], u[1])
+        u /= norm
+        if k >= 200:
+            log_sum += math.log(norm)
+    return log_sum / n
+
+
+@pytest.mark.parametrize("amplitude, restitution", [(3.6, 0.45), (4.0, 0.55), (7.0, 0.9)])
+def test_map_lyapunov_scalar_tangent_matches_matrix_product(amplitude, restitution):
+    # The matrix product rounds its second row once (a fused multiply-add);
+    # on the first two presets plain s * u0 + (r + s) * u1 changes the bits.
+    p = BounceParams(amplitude, 25.0, restitution, 10_000, seed=2)
+    expected = _map_lyapunov_by_matrix_product(p, 10_000, 5000)
+    assert repr(map_lyapunov(p, burn_in=5000)) == repr(expected)
+
+
+# ------------------------------------------------------------ exact fma
+
+
+def _exactly_rounded_fma(a, b, c):
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+def test_fma_is_exactly_rounded_on_random_triples():
+    rng = np.random.default_rng(7)
+    n = 12_000
+    a = rng.standard_normal(n) * 2.0 ** rng.integers(-60, 60, n)
+    b = rng.standard_normal(n) * 2.0 ** rng.integers(-60, 60, n)
+    c = rng.standard_normal(n) * 2.0 ** rng.integers(-120, 120, n)
+    # A third of the addends nearly cancel the product, where a second
+    # rounding shows most.
+    near = rng.random(n) < 1 / 3
+    c[near] = -(a[near] * b[near]) * (1.0 + rng.standard_normal(near.sum()) * 2.0**-30)
+    plain_differs = 0
+    for ai, bi, ci in zip(a.tolist(), b.tolist(), c.tolist()):
+        got = lyapunov._fma(ai, bi, ci)
+        assert got == _exactly_rounded_fma(ai, bi, ci), (ai, bi, ci)
+        plain_differs += got != ai * bi + ci
+    assert plain_differs > 1000
+
+
+@pytest.mark.parametrize(
+    "a, b, c, sign",
+    [
+        (0.0, 1.0, 0.0, 1.0),
+        (-0.0, 1.0, 0.0, 1.0),
+        (-0.0, 1.0, -0.0, -1.0),
+        (0.0, -3.0, -0.0, -1.0),
+        (-0.0, -3.0, -0.0, 1.0),
+        (1.0, 1.0, -1.0, 1.0),
+        (-2.0, 3.0, 6.0, 1.0),
+        # Not exact zeros: the product's own rounding error survives, and
+        # results below the smallest subnormal round to a signed zero.
+        (0.1, 0.1, -(0.1 * 0.1), None),
+        (2.0**-600, 2.0**-600, -0.0, 1.0),
+        (-(2.0**-600), 2.0**-600, 0.0, -1.0),
+    ],
+)
+def test_fma_signed_zeros_follow_ieee(a, b, c, sign):
+    got = lyapunov._fma(a, b, c)
+    assert got == _exactly_rounded_fma(a, b, c)
+    if sign is None:
+        assert got != 0.0
+    else:
+        assert got == 0.0 and math.copysign(1.0, got) == sign

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wavescope import NyquistError, ValidationError
+from wavescope.lyapunov import map_lyapunov
 from wavescope.synth import (
     BounceParams,
     CascadeParams,
@@ -131,6 +132,19 @@ def test_bounce_map_trajectory_deterministic():
     b_phi, b_v = bounce_map_trajectory(p)
     assert np.array_equal(a_phi, b_phi)
     assert np.array_equal(a_v, b_v)
+
+
+@pytest.mark.parametrize("n, burn_in", [(10, -3), (10, -1), (0, 0), (-2, 5)])
+def test_bounce_map_trajectory_rejects_negative_burn_in_and_empty_runs(n, burn_in):
+    # Without the check a negative burn-in leaves np.empty slots unwritten.
+    p = BounceParams(7.0, 25.0, 0.9, 500, seed=3)
+    with pytest.raises(ValidationError, match="burn_in" if burn_in < 0 else "n must"):
+        bounce_map_trajectory(p, n=n, burn_in=burn_in)
+    if burn_in < 0:
+        with pytest.raises(ValidationError, match="burn_in"):
+            gen_bouncing_ball(p, burn_in=burn_in)
+        with pytest.raises(ValidationError, match="burn_in"):
+            map_lyapunov(BounceParams(7.0, 25.0, 0.9, 10_000, seed=3), burn_in=burn_in)
 
 
 def test_bounce_map_update_rule():
