@@ -333,9 +333,17 @@ def extract_fluctuation(
     levels = [operator.index(j) for j in np.atleast_1d(level)]
     if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValidationError("levels must be ascending and >= 1")
-    out = list(_residuals(values, spec, levels, boundary))
-    for i, rev in enumerate(_residuals(values[::-1], spec, levels, boundary)):
-        out[i] = 0.5 * (out[i] + rev[::-1])
+    # Both pyramids advance together and each level's reversed residual is
+    # folded into the forward one in place.  Fewer length-n allocations keep
+    # freed memory from lingering on the C heap, where it made later stages'
+    # peak RSS vary from process to process.
+    out = []
+    for fwd, rev in zip(_residuals(values, spec, levels, boundary),
+                        _residuals(values[::-1], spec, levels, boundary)):
+        fwd += rev[::-1]
+        fwd *= 0.5
+        del rev
+        out.append(fwd)
     return out[0] if np.ndim(level) == 0 else out
 
 

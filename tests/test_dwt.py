@@ -161,7 +161,11 @@ def test_extract_fluctuation_levels_share_one_pyramid_exactly(boundary):
         decomp = dwt_decompose(v, spec, level, boundary=boundary)
         return v - dwt_reconstruct(decomp, keep={"approx"})
 
+    before = x.copy()
     got = extract_fluctuation(x, spec, levels, boundary=boundary)
+    # The two directions are folded in place, into fresh residuals only.
+    assert np.array_equal(x, before)
+    assert not any(np.shares_memory(fluct, x) for fluct in got)
     assert len(got) == len(levels)
     for fluct, level in zip(got, levels):
         want = 0.5 * (residual(x, level) + residual(x[::-1], level)[::-1])
