@@ -371,7 +371,35 @@ def _build_input(cfg: RunConfig) -> TimeSeries:
 # gets the series and its declared params with defaults filled in.  It
 # writes every file through ``emit`` (see _writer), inside the call, so a
 # failing write fails the stage and the stage's arrays die on return.  It
-# returns the series for the next stage and its summary entry.
+# returns the series for the next stage and its summary entry.  A stage
+# in _SCALOGRAM_STAGES also gets the run's _Scalograms and takes its
+# Morlet scalogram from there.
+
+
+class _Scalograms:
+    """The one Morlet scalogram that the stages of a run share.
+
+    ``scalograms(ts, omega0, norm, pad)`` returns ``cwt_morlet`` of the
+    series with those params.  It computes the transform only when the
+    series object (compared with ``is``) or a param differs from the held
+    one, and drops the held scalogram first, so at most one is alive.
+    ``cwt_morlet`` is looked up on its module at call time, so a wrapped
+    module attribute sees every transform.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self._ts = self._params = self._sg = None
+
+    def __call__(self, ts, omega0, norm, pad):
+        params = (omega0, norm, pad)
+        if self._ts is not ts or self._params != params:
+            self.clear()
+            self._sg = cwtmod.cwt_morlet(ts, omega0=omega0, norm=norm, pad=pad)
+            self._ts, self._params = ts, params
+        return self._sg
 
 
 def _stage_denoise(ts, params, emit):
@@ -563,11 +591,9 @@ def _scalogram_plot(path, sg, title):
     )
 
 
-def _stage_cwt(ts, params, emit):
+def _stage_cwt(ts, params, emit, scalogram):
     """Morlet scalogram summary."""
-    sg = cwtmod.cwt_morlet(
-        ts, omega0=params["omega0"], norm=params["norm"], pad=params["pad"]
-    )
+    sg = scalogram(ts, params["omega0"], params["norm"], params["pad"])
     power = (np.abs(row) ** 2 for row in sg.coeffs)
     emit(
         "scales.csv",
@@ -582,9 +608,9 @@ def _stage_cwt(ts, params, emit):
     }
 
 
-def _stage_globalpower(ts, params, emit):
+def _stage_globalpower(ts, params, emit, scalogram):
     """Time-averaged wavelet power."""
-    sg = cwtmod.cwt_morlet(ts, omega0=params["omega0"])
+    sg = scalogram(ts, params["omega0"], "l2", "zero")
     gp = cwtmod.global_power(sg, background=params["background"], series=ts.samples)
     peaks = cwtmod.dominant_periods(gp, max_count=params["max_peaks"])
     emit(
@@ -660,6 +686,9 @@ _STAGE_FUNCS = {
     "lyapunov": _stage_lyapunov,
 }
 
+#: The stages that read a Morlet scalogram through _Scalograms.
+_SCALOGRAM_STAGES = ("cwt", "globalpower")
+
 _OMEGA0 = _Param("omega0", float, 6.0)
 
 #: Each stage's params, declared once: validate_config checks configs
@@ -714,11 +743,21 @@ def run(cfg: RunConfig) -> RunReport:
     Raises StageError naming the failing stage; before the raise, a
     ``<stage>.failed`` marker records the reason next to any partial
     output of that stage.
+
+    The ``cwt`` and ``globalpower`` stages share one scalogram when they
+    read the same series with the same params: the run computes it once
+    and drops it right after the last of those stages, so no later stage
+    runs with it alive; a stage between two of them does.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     summary: dict = {}
+    scalograms = _Scalograms()
+    last_reader = max(
+        (i for i, s in enumerate(cfg.pipeline) if s["stage"] in _SCALOGRAM_STAGES),
+        default=None,
+    )
 
     def wanted(name):
         return cfg.formats[name.rsplit(".", 1)[1]]
@@ -742,7 +781,10 @@ def run(cfg: RunConfig) -> RunReport:
         name = stage["stage"]
         emit = _writer(outdir, f"{i:02d}_{name}_", wanted, written)
         params = _with_defaults(stage, _STAGE_PARAMS[name])
-        ts, summary[name] = attempt(name, _STAGE_FUNCS[name], ts, params, emit)
+        args = (ts, params, emit) + ((scalograms,) if name in _SCALOGRAM_STAGES else ())
+        ts, summary[name] = attempt(name, _STAGE_FUNCS[name], *args)
+        if i == last_reader:
+            scalograms.clear()
     report = RunReport(
         artifacts=[
             {"path": p.name, "sha256": _sha256(p)} for p in written

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -100,12 +100,21 @@ class Scalogram:
         """Boolean (scale, time) grid, True outside the cone of influence."""
         return self.periods[:, None] <= self.coi[None, :]
 
+    def _outside_coi(self, values: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Each row of a (scale, time) grid, or each row given in scale
+        order, restricted to its points outside the cone.
+
+        Each row's mask is built as the row is reached, so no S x n mask
+        is held: O(n) working memory.
+        """
+        for row, period in zip(values, self.periods):
+            yield row[period <= self.coi]
+
     def mean_outside_coi(self, values: Iterable[np.ndarray]) -> np.ndarray:
         """Per-scale mean of a (scale, time) grid, or of its rows in scale
         order, outside the cone; NaN if none."""
-        mask = self.reliable_mask()
         return np.array(
-            [row[m].mean() if m.any() else np.nan for row, m in zip(values, mask)]
+            [v.mean() if v.size else np.nan for v in self._outside_coi(values)]
         )
 
 
@@ -372,12 +381,17 @@ def global_power(
     significance threshold uses the chi-squared law with the effective
     degrees of freedom of time averaging.
     """
-    counts = sg.reliable_mask().sum(axis=1)
+    # Row by row: a (scale, time) power grid or mask would hold S x n
+    # values; this holds O(n) beside the scalogram.
+    outside = [
+        (v.size, v.mean() if v.size else np.nan)
+        for v in sg._outside_coi(np.abs(row) ** 2 for row in sg.coeffs)
+    ]
+    counts = np.array([c for c, _ in outside])
+    power = np.array([p for _, p in outside])
     keep = counts > 0
     if not np.any(keep):
         raise ValidationError("no scale has support outside the cone of influence")
-    # Row by row: a full (scale, time) power grid would double the peak.
-    power = sg.mean_outside_coi(np.abs(row) ** 2 for row in sg.coeffs)
     shape, ar1_used = _background_shape(sg, background, ar1, series)
     base = sg.signal_variance * _mean_power_scale(sg) * shape
     dt = 1.0 / sg.sample_rate

@@ -77,17 +77,28 @@ class _Axes:
         self.xlog, self.ylog = xlog, ylog
 
     def _scale(self, v, lim, log, p0, p1):
+        """Pixel coordinate of a float, or of each value of a float array.
+
+        Logs go through ``math.log10``: ``np.log10`` differs from it in the
+        last bit for some values, and the pixels must not depend on whether
+        a value came alone or in an array.
+        """
         lo, hi = lim
         if log:
-            lo, hi, v = math.log10(lo), math.log10(hi), math.log10(v)
+            lo, hi = math.log10(lo), math.log10(hi)
+            if isinstance(v, np.ndarray):
+                v = np.fromiter(map(math.log10, v.tolist()), float, v.size)
+            else:
+                v = math.log10(v)
         if hi == lo:
-            return 0.5 * (p0 + p1)
+            mid = 0.5 * (p0 + p1)
+            return np.full_like(v, mid) if isinstance(v, np.ndarray) else mid
         return p0 + (v - lo) / (hi - lo) * (p1 - p0)
 
-    def px(self, v: float) -> float:
+    def px(self, v):
         return self._scale(v, self.xlim, self.xlog, self.x0, self.x1)
 
-    def py(self, v: float) -> float:
+    def py(self, v):
         return self._scale(v, self.ylim, self.ylog, self.y0, self.y1)
 
 
@@ -120,23 +131,21 @@ def _polyline(ax: _Axes, x: np.ndarray, y: np.ndarray, color: str, dashed: bool)
         ok &= x > 0
     if ax.ylog:
         ok &= y > 0
-    parts = []
-    run: list[str] = []
-    for xi, yi, good in zip(x, y, ok):
-        if good:
-            run.append(f"{_fmt(ax.px(float(xi)))},{_fmt(ax.py(float(yi)))}")
-        elif run:
-            parts.append(run)
-            run = []
-    if run:
-        parts.append(run)
+    # A good point is drawn when a neighbour is good too: a run of one
+    # point draws nothing.
+    drawn = ok & (np.r_[False, ok[:-1]] | np.r_[ok[1:], False])
+    bounds = np.flatnonzero(np.diff(drawn, prepend=False, append=False))
     dash = ' stroke-dasharray="6,4"' if dashed else ""
-    return "".join(
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} '
-        f'points="{" ".join(p)}"/>\n'
-        for p in parts
-        if len(p) > 1
+    head = f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="'
+    template = "".join(
+        head + " ".join(["%.2f,%.2f"] * size) + '"/>\n'
+        for size in (bounds[1::2] - bounds[::2]).tolist()
     )
+    # One %-format call formats every coordinate as _fmt does.  Each has
+    # exactly two decimals and the markup holds no "-0.00", so that text
+    # only occurs as a whole coordinate.
+    xy = np.column_stack((ax.px(x[drawn]), ax.py(y[drawn]))).ravel().tolist()
+    return (template % tuple(xy)).replace("-0.00", "0.00")
 
 
 def _frame(ax: _Axes, xlabel, ylabel, title):
@@ -210,7 +219,8 @@ def line_plot(
     """Write a multi-series line plot.
 
     Each series is (x, y, label) or (x, y, label, dashed).  ``vmarks``
-    draws labeled vertical guides, ``bands`` shaded x-intervals.
+    draws labeled vertical guides, ``bands`` shaded x-intervals.  Points
+    are mapped and formatted in bulk: O(points) time and memory.
     """
     if not series:
         raise ValidationError("need at least one series")
@@ -300,7 +310,8 @@ def heatmap(
 
     Columns are block-averaged down to ``max_cols`` so file size stays
     bounded.  ``overlay`` draws one extra curve (x, y) on top, used for
-    the edge-effect boundary.
+    the edge-effect boundary.  With S rows and n columns, binning takes
+    O(S n) time and the cells O(S max_cols) time and memory.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -331,22 +342,21 @@ def heatmap(
             [[centers[0]], 0.5 * (centers[1:] + centers[:-1]), [centers[-1]]]
         )
 
-    xe = edges_of(xc, False)
-    ye = edges_of(y, ylog)
-    for i in range(y.size):
-        py0 = ax.py(float(ye[i]))
-        py1 = ax.py(float(ye[i + 1]))
-        top, hgt = min(py0, py1), abs(py0 - py1)
-        for j in range(xc.size):
-            px0 = ax.px(float(xe[j]))
-            px1 = ax.px(float(xe[j + 1]))
-            val = z[i, j]
+    # Each column's x and width and each row's y and height are formatted
+    # once, not once per cell.
+    pxe = ax.px(edges_of(xc, False))
+    xs = list(map(_fmt, pxe[:-1].tolist()))
+    widths = list(map(_fmt, np.maximum(pxe[1:] - pxe[:-1], 0.1).tolist()))
+    pye = ax.py(edges_of(y, ylog))
+    tops = list(map(_fmt, np.minimum(pye[:-1], pye[1:]).tolist()))
+    heights = list(map(_fmt, np.maximum(np.abs(pye[:-1] - pye[1:]), 0.1).tolist()))
+    for top, hgt, zrow in zip(tops, heights, z.tolist()):
+        for x0, wid, val in zip(xs, widths, zrow):
             if not math.isfinite(val):
                 continue
-            color = _heat_color((float(val) - zmin) / span)
+            color = _heat_color((val - zmin) / span)
             body.append(
-                f'<rect x="{_fmt(px0)}" y="{_fmt(top)}" '
-                f'width="{_fmt(max(px1 - px0, 0.1))}" height="{_fmt(max(hgt, 0.1))}" '
+                f'<rect x="{x0}" y="{top}" width="{wid}" height="{hgt}" '
                 f'fill="{color}"/>\n'
             )
     if overlay is not None:

@@ -1,10 +1,12 @@
 import argparse
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from wavescope import ConfigError, ParseError
+from wavescope import cwt as cwtmod
 from wavescope.cli import (
     FIGURE_NAMES,
     _STAGE_FUNCS,
@@ -296,6 +298,74 @@ def test_one_shot_matches_one_stage_run(tmp_path, flags, stage):
     }
     run(validate_config(raw))
     assert _files(shot) == _files(piped)
+
+
+# ------------------------------------------------------- shared scalogram
+
+
+def _svg_run(tmp_path, pipeline, name="out"):
+    raw = _good_raw(tmp_path, pipeline)
+    raw["output_dir"] = str(tmp_path / name)
+    raw["formats"] = {"svg": True}
+    return run(validate_config(raw))
+
+
+def _count_transforms(monkeypatch):
+    """Weak references to the scalograms that cwt_morlet returns."""
+    made = []
+    real = cwtmod.cwt_morlet
+
+    def counting(*args, **kwargs):
+        sg = real(*args, **kwargs)
+        made.append(weakref.ref(sg))
+        return sg
+
+    monkeypatch.setattr(cwtmod, "cwt_morlet", counting)
+    return made
+
+
+@pytest.mark.parametrize(
+    "pipeline, calls",
+    [
+        ([{"stage": "cwt"}, {"stage": "globalpower"}], 1),
+        ([{"stage": "globalpower"}, {"stage": "cwt"}], 1),
+        ([{"stage": "cwt", "norm": "eq4"}, {"stage": "globalpower"}], 2),
+        ([{"stage": "cwt", "pad": "periodic"}, {"stage": "globalpower"}], 2),
+        ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "globalpower"}], 2),
+    ],
+)
+def test_run_shares_one_scalogram_per_series_and_params(
+    tmp_path, monkeypatch, pipeline, calls
+):
+    made = _count_transforms(monkeypatch)
+    _svg_run(tmp_path, pipeline)
+    assert len(made) == calls
+
+
+def test_shared_scalogram_is_dead_when_a_following_stage_starts(tmp_path, monkeypatch):
+    made = _count_transforms(monkeypatch)
+    alive = []
+    denoise = _STAGE_FUNCS["denoise"]
+
+    def checking(*args):
+        alive.append([ref() is not None for ref in made])
+        return denoise(*args)
+
+    monkeypatch.setitem(_STAGE_FUNCS, "denoise", checking)
+    _svg_run(tmp_path, [{"stage": "cwt"}, {"stage": "globalpower"}, {"stage": "denoise"}])
+    assert alive == [[False]]
+
+
+@pytest.mark.parametrize("order", [("cwt", "globalpower"), ("globalpower", "cwt")])
+def test_shared_scalogram_leaves_each_stages_files_unchanged(tmp_path, order):
+    _svg_run(tmp_path, [{"stage": name} for name in order], "both")
+    both = _files(tmp_path / "both")
+    for i, name in enumerate(order):
+        _svg_run(tmp_path, [{"stage": name}], name)
+        alone = _files(tmp_path / name)
+        mine = {f[3:]: data for f, data in both.items() if f.startswith(f"{i:02d}_")}
+        own = {f[3:]: data for f, data in alone.items() if f.startswith("00_")}
+        assert own and mine == own, name
 
 
 def test_stage_subcommand_flags_are_the_declared_params():

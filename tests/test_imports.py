@@ -6,6 +6,15 @@ from pathlib import Path
 import wavescope
 
 
+def _python(*args):
+    """Run the interpreter on this checkout's package."""
+    src = str(Path(wavescope.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True, env=env
+    )
+
+
 def test_import_leaves_heavy_scipy_modules_out():
     # scipy.stats and scipy.signal dominate the import time; the package
     # needs neither until a bouncing-ball series is generated.
@@ -13,9 +22,10 @@ def test_import_leaves_heavy_scipy_modules_out():
         "import sys, wavescope; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
     )
-    src = str(Path(wavescope.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "[]"
+    assert _python("-c", code).stdout.strip() == "[]"
+
+
+def test_python_dash_m_runs_the_cli_without_a_warning():
+    out = _python("-m", "wavescope", "--help")
+    assert out.stdout.startswith("usage: wavescope")
+    assert "RuntimeWarning" not in out.stderr

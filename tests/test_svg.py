@@ -1,10 +1,12 @@
+import math
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavescope import ValidationError
+from wavescope import ValidationError, svg
 from wavescope.svg import heatmap, line_plot
 
 
@@ -77,3 +79,174 @@ def test_heatmap_overlay_and_repeatability(tmp_path):
     b = heatmap(tmp_path / "b.svg", x, y, z, overlay=curve, ylog=True)
     assert a.read_bytes() == b.read_bytes()
     assert "polyline" in a.read_text()
+
+
+# ------------------------------------------------------------ byte oracle
+#
+# The per-point loops that the bulk geometry replaced, kept as the
+# reference: every file must come out byte for byte the same.
+
+
+def _polyline_reference(ax, x, y, color, dashed):
+    ok = np.isfinite(x) & np.isfinite(y)
+    if ax.xlog:
+        ok &= x > 0
+    if ax.ylog:
+        ok &= y > 0
+    parts = []
+    run = []
+    for xi, yi, good in zip(x, y, ok):
+        if good:
+            run.append(f"{svg._fmt(ax.px(float(xi)))},{svg._fmt(ax.py(float(yi)))}")
+        elif run:
+            parts.append(run)
+            run = []
+    if run:
+        parts.append(run)
+    dash = ' stroke-dasharray="6,4"' if dashed else ""
+    return "".join(
+        f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} '
+        f'points="{" ".join(p)}"/>\n'
+        for p in parts
+        if len(p) > 1
+    )
+
+
+def _heatmap_reference(path, x, y, z, ylog=False, overlay=None, max_cols=192):
+    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
+    ncol = x.size
+    if ncol > max_cols:
+        edges = np.linspace(0, ncol, max_cols + 1).astype(int)
+        blocks = list(zip(edges[:-1], edges[1:]))
+        z = np.stack([z[:, a:b].mean(axis=1) for a, b in blocks], axis=1)
+        xc = np.array([x[a:b].mean() for a, b in blocks])
+    else:
+        xc = x
+    zmin, zmax = float(np.nanmin(z)), float(np.nanmax(z))
+    span = zmax - zmin if zmax > zmin else 1.0
+    xlim, ylim = (float(x.min()), float(x.max())), (float(y.min()), float(y.max()))
+    ax = svg._Axes(xlim, ylim, False, ylog)
+
+    def edges_of(centers, log):
+        c = np.log(centers) if log else centers
+        mid = np.concatenate([[c[0]], 0.5 * (c[1:] + c[:-1]), [c[-1]]])
+        return np.exp(mid) if log else mid
+
+    xe, ye = edges_of(xc, False), edges_of(y, ylog)
+    body = []
+    for i in range(y.size):
+        py0, py1 = ax.py(float(ye[i])), ax.py(float(ye[i + 1]))
+        top, hgt = min(py0, py1), abs(py0 - py1)
+        for j in range(xc.size):
+            px0, px1 = ax.px(float(xe[j])), ax.px(float(xe[j + 1]))
+            val = z[i, j]
+            if not math.isfinite(val):
+                continue
+            color = svg._heat_color((float(val) - zmin) / span)
+            body.append(
+                f'<rect x="{svg._fmt(px0)}" y="{svg._fmt(top)}" '
+                f'width="{svg._fmt(max(px1 - px0, 0.1))}" '
+                f'height="{svg._fmt(max(hgt, 0.1))}" fill="{color}"/>\n'
+            )
+    if overlay is not None:
+        ox, oy = (np.asarray(a, float) for a in overlay)
+        body.append(_polyline_reference(ax, ox, oy, "#ffffff", True))
+    body.append(svg._frame(ax, "", "", "").replace(
+        'fill="white" stroke="#444444"', 'fill="none" stroke="#444444"'
+    ))
+    Path(path).write_text(svg._document("".join(body)), encoding="utf-8")
+
+
+def test_polyline_matches_the_per_point_loop():
+    # Linear axes over [0, 1]: pixel 0 lies at x = -64 / 642 and at
+    # y = 374 / 344, so these points straddle it and some round to -0.00.
+    ax = svg._Axes((0.0, 1.0), (0.0, 1.0), False, False)
+    near = np.linspace(-0.02, 0.02, 41)
+    x = np.r_[(near - 64.0) / 642.0, np.nan, 0.5, np.inf, 0.25, 0.75, 2.0, -1.0]
+    y = np.r_[(near - 374.0) / -344.0, 0.5, 0.5, np.nan, 0.1, -np.inf, 3.0, -3.0]
+    for dashed in (False, True):
+        got = svg._polyline(ax, x, y, "#123456", dashed)
+        assert got == _polyline_reference(ax, x, y, "#123456", dashed)
+        assert "-0.00" not in got
+
+
+_GAPPED = np.where(np.arange(40) % 7 == 3, np.nan, np.cos(np.arange(40.0)))
+_LINE_CASES = {
+    "nan gaps": ([(np.arange(40.0), _GAPPED, "gaps")], {}),
+    "single-point runs": (
+        [(np.arange(11.0), np.array([1, np.nan, 2, 3, np.nan, 4, np.nan, 5, 6, np.nan, 7]), "")],
+        {},
+    ),
+    "zero and negative on log axes": (
+        [
+            (np.array([0.0, 1, 2, 3, -4, 5, 6]), np.array([1.0, 2, 0, 4, 5, -6, 7]), "a"),
+            (np.logspace(-3, 2, 50), np.logspace(4, -6, 50), "b", True),
+        ],
+        {"xlog": True, "ylog": True},
+    ),
+    "constant series": ([(np.arange(5.0), np.full(5, 2.5), "flat")], {"ylog": True}),
+    "values near the origin": (
+        [(np.array([-1e-4, 0.0, 1e-4]), np.array([-3e-6, 2e-6, -1e-6]), "tiny")],
+        {},
+    ),
+    "many series": (
+        [(np.arange(300.0), np.sin(np.arange(300.0) * k), f"s{k}", k % 2) for k in range(8)],
+        {"vmarks": [(10.0, "m")], "bands": [(5.0, 50.0)]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINE_CASES))
+def test_line_plot_matches_the_per_point_loop(tmp_path, monkeypatch, case):
+    series, kwargs = _LINE_CASES[case]
+    line_plot(tmp_path / "bulk.svg", series, **kwargs)
+    monkeypatch.setattr(svg, "_polyline", _polyline_reference)
+    line_plot(tmp_path / "loop.svg", series, **kwargs)
+    assert (tmp_path / "bulk.svg").read_bytes() == (tmp_path / "loop.svg").read_bytes()
+
+
+def _heat_case(ncol, nrow=7, seed=0):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((nrow, ncol))
+    return np.linspace(0.0, 2.0, ncol), np.geomspace(0.5, 40.0, nrow), z
+
+
+_HEAT_CASES = {
+    "fewer columns than max_cols": (*_heat_case(50), {"ylog": True}),
+    "as many columns as max_cols": (*_heat_case(64), {"max_cols": 64}),
+    "more columns than max_cols": (*_heat_case(1000), {"max_cols": 64, "ylog": True}),
+    "nan cells": (
+        *_heat_case(30)[:2],
+        np.where(np.eye(7, 30, dtype=bool), np.nan, _heat_case(30)[2]),
+        {},
+    ),
+    "one row and one column": (np.array([1.0]), np.array([3.0]), np.array([[2.0]]), {}),
+    "overlay off the axes": (
+        *_heat_case(40),
+        {
+            # pixel rows -0.02 .. 0.02, above the panel: some round to -0.00
+            "overlay": (
+                np.linspace(0.0, 2.0, 40),
+                np.r_[np.nan, 0.5 + (np.linspace(-0.02, 0.02, 38) - 374) / -344 * 39.5, np.nan],
+            ),
+        },
+    ),
+    "log overlay with gaps": (
+        *_heat_case(300, nrow=12),
+        {
+            "ylog": True,
+            "overlay": (
+                np.linspace(0.0, 2.0, 300),
+                np.where(np.arange(300) % 50 == 0, 0.0, 5.0),
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HEAT_CASES))
+def test_heatmap_matches_the_per_cell_loop(tmp_path, case):
+    x, y, z, kwargs = _HEAT_CASES[case]
+    heatmap(tmp_path / "bulk.svg", x, y, z, **kwargs)
+    _heatmap_reference(tmp_path / "loop.svg", x, y, z, **kwargs)
+    assert (tmp_path / "bulk.svg").read_bytes() == (tmp_path / "loop.svg").read_bytes()
