@@ -384,7 +384,10 @@ class _Scalograms:
     series object (compared with ``is``) or a param differs from the held
     one, and drops the held scalogram first, so at most one is alive.
     ``cwt_morlet`` is looked up on its module at call time, so a wrapped
-    module attribute sees every transform.
+    module attribute sees every transform.  A held scalogram is O(n_fft +
+    S): its rows are evaluated when a stage reads them, and the ``cwt``
+    stage's pass over them leaves the per-scale power that
+    ``globalpower`` reuses.
     """
 
     def __init__(self):
@@ -570,19 +573,37 @@ def _stage_mfdfa(ts, params, emit):
     return ts, info
 
 
-def _scalogram_plot(path, sg, title):
-    """Heatmap of log10 power relative to the variance, cone of influence drawn.
+def _scalogram_pass(sg, relative):
+    """One pass over the rows of ``sg``, O(n + S max_cols) memory.
 
-    The grid is filled row by row, so no S x n temporary sits beside it.
+    Returns each scale's mean power outside the cone of influence, of
+    power / variance when ``relative``, and the heat-map column bins of
+    log10 power / variance.  The absolute means are the ones the pass
+    keeps on ``sg`` for ``global_power``.
     """
-    z = np.empty(sg.coeffs.shape)
-    for out, row in zip(z, sg.coeffs):
-        np.log10(np.abs(row) ** 2 / sg.signal_variance + 1e-300, out=out)
+    relative_means = []
+
+    def log_power():
+        for power, period in zip(sg._power_rows(), sg.periods):
+            power /= sg.signal_variance
+            if relative:
+                relative_means.append(cwtmod._mean_or_nan(power[period <= sg.coi]))
+            power += 1e-300
+            yield np.log10(power, out=power)
+
+    bins = svg._column_bins(log_power(), sg.times.size)
+    means = np.array(relative_means) if relative else sg._outside_power()[1]
+    return means, bins
+
+
+def _scalogram_plot(path, sg, bins, title):
+    """Heatmap of log10 power relative to the variance, cone of influence
+    drawn, from the column bins of _scalogram_pass."""
     return svg.heatmap(
         path,
         sg.times,
         sg.periods,
-        z,
+        bins,
         xlabel="time (s)",
         ylabel="period (s)",
         title=title,
@@ -592,16 +613,21 @@ def _scalogram_plot(path, sg, title):
 
 
 def _stage_cwt(ts, params, emit, scalogram):
-    """Morlet scalogram summary."""
+    """Morlet scalogram summary.
+
+    One pass over the rows gives the table and the heat map, and leaves
+    the per-scale power that a following ``globalpower`` stage reuses:
+    O(S n_fft log n_fft) time and O(n_fft + S max_cols) memory.
+    """
     sg = scalogram(ts, params["omega0"], params["norm"], params["pad"])
-    power = (np.abs(row) ** 2 for row in sg.coeffs)
+    means, bins = _scalogram_pass(sg, relative=False)
     emit(
         "scales.csv",
         _write_table,
         ["scale_s", "period_s", "mean_power_outside_coi"],
-        [sg.scales, sg.periods, sg.mean_outside_coi(power)],
+        [sg.scales, sg.periods, means],
     )
-    emit("scalogram.svg", _scalogram_plot, sg, "scalogram, log10 power / variance")
+    emit("scalogram.svg", _scalogram_plot, sg, bins, "scalogram, log10 power / variance")
     return ts, {
         "n_scales": int(sg.scales.size),
         "period_range_s": [float(sg.periods[0]), float(sg.periods[-1])],
@@ -747,7 +773,10 @@ def run(cfg: RunConfig) -> RunReport:
     The ``cwt`` and ``globalpower`` stages share one scalogram when they
     read the same series with the same params: the run computes it once
     and drops it right after the last of those stages, so no later stage
-    runs with it alive; a stage between two of them does.
+    runs with it alive; a stage between two of them does.  Neither stage
+    holds an S x n array: rows stream through O(n_fft + S max_cols)
+    memory, and after a ``cwt`` stage ``globalpower`` reuses its per-scale
+    power, so each row's inverse FFT runs once.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -857,13 +886,13 @@ def _fig7(emit) -> None:
 def _fig8(emit) -> None:
     ts = _four_tone_series()
     sg = cwtmod.cwt_morlet(ts)
-    emit("fig8.svg", _scalogram_plot, sg, "scalogram with cone of influence")
-    power = (np.abs(row) ** 2 / sg.signal_variance for row in sg.coeffs)
+    means, bins = _scalogram_pass(sg, relative=True)
+    emit("fig8.svg", _scalogram_plot, sg, bins, "scalogram with cone of influence")
     emit(
         "fig8.csv",
         _write_table,
         ["period_s", "mean_power_outside_coi"],
-        [sg.periods, sg.mean_outside_coi(power)],
+        [sg.periods, means],
     )
 
 

@@ -1,7 +1,8 @@
 """Morlet continuous wavelet transform, global power and phase extraction.
 
 The transform is evaluated scale by scale in the Fourier domain with the
-analytic Morlet window exp(-(s w - w0)^2 / 2) on positive frequencies.
+analytic Morlet window exp(-(s w - w0)^2 / 2) on positive frequencies,
+each scale's row only when a reader reaches it (see Scalogram).
 Two amplitude conventions are supported: the energy choice 1/sqrt(s)
 (default, keeps white-noise power flat across scales and puts the scale
 response peak of a sinusoid exactly at its equivalent Fourier period) and
@@ -68,24 +69,53 @@ def default_scales(n: int, sample_rate: float) -> np.ndarray:
     return s0 * 2.0 ** (j / SUBOCTAVES)
 
 
-@dataclass
+def _mean_or_nan(values: np.ndarray) -> float:
+    return values.mean() if values.size else np.nan
+
+
 class Scalogram:
-    """Complex CWT coefficients on a scale-by-time grid.
+    """Complex CWT coefficients on a scale-by-time grid, evaluated on demand.
 
     ``coeffs[i, t]`` is the response at ``scales[i]`` (seconds, ascending)
     and ``times[t]``.  ``coi[t]`` is the largest equivalent Fourier period
     free of edge effects at that instant; rows and columns with
     ``periods[i] > coi[t]`` sit inside the cone of influence.
+
+    The scalogram keeps the signal spectrum and each row's frequency band
+    and prefactor, O(n_fft + S) memory, and runs a row's inverse FFT when
+    a reader asks for the row.  ``coeffs`` fills the S x n array (16 S n
+    bytes) on first access and keeps it; later row reads reuse it.  The
+    reducers in this module (global power, the per-scale cone means, a
+    phase row) read rows one at a time and hold O(n_fft) working memory.
     """
 
-    coeffs: np.ndarray
-    scales: np.ndarray
-    times: np.ndarray
-    coi: np.ndarray
-    omega0: float
-    sample_rate: float
-    norm: str
-    signal_variance: float
+    def __init__(self, scales, times, coi, omega0, sample_rate, norm,
+                 signal_variance, spec, freq_step, bands):
+        self.scales = scales
+        self.times = times
+        self.coi = coi
+        self.omega0 = omega0
+        self.sample_rate = sample_rate
+        self.norm = norm
+        self.signal_variance = signal_variance
+        # The padded signal spectrum, its frequency step in Hz, and per row
+        # (start, stop, prefactor): the positive band where the window is
+        # nonzero and the row's amplitude factor.
+        self._spec = spec
+        self._freq_step = freq_step
+        self._bands = bands
+        self._coeffs = None
+        self._outside = None
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The S x n complex coefficients, filled on first access."""
+        if self._coeffs is None:
+            coeffs = np.empty((self.scales.size, self.times.size), dtype=complex)
+            for out, row in zip(coeffs, self._rows()):
+                out[...] = row
+            self._coeffs = coeffs
+        return self._coeffs
 
     @property
     def fourier_factor(self) -> float:
@@ -100,21 +130,77 @@ class Scalogram:
         """Boolean (scale, time) grid, True outside the cone of influence."""
         return self.periods[:, None] <= self.coi[None, :]
 
-    def _outside_coi(self, values: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """Each row of a (scale, time) grid, or each row given in scale
-        order, restricted to its points outside the cone.
+    def _evaluate(self, indices: Iterable[int]) -> Iterator[np.ndarray]:
+        """The rows at ``indices``, each computed when it is reached.
+
+        Each row multiplies the spectrum by the window on the row's band,
+        inverts it and scales the n kept samples in place.  A yielded row
+        is a view of its own inverse-FFT output, so holding it holds
+        n_fft values; the rows in flight need O(n_fft) memory.
+        """
+        n = self.times.size
+        windowed = np.zeros(self._spec.size, dtype=complex)
+        for i in indices:
+            start, stop, prefactor = self._bands[i]
+            # The band's angular frequencies, as fftfreq computes them.
+            omega = 2.0 * math.pi * (np.arange(start, stop) * self._freq_step)
+            window = _morlet_hat(omega, self.scales[i], self.omega0)
+            np.multiply(self._spec[start:stop], window, out=windowed[start:stop])
+            row = np.fft.ifft(windowed)[:n]
+            row *= prefactor
+            windowed[start:stop] = 0.0
+            yield row
+
+    def _row(self, i: int) -> np.ndarray:
+        """Row ``i``, from the held coefficients or evaluated alone."""
+        if self._coeffs is not None:
+            return self._coeffs[i]
+        return next(self._evaluate((i,)))
+
+    def _rows(self) -> Iterator[np.ndarray]:
+        """Every row in scale order: the held coefficients once ``coeffs``
+        was read, otherwise each row evaluated as it is reached."""
+        if self._coeffs is not None:
+            return iter(self._coeffs)
+        return self._evaluate(range(self.scales.size))
+
+    def _power_rows(self) -> Iterator[np.ndarray]:
+        """|W|^2 of every row in scale order, one row at a time.
+
+        A pass that reaches the last row also keeps each scale's count
+        and mean of the power outside the cone, for _outside_power.
+        """
+        counts, means = [], []
+        for row, period in zip(self._rows(), self.periods):
+            power = np.abs(row)
+            power **= 2
+            kept = power[period <= self.coi]
+            counts.append(kept.size)
+            means.append(_mean_or_nan(kept))
+            yield power
+        self._outside = (np.array(counts), np.array(means))
+
+    def _outside_power(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per scale, the count and mean of |W|^2 outside the cone (NaN
+        mean if none), from the last complete _power_rows pass or from a
+        new one: O(n_fft) working memory."""
+        if self._outside is None:
+            for _ in self._power_rows():
+                pass
+        return self._outside
+
+    def mean_outside_coi(self, values: Iterable[np.ndarray]) -> np.ndarray:
+        """Per-scale mean of a (scale, time) grid, or of its rows in scale
+        order, outside the cone; NaN if none.
 
         Each row's mask is built as the row is reached, so no S x n mask
         is held: O(n) working memory.
         """
-        for row, period in zip(values, self.periods):
-            yield row[period <= self.coi]
-
-    def mean_outside_coi(self, values: Iterable[np.ndarray]) -> np.ndarray:
-        """Per-scale mean of a (scale, time) grid, or of its rows in scale
-        order, outside the cone; NaN if none."""
         return np.array(
-            [v.mean() if v.size else np.nan for v in self._outside_coi(values)]
+            [
+                _mean_or_nan(row[period <= self.coi])
+                for row, period in zip(values, self.periods)
+            ]
         )
 
 
@@ -221,9 +307,12 @@ def cwt_morlet(
     double), so it is evaluated and applied only on the positive band
     inside that limit; the coefficients equal those of the full-grid
     product bit for bit.  With S scales and n_fft the padded length (the
-    next power of two >= 2 n for zero padding, n for periodic), time is
-    O(S n_fft log n_fft), dominated by the S inverse FFTs; memory is the
-    S n complex output (16 S n bytes) plus O(n_fft) working arrays.
+    next power of two >= 2 n for zero padding, n for periodic), this call
+    takes O(n_fft log n_fft + S log n_fft) time and returns a Scalogram of
+    O(n_fft + S) memory that runs no inverse FFT yet.  Each row costs one
+    inverse FFT, O(n_fft log n_fft), when it is read: a streamed reducer
+    over all rows takes O(S n_fft log n_fft) time and O(n_fft) working
+    memory; ``coeffs`` holds 16 S n bytes once it is read.
     """
     if not math.isfinite(omega0) or omega0 < 5.0:
         raise ValidationError(
@@ -270,34 +359,25 @@ def cwt_morlet(
         n_fft = n
         padded = demeaned
     spec = np.fft.fft(padded)
-    omega = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=dt)
-    # The positive frequencies omega[1:(n_fft + 1) // 2] ascend.
-    positive = omega[1 : (n_fft + 1) // 2]
-
-    coeffs = np.empty((scales.size, n), dtype=complex)
-    windowed = np.zeros(n_fft, dtype=complex)
-    for i, s in enumerate(scales):
-        start, stop = 1 + np.searchsorted(
-            positive,
-            ((omega0 - _WINDOW_HALF_WIDTH) / s, (omega0 + _WINDOW_HALF_WIDTH) / s),
-        )
-        window = _morlet_hat(omega[start:stop], s, omega0)
+    freq_step = 1.0 / (n_fft * dt)
+    # The positive angular frequencies, omega[1:(n_fft + 1) // 2], ascend.
+    positive = 2.0 * math.pi * (np.arange(1, (n_fft + 1) // 2) * freq_step)
+    starts = 1 + np.searchsorted(positive, (omega0 - _WINDOW_HALF_WIDTH) / scales)
+    stops = 1 + np.searchsorted(positive, (omega0 + _WINDOW_HALF_WIDTH) / scales)
+    bands = []
+    for start, stop, s in zip(starts.tolist(), stops.tolist(), scales.tolist()):
         # Discretized continuous transform: prefactor s from the change of
         # variables, times the chosen amplitude convention, divided by the
         # sub-Nyquist energy fraction of the sampled window.
         prefactor = math.sqrt(s) if norm == "l2" else 1.0
         prefactor /= math.sqrt(_retained_mass(s, dt, omega0))
-        np.multiply(spec[start:stop], window, out=windowed[start:stop])
-        row = np.fft.ifft(windowed)
-        np.multiply(row[:n], prefactor, out=coeffs[i])
-        windowed[start:stop] = 0.0
+        bands.append((start, stop, prefactor))
 
     ff = morlet_fourier_factor(omega0)
     edge = np.minimum(np.arange(n), np.arange(n)[::-1]).astype(float)
     edge = np.maximum(edge, 1e-8)
     coi = ff / math.sqrt(2.0) * dt * edge
     return Scalogram(
-        coeffs=coeffs,
         scales=scales,
         times=ts.t0 + np.arange(n) * dt,
         coi=coi,
@@ -305,6 +385,9 @@ def cwt_morlet(
         sample_rate=ts.sample_rate,
         norm=norm,
         signal_variance=variance,
+        spec=spec,
+        freq_step=freq_step,
+        bands=bands,
     )
 
 
@@ -380,15 +463,14 @@ def global_power(
     Scales that keep no point outside the cone are dropped.  The
     significance threshold uses the chi-squared law with the effective
     degrees of freedom of time averaging.
+
+    The power is reduced row by row as the rows stream, so neither the
+    coefficients nor a (scale, time) power grid or mask is built: O(S
+    n_fft log n_fft) time and O(n_fft) working memory.  Per-scale power
+    that an earlier complete pass over the rows of ``sg`` kept (the
+    ``cwt`` stage of a run makes one) is reused without a transform.
     """
-    # Row by row: a (scale, time) power grid or mask would hold S x n
-    # values; this holds O(n) beside the scalogram.
-    outside = [
-        (v.size, v.mean() if v.size else np.nan)
-        for v in sg._outside_coi(np.abs(row) ** 2 for row in sg.coeffs)
-    ]
-    counts = np.array([c for c, _ in outside])
-    power = np.array([p for _, p in outside])
+    counts, power = sg._outside_power()
     keep = counts > 0
     if not np.any(keep):
         raise ValidationError("no scale has support outside the cone of influence")
@@ -431,12 +513,14 @@ def phase_at_scale(sg: Scalogram, scale: float) -> PhaseSeries:
     """Phase/amplitude series of the row nearest the requested scale.
 
     Proximity is measured on the logarithmic scale axis and the actually
-    used scale is reported back; no silent substitution.
+    used scale is reported back; no silent substitution.  Only that row is
+    evaluated (unless ``coeffs`` was read): one inverse FFT, O(n_fft)
+    memory.
     """
     if scale <= 0:
         raise ValidationError("scale must be positive")
     idx = int(np.argmin(np.abs(np.log(sg.scales) - math.log(scale))))
-    row = sg.coeffs[idx]
+    row = sg._row(idx)
     return PhaseSeries(
         scale=float(sg.scales[idx]),
         period=float(sg.periods[idx]),

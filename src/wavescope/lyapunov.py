@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmbeddingQualityWarning,
@@ -289,6 +288,10 @@ def largest_lyapunov(
         max_iter = int(min(300, m // 4))
     if max_iter < 8:
         raise ValidationError("series too short for divergence tracing")
+
+    # Deferred: scipy.spatial costs about a fifth of ``import wavescope``,
+    # and only this estimator needs it.
+    from scipy.spatial import cKDTree
 
     tree = cKDTree(emb)
     # Enough candidates to jump the Theiler window in ordinary data, but

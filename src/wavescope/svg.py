@@ -273,32 +273,62 @@ def line_plot(
     return out
 
 
-_HEAT_ANCHORS = (
-    (13, 8, 135),
-    (84, 2, 163),
-    (185, 50, 137),
-    (251, 135, 97),
-    (252, 253, 191),
+_HEAT_ANCHORS = np.array(
+    [
+        (13, 8, 135),
+        (84, 2, 163),
+        (185, 50, 137),
+        (251, 135, 97),
+        (252, 253, 191),
+    ],
+    dtype=float,
 )
 
 
-def _heat_color(u: float) -> str:
-    u = min(max(u, 0.0), 1.0)
-    pos = u * (len(_HEAT_ANCHORS) - 1)
-    i = min(int(pos), len(_HEAT_ANCHORS) - 2)
-    frac = pos - i
+def _heat_colors(u: np.ndarray) -> list[str]:
+    """Colour of each value of ``u``, clamped to [0, 1], as ``#rrggbb``.
+
+    Channels are interpolated linearly between the anchors and rounded
+    half to even (``np.rint``, as Python's ``round``).
+    """
+    pos = np.clip(u, 0.0, 1.0) * (len(_HEAT_ANCHORS) - 1)
+    i = np.minimum(pos.astype(int), len(_HEAT_ANCHORS) - 2)
+    frac = (pos - i)[:, None]
     a, b = _HEAT_ANCHORS[i], _HEAT_ANCHORS[i + 1]
-    r = round(a[0] + frac * (b[0] - a[0]))
-    g = round(a[1] + frac * (b[1] - a[1]))
-    bl = round(a[2] + frac * (b[2] - a[2]))
-    return f"#{r:02x}{g:02x}{bl:02x}"
+    rgb = np.rint(a + frac * (b - a)).astype(int)
+    return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
+
+
+def _column_bins(rows, ncol: int, max_cols: int = 192) -> np.ndarray:
+    """Block means of each row's ``ncol`` columns, one row at a time.
+
+    With ``ncol > max_cols`` the columns fall into ``max_cols`` blocks and
+    each row becomes its block means; a row that already holds them (the
+    output of this function) passes through.  Otherwise rows stay as they
+    are.  Returns a (rows, min(ncol, max_cols)) array: O(S n) time and
+    O(n + S max_cols) memory for S rows that arrive one at a time.
+    """
+    width = min(ncol, max_cols)
+    blocks = None
+    if ncol > max_cols:
+        edges = np.linspace(0, ncol, max_cols + 1).astype(int).tolist()
+        blocks = list(zip(edges[:-1], edges[1:]))
+    out = []
+    for row in rows:
+        row = np.asarray(row, dtype=float)
+        if blocks is not None and row.shape == (ncol,):
+            row = np.array([row[a:b].mean() for a, b in blocks])
+        if row.shape != (width,):
+            raise ValidationError("z must be shaped (len(y), len(x))")
+        out.append(row)
+    return np.array(out).reshape(len(out), width)
 
 
 def heatmap(
     path: str | Path,
     x: np.ndarray,
     y: np.ndarray,
-    z: np.ndarray,
+    z,
     xlabel: str = "",
     ylabel: str = "",
     title: str = "",
@@ -308,24 +338,20 @@ def heatmap(
 ) -> Path:
     """Write a column-binned heatmap of z[row, col] over (y, x) axes.
 
+    ``z`` is a 2-D array or any iterable of its rows, one per y value.
     Columns are block-averaged down to ``max_cols`` so file size stays
-    bounded.  ``overlay`` draws one extra curve (x, y) on top, used for
-    the edge-effect boundary.  With S rows and n columns, binning takes
-    O(S n) time and the cells O(S max_cols) time and memory.
+    bounded; each row is binned as it arrives (a row may also be given as
+    its block means, see _column_bins).  ``overlay`` draws one extra curve
+    (x, y) on top, used for the edge-effect boundary.  With S rows and n
+    columns, binning takes O(S n) time and the cells O(S max_cols) time;
+    memory is O(n + S max_cols).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (y.size, x.size):
+    xc = _column_bins([x], x.size, max_cols)[0]
+    z = _column_bins(z, x.size, max_cols)
+    if z.shape[0] != y.size:
         raise ValidationError("z must be shaped (len(y), len(x))")
-    ncol = x.size
-    if ncol > max_cols:
-        edges = np.linspace(0, ncol, max_cols + 1).astype(int)
-        cols = [z[:, a:b].mean(axis=1) for a, b in zip(edges[:-1], edges[1:])]
-        z = np.stack(cols, axis=1)
-        xc = np.array([x[a : b].mean() for a, b in zip(edges[:-1], edges[1:])])
-    else:
-        xc = x
     zmin, zmax = float(np.nanmin(z)), float(np.nanmax(z))
     span = zmax - zmin if zmax > zmin else 1.0
     xlim = (float(x.min()), float(x.max()))
@@ -343,22 +369,22 @@ def heatmap(
         )
 
     # Each column's x and width and each row's y and height are formatted
-    # once, not once per cell.
+    # once, not once per cell; the colours of all finite cells at once.
     pxe = ax.px(edges_of(xc, False))
     xs = list(map(_fmt, pxe[:-1].tolist()))
     widths = list(map(_fmt, np.maximum(pxe[1:] - pxe[:-1], 0.1).tolist()))
     pye = ax.py(edges_of(y, ylog))
     tops = list(map(_fmt, np.minimum(pye[:-1], pye[1:]).tolist()))
     heights = list(map(_fmt, np.maximum(np.abs(pye[:-1] - pye[1:]), 0.1).tolist()))
-    for top, hgt, zrow in zip(tops, heights, z.tolist()):
-        for x0, wid, val in zip(xs, widths, zrow):
-            if not math.isfinite(val):
-                continue
-            color = _heat_color((val - zmin) / span)
-            body.append(
-                f'<rect x="{x0}" y="{top}" width="{wid}" height="{hgt}" '
-                f'fill="{color}"/>\n'
-            )
+    finite = np.isfinite(z)
+    colors = iter(_heat_colors((z[finite] - zmin) / span))
+    for top, hgt, row_finite in zip(tops, heights, finite.tolist()):
+        for x0, wid, ok in zip(xs, widths, row_finite):
+            if ok:
+                body.append(
+                    f'<rect x="{x0}" y="{top}" width="{wid}" height="{hgt}" '
+                    f'fill="{next(colors)}"/>\n'
+                )
     if overlay is not None:
         ox, oy = overlay
         body.append(

@@ -1,9 +1,12 @@
 import argparse
+import hashlib
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy
 
 from wavescope import ConfigError, ParseError
 from wavescope import cwt as cwtmod
@@ -368,6 +371,65 @@ def test_shared_scalogram_leaves_each_stages_files_unchanged(tmp_path, order):
         assert own and mine == own, name
 
 
+def _csv_run(tmp_path, n, pipeline):
+    """Run ``pipeline`` with SVG on over a CSV of n fBm samples at 1 Hz;
+    the input stage makes no FFT.  Returns the config."""
+    path = tmp_path / f"fbm{n}.csv"
+    write_csv(gen_fbm(0.5, n, seed=1, sample_rate=1.0), path)
+    raw = {
+        "input": {"kind": "csv", "path": str(path)},
+        "pipeline": pipeline,
+        "output_dir": str(tmp_path / f"out{n}"),
+        "formats": {"svg": True},
+    }
+    return validate_config(raw)
+
+
+@pytest.mark.parametrize(
+    "pipeline, passes",
+    [
+        ([{"stage": "cwt"}, {"stage": "globalpower"}], 1),
+        ([{"stage": "globalpower"}], 1),
+        ([{"stage": "cwt", "norm": "eq4"}, {"stage": "globalpower"}], 2),
+        ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "globalpower"}], 2),
+    ],
+)
+def test_run_inverts_each_row_once_per_scalogram(tmp_path, monkeypatch, pipeline, passes):
+    # The cwt stage's one pass over the rows gives its table, its heat map
+    # and the power that globalpower reuses from the shared scalogram.
+    cfg = _csv_run(tmp_path, 2048, pipeline)
+    calls = []
+    real = np.fft.ifft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    run(cfg)
+    assert len(calls) == passes * cwtmod.default_scales(2048, 1.0).size
+
+
+def test_scalogram_run_memory_grows_with_n_not_scales_times_n(tmp_path):
+    # cwt and globalpower with every format on hold no S x n array: from
+    # 2^12 to 2^14 samples the peak grows by about 220 bytes per sample.
+    # One complex scalogram would add 16 S bytes per sample (S = 73, 89),
+    # and even an S x n float grid 8 S; the bound is 12 x 16 per padded
+    # sample, 384 per sample.
+    peaks = {}
+    for n in (2**12, 2**14):
+        cfg = _csv_run(tmp_path, n, [{"stage": "cwt"}, {"stage": "globalpower"}])
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    growth = peaks[2**14] - peaks[2**12]
+    scalogram_growth = 16 * (89 * 2**14 - 73 * 2**12)
+    assert growth <= 12 * 16 * 2 * (2**14 - 2**12) < scalogram_growth / 3
+
+
 def test_stage_subcommand_flags_are_the_declared_params():
     assert set(_STAGE_FUNCS) == set(_STAGE_PARAMS)
     ap = _build_parser()
@@ -401,6 +463,28 @@ _FIGURE_FILES = {
 }
 
 
+#: The numpy and scipy versions the pinned artifact lists were taken on;
+#: others may round some floats differently.
+_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+
+
+def _assert_pinned_list(directory, count, digest):
+    """Compare the sha256 of the sorted ``name  sha256`` lines of every
+    file in ``directory`` with a pinned one, on the pinned versions."""
+    versions = (np.__version__, scipy.__version__)
+    if versions != _PINNED_VERSIONS:
+        pytest.skip(
+            "artifact list pinned on numpy/scipy %s/%s, running %s/%s"
+            % (*_PINNED_VERSIONS, *versions)
+        )
+    lines = sorted(
+        f"{p.name}  {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+        for p in directory.iterdir()
+    )
+    assert len(lines) == count
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
 def test_figure_repro_writes_every_figure_deterministically(tmp_path):
     assert set(_FIGURE_FILES) == set(FIGURE_NAMES)
     for name in FIGURE_NAMES:
@@ -409,6 +493,36 @@ def test_figure_repro_writes_every_figure_deterministically(tmp_path):
         assert [p.parent for p in first] == [tmp_path / "a"] * len(first)
         figure_repro(name, tmp_path / "b")
     assert _files(tmp_path / "a") == _files(tmp_path / "b")
+    _assert_pinned_list(
+        tmp_path / "a",
+        23,
+        "247bc01e6b990299397223d6661d41334d369fc2bb71d9097b5975d7142be2c5",
+    )
+
+
+def test_readme_config_artifacts_are_pinned(tmp_path):
+    # The multi-stage config of README.md.
+    raw = {
+        "input": {
+            "kind": "synth",
+            "synth": {
+                "kind": "fbm", "hurst": 0.6, "n": 65536, "sample_rate": 10.0, "seed": 1
+            },
+        },
+        "pipeline": [
+            {"stage": "spectrum"},
+            {"stage": "fit", "f_lo": 0.02, "f_hi": 1.0},
+            {"stage": "mfdfa", "difference": True},
+        ],
+        "output_dir": str(tmp_path / "fbm_run"),
+        "formats": {"csv": True, "json": True, "svg": True},
+    }
+    run(validate_config(raw))
+    _assert_pinned_list(
+        tmp_path / "fbm_run",
+        11,
+        "8c12726ab569ed219ca2591ac6c6461a32712f05bbf3ba7f3a139fd349cd3f35",
+    )
 
 
 def test_figure_repro_rejects_unknown_name(tmp_path):

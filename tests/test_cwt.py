@@ -200,12 +200,13 @@ def test_band_limited_window_matches_full_grid_bytes(n, pad, norm, omega0, edge_
 
 @pytest.mark.parametrize("n", [2**12, 2**14])
 def test_cwt_working_memory_is_linear_in_the_padded_length(n):
-    # Documented bound: the S x n output plus O(n_fft) working arrays;
-    # 8 complex arrays of n_fft = 2 n leaves headroom over today's ~5.5.
+    # Documented bound: the S x n coefficients, once read, plus O(n_fft)
+    # working arrays; 8 complex arrays of n_fft = 2 n leave headroom.
     ts = TimeSeries(np.random.default_rng(1).standard_normal(n), 1.0)
     tracemalloc.start()
     try:
         sg = cwt_morlet(ts)
+        sg.coeffs
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -214,11 +215,12 @@ def test_cwt_working_memory_is_linear_in_the_padded_length(n):
 
 @pytest.mark.parametrize("n", [2**12, 2**14])
 def test_global_power_working_memory_is_linear_in_n(n):
-    # Each row's cone mask is built as the row is reduced.  An S x n mask
-    # alone would be S >= 73 bytes per sample at these sizes; the rows
-    # in flight measure about 33.
+    # Global power over held coefficients.  Each row's cone mask is built
+    # as the row is reduced.  An S x n mask alone would be S >= 73 bytes
+    # per sample at these sizes; the rows in flight measure about 33.
     ts = TimeSeries(np.random.default_rng(1).standard_normal(n), 1.0)
     sg = cwt_morlet(ts)
+    sg.coeffs
     tracemalloc.start()
     try:
         global_power(sg)
@@ -227,6 +229,64 @@ def test_global_power_working_memory_is_linear_in_n(n):
         tracemalloc.stop()
     assert sg.scales.size > 48
     assert peak <= 48 * n
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_streamed_global_power_holds_no_scalogram(n):
+    # Transform and reduction together, rows evaluated as they stream:
+    # O(n_fft) working memory with no S x n term.  The coefficients alone
+    # would take 16 S n bytes, more than 4 times this bound at S >= 73.
+    ts = TimeSeries(np.random.default_rng(1).standard_normal(n), 1.0)
+    n_fft = 2 * n
+    tracemalloc.start()
+    try:
+        sg = cwt_morlet(ts)
+        global_power(sg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sg._coeffs is None
+    assert 16 * sg.scales.size * n > 4 * (8 * 16 * n_fft)
+    assert peak <= 8 * 16 * n_fft
+
+
+@pytest.mark.parametrize("pad, norm", [("zero", "l2"), ("periodic", "eq4")])
+def test_streamed_rows_match_the_held_coefficients(pad, norm):
+    # A reducer that streams the rows gives the bytes that it gives over
+    # the held coefficients, and so does a lone phase row.
+    ts = TimeSeries(np.random.default_rng(7).standard_normal(1000), 20.0)
+    streamed, held = (cwt_morlet(ts, pad=pad, norm=norm) for _ in range(2))
+    coeffs = held.coeffs
+    assert [r.tobytes() for r in streamed._rows()] == [r.tobytes() for r in coeffs]
+    a, b = global_power(streamed), global_power(held)
+    assert streamed._coeffs is None
+    for name in ("power", "significance_95", "n_averaged"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    # The per-scale power that global_power kept is the public reducer's.
+    want = held.mean_outside_coi(np.abs(coeffs) ** 2)
+    assert streamed._outside_power()[1].tobytes() == want.tobytes()
+
+
+def test_phase_at_scale_evaluates_only_its_row(monkeypatch):
+    ts = _tone(0.4, 100.0, 700)
+    held = cwt_morlet(ts)
+    coeffs = held.coeffs
+    calls = []
+    real = np.fft.ifft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    sg = cwt_morlet(ts)
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    for idx in (0, 9, sg.scales.size - 1):
+        ph = phase_at_scale(sg, float(sg.scales[idx]))
+        assert ph.phase.tobytes() == np.angle(coeffs[idx]).tobytes()
+        assert ph.amplitude.tobytes() == np.abs(coeffs[idx]).tobytes()
+        assert ph.phase.tobytes() == phase_at_scale(held, ph.scale).phase.tobytes()
+    assert len(calls) == 3
+    assert sg._coeffs is None
 
 
 def test_global_power_matches_masked_mean():

@@ -16,12 +16,13 @@ def _python(*args):
 
 
 def test_import_leaves_heavy_scipy_modules_out():
-    # scipy.stats and scipy.signal dominate the import time; the package
-    # needs neither until a bouncing-ball series is generated.
-    code = (
-        "import sys, wavescope; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
-    )
+    # scipy.stats, scipy.signal and scipy.spatial dominate the import
+    # time; the package needs scipy.signal only to render a bouncing-ball
+    # series, scipy.spatial only for the Lyapunov estimator, and never
+    # scipy.stats.
+    heavy = ("scipy.stats", "scipy.signal", "scipy.spatial")
+    code = f"import sys, wavescope; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+
     assert _python("-c", code).stdout.strip() == "[]"
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from wavescope import (
     EmbeddingQualityWarning,
@@ -229,10 +230,11 @@ def test_neighbor_search_matches_brute_force():
 
 def test_one_tree_and_bounded_queries(monkeypatch):
     # dim * delay = 1000: a query that grew with the Theiler window would
-    # ask for about a thousand neighbors per point.
+    # ask for about a thousand neighbors per point.  largest_lyapunov
+    # imports cKDTree from scipy.spatial when it is called.
     trees, queries = [], []
 
-    class CountingTree(lyapunov.cKDTree):
+    class CountingTree(scipy.spatial.cKDTree):
         def __init__(self, data, *args, **kwargs):
             super().__init__(data, *args, **kwargs)
             trees.append(self)
@@ -242,7 +244,7 @@ def test_one_tree_and_bounded_queries(monkeypatch):
             queries.append((k, np.array(x), dist, idx))
             return dist, idx
 
-    monkeypatch.setattr(lyapunov, "cKDTree", CountingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     ts = TimeSeries(np.random.default_rng(0).standard_normal(20_000), 1.0)
     largest_lyapunov(ts, EmbeddingConfig(dim=5, delay=200))
     assert len(trees) == 1

@@ -112,6 +112,34 @@ def _polyline_reference(ax, x, y, color, dashed):
     )
 
 
+_ANCHORS = ((13, 8, 135), (84, 2, 163), (185, 50, 137), (251, 135, 97), (252, 253, 191))
+
+
+def _heat_color_reference(u):
+    u = min(max(u, 0.0), 1.0)
+    pos = u * (len(_ANCHORS) - 1)
+    i = min(int(pos), len(_ANCHORS) - 2)
+    frac = pos - i
+    a, b = _ANCHORS[i], _ANCHORS[i + 1]
+    r = round(a[0] + frac * (b[0] - a[0]))
+    g = round(a[1] + frac * (b[1] - a[1]))
+    bl = round(a[2] + frac * (b[2] - a[2]))
+    return f"#{r:02x}{g:02x}{bl:02x}"
+
+
+def test_heat_colors_match_the_per_cell_function():
+    assert svg._HEAT_ANCHORS.tolist() == [list(a) for a in _ANCHORS]
+    # Below 0, exactly 0 and 1, above 1, every anchor boundary and its
+    # neighbouring doubles, and values whose channels land on .5.
+    bounds = [k / 4 for k in range(5)]
+    u = [-1.0, -1e-300, -0.0, 0.0, 1.0, 1.5, 2.0, math.inf, -math.inf]
+    u += [v for b in bounds for v in (math.nextafter(b, -1), b, math.nextafter(b, 2))]
+    halves = [(k + 0.5) / 71.0 / 4.0 for k in range(71)]  # 84 - 13 = 71 steps
+    u += halves + list(np.random.default_rng(3).uniform(-0.2, 1.2, 5000))
+    got = svg._heat_colors(np.array(u))
+    assert got == [_heat_color_reference(float(v)) for v in u]
+
+
 def _heatmap_reference(path, x, y, z, ylog=False, overlay=None, max_cols=192):
     x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
     ncol = x.size
@@ -142,7 +170,7 @@ def _heatmap_reference(path, x, y, z, ylog=False, overlay=None, max_cols=192):
             val = z[i, j]
             if not math.isfinite(val):
                 continue
-            color = svg._heat_color((float(val) - zmin) / span)
+            color = _heat_color_reference((float(val) - zmin) / span)
             body.append(
                 f'<rect x="{svg._fmt(px0)}" y="{svg._fmt(top)}" '
                 f'width="{svg._fmt(max(px1 - px0, 0.1))}" '
@@ -250,3 +278,36 @@ def test_heatmap_matches_the_per_cell_loop(tmp_path, case):
     heatmap(tmp_path / "bulk.svg", x, y, z, **kwargs)
     _heatmap_reference(tmp_path / "loop.svg", x, y, z, **kwargs)
     assert (tmp_path / "bulk.svg").read_bytes() == (tmp_path / "loop.svg").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(_HEAT_CASES))
+def test_heatmap_of_streamed_or_binned_rows_matches_the_array(tmp_path, case):
+    # Rows from a generator, and rows given as their block means, give
+    # the bytes of the 2-D array.
+    x, y, z, kwargs = _HEAT_CASES[case]
+    heatmap(tmp_path / "array.svg", x, y, z, **kwargs)
+    heatmap(tmp_path / "rows.svg", x, y, (row for row in z), **kwargs)
+    binned = svg._column_bins(iter(z), x.size, kwargs.get("max_cols", 192))
+    heatmap(tmp_path / "binned.svg", x, y, binned, **kwargs)
+    want = (tmp_path / "array.svg").read_bytes()
+    assert (tmp_path / "rows.svg").read_bytes() == want
+    assert (tmp_path / "binned.svg").read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    "shape, size",
+    [((105, 65536), 65536), ((7, 1000), 1000), ((12, 300), 300), ((3, 193), 193)],
+)
+def test_row_bins_equal_the_column_block_means(shape, size):
+    z = np.random.default_rng(size).standard_normal(shape)
+    z *= 10.0 ** np.arange(shape[0])[:, None]
+    edges = np.linspace(0, size, 193).astype(int)
+    want = np.stack([z[:, a:b].mean(axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1)
+    assert svg._column_bins(iter(z), size).tobytes() == want.tobytes()
+
+
+def test_heatmap_rejects_misshapen_rows(tmp_path):
+    x, y, z = _heat_case(300)
+    for bad in (z[:, :299], z[:-1], list(z[:, :100]) + [z[0]], z[0]):
+        with pytest.raises(ValidationError, match="z must be shaped"):
+            heatmap(tmp_path / "bad.svg", x, y, bad, max_cols=64)
