@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .errors import LengthMismatchError, ScaleOutOfRangeError, ValidationError
 from .signal_core import TimeSeries
@@ -431,6 +430,9 @@ def _mean_power_scale(sg: Scalogram) -> np.ndarray:
 def _chi2_ppf(p, dof):
     """Chi-squared quantile; the expression ``scipy.stats.chi2.ppf``
     evaluates, without importing ``scipy.stats``."""
+    # Deferred: scipy.special costs about half of ``import wavescope``.
+    from scipy.special import gammaincinv
+
     return 2.0 * gammaincinv(dof / 2.0, p)
 
 

@@ -46,6 +46,10 @@ ACF_ZERO_LEVEL = 0.05
 FNN_THRESHOLD = 15.0
 FNN_WARN_FRACTION = 0.10
 
+#: Rows per kd-tree query in the neighbor search; bounds the candidate
+#: arrays a query holds whatever the number of embedded points.
+_QUERY_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
@@ -216,12 +220,23 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
 def _first_partner(tree, emb, rows, k, theiler, floor):
     """Nearest of each row's ``k`` nearest neighbors outside the Theiler
     window and above the separation floor, with its distance; -1 where
-    none qualifies."""
-    dist, idx = tree.query(emb[rows], k=k + 1)
-    ok = (np.abs(idx[:, 1:] - rows[:, None]) > theiler) & (dist[:, 1:] > floor)
-    first = 1 + np.argmax(ok, axis=1)  # column 0 is the point itself
-    at = np.arange(rows.size)
-    return np.where(ok.any(axis=1), idx[at, first], -1), dist[at, first]
+    none qualifies.
+
+    The tree is asked about ``_QUERY_ROWS`` rows at a time, so a call holds
+    O(min(u, _QUERY_ROWS) k) candidates for u rows; each row's pick reads
+    only its own distance-sorted list, so it does not depend on the split.
+    """
+    partner = np.empty(rows.size, dtype=np.intp)
+    sep = np.empty(rows.size)
+    for lo in range(0, rows.size, _QUERY_ROWS):
+        block = rows[lo : lo + _QUERY_ROWS]
+        dist, idx = tree.query(emb[block], k=k + 1)
+        ok = (np.abs(idx[:, 1:] - block[:, None]) > theiler) & (dist[:, 1:] > floor)
+        first = 1 + np.argmax(ok, axis=1)  # column 0 is the point itself
+        at = np.arange(block.size)
+        partner[lo : lo + block.size] = np.where(ok.any(axis=1), idx[at, first], -1)
+        sep[lo : lo + block.size] = dist[at, first]
+    return partner, sep
 
 
 def _divergence(x, dim, delay, pairs_a, pairs_b, max_iter):
@@ -229,24 +244,35 @@ def _divergence(x, dim, delay, pairs_a, pairs_b, max_iter):
     -inf at a step where every pair coincides.
 
     Row p of the embedding difference at step k has column j equal to
-    x[pairs_a[p] + k + j delay] - x[pairs_b[p] + k + j delay], so each
-    column is a difference of one shifted view of the series, written
-    into one reused C-contiguous buffer: the einsum sees the bytes a
-    gather of embedding rows would give it.  O(max_iter pairs dim) time,
-    O(pairs dim) memory.
+    x[pairs_a[p] + s] - x[pairs_b[p] + s] at shift s = k + j delay, so
+    steps k and k + delay share dim - 1 shifts.  The steps are walked one
+    residue class mod ``delay`` at a time, in order, with the class's
+    current dim shifted differences held in a ring of rows: the first
+    step of a class gathers all dim shifts, every later one gathers only
+    its last.  That is (max_iter + 1) + min(delay, max_iter + 1) (dim - 1)
+    gathers instead of (max_iter + 1) dim.  Each step copies the ring rows
+    in column order into one reused C-contiguous buffer, so the einsum
+    sees the bytes a gather of embedding rows would give it.
+    O(max_iter pairs dim) time, O(pairs dim) memory.
     """
-    divergence = np.empty(max_iter + 1)
+    steps = max_iter + 1
+    divergence = np.empty(steps)
     diff = np.empty((pairs_a.size, dim))
-    for k in range(max_iter + 1):
-        for j in range(dim):
-            xs = x[k + j * delay :]
-            np.subtract(xs[pairs_a], xs[pairs_b], out=diff[:, j])
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        nz = d > 0
-        if not np.any(nz):
-            divergence[k] = -np.inf
-        else:
-            divergence[k] = float(np.mean(np.log(d[nz])))
+    ring = np.empty((dim, pairs_a.size))
+    for first in range(min(delay, steps)):
+        for i, k in enumerate(range(first, steps, delay)):
+            # Column j holds shift index t = i + j of the class, in slot t % dim.
+            for j in range(dim) if i == 0 else (dim - 1,):
+                xs = x[k + j * delay :]
+                np.subtract(xs[pairs_a], xs[pairs_b], out=ring[(i + j) % dim])
+            for j in range(dim):
+                diff[:, j] = ring[(i + j) % dim]
+            d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            nz = d > 0
+            if not np.any(nz):
+                divergence[k] = -np.inf
+            else:
+                divergence[k] = float(np.mean(np.log(d[nz])))
     return divergence
 
 
@@ -267,10 +293,12 @@ def largest_lyapunov(
     Cost for m embedded points: the embedding and kd-tree O(m dim)
     memory, O(m log m) time to build; the first neighbor pass (two
     candidates per point) O(m log m); the second pass, over the u points
-    the first left without a partner, O(u k log m) time and O(u k)
-    memory; the divergence trace, which reads the series itself once the
-    embedding and tree are freed, O(max_iter * pairs * dim) time and
-    O(pairs * dim) memory.
+    the first left without a partner, O(u k log m) time.  Both passes ask
+    the tree 1024 rows at a time, so their candidates take
+    O(min(u, 1024) k) memory.  The divergence trace reads the series
+    itself once the embedding and tree are freed: (max_iter + 1) +
+    min(delay, max_iter + 1) (dim - 1) gathers of pairs values,
+    O(max_iter * pairs * dim) time and O(pairs * dim) memory.
     """
     config = config if config is not None else EmbeddingConfig()
     x = ts.samples
@@ -390,8 +418,9 @@ def map_lyapunov(
     [[1, 1], [s, r + s]] with s = A sin(phi): the second row is the
     exactly rounded fma(s, u0, (r + s) u1), which gives the bits of the
     2x2 matrix product under a BLAS that evaluates that row with a fused
-    multiply-add, as OpenBLAS does.  Time is O(burn_in + n_impacts); memory is O(n_impacts),
-    the trajectory's phases held in one array.
+    multiply-add, as OpenBLAS does.  The loop runs on Python floats (the
+    phases as a list).  Time is O(burn_in + n_impacts); memory is
+    O(n_impacts), the trajectory's phases held in one array and one list.
     """
     if p.amplitude == 0.0:
         return math.log(p.restitution)
@@ -405,7 +434,7 @@ def map_lyapunov(
     a, r = p.amplitude, p.restitution
     u0 = u1 = 1.0 / math.sqrt(2.0)
     log_sum = 0.0
-    for k, phi in enumerate(phis):
+    for k, phi in enumerate(phis.tolist()):
         s = a * math.sin(phi)
         u0, u1 = u0 + u1, _fma(s, u0, (r + s) * u1)
         norm = math.hypot(u0, u1)

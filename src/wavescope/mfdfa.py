@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dwt import BOUNDARY_MODES, WaveletSpec, daubechies, extract_fluctuation
 from .errors import (
@@ -163,8 +162,11 @@ def _scale_to_level(scale: float, support: int) -> int:
     return max(1, round(math.log2(max(scale, support) / support)))
 
 
-def _moments(seg_var: np.ndarray, q_values: np.ndarray, scale: int) -> np.ndarray:
-    """Power means of order q/2 over segment variances, q = 0 geometric."""
+def _moments(
+    seg_var: np.ndarray, q_values: np.ndarray, scale: int, logsumexp
+) -> np.ndarray:
+    """Power means of order q/2 over segment variances, q = 0 geometric;
+    ``logsumexp`` is ``scipy.special.logsumexp``."""
     positive = seg_var[seg_var > 0]
     n_zero = seg_var.size - positive.size
     out = np.empty(q_values.size)
@@ -204,6 +206,9 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
     O(n log n) time, and memory holds one length-n fluctuation array per
     level plus O(n) for the two wavelet pyramids.
     """
+    # Deferred: scipy.special costs about half of ``import wavescope``.
+    from scipy.special import logsumexp
+
     cfg = cfg if cfg is not None else MfdfaConfig()
     values = prof.values if isinstance(prof, Profile) else np.asarray(prof, dtype=float)
     n = values.size
@@ -224,7 +229,7 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
     columns = []
     for fluct, s in zip(flucts, scales.tolist()):
         seg = segment_variance(fluct, s, cfg.min_segments)
-        columns.append(_moments(seg, cfg.q_values, s))
+        columns.append(_moments(seg, cfg.q_values, s, logsumexp))
     fq = np.column_stack(columns)
     return FluctuationTable(
         q_values=cfg.q_values.copy(),

@@ -309,15 +309,23 @@ def _column_bins(rows, ncol: int, max_cols: int = 192) -> np.ndarray:
     O(n + S max_cols) memory for S rows that arrive one at a time.
     """
     width = min(ncol, max_cols)
-    blocks = None
+    groups = []
     if ncol > max_cols:
-        edges = np.linspace(0, ncol, max_cols + 1).astype(int).tolist()
-        blocks = list(zip(edges[:-1], edges[1:]))
+        # The blocks come in at most two sizes; each size's blocks are
+        # gathered into one (blocks, size) array and averaged along its rows.
+        edges = np.linspace(0, ncol, max_cols + 1).astype(int)
+        sizes = np.diff(edges)
+        for size in np.unique(sizes).tolist():
+            at = np.flatnonzero(sizes == size)
+            groups.append((at, edges[at][:, None] + np.arange(size)))
     out = []
     for row in rows:
         row = np.asarray(row, dtype=float)
-        if blocks is not None and row.shape == (ncol,):
-            row = np.array([row[a:b].mean() for a, b in blocks])
+        if groups and row.shape == (ncol,):
+            means = np.empty(width)
+            for at, cols in groups:
+                means[at] = row[cols].mean(axis=1)
+            row = means
         if row.shape != (width,):
             raise ValidationError("z must be shaped (len(y), len(x))")
         out.append(row)

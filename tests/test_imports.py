@@ -16,11 +16,12 @@ def _python(*args):
 
 
 def test_import_leaves_heavy_scipy_modules_out():
-    # scipy.stats, scipy.signal and scipy.spatial dominate the import
-    # time; the package needs scipy.signal only to render a bouncing-ball
-    # series, scipy.spatial only for the Lyapunov estimator, and never
-    # scipy.stats.
-    heavy = ("scipy.stats", "scipy.signal", "scipy.spatial")
+    # scipy.stats, scipy.signal, scipy.spatial and scipy.special dominate
+    # the import time; the package needs scipy.signal only to render a
+    # bouncing-ball series, scipy.spatial only for the Lyapunov estimator,
+    # scipy.special only for CWT significance levels and MFDFA moments,
+    # and never scipy.stats.
+    heavy = ("scipy.stats", "scipy.signal", "scipy.spatial", "scipy.special")
     code = f"import sys, wavescope; print(sorted(m for m in {heavy!r} if m in sys.modules))"
 
     assert _python("-c", code).stdout.strip() == "[]"

@@ -246,18 +246,46 @@ def test_one_tree_and_bounded_queries(monkeypatch):
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     ts = TimeSeries(np.random.default_rng(0).standard_normal(20_000), 1.0)
-    largest_lyapunov(ts, EmbeddingConfig(dim=5, delay=200))
+    dim, delay = 5, 200
+    largest_lyapunov(ts, EmbeddingConfig(dim=dim, delay=delay))
     assert len(trees) == 1
-    assert [q[0] for q in queries] == [3, 65]
-    (_, pts1, dist1, idx1), (_, pts2, _, _) = queries
-    # Pass 1 asks about every point; pass 2 about exactly those without a
-    # partner outside the window among their two nearest.
-    rows = np.arange(pts1.shape[0])
+    # Each pass asks in blocks of at most _QUERY_ROWS rows, every k = 3
+    # block before the first k = 65 one.
+    ks = [q[0] for q in queries]
+    n1 = ks.count(3)
+    assert 0 < n1 < len(ks) and ks == [3] * n1 + [65] * (len(ks) - n1)
+    assert max(q[1].shape[0] for q in queries) <= lyapunov._QUERY_ROWS
+    pts1, dist1, idx1 = (np.concatenate([q[i] for q in queries[:n1]]) for i in (1, 2, 3))
+    pts2 = np.concatenate([q[1] for q in queries[n1:]])
+    # Pass 1 asks about every embedded point, in order; pass 2 about
+    # exactly those without a partner outside the window among their two
+    # nearest.
+    m = ts.samples.size - (dim - 1) * delay
+    rows = np.arange(m)
+    np.testing.assert_array_equal(pts1, ts.samples[rows[:, None] + delay * np.arange(dim)])
     floor = 1e-9 * np.std(ts.samples)
     ok = (np.abs(idx1[:, 1:] - rows[:, None]) > 1000) & (dist1[:, 1:] > floor)
     unresolved = ~ok.any(axis=1)
     assert 0 < np.count_nonzero(unresolved) < rows.size
     np.testing.assert_array_equal(pts2, pts1[unresolved])
+
+
+def test_neighbor_query_memory_is_bounded_by_the_block():
+    # The pinned 2**14 fBm with its estimated delay (75): the second pass
+    # asks for k = 64 neighbors of about 16k points.  Asked all at once,
+    # the candidate arrays alone are about 50 x 8 m dim bytes; asked
+    # _QUERY_ROWS rows at a time the traced peak reads about 6 (this
+    # module imports scipy.spatial, so its import is not traced).
+    ts = gen_fbm(0.7, 2**14, seed=1)
+    dim, delay = 5, 75
+    m = ts.samples.size - (dim - 1) * delay
+    tracemalloc.start()
+    try:
+        largest_lyapunov(ts, EmbeddingConfig(dim=dim, delay=delay))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * m * dim, peak / (8 * m * dim)
 
 
 # ------------------------------------------------------ divergence trace
@@ -290,8 +318,12 @@ def _noisy_bounce(amplitude, restitution):
         (lambda: _logistic(4000), EmbeddingConfig(dim=3, delay=2, theiler=40, max_iter=60)),
         (lambda: gen_fbm(0.7, 2**12, seed=3), EmbeddingConfig(dim=4, delay=6)),
         (lambda: _noisy_bounce(9.0, 0.7), EmbeddingConfig(dim=5, delay=8)),
+        # 41 steps in residue classes of 14 and 13 steps mod 3.
+        (lambda: _logistic(4000), EmbeddingConfig(dim=2, delay=3, max_iter=40)),
+        # 26 steps, each alone in its residue class mod 40.
+        (lambda: gen_fbm(0.7, 2**12, seed=3), EmbeddingConfig(dim=3, delay=40, max_iter=25)),
     ],
-    ids=["logistic", "logistic-explicit", "fbm", "bounce"],
+    ids=["logistic", "logistic-explicit", "fbm", "bounce", "dim2-uneven", "delay-past-trace"],
 )
 def test_divergence_matches_gathered_rows_bytes(monkeypatch, make_ts, config):
     ts = make_ts()
@@ -323,6 +355,35 @@ def test_divergence_of_coincident_pairs():
         expected = _gathered_divergence(x, 3, 4, pairs_a, pairs_b, 40)
         assert got.tobytes() == expected.tobytes()
     assert np.isneginf(got[0]) and np.isfinite(got[-1])
+
+
+class _CountingSeries(np.ndarray):
+    """A series that counts the gathers made from it and its views."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            _CountingSeries.gathers += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("dim, delay", [(2, 1), (5, 8), (5, 75), (3, 7), (4, 400)])
+def test_divergence_gathers_each_shift_once_per_residue_class(monkeypatch, dim, delay):
+    # Steps k and k + delay share dim - 1 shifts: (max_iter + 1) +
+    # min(delay, max_iter + 1) (dim - 1) shifted differences, two gathers
+    # each, instead of (max_iter + 1) dim.
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(3000)
+    max_iter = 300
+    pairs_a = rng.integers(0, 400, 50)
+    pairs_b = rng.integers(400, 800, 50)
+    monkeypatch.setattr(_CountingSeries, "gathers", 0)
+    got = lyapunov._divergence(x.view(_CountingSeries), dim, delay, pairs_a, pairs_b, max_iter)
+    steps = max_iter + 1
+    assert _CountingSeries.gathers == 2 * (steps + min(delay, steps) * (dim - 1))
+    expected = _gathered_divergence(x, dim, delay, pairs_a, pairs_b, max_iter)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_lyapunov_peak_memory_is_linear_in_points_times_dim():
