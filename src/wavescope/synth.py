@@ -57,10 +57,10 @@ class BounceParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValidationError("amplitude must be >= 0")
-        if not self.drive_freq > 0:
-            raise ValidationError("drive_freq must be positive")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValidationError("amplitude must be finite and >= 0")
+        if not 0.0 < self.drive_freq < math.inf:
+            raise ValidationError("drive_freq must be finite and positive")
         if not 0.0 < self.restitution < 1.0:
             raise ValidationError("restitution must lie in (0, 1)")
         if self.n_impacts < 1:

@@ -516,3 +516,158 @@ def test_fma_signed_zeros_follow_ieee(a, b, c, sign):
         assert got != 0.0
     else:
         assert got == 0.0 and math.copysign(1.0, got) == sign
+
+
+@pytest.fixture
+def fma_fallbacks(monkeypatch):
+    """Record each call that ``_fma`` hands to its exact-integer form."""
+    calls = []
+    exact = lyapunov._fma_exact
+
+    def counted(a, b, c):
+        calls.append((a, b, c))
+        return exact(a, b, c)
+
+    monkeypatch.setattr(lyapunov, "_fma_exact", counted)
+    return calls
+
+
+def _guard_triples(seed, ea, eb, n=300):
+    """Random signed triples with a = m1 2**ea and b = m2 2**eb, where
+    m1, m2 lie in [1.25, 1.4] so that |a * b| stays clear of a power of
+    two; c cancels the product exactly, nearly, or not at all."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], size=(2, n))
+    a = (sign[0] * rng.uniform(1.25, 1.4, n) * 2.0**ea).tolist()
+    b = (sign[1] * rng.uniform(1.25, 1.4, n) * 2.0**eb).tolist()
+    triples = []
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        p = ai * bi
+        kind = i % 3
+        if kind == 0:
+            c = -p
+        elif kind == 1:
+            c = -p * (1.0 + rng.standard_normal() * 2.0 ** -int(rng.integers(20, 60)))
+        else:
+            c = p * rng.standard_normal() * 2.0 ** int(rng.integers(-60, 60))
+        triples.append((ai, bi, c))
+    return triples
+
+
+@pytest.mark.parametrize(
+    "ea, eb, fast",
+    [
+        # |a * b| just below and just above 2**900.
+        (449, 449, True),
+        (450, 450, False),
+        # |a * b| just above and just below 2**-900.
+        (-450, -450, True),
+        (-451, -451, False),
+        # A moderate product of a factor at or beyond 2**900.
+        (899, -905, True),
+        (900, -905, False),
+        (-905, 899, True),
+        (-905, 900, False),
+        # A subnormal factor whose product is inside the guard.
+        (-1060, 890, True),
+        # Products whose rounding error is subnormal, and products that are
+        # themselves subnormal: the results of c = -p are subnormal too.
+        (-490, -490, False),
+        (-520, -520, False),
+        (-540, -530, False),
+    ],
+)
+def test_fma_guard_edges_match_the_exact_oracle(fma_fallbacks, ea, eb, fast):
+    triples = _guard_triples(abs(ea) * 10_000 + abs(eb), ea, eb)
+    for a, b, c in triples:
+        assert lyapunov._fma(a, b, c) == _exactly_rounded_fma(a, b, c), (a, b, c)
+    if fast:
+        # Only exact-zero results leave the float path inside the guard.
+        assert all(_exactly_rounded_fma(*t) == 0.0 for t in fma_fallbacks)
+    else:
+        assert fma_fallbacks == triples
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        (1 + 2.0**-30, 1 + 2.0**-30, 2.0**-53),
+        (1 + 2.0**-30, 1 - 2.0**-30, 3 * 2.0**-53),
+        (-(1 + 2.0**-30) * 2.0**400, (1 + 2.0**-30) * 2.0**-300, -(2.0**47)),
+        ((1 + 2.0**-30) * 2.0**-450, (1 + 2.0**-30) * 2.0**-400, 2.0**-903),
+    ],
+)
+def test_fma_breaks_halfway_ties_that_two_roundings_miss(a, b, c):
+    # fl(a * b) + c lands exactly halfway between two doubles and ties to
+    # even, while the exact a * b + c lies just past the halfway point.
+    got = lyapunov._fma(a, b, c)
+    assert got == _exactly_rounded_fma(a, b, c)
+    assert abs((a * b + c) - got) == math.ulp(got)
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        (2.0**485, 2.0**485, 1.7976931348623157e308),
+        (-(2.0**485), 2.0**485, -1.7976931348623157e308),
+        (-1.7976931348623157e308, 2.0, 0.0),
+    ],
+)
+def test_fma_overflowing_result_raises_overflow_error(a, b, c):
+    with pytest.raises(OverflowError):
+        lyapunov._fma(a, b, c)
+
+
+def test_fma_at_the_largest_double_does_not_overflow():
+    big = 1.7976931348623157e308
+    assert lyapunov._fma(2.0**450, 2.0**450, big) == big
+    assert lyapunov._fma(2.0**450, -(2.0**450), big) == _exactly_rounded_fma(
+        2.0**450, -(2.0**450), big
+    )
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fma_non_finite_arguments_raise(position, bad):
+    # float.as_integer_ratio raises ValueError for NaN, OverflowError for
+    # an infinity.
+    args = [1.5, -2.0, 0.25]
+    args[position] = bad
+    with pytest.raises(ValueError if math.isnan(bad) else OverflowError):
+        lyapunov._fma(*args)
+    if position < 2:
+        # A zero times a non-finite factor raises too.
+        args[1 - position] = 0.0
+        with pytest.raises(ValueError if math.isnan(bad) else OverflowError):
+            lyapunov._fma(*args)
+
+
+def test_map_lyapunov_takes_the_float_fma_path(fma_fallbacks):
+    # The A = 9, r = 0.7 benchmark preset: 100,200 fma calls, none of
+    # which should need the exact-integer form.
+    map_lyapunov(BounceParams(9.0, 25.0, 0.7, 100_000, seed=2), burn_in=5000)
+    assert len(fma_fallbacks) <= 5
+
+
+#: The numpy and scipy versions the map exponents below were pinned on.
+_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+
+
+@pytest.mark.parametrize(
+    "amplitude, restitution, exponent",
+    [
+        (3.6, 0.45, "-0x1.98d7b7823c28ap-2"),
+        (5.2, 0.6, "-0x1.0589d8db2a783p-2"),
+        (9.0, 0.7, "0x1.870e9130ebfc9p+0"),
+        (10.0, 0.8, "0x1.9c78a22c1181cp+0"),
+    ],
+)
+def test_map_lyapunov_benchmark_presets_are_pinned(amplitude, restitution, exponent):
+    versions = (np.__version__, scipy.__version__)
+    if versions != _PINNED_VERSIONS:
+        pytest.skip(
+            "map exponents pinned on numpy/scipy %s/%s, running %s/%s"
+            % (*_PINNED_VERSIONS, *versions)
+        )
+    p = BounceParams(amplitude, 25.0, restitution, 100_000, seed=2)
+    assert map_lyapunov(p, burn_in=5000).hex() == exponent

@@ -201,6 +201,20 @@ def test_bouncing_ball_param_validation():
         BounceParams(1.0, 25.0, 0.5, 0)
 
 
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+def test_bounce_params_refuse_non_finite_amplitude(amplitude):
+    # NaN and +inf pass a bare `amplitude < 0`; the map exponent then
+    # failed deep inside its exact fma.
+    with pytest.raises(ValidationError, match="amplitude"):
+        BounceParams(amplitude, 25.0, 0.5, 100)
+
+
+@pytest.mark.parametrize("drive_freq", [math.nan, math.inf])
+def test_bounce_params_refuse_non_finite_drive_freq(drive_freq):
+    with pytest.raises(ValidationError, match="drive_freq"):
+        BounceParams(1.0, drive_freq, 0.5, 100)
+
+
 # ----------------------------------------------------------------- cascade
 
 
