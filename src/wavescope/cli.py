@@ -584,10 +584,10 @@ def _scalogram_pass(sg, relative):
     relative_means = []
 
     def log_power():
-        for power, period in zip(sg._power_rows(), sg.periods):
+        for power, outside in zip(sg._power_rows(), sg._outside_slices()):
             power /= sg.signal_variance
             if relative:
-                relative_means.append(cwtmod._mean_or_nan(power[period <= sg.coi]))
+                relative_means.append(cwtmod._mean_or_nan(power[outside]))
             power += 1e-300
             yield np.log10(power, out=power)
 

@@ -82,10 +82,13 @@ class Scalogram:
 
     The scalogram keeps the signal spectrum and each row's frequency band
     and prefactor, O(n_fft + S) memory, and runs a row's inverse FFT when
-    a reader asks for the row.  ``coeffs`` fills the S x n array (16 S n
-    bytes) on first access and keeps it; later row reads reuse it.  The
-    reducers in this module (global power, the per-scale cone means, a
-    phase row) read rows one at a time and hold O(n_fft) working memory.
+    a reader asks for the row.  A pass over the rows inverts each one in
+    place in a single complex n_fft buffer of its own, so a streamed row
+    stays valid until the pass is asked for the next one.  ``coeffs``
+    fills the S x n array (16 S n bytes) on first access and keeps it;
+    later row reads reuse it.  The reducers in this module (global power,
+    the per-scale cone means, a phase row) read rows one at a time and
+    hold O(n_fft) working memory.
     """
 
     def __init__(self, scales, times, coi, omega0, sample_rate, norm,
@@ -132,23 +135,27 @@ class Scalogram:
     def _evaluate(self, indices: Iterable[int]) -> Iterator[np.ndarray]:
         """The rows at ``indices``, each computed when it is reached.
 
-        Each row multiplies the spectrum by the window on the row's band,
-        inverts it and scales the n kept samples in place.  A yielded row
-        is a view of its own inverse-FFT output, so holding it holds
-        n_fft values; the rows in flight need O(n_fft) memory.
+        Each row writes the spectrum times the window on the row's band
+        into one complex n_fft buffer, zero elsewhere, inverts the buffer
+        in place and scales its n kept samples in place.  The buffer
+        belongs to this generator, so interleaved passes do not disturb
+        each other, and it is cleared when the next row is asked for: a
+        yielded row is a view of it, valid until then.  Working memory is
+        the buffer and the band's window, O(n_fft).
         """
         n = self.times.size
-        windowed = np.zeros(self._spec.size, dtype=complex)
+        buf = np.zeros(self._spec.size, dtype=complex)
         for i in indices:
             start, stop, prefactor = self._bands[i]
             # The band's angular frequencies, as fftfreq computes them.
             omega = 2.0 * math.pi * (np.arange(start, stop) * self._freq_step)
             window = _morlet_hat(omega, self.scales[i], self.omega0)
-            np.multiply(self._spec[start:stop], window, out=windowed[start:stop])
-            row = np.fft.ifft(windowed)[:n]
+            np.multiply(self._spec[start:stop], window, out=buf[start:stop])
+            np.fft.ifft(buf, out=buf)
+            row = buf[:n]
             row *= prefactor
-            windowed[start:stop] = 0.0
             yield row
+            buf.fill(0.0)
 
     def _row(self, i: int) -> np.ndarray:
         """Row ``i``, from the held coefficients or evaluated alone."""
@@ -170,10 +177,10 @@ class Scalogram:
         and mean of the power outside the cone, for _outside_power.
         """
         counts, means = [], []
-        for row, period in zip(self._rows(), self.periods):
+        for row, outside in zip(self._rows(), self._outside_slices()):
             power = np.abs(row)
             power **= 2
-            kept = power[period <= self.coi]
+            kept = power[outside]
             counts.append(kept.size)
             means.append(_mean_or_nan(kept))
             yield power
@@ -188,17 +195,29 @@ class Scalogram:
                 pass
         return self._outside
 
+    def _outside_slices(self) -> list[slice]:
+        """Per scale, the samples outside the cone as one slice [lo, hi).
+
+        ``coi`` is a triangle, symmetric about the middle and rising
+        towards it, so the samples with ``periods[i] <= coi[t]`` form one
+        run that starts at the first such sample of the rising half and
+        ends as far from the end: O(S log n) time.
+        """
+        n = self.coi.size
+        lo = np.searchsorted(self.coi[: (n + 1) // 2], self.periods).tolist()
+        return [slice(a, n - a) for a in lo]
+
     def mean_outside_coi(self, values: Iterable[np.ndarray]) -> np.ndarray:
         """Per-scale mean of a (scale, time) grid, or of its rows in scale
         order, outside the cone; NaN if none.
 
-        Each row's mask is built as the row is reached, so no S x n mask
-        is held: O(n) working memory.
+        Each row's mean is taken over its slice outside the cone, so no
+        mask or copy is built.
         """
         return np.array(
             [
-                _mean_or_nan(row[period <= self.coi])
-                for row, period in zip(values, self.periods)
+                _mean_or_nan(row[outside])
+                for row, outside in zip(values, self._outside_slices())
             ]
         )
 
@@ -309,9 +328,11 @@ def cwt_morlet(
     next power of two >= 2 n for zero padding, n for periodic), this call
     takes O(n_fft log n_fft + S log n_fft) time and returns a Scalogram of
     O(n_fft + S) memory that runs no inverse FFT yet.  Each row costs one
-    inverse FFT, O(n_fft log n_fft), when it is read: a streamed reducer
-    over all rows takes O(S n_fft log n_fft) time and O(n_fft) working
-    memory; ``coeffs`` holds 16 S n bytes once it is read.
+    in-place inverse FFT, O(n_fft log n_fft), when it is read; a pass
+    over the rows reuses one complex n_fft buffer, and a row it yields
+    stays valid until the next is read.  A streamed reducer over all rows
+    takes O(S n_fft log n_fft) time and O(n_fft) working memory;
+    ``coeffs`` holds 16 S n bytes once it is read.
     """
     if not math.isfinite(omega0) or omega0 < 5.0:
         raise ValidationError(

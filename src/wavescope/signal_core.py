@@ -255,11 +255,12 @@ def write_csv(ts: TimeSeries, path: str | Path) -> None:
 def _write_table(path, header: list[str], columns, eol: str = "\n") -> None:
     """Write equal-length numeric columns as CSV under a header row.
 
-    Every number is written as the ``repr`` of a float and every line,
-    the last too, ends with ``eol``.
+    Every number is written as the ``repr`` of a float (``%r``) and every
+    line, the last too, ends with ``eol``.  All rows are formatted by one
+    ``%`` call on the row template repeated once per row.
     """
     path = Path(path)
-    lists = [np.asarray(c, dtype=float).tolist() for c in columns]
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in zip(*lists))
-    path.write_text(eol.join(lines) + eol, encoding="utf-8")
+    grid = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%r"] * grid.shape[1]) + eol
+    body = (row * grid.shape[0]) % tuple(grid.ravel().tolist())
+    path.write_text(",".join(header) + eol + body, encoding="utf-8")

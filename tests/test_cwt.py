@@ -4,6 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+# cwt imports scipy.special on first use; load it here, before any test
+# traces memory, so that no trace counts the import.
+import scipy.special  # noqa: F401
+
 from wavescope import (
     LengthMismatchError,
     ScaleOutOfRangeError,
@@ -215,9 +219,10 @@ def test_cwt_working_memory_is_linear_in_the_padded_length(n):
 
 @pytest.mark.parametrize("n", [2**12, 2**14])
 def test_global_power_working_memory_is_linear_in_n(n):
-    # Global power over held coefficients.  Each row's cone mask is built
-    # as the row is reduced.  An S x n mask alone would be S >= 73 bytes
-    # per sample at these sizes; the rows in flight measure about 33.
+    # Global power over held coefficients.  Each row's cone mean is taken
+    # over a slice as the row is reduced.  An S x n mask alone would be
+    # S >= 73 bytes per sample at these sizes; the rows in flight measure
+    # about 17.
     ts = TimeSeries(np.random.default_rng(1).standard_normal(n), 1.0)
     sg = cwt_morlet(ts)
     sg.coeffs
@@ -248,6 +253,38 @@ def test_streamed_global_power_holds_no_scalogram(n):
     assert sg._coeffs is None
     assert 16 * sg.scales.size * n > 4 * (8 * 16 * n_fft)
     assert peak <= 8 * 16 * n_fft
+
+
+@pytest.mark.parametrize("n", [2**14, 2**16])
+def test_scalogram_pass_holds_one_row_buffer(n):
+    # A pass inverts every row in place in one complex n_fft buffer and
+    # takes each cone mean over a slice.  A fresh inverse-FFT output per
+    # row beside the windowed spectrum would peak near 4 buffers.
+    ts = TimeSeries(np.random.default_rng(1).standard_normal(n), 1.0)
+    sg = cwt_morlet(ts)
+    n_fft = 2 * n
+    tracemalloc.start()
+    try:
+        sg._outside_power()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 16 * n_fft
+
+
+def test_interleaved_row_passes_keep_their_own_buffers():
+    # Each pass owns its buffer: rows of one pass survive the other pass
+    # moving on, whether the two walk in step or one row apart.
+    ts = TimeSeries(np.random.default_rng(3).standard_normal(700), 20.0)
+    sg = cwt_morlet(ts)
+    want = [row.tobytes() for row in cwt_morlet(ts).coeffs]
+    in_step = [(a.tobytes(), b.tobytes()) for a, b in zip(sg._rows(), sg._rows())]
+    assert in_step == list(zip(want, want))
+    ahead = sg._rows()
+    next(ahead)
+    offset = [(a.tobytes(), b.tobytes()) for a, b in zip(sg._rows(), ahead)]
+    assert offset == list(zip(want, want[1:]))
+    assert sg._coeffs is None
 
 
 @pytest.mark.parametrize("pad, norm", [("zero", "l2"), ("periodic", "eq4")])
@@ -301,6 +338,20 @@ def test_global_power_matches_masked_mean():
     )
     assert gp.power.tobytes() == manual.tobytes()
     assert np.array_equal(gp.n_averaged, mask.sum(axis=1)[keep])
+
+
+@pytest.mark.parametrize("n", [17, 600, 777, 1024])
+def test_cone_slices_match_the_reliable_mask(n):
+    # Each scale's points outside the cone are one run [lo, hi), empty
+    # where the scale has none, at odd and even lengths alike.
+    ts = TimeSeries(np.random.default_rng(n).standard_normal(n), 20.0)
+    sg = cwt_morlet(ts, scales=default_scales(n, 20.0).tolist() + [n / 40.0])
+    mask = sg.reliable_mask()
+    runs = np.zeros_like(mask)
+    for row, outside in zip(runs, sg._outside_slices()):
+        row[outside] = True
+    assert np.array_equal(runs, mask)
+    assert not mask[-1].any()
 
 
 def test_global_power_tone_peak_and_significance():
