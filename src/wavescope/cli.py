@@ -372,8 +372,8 @@ def _build_input(cfg: RunConfig) -> TimeSeries:
 # writes every file through ``emit`` (see _writer), inside the call, so a
 # failing write fails the stage and the stage's arrays die on return.  It
 # returns the series for the next stage and its summary entry.  A stage
-# in _SCALOGRAM_STAGES also gets the run's _Scalograms and takes its
-# Morlet scalogram from there.
+# in _SCALOGRAM_STAGES also gets the run's _Scalograms, held for the whole
+# run, and takes its Morlet scalogram from there.
 
 
 class _Scalograms:
@@ -384,24 +384,25 @@ class _Scalograms:
     series object (compared with ``is``) or a param differs from the held
     one, and drops the held scalogram first, so at most one is alive.
     ``cwt_morlet`` is looked up on its module at call time, so a wrapped
-    module attribute sees every transform.  A held scalogram is O(n_fft +
-    S): its rows are evaluated when a stage reads them, and the ``cwt``
-    stage's pass over them leaves the per-scale power that
-    ``globalpower`` reuses.
+    module attribute sees every transform.  A new scalogram whose params
+    are among ``heatmap_params``, those of the run's ``cwt`` stages, gets
+    its ``power_summary`` pass with the heat map at once, so a stage of
+    either kind, in either order, reads that one record.  A held
+    scalogram is O(n_fft + S max_cols).
     """
 
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
+    def __init__(self, heatmap_params):
+        self._heatmap_params = set(heatmap_params)
         self._ts = self._params = self._sg = None
 
     def __call__(self, ts, omega0, norm, pad):
         params = (omega0, norm, pad)
         if self._ts is not ts or self._params != params:
-            self.clear()
+            self._sg = None
             self._sg = cwtmod.cwt_morlet(ts, omega0=omega0, norm=norm, pad=pad)
             self._ts, self._params = ts, params
+            if params in self._heatmap_params:
+                self._sg.power_summary(heatmap=True)
         return self._sg
 
 
@@ -573,37 +574,14 @@ def _stage_mfdfa(ts, params, emit):
     return ts, info
 
 
-def _scalogram_pass(sg, relative):
-    """One pass over the rows of ``sg``, O(n + S max_cols) memory.
-
-    Returns each scale's mean power outside the cone of influence, of
-    power / variance when ``relative``, and the heat-map column bins of
-    log10 power / variance.  The absolute means are the ones the pass
-    keeps on ``sg`` for ``global_power``.
-    """
-    relative_means = []
-
-    def log_power():
-        for power, outside in zip(sg._power_rows(), sg._outside_slices()):
-            power /= sg.signal_variance
-            if relative:
-                relative_means.append(cwtmod._mean_or_nan(power[outside]))
-            power += 1e-300
-            yield np.log10(power, out=power)
-
-    bins = svg._column_bins(log_power(), sg.times.size)
-    means = np.array(relative_means) if relative else sg._outside_power()[1]
-    return means, bins
-
-
-def _scalogram_plot(path, sg, bins, title):
+def _scalogram_plot(path, sg, title):
     """Heatmap of log10 power relative to the variance, cone of influence
-    drawn, from the column bins of _scalogram_pass."""
+    drawn, from the column bins of ``sg.power_summary(heatmap=True)``."""
     return svg.heatmap(
         path,
         sg.times,
         sg.periods,
-        bins,
+        sg.power_summary(heatmap=True).heatmap,
         xlabel="time (s)",
         ylabel="period (s)",
         title=title,
@@ -615,19 +593,18 @@ def _scalogram_plot(path, sg, bins, title):
 def _stage_cwt(ts, params, emit, scalogram):
     """Morlet scalogram summary.
 
-    One pass over the rows gives the table and the heat map, and leaves
-    the per-scale power that a following ``globalpower`` stage reuses:
-    O(S n_fft log n_fft) time and O(n_fft + S max_cols) memory.
+    The table and the heat map read the scalogram's one power_summary
+    pass, shared with a ``globalpower`` stage in either order: O(S n_fft
+    log n_fft) time and O(n_fft + S max_cols) memory.
     """
     sg = scalogram(ts, params["omega0"], params["norm"], params["pad"])
-    means, bins = _scalogram_pass(sg, relative=False)
     emit(
         "scales.csv",
         _write_table,
         ["scale_s", "period_s", "mean_power_outside_coi"],
-        [sg.scales, sg.periods, means],
+        [sg.scales, sg.periods, sg.power_summary(heatmap=True).mean_power],
     )
-    emit("scalogram.svg", _scalogram_plot, sg, bins, "scalogram, log10 power / variance")
+    emit("scalogram.svg", _scalogram_plot, sg, "scalogram, log10 power / variance")
     return ts, {
         "n_scales": int(sg.scales.size),
         "period_range_s": [float(sg.periods[0]), float(sg.periods[-1])],
@@ -772,20 +749,21 @@ def run(cfg: RunConfig) -> RunReport:
 
     The ``cwt`` and ``globalpower`` stages share one scalogram when they
     read the same series with the same params: the run computes it once
-    and drops it right after the last of those stages, so no later stage
-    runs with it alive; a stage between two of them does.  Neither stage
-    holds an S x n array: rows stream through O(n_fft + S max_cols)
-    memory, and after a ``cwt`` stage ``globalpower`` reuses its per-scale
-    power, so each row's inverse FFT runs once.
+    and holds it, O(n_fft + S max_cols), until the next transform or the
+    end of the run.  Neither stage holds an S x n array, and in either
+    order the two read one ``power_summary`` record, which bins the heat
+    map when a ``cwt`` stage has those params, so each row's inverse FFT
+    runs once.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     summary: dict = {}
-    scalograms = _Scalograms()
-    last_reader = max(
-        (i for i, s in enumerate(cfg.pipeline) if s["stage"] in _SCALOGRAM_STAGES),
-        default=None,
+    stages = [
+        (s["stage"], _with_defaults(s, _STAGE_PARAMS[s["stage"]])) for s in cfg.pipeline
+    ]
+    scalograms = _Scalograms(
+        (p["omega0"], p["norm"], p["pad"]) for name, p in stages if name == "cwt"
     )
 
     def wanted(name):
@@ -806,14 +784,10 @@ def run(cfg: RunConfig) -> RunReport:
         "sample_rate_hz": float(ts.sample_rate),
         "label": ts.label,
     }
-    for i, stage in enumerate(cfg.pipeline):
-        name = stage["stage"]
+    for i, (name, params) in enumerate(stages):
         emit = _writer(outdir, f"{i:02d}_{name}_", wanted, written)
-        params = _with_defaults(stage, _STAGE_PARAMS[name])
         args = (ts, params, emit) + ((scalograms,) if name in _SCALOGRAM_STAGES else ())
         ts, summary[name] = attempt(name, _STAGE_FUNCS[name], *args)
-        if i == last_reader:
-            scalograms.clear()
     report = RunReport(
         artifacts=[
             {"path": p.name, "sha256": _sha256(p)} for p in written
@@ -886,13 +860,12 @@ def _fig7(emit) -> None:
 def _fig8(emit) -> None:
     ts = _four_tone_series()
     sg = cwtmod.cwt_morlet(ts)
-    means, bins = _scalogram_pass(sg, relative=True)
-    emit("fig8.svg", _scalogram_plot, sg, bins, "scalogram with cone of influence")
+    emit("fig8.svg", _scalogram_plot, sg, "scalogram with cone of influence")
     emit(
         "fig8.csv",
         _write_table,
         ["period_s", "mean_power_outside_coi"],
-        [sg.periods, means],
+        [sg.periods, sg.power_summary(heatmap=True).mean_relative],
     )
 
 
@@ -1184,6 +1157,8 @@ def _cmd_stage(args) -> int:
 
 
 def _cmd_phase(args) -> int:
+    if not (math.isfinite(args.period) and args.period > 0):
+        raise ConfigError(f"--period must be finite and > 0, got {args.period}")
     a = _load_csv_sniffed(args.input_a, sample_rate=args.sample_rate)
     b = _load_csv_sniffed(args.input_b, sample_rate=args.sample_rate)
     period, cmp_, bands = _phase_comparison(

@@ -24,10 +24,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import LengthMismatchError, ScaleOutOfRangeError, ValidationError
-from .signal_core import TimeSeries
+from .signal_core import TimeSeries, column_bins
 
 __all__ = [
     "Scalogram",
+    "PowerSummary",
     "GlobalPower",
     "PhaseSeries",
     "PhaseComparison",
@@ -72,6 +73,23 @@ def _mean_or_nan(values: np.ndarray) -> float:
     return values.mean() if values.size else np.nan
 
 
+@dataclass
+class PowerSummary:
+    """Scalogram.power_summary's record of |W|^2 outside the cone.
+
+    Per scale: ``counts`` samples outside the cone and their ``mean_power``
+    (NaN if none).  With the heat map, ``mean_relative`` is their mean of
+    |W|^2 / variance (its bits differ from ``mean_power / variance``) and
+    ``heatmap`` holds each row's column bins (signal_core.column_bins) of
+    log10(|W|^2 / variance + 1e-300); without it both are None.
+    """
+
+    counts: np.ndarray
+    mean_power: np.ndarray
+    mean_relative: np.ndarray | None
+    heatmap: np.ndarray | None
+
+
 class Scalogram:
     """Complex CWT coefficients on a scale-by-time grid, evaluated on demand.
 
@@ -81,14 +99,13 @@ class Scalogram:
     ``periods[i] > coi[t]`` sit inside the cone of influence.
 
     The scalogram keeps the signal spectrum and each row's frequency band
-    and prefactor, O(n_fft + S) memory, and runs a row's inverse FFT when
-    a reader asks for the row.  A pass over the rows inverts each one in
-    place in a single complex n_fft buffer of its own, so a streamed row
-    stays valid until the pass is asked for the next one.  ``coeffs``
-    fills the S x n array (16 S n bytes) on first access and keeps it;
-    later row reads reuse it.  The reducers in this module (global power,
-    the per-scale cone means, a phase row) read rows one at a time and
-    hold O(n_fft) working memory.
+    and prefactor, O(n_fft + S) memory, and runs a row's inverse FFT each
+    time a reader asks for the row.  A pass over the rows inverts each one
+    in place in a single complex n_fft buffer of its own, so a streamed
+    row stays valid until the pass is asked for the next one.  ``coeffs``
+    fills the S x n array (16 S n bytes) on first access and keeps it.
+    ``power_summary`` keeps the record of its pass, O(S max_cols), and
+    serves every later request that record covers without a new pass.
     """
 
     def __init__(self, scales, times, coi, omega0, sample_rate, norm,
@@ -107,14 +124,14 @@ class Scalogram:
         self._freq_step = freq_step
         self._bands = bands
         self._coeffs = None
-        self._outside = None
+        self._summary = None
 
     @property
     def coeffs(self) -> np.ndarray:
         """The S x n complex coefficients, filled on first access."""
         if self._coeffs is None:
             coeffs = np.empty((self.scales.size, self.times.size), dtype=complex)
-            for out, row in zip(coeffs, self._rows()):
+            for out, row in zip(coeffs, self._evaluate(range(self.scales.size))):
                 out[...] = row
             self._coeffs = coeffs
         return self._coeffs
@@ -157,43 +174,40 @@ class Scalogram:
             yield row
             buf.fill(0.0)
 
-    def _row(self, i: int) -> np.ndarray:
-        """Row ``i``, from the held coefficients or evaluated alone."""
-        if self._coeffs is not None:
-            return self._coeffs[i]
-        return next(self._evaluate((i,)))
+    def power_summary(self, heatmap: bool = False) -> PowerSummary:
+        """The PowerSummary of one pass over the rows, with its heat-map
+        fields if ``heatmap``.
 
-    def _rows(self) -> Iterator[np.ndarray]:
-        """Every row in scale order: the held coefficients once ``coeffs``
-        was read, otherwise each row evaluated as it is reached."""
-        if self._coeffs is not None:
-            return iter(self._coeffs)
-        return self._evaluate(range(self.scales.size))
-
-    def _power_rows(self) -> Iterator[np.ndarray]:
-        """|W|^2 of every row in scale order, one row at a time.
-
-        A pass that reaches the last row also keeps each scale's count
-        and mean of the power outside the cone, for _outside_power.
+        The record is kept and returned to every later call that it
+        covers.  A pass: O(S n_fft log n_fft) time, O(n_fft + S max_cols)
+        memory.
         """
-        counts, means = [], []
-        for row, outside in zip(self._rows(), self._outside_slices()):
-            power = np.abs(row)
-            power **= 2
-            kept = power[outside]
-            counts.append(kept.size)
-            means.append(_mean_or_nan(kept))
-            yield power
-        self._outside = (np.array(counts), np.array(means))
+        kept = self._summary
+        if kept is not None and (kept.heatmap is not None or not heatmap):
+            return kept
+        counts, means, relative = [], [], []
 
-    def _outside_power(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per scale, the count and mean of |W|^2 outside the cone (NaN
-        mean if none), from the last complete _power_rows pass or from a
-        new one: O(n_fft) working memory."""
-        if self._outside is None:
-            for _ in self._power_rows():
-                pass
-        return self._outside
+        def power_rows():
+            coeff_rows = self._evaluate(range(self.scales.size))
+            for row, outside in zip(coeff_rows, self._outside_slices()):
+                power = np.abs(row)
+                power **= 2
+                counts.append(power[outside].size)
+                means.append(_mean_or_nan(power[outside]))
+                if heatmap:
+                    power /= self.signal_variance
+                    relative.append(_mean_or_nan(power[outside]))
+                    power += 1e-300
+                    np.log10(power, out=power)
+                yield power
+
+        powers = power_rows()
+        bins = column_bins(powers, self.times.size) if heatmap else None
+        for _ in powers:  # the whole pass, also where no binning reads it
+            pass
+        relative = np.array(relative) if heatmap else None
+        self._summary = PowerSummary(np.array(counts), np.array(means), relative, bins)
+        return self._summary
 
     def _outside_slices(self) -> list[slice]:
         """Per scale, the samples outside the cone as one slice [lo, hi).
@@ -206,20 +220,6 @@ class Scalogram:
         n = self.coi.size
         lo = np.searchsorted(self.coi[: (n + 1) // 2], self.periods).tolist()
         return [slice(a, n - a) for a in lo]
-
-    def mean_outside_coi(self, values: Iterable[np.ndarray]) -> np.ndarray:
-        """Per-scale mean of a (scale, time) grid, or of its rows in scale
-        order, outside the cone; NaN if none.
-
-        Each row's mean is taken over its slice outside the cone, so no
-        mask or copy is built.
-        """
-        return np.array(
-            [
-                _mean_or_nan(row[outside])
-                for row, outside in zip(values, self._outside_slices())
-            ]
-        )
 
 
 @dataclass
@@ -330,9 +330,10 @@ def cwt_morlet(
     O(n_fft + S) memory that runs no inverse FFT yet.  Each row costs one
     in-place inverse FFT, O(n_fft log n_fft), when it is read; a pass
     over the rows reuses one complex n_fft buffer, and a row it yields
-    stays valid until the next is read.  A streamed reducer over all rows
-    takes O(S n_fft log n_fft) time and O(n_fft) working memory;
-    ``coeffs`` holds 16 S n bytes once it is read.
+    stays valid until the next is read.  ``power_summary``, the one
+    reduction over all rows, takes O(S n_fft log n_fft) time and O(n_fft)
+    working memory and keeps its record for later readers; ``coeffs``
+    holds 16 S n bytes once it is read.
     """
     if not math.isfinite(omega0) or omega0 < 5.0:
         raise ValidationError(
@@ -448,6 +449,11 @@ def _mean_power_scale(sg: Scalogram) -> np.ndarray:
     return dt / sg.scales
 
 
+def _check_siglevel(siglevel: float) -> None:
+    if not 0.0 < siglevel < 1.0:
+        raise ValidationError(f"siglevel must lie in (0, 1), got {siglevel}")
+
+
 def _chi2_ppf(p, dof):
     """Chi-squared quantile; the expression ``scipy.stats.chi2.ppf``
     evaluates, without importing ``scipy.stats``."""
@@ -467,8 +473,9 @@ def pointwise_significance(
     """Per-scale pointwise power threshold against a noise background.
 
     For ``background="red"`` the lag-1 coefficient is taken from ``ar1``
-    or estimated from ``series``.
+    or estimated from ``series``.  ``siglevel`` must lie in (0, 1).
     """
+    _check_siglevel(siglevel)
     shape, _ = _background_shape(sg, background, ar1, series)
     base = sg.signal_variance * _mean_power_scale(sg)
     return base * shape * (_chi2_ppf(siglevel, 2) / 2.0)
@@ -485,19 +492,21 @@ def global_power(
 
     Scales that keep no point outside the cone are dropped.  The
     significance threshold uses the chi-squared law with the effective
-    degrees of freedom of time averaging.
+    degrees of freedom of time averaging; ``siglevel`` must lie in (0, 1).
 
-    The power is reduced row by row as the rows stream, so neither the
-    coefficients nor a (scale, time) power grid or mask is built: O(S
-    n_fft log n_fft) time and O(n_fft) working memory.  Per-scale power
-    that an earlier complete pass over the rows of ``sg`` kept (the
-    ``cwt`` stage of a run makes one) is reused without a transform.
+    The power comes from ``sg.power_summary()``: a record kept on ``sg``
+    by an earlier pass is reused without a transform, otherwise one pass
+    streams the rows, builds no coefficients, (scale, time) grid, mask or
+    heat map, and takes O(S n_fft log n_fft) time and O(n_fft) working
+    memory.
     """
-    counts, power = sg._outside_power()
+    _check_siglevel(siglevel)
+    shape, ar1_used = _background_shape(sg, background, ar1, series)
+    summary = sg.power_summary()
+    counts, power = summary.counts, summary.mean_power
     keep = counts > 0
     if not np.any(keep):
         raise ValidationError("no scale has support outside the cone of influence")
-    shape, ar1_used = _background_shape(sg, background, ar1, series)
     base = sg.signal_variance * _mean_power_scale(sg) * shape
     dt = 1.0 / sg.sample_rate
     n_avg = counts.astype(float)
@@ -536,14 +545,14 @@ def phase_at_scale(sg: Scalogram, scale: float) -> PhaseSeries:
     """Phase/amplitude series of the row nearest the requested scale.
 
     Proximity is measured on the logarithmic scale axis and the actually
-    used scale is reported back; no silent substitution.  Only that row is
-    evaluated (unless ``coeffs`` was read): one inverse FFT, O(n_fft)
-    memory.
+    used scale is reported back; no silent substitution: a scale that is
+    not a finite positive number is refused.  Only that row is evaluated:
+    one inverse FFT, O(n_fft) memory.
     """
-    if scale <= 0:
-        raise ValidationError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValidationError(f"scale must be a finite positive number, got {scale}")
     idx = int(np.argmin(np.abs(np.log(sg.scales) - math.log(scale))))
-    row = sg._row(idx)
+    row = next(sg._evaluate((idx,)))
     return PhaseSeries(
         scale=float(sg.scales[idx]),
         period=float(sg.periods[idx]),

@@ -22,6 +22,7 @@ __all__ = [
     "write_csv",
     "profile",
     "detrend_mean",
+    "column_bins",
 ]
 
 #: Allowed relative deviation of timestamp spacing from the nominal period.
@@ -264,3 +265,37 @@ def _write_table(path, header: list[str], columns, eol: str = "\n") -> None:
     row = ",".join(["%r"] * grid.shape[1]) + eol
     body = (row * grid.shape[0]) % tuple(grid.ravel().tolist())
     path.write_text(",".join(header) + eol + body, encoding="utf-8")
+
+
+def column_bins(rows, ncol: int, max_cols: int = 192) -> np.ndarray:
+    """Block means of each row's ``ncol`` columns, one row at a time.
+
+    With ``ncol > max_cols`` the columns fall into ``max_cols`` blocks and
+    each row becomes its block means; a row that already holds them (the
+    output of this function) passes through.  Otherwise rows stay as they
+    are.  Returns a (rows, min(ncol, max_cols)) array: O(S n) time and
+    O(n + S max_cols) memory for S rows that arrive one at a time.  The
+    heat-map binning of svg.heatmap and cwt.Scalogram.power_summary.
+    """
+    width = min(ncol, max_cols)
+    groups = []
+    if ncol > max_cols:
+        # The blocks come in at most two sizes; each size's blocks are
+        # gathered into one (blocks, size) array and averaged along its rows.
+        edges = np.linspace(0, ncol, max_cols + 1).astype(int)
+        sizes = np.diff(edges)
+        for size in np.unique(sizes).tolist():
+            at = np.flatnonzero(sizes == size)
+            groups.append((at, edges[at][:, None] + np.arange(size)))
+    out = []
+    for row in rows:
+        row = np.asarray(row, dtype=float)
+        if groups and row.shape == (ncol,):
+            means = np.empty(width)
+            for at, cols in groups:
+                means[at] = row[cols].mean(axis=1)
+            row = means
+        if row.shape != (width,):
+            raise ValidationError("z must be shaped (len(y), len(x))")
+        out.append(row)
+    return np.array(out).reshape(len(out), width)

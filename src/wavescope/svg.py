@@ -17,6 +17,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .errors import ValidationError
+from .signal_core import column_bins
 
 __all__ = ["line_plot", "heatmap"]
 
@@ -299,39 +300,6 @@ def _heat_colors(u: np.ndarray) -> list[str]:
     return ["#%02x%02x%02x" % tuple(c) for c in rgb.tolist()]
 
 
-def _column_bins(rows, ncol: int, max_cols: int = 192) -> np.ndarray:
-    """Block means of each row's ``ncol`` columns, one row at a time.
-
-    With ``ncol > max_cols`` the columns fall into ``max_cols`` blocks and
-    each row becomes its block means; a row that already holds them (the
-    output of this function) passes through.  Otherwise rows stay as they
-    are.  Returns a (rows, min(ncol, max_cols)) array: O(S n) time and
-    O(n + S max_cols) memory for S rows that arrive one at a time.
-    """
-    width = min(ncol, max_cols)
-    groups = []
-    if ncol > max_cols:
-        # The blocks come in at most two sizes; each size's blocks are
-        # gathered into one (blocks, size) array and averaged along its rows.
-        edges = np.linspace(0, ncol, max_cols + 1).astype(int)
-        sizes = np.diff(edges)
-        for size in np.unique(sizes).tolist():
-            at = np.flatnonzero(sizes == size)
-            groups.append((at, edges[at][:, None] + np.arange(size)))
-    out = []
-    for row in rows:
-        row = np.asarray(row, dtype=float)
-        if groups and row.shape == (ncol,):
-            means = np.empty(width)
-            for at, cols in groups:
-                means[at] = row[cols].mean(axis=1)
-            row = means
-        if row.shape != (width,):
-            raise ValidationError("z must be shaped (len(y), len(x))")
-        out.append(row)
-    return np.array(out).reshape(len(out), width)
-
-
 def heatmap(
     path: str | Path,
     x: np.ndarray,
@@ -349,15 +317,15 @@ def heatmap(
     ``z`` is a 2-D array or any iterable of its rows, one per y value.
     Columns are block-averaged down to ``max_cols`` so file size stays
     bounded; each row is binned as it arrives (a row may also be given as
-    its block means, see _column_bins).  ``overlay`` draws one extra curve
-    (x, y) on top, used for the edge-effect boundary.  With S rows and n
+    its block means, see signal_core.column_bins).  ``overlay`` draws one
+    extra curve (x, y) on top, used for the edge-effect boundary.  With S rows and n
     columns, binning takes O(S n) time and the cells O(S max_cols) time;
     memory is O(n + S max_cols).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xc = _column_bins([x], x.size, max_cols)[0]
-    z = _column_bins(z, x.size, max_cols)
+    xc = column_bins([x], x.size, max_cols)[0]
+    z = column_bins(z, x.size, max_cols)
     if z.shape[0] != y.size:
         raise ValidationError("z must be shaped (len(y), len(x))")
     zmin, zmax = float(np.nanmin(z)), float(np.nanmax(z))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import tracemalloc
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 import scipy
 
-from wavescope import ConfigError, ParseError
+from wavescope import ConfigError, ParseError, svg
+from wavescope import cli as climod
 from wavescope import cwt as cwtmod
 from wavescope.cli import (
     FIGURE_NAMES,
@@ -345,20 +347,6 @@ def test_run_shares_one_scalogram_per_series_and_params(
     assert len(made) == calls
 
 
-def test_shared_scalogram_is_dead_when_a_following_stage_starts(tmp_path, monkeypatch):
-    made = _count_transforms(monkeypatch)
-    alive = []
-    denoise = _STAGE_FUNCS["denoise"]
-
-    def checking(*args):
-        alive.append([ref() is not None for ref in made])
-        return denoise(*args)
-
-    monkeypatch.setitem(_STAGE_FUNCS, "denoise", checking)
-    _svg_run(tmp_path, [{"stage": "cwt"}, {"stage": "globalpower"}, {"stage": "denoise"}])
-    assert alive == [[False]]
-
-
 @pytest.mark.parametrize("order", [("cwt", "globalpower"), ("globalpower", "cwt")])
 def test_shared_scalogram_leaves_each_stages_files_unchanged(tmp_path, order):
     _svg_run(tmp_path, [{"stage": name} for name in order], "both")
@@ -389,14 +377,15 @@ def _csv_run(tmp_path, n, pipeline):
     "pipeline, passes",
     [
         ([{"stage": "cwt"}, {"stage": "globalpower"}], 1),
+        ([{"stage": "globalpower"}, {"stage": "cwt"}], 1),
         ([{"stage": "globalpower"}], 1),
         ([{"stage": "cwt", "norm": "eq4"}, {"stage": "globalpower"}], 2),
         ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "globalpower"}], 2),
     ],
 )
 def test_run_inverts_each_row_once_per_scalogram(tmp_path, monkeypatch, pipeline, passes):
-    # The cwt stage's one pass over the rows gives its table, its heat map
-    # and the power that globalpower reuses from the shared scalogram.
+    # One pass over the rows of the shared scalogram, in either stage
+    # order, gives the cwt table and heat map and the globalpower power.
     cfg = _csv_run(tmp_path, 2048, pipeline)
     calls = []
     real = np.fft.ifft
@@ -428,6 +417,25 @@ def test_scalogram_run_memory_grows_with_n_not_scales_times_n(tmp_path):
     growth = peaks[2**14] - peaks[2**12]
     scalogram_growth = 16 * (89 * 2**14 - 73 * 2**12)
     assert growth <= 12 * 16 * 2 * (2**14 - 2**12) < scalogram_growth / 3
+
+
+def test_cli_reads_no_private_name_of_cwt_svg_or_scalogram():
+    # cli.py takes the scalogram's reduction and the heat-map binning by
+    # their public names: no attribute it reads and no name it imports is
+    # a private of cwt, svg or a Scalogram (class or instance).
+    def private(names):
+        return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+    sg = cwtmod.cwt_morlet(TimeSeries(np.sin(np.arange(64.0)), 1.0))
+    forbidden = private(vars(cwtmod)) | private(vars(svg))
+    forbidden |= private(vars(cwtmod.Scalogram)) | private(vars(sg))
+    assert {"_evaluate", "_outside_slices", "_spec", "_mean_or_nan"} <= forbidden
+    tree = ast.parse(open(climod.__file__, encoding="utf-8").read())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("cwt", "svg"):
+            read |= {alias.name for alias in node.names}
+    assert sorted(read & forbidden) == []
 
 
 def test_stage_subcommand_flags_are_the_declared_params():
@@ -545,6 +553,17 @@ def test_phase_subcommand_reports_locked_offset(tmp_path):
     info = json.loads((out / "phase.json").read_text())
     assert info["median_rad"] == pytest.approx(-0.785, abs=1e-3)
     assert len(info["segments"]) == 1
+
+
+@pytest.mark.parametrize("period", ["nan", "inf", "0", "-1"])
+def test_phase_subcommand_refuses_a_period_before_reading(tmp_path, period):
+    # The period is checked before either input is read (neither exists)
+    # or the output directory is made.
+    out = tmp_path / "sync"
+    argv = ["phase", "--input-a", str(tmp_path / "a.csv"), "--input-b",
+            str(tmp_path / "b.csv"), "--period", period, "--outdir", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
 
 
 def test_synth_subcommand_round_trip(tmp_path):

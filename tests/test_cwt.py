@@ -218,25 +218,6 @@ def test_cwt_working_memory_is_linear_in_the_padded_length(n):
 
 
 @pytest.mark.parametrize("n", [2**12, 2**14])
-def test_global_power_working_memory_is_linear_in_n(n):
-    # Global power over held coefficients.  Each row's cone mean is taken
-    # over a slice as the row is reduced.  An S x n mask alone would be
-    # S >= 73 bytes per sample at these sizes; the rows in flight measure
-    # about 17.
-    ts = TimeSeries(np.random.default_rng(1).standard_normal(n), 1.0)
-    sg = cwt_morlet(ts)
-    sg.coeffs
-    tracemalloc.start()
-    try:
-        global_power(sg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sg.scales.size > 48
-    assert peak <= 48 * n
-
-
-@pytest.mark.parametrize("n", [2**12, 2**14])
 def test_streamed_global_power_holds_no_scalogram(n):
     # Transform and reduction together, rows evaluated as they stream:
     # O(n_fft) working memory with no S x n term.  The coefficients alone
@@ -265,11 +246,63 @@ def test_scalogram_pass_holds_one_row_buffer(n):
     n_fft = 2 * n
     tracemalloc.start()
     try:
-        sg._outside_power()
+        sg.power_summary()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * 16 * n_fft
+
+
+def _rows(sg):
+    """Every row of ``sg`` in scale order, one pass."""
+    return sg._evaluate(range(sg.scales.size))
+
+
+def _masked_means(sg, grid):
+    """Per-scale mean of a (scale, time) grid over the reliable mask, NaN
+    where a scale has no point outside the cone."""
+    mask = sg.reliable_mask()
+    return np.array([row[m].mean() if m.any() else np.nan for row, m in zip(grid, mask)])
+
+
+def test_global_power_bins_no_heat_map(monkeypatch):
+    # global_power alone pays for no heat map: no log10 and no binning.
+    def refused(*args, **kwargs):
+        raise AssertionError("heat-map work in global_power")
+
+    sg = cwt_morlet(TimeSeries(np.random.default_rng(2).standard_normal(1000), 20.0))
+    monkeypatch.setattr(np, "log10", refused)
+    monkeypatch.setattr("wavescope.cwt.column_bins", refused)
+    gp = global_power(sg)
+    summary = sg.power_summary()
+    assert summary.heatmap is None and summary.mean_relative is None
+    assert gp.power.tobytes() == summary.mean_power[summary.counts > 0].tobytes()
+
+
+def test_power_summary_keeps_the_record_it_covers(monkeypatch):
+    ts = TimeSeries(np.random.default_rng(4).standard_normal(700), 20.0)
+    calls = []
+    real = np.fft.ifft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    plain, full = cwt_morlet(ts), cwt_morlet(ts)
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    # A heat-map pass serves plain requests; a plain pass is redone once
+    # for the heat map, which then serves both.
+    assert full.power_summary(heatmap=True) is full.power_summary()
+    assert plain.power_summary() is plain.power_summary()
+    with_map = plain.power_summary(heatmap=True)
+    assert with_map is plain.power_summary() is plain.power_summary(heatmap=True)
+    assert len(calls) == 3 * plain.scales.size
+    for name in ("counts", "mean_power", "mean_relative", "heatmap"):
+        assert getattr(with_map, name).tobytes() == getattr(full.power_summary(), name).tobytes()
+    coeffs = cwt_morlet(ts).coeffs
+    power = np.abs(coeffs) ** 2
+    want = _masked_means(plain, power / plain.signal_variance)
+    assert with_map.mean_relative.tobytes() == want.tobytes()
 
 
 def test_interleaved_row_passes_keep_their_own_buffers():
@@ -278,36 +311,39 @@ def test_interleaved_row_passes_keep_their_own_buffers():
     ts = TimeSeries(np.random.default_rng(3).standard_normal(700), 20.0)
     sg = cwt_morlet(ts)
     want = [row.tobytes() for row in cwt_morlet(ts).coeffs]
-    in_step = [(a.tobytes(), b.tobytes()) for a, b in zip(sg._rows(), sg._rows())]
+    in_step = [(a.tobytes(), b.tobytes()) for a, b in zip(_rows(sg), _rows(sg))]
     assert in_step == list(zip(want, want))
-    ahead = sg._rows()
+    ahead = _rows(sg)
     next(ahead)
-    offset = [(a.tobytes(), b.tobytes()) for a, b in zip(sg._rows(), ahead)]
+    offset = [(a.tobytes(), b.tobytes()) for a, b in zip(_rows(sg), ahead)]
     assert offset == list(zip(want, want[1:]))
     assert sg._coeffs is None
 
 
 @pytest.mark.parametrize("pad, norm", [("zero", "l2"), ("periodic", "eq4")])
 def test_streamed_rows_match_the_held_coefficients(pad, norm):
-    # A reducer that streams the rows gives the bytes that it gives over
-    # the held coefficients, and so does a lone phase row.
+    # Streamed rows are the bytes that ``coeffs`` holds, whether or not a
+    # scalogram filled its coefficients, and so is the global power.
     ts = TimeSeries(np.random.default_rng(7).standard_normal(1000), 20.0)
     streamed, held = (cwt_morlet(ts, pad=pad, norm=norm) for _ in range(2))
     coeffs = held.coeffs
-    assert [r.tobytes() for r in streamed._rows()] == [r.tobytes() for r in coeffs]
+    assert [r.tobytes() for r in _rows(streamed)] == [r.tobytes() for r in coeffs]
     a, b = global_power(streamed), global_power(held)
     assert streamed._coeffs is None
     for name in ("power", "significance_95", "n_averaged"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-    # The per-scale power that global_power kept is the public reducer's.
-    want = held.mean_outside_coi(np.abs(coeffs) ** 2)
-    assert streamed._outside_power()[1].tobytes() == want.tobytes()
+    # The per-scale power that global_power read is the masked mean's.
+    want = _masked_means(held, np.abs(coeffs) ** 2)
+    assert streamed.power_summary().mean_power.tobytes() == want.tobytes()
 
 
 def test_phase_at_scale_evaluates_only_its_row(monkeypatch):
     ts = _tone(0.4, 100.0, 700)
     held = cwt_morlet(ts)
     coeffs = held.coeffs
+    picks = (0, 9, held.scales.size - 1)
+    # The held scalogram's phase rows are computed before counting starts.
+    held_phase = [phase_at_scale(held, float(held.scales[i])).phase for i in picks]
     calls = []
     real = np.fft.ifft
 
@@ -317,11 +353,11 @@ def test_phase_at_scale_evaluates_only_its_row(monkeypatch):
 
     sg = cwt_morlet(ts)
     monkeypatch.setattr(np.fft, "ifft", counting)
-    for idx in (0, 9, sg.scales.size - 1):
+    for idx, want in zip(picks, held_phase):
         ph = phase_at_scale(sg, float(sg.scales[idx]))
         assert ph.phase.tobytes() == np.angle(coeffs[idx]).tobytes()
         assert ph.amplitude.tobytes() == np.abs(coeffs[idx]).tobytes()
-        assert ph.phase.tobytes() == phase_at_scale(held, ph.scale).phase.tobytes()
+        assert ph.phase.tobytes() == want.tobytes()
     assert len(calls) == 3
     assert sg._coeffs is None
 
@@ -388,6 +424,26 @@ def test_phase_at_scale_reports_snapped_scale():
     sg = cwt_morlet(ts)
     ph = phase_at_scale(sg, scale=float(sg.scales[7]) * 1.02)
     assert ph.scale == pytest.approx(float(sg.scales[7]))
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_phase_at_scale_refuses_a_scale_that_is_not_finite_and_positive(scale):
+    sg = cwt_morlet(_tone(0.4, 100.0, 512))
+    with pytest.raises(ValidationError, match="finite positive"):
+        phase_at_scale(sg, scale)
+
+
+@pytest.mark.parametrize("siglevel", [1.5, math.nan, -0.2, 1.0, 0.0, math.inf])
+def test_significance_refuses_a_level_outside_the_open_unit_interval(siglevel):
+    sg = cwt_morlet(_tone(0.3, 100.0, 512))
+    for reducer in (global_power, pointwise_significance):
+        with pytest.raises(ValidationError, match="siglevel"):
+            reducer(sg, siglevel=siglevel)
+    # The refusal comes before the pass over the rows.
+    assert sg._summary is None
+    thresholds = global_power(sg, siglevel=0.99).significance_95
+    assert np.all(np.isfinite(thresholds))
+    assert np.all(np.isfinite(pointwise_significance(sg, siglevel=0.99)))
 
 
 def test_phase_difference_constant_offset():

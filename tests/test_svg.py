@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wavescope import ValidationError, svg
+from wavescope.signal_core import column_bins
 from wavescope.svg import heatmap, line_plot
 
 
@@ -287,7 +288,7 @@ def test_heatmap_of_streamed_or_binned_rows_matches_the_array(tmp_path, case):
     x, y, z, kwargs = _HEAT_CASES[case]
     heatmap(tmp_path / "array.svg", x, y, z, **kwargs)
     heatmap(tmp_path / "rows.svg", x, y, (row for row in z), **kwargs)
-    binned = svg._column_bins(iter(z), x.size, kwargs.get("max_cols", 192))
+    binned = column_bins(iter(z), x.size, kwargs.get("max_cols", 192))
     heatmap(tmp_path / "binned.svg", x, y, binned, **kwargs)
     want = (tmp_path / "array.svg").read_bytes()
     assert (tmp_path / "rows.svg").read_bytes() == want
@@ -303,7 +304,7 @@ def test_row_bins_equal_the_column_block_means(shape, size):
     z *= 10.0 ** np.arange(shape[0])[:, None]
     edges = np.linspace(0, size, 193).astype(int)
     want = np.stack([z[:, a:b].mean(axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1)
-    assert svg._column_bins(iter(z), size).tobytes() == want.tobytes()
+    assert column_bins(iter(z), size).tobytes() == want.tobytes()
 
 
 def test_heatmap_rejects_misshapen_rows(tmp_path):
