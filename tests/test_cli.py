@@ -377,10 +377,10 @@ def _csv_run(tmp_path, n, pipeline):
     "pipeline, passes",
     [
         ([{"stage": "cwt"}, {"stage": "globalpower"}], 1),
-        ([{"stage": "globalpower"}, {"stage": "cwt"}], 1),
         ([{"stage": "globalpower"}], 1),
         ([{"stage": "cwt", "norm": "eq4"}, {"stage": "globalpower"}], 2),
         ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "globalpower"}], 2),
+        ([{"stage": "globalpower"}, {"stage": "cwt"}], 1),
     ],
 )
 def test_run_inverts_each_row_once_per_scalogram(tmp_path, monkeypatch, pipeline, passes):
