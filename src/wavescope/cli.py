@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration problem, 3 stage failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -308,14 +309,18 @@ _TIME_HEADERS = ("time", "time_s", "t", "timestamp", "timestamp_s")
 
 
 def _load_csv_sniffed(path, sample_rate=None, column=0) -> TimeSeries:
-    """Load a CSV, treating a header column named like a time axis as one."""
+    """Load a CSV, treating a header column named like a time axis as one.
+
+    The header row is read as ``load_csv`` reads it: UTF-8 with an
+    optional byte-order mark, fields split by ``csv.reader``.
+    """
     time_column = None
     try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline()
-    except (OSError, UnicodeDecodeError):  # load_csv reports these
-        first = ""
-    fields = [f.strip().lower() for f in first.split(",")]
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            first = next(csv.reader(fh), [])
+    except (OSError, UnicodeDecodeError, csv.Error):  # load_csv reports these
+        first = []
+    fields = [f.strip().lower() for f in first]
     for i, name in enumerate(fields):
         if name in _TIME_HEADERS:
             time_column = i
@@ -330,9 +335,9 @@ def _load_csv_sniffed(path, sample_rate=None, column=0) -> TimeSeries:
 def _build_input(cfg: RunConfig) -> TimeSeries:
     inp = cfg.input
     if inp["kind"] == "csv":
-        csv = _with_defaults(inp, _INPUT_PARAMS["csv"])
+        spec = _with_defaults(inp, _INPUT_PARAMS["csv"])
         return _load_csv_sniffed(
-            csv["path"], sample_rate=csv["sample_rate"], column=csv["column"]
+            spec["path"], sample_rate=spec["sample_rate"], column=spec["column"]
         )
     kind = inp["synth"]["kind"]
     spec = _with_defaults(inp["synth"], _SYNTH_PARAMS[kind])
@@ -384,15 +389,17 @@ class _Scalograms:
     series object (compared with ``is``) or a param differs from the held
     one, and drops the held scalogram first, so at most one is alive.
     ``cwt_morlet`` is looked up on its module at call time, so a wrapped
-    module attribute sees every transform.  A new scalogram whose params
-    are among ``heatmap_params``, those of the run's ``cwt`` stages, gets
-    its ``power_summary`` pass with the heat map at once, so a stage of
-    either kind, in either order, reads that one record.  A held
-    scalogram is O(n_fft + S max_cols).
+    module attribute sees every transform.  ``run`` sets
+    ``heatmap_params`` before each stage to the params of the ``cwt``
+    stages that will read this stage's series (see _cwt_params_ahead).  A
+    new scalogram with params among them gets its ``power_summary`` pass
+    with the heat map at once, so a stage of either kind, in either order,
+    reads that one record; any other gets no heat map.  A held scalogram
+    is O(n_fft + S max_cols).
     """
 
-    def __init__(self, heatmap_params):
-        self._heatmap_params = set(heatmap_params)
+    def __init__(self):
+        self.heatmap_params = set()
         self._ts = self._params = self._sg = None
 
     def __call__(self, ts, omega0, norm, pad):
@@ -401,9 +408,22 @@ class _Scalograms:
             self._sg = None
             self._sg = cwtmod.cwt_morlet(ts, omega0=omega0, norm=norm, pad=pad)
             self._ts, self._params = ts, params
-            if params in self._heatmap_params:
+            if params in self.heatmap_params:
                 self._sg.power_summary(heatmap=True)
         return self._sg
+
+
+def _cwt_params_ahead(stages) -> set:
+    """``(omega0, norm, pad)`` of the ``cwt`` stages among ``stages`` that
+    read the series the first one reads: those before the next
+    ``denoise``, the one stage that returns a new series."""
+    params = set()
+    for name, p in stages:
+        if name == "denoise":
+            break
+        if name == "cwt":
+            params.add((p["omega0"], p["norm"], p["pad"]))
+    return params
 
 
 def _stage_denoise(ts, params, emit):
@@ -752,8 +772,8 @@ def run(cfg: RunConfig) -> RunReport:
     and holds it, O(n_fft + S max_cols), until the next transform or the
     end of the run.  Neither stage holds an S x n array, and in either
     order the two read one ``power_summary`` record, which bins the heat
-    map when a ``cwt`` stage has those params, so each row's inverse FFT
-    runs once.
+    map when this or a later ``cwt`` stage reads that series with those params,
+    so each row's inverse FFT runs once.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -762,9 +782,7 @@ def run(cfg: RunConfig) -> RunReport:
     stages = [
         (s["stage"], _with_defaults(s, _STAGE_PARAMS[s["stage"]])) for s in cfg.pipeline
     ]
-    scalograms = _Scalograms(
-        (p["omega0"], p["norm"], p["pad"]) for name, p in stages if name == "cwt"
-    )
+    scalograms = _Scalograms()
 
     def wanted(name):
         return cfg.formats[name.rsplit(".", 1)[1]]
@@ -786,7 +804,10 @@ def run(cfg: RunConfig) -> RunReport:
     }
     for i, (name, params) in enumerate(stages):
         emit = _writer(outdir, f"{i:02d}_{name}_", wanted, written)
-        args = (ts, params, emit) + ((scalograms,) if name in _SCALOGRAM_STAGES else ())
+        args = (ts, params, emit)
+        if name in _SCALOGRAM_STAGES:
+            scalograms.heatmap_params = _cwt_params_ahead(stages[i:])
+            args += (scalograms,)
         ts, summary[name] = attempt(name, _STAGE_FUNCS[name], *args)
     report = RunReport(
         artifacts=[

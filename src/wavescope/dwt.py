@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -195,10 +195,9 @@ def dwt_max_level(n: int, spec: WaveletSpec) -> int:
     return int(math.floor(math.log2(n / (spec.support - 1))))
 
 
-def _analyse(x: np.ndarray, spec: WaveletSpec, levels: int, boundary: str):
-    """Check the arguments as :func:`dwt_decompose` documents, then run the
-    analysis pyramid, yielding ``(input length, approximation, detail)`` for
-    each level, finest first."""
+def _check_analysis(x: np.ndarray, levels: int, boundary: str) -> None:
+    """Raise as :func:`dwt_decompose` documents when ``x`` cannot be
+    analysed down to ``levels``."""
     if x.ndim != 1:
         raise ValidationError("input must be one-dimensional")
     if levels < 1:
@@ -213,6 +212,13 @@ def _analyse(x: np.ndarray, spec: WaveletSpec, levels: int, boundary: str):
         raise ValidationError(
             "periodic boundary requires the length to be divisible by 2**levels"
         )
+
+
+def _analyse(x: np.ndarray, spec: WaveletSpec, levels: int, boundary: str):
+    """Check the arguments with :func:`_check_analysis`, then run the
+    analysis pyramid, yielding ``(input length, approximation, detail)`` for
+    each level, finest first."""
+    _check_analysis(x, levels, boundary)
     step = _analysis_periodic if boundary == "periodic" else _analysis_symmetric
     cur = x
     for _ in range(levels):
@@ -317,34 +323,41 @@ def extract_fluctuation(
     spec: WaveletSpec,
     level: int | Sequence[int],
     boundary: str = "symmetric",
-) -> np.ndarray | list[np.ndarray]:
+) -> np.ndarray | Iterator[np.ndarray]:
     """Bandpass fluctuation of a profile around its level-``level`` trend.
 
     The trend is the wavelet approximation at the requested level.  To keep
     edge distortion symmetric, the residual is computed on the profile and
     on its time reversal and the two are averaged after re-reversal.
 
-    ``level`` may also be an ascending sequence of levels, giving one array
-    per level in order.  Each direction is decomposed once, down to the
-    deepest level (Mallat's pyramid): O(n log n) time for n samples, and
-    memory of one length-n array per level plus O(n) for the two pyramids.
+    ``level`` may also be an ascending sequence of levels.  The arguments
+    are checked at the call, and the result is an iterator that builds one
+    array per level, in order, when it is asked for the next: a caller that
+    reduces each array before asking for the next holds O(1) length-n arrays.
+    Each direction is decomposed once, down to the deepest level (Mallat's
+    pyramid): O(n log n) time for n samples and about 7 length-n arrays of
+    working memory, the first level of both pyramids, one reconstruction
+    and the forward residual.
     """
     values = np.asarray(values, dtype=float)
     levels = [operator.index(j) for j in np.atleast_1d(level)]
     if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValidationError("levels must be ascending and >= 1")
-    # Both pyramids advance together and each level's reversed residual is
-    # folded into the forward one in place.  Fewer length-n allocations keep
-    # freed memory from lingering on the C heap, where it made later stages'
-    # peak RSS vary from process to process.
-    out = []
-    for fwd, rev in zip(_residuals(values, spec, levels, boundary),
-                        _residuals(values[::-1], spec, levels, boundary)):
-        fwd += rev[::-1]
-        fwd *= 0.5
-        del rev
-        out.append(fwd)
-    return out[0] if np.ndim(level) == 0 else out
+    _check_analysis(values, levels[-1], boundary)
+    # Both pyramids advance together; each level's reversed residual is
+    # folded into the forward one in place, and no name holds a level's
+    # array once it is handed out.
+    fwd = _residuals(values, spec, levels, boundary)
+    rev = _residuals(values[::-1], spec, levels, boundary)
+    flucts = (_fold(next(fwd), next(rev)) for _ in levels)
+    return next(flucts) if np.ndim(level) == 0 else flucts
+
+
+def _fold(fwd: np.ndarray, rev: np.ndarray) -> np.ndarray:
+    """Average ``fwd`` with the re-reversed ``rev``, in ``fwd``."""
+    fwd += rev[::-1]
+    fwd *= 0.5
+    return fwd
 
 
 def _residuals(values, spec: WaveletSpec, levels: list[int], boundary: str):

@@ -202,9 +202,11 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
     Requested scales snap to the nearest dyadic wavelet level (duplicates
     collapse) and the snapped values are reported in the result.  The
     profile is decomposed once per direction for all levels (see
-    :func:`~wavescope.dwt.extract_fluctuation`): for n samples this takes
-    O(n log n) time, and memory holds one length-n fluctuation array per
-    level plus O(n) for the two wavelet pyramids.
+    :func:`~wavescope.dwt.extract_fluctuation`), and each level's
+    fluctuation is reduced to its segment variances before the next level
+    is built.  For n samples, L levels and Q moment orders this takes
+    O(n log n + n Q) time, and the working memory is about 7 n floats
+    whatever L is, plus O(n / s) segment variances.
     """
     # Deferred: scipy.special costs about half of ``import wavescope``.
     from scipy.special import logsumexp
@@ -225,10 +227,12 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
                 f"{cfg.min_segments} segments for n={n}"
             )
 
+    # Each level's fluctuation is reduced to its segment variances before
+    # the next level is built, so no name keeps it.
     flucts = extract_fluctuation(values, cfg.wavelet, levels, boundary=cfg.boundary)
     columns = []
-    for fluct, s in zip(flucts, scales.tolist()):
-        seg = segment_variance(fluct, s, cfg.min_segments)
+    for s in scales.tolist():
+        seg = segment_variance(next(flucts), s, cfg.min_segments)
         columns.append(_moments(seg, cfg.q_values, s, logsumexp))
     fq = np.column_stack(columns)
     return FluctuationTable(

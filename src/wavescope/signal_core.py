@@ -180,7 +180,7 @@ def load_csv(
     is a bare value column and ``sample_rate`` is required.
 
     An optional single header row is skipped.  Decimal separator is '.',
-    encoding UTF-8.
+    encoding UTF-8, with or without a byte-order mark.
 
     Raises
     ------
@@ -194,7 +194,7 @@ def load_csv(
     path = Path(path)
     values: list[float] = []
     times: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for row_no, fields in enumerate(_decoded(reader, path), start=1):
             if not fields or all(not f.strip() for f in fields):

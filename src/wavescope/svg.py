@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -30,6 +29,13 @@ _MARGIN_L = 64.0
 _MARGIN_R = 14.0
 _MARGIN_T = 30.0
 _MARGIN_B = 46.0
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, the bytes of
+    ``xml.sax.saxutils.escape``; that module pulls ``urllib.request`` and
+    ``email`` into ``import wavescope``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -165,7 +171,7 @@ def _frame(ax: _Axes, xlabel, ylabel, title):
             f'<line x1="{_fmt(px)}" y1="{_fmt(ax.y0)}" x2="{_fmt(px)}" '
             f'y2="{_fmt(ax.y0 + 4)}" stroke="#444444"/>\n'
             f'<text x="{_fmt(px)}" y="{_fmt(ax.y0 + 16)}" font-size="10" '
-            f'text-anchor="middle">{escape(_tick_label(t))}</text>\n'
+            f'text-anchor="middle">{_escape(_tick_label(t))}</text>\n'
         )
     for t in yticks:
         py = ax.py(t)
@@ -175,22 +181,22 @@ def _frame(ax: _Axes, xlabel, ylabel, title):
             f'<line x1="{_fmt(ax.x0 - 4)}" y1="{_fmt(py)}" x2="{_fmt(ax.x0)}" '
             f'y2="{_fmt(py)}" stroke="#444444"/>\n'
             f'<text x="{_fmt(ax.x0 - 6)}" y="{_fmt(py + 3)}" font-size="10" '
-            f'text-anchor="end">{escape(_tick_label(t))}</text>\n'
+            f'text-anchor="end">{_escape(_tick_label(t))}</text>\n'
         )
     cx = 0.5 * (ax.x0 + ax.x1)
     out.append(
         f'<text x="{_fmt(cx)}" y="{_fmt(ax.y0 + 34)}" font-size="11" '
-        f'text-anchor="middle">{escape(xlabel)}</text>\n'
+        f'text-anchor="middle">{_escape(xlabel)}</text>\n'
     )
     cy = 0.5 * (ax.y0 + ax.y1)
     out.append(
         f'<text x="14" y="{_fmt(cy)}" font-size="11" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_fmt(cy)})">{escape(ylabel)}</text>\n'
+        f'transform="rotate(-90 14 {_fmt(cy)})">{_escape(ylabel)}</text>\n'
     )
     if title:
         out.append(
             f'<text x="{_fmt(cx)}" y="18" font-size="12" font-weight="bold" '
-            f'text-anchor="middle">{escape(title)}</text>\n'
+            f'text-anchor="middle">{_escape(title)}</text>\n'
         )
     return "".join(out)
 
@@ -255,7 +261,7 @@ def line_plot(
                 f'<line x1="{_fmt(px)}" y1="{_fmt(ax.y1)}" x2="{_fmt(px)}" '
                 f'y2="{_fmt(ax.y0)}" stroke="#888888" stroke-dasharray="3,3"/>\n'
                 f'<text x="{_fmt(px + 3)}" y="{_fmt(ax.y1 + 12)}" font-size="10" '
-                f'fill="#555555">{escape(text)}</text>\n'
+                f'fill="#555555">{_escape(text)}</text>\n'
             )
     ly = _MARGIN_T + 6
     for i, (_, _, label, _) in enumerate(norm):
@@ -266,7 +272,7 @@ def line_plot(
             f'<line x1="{_fmt(ax.x1 - 120)}" y1="{_fmt(ly)}" x2="{_fmt(ax.x1 - 100)}" '
             f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="2"/>\n'
             f'<text x="{_fmt(ax.x1 - 96)}" y="{_fmt(ly + 3)}" font-size="10">'
-            f"{escape(label)}</text>\n"
+            f"{_escape(label)}</text>\n"
         )
         ly += 14
     out = Path(path)

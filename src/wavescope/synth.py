@@ -115,26 +115,50 @@ def _circulant_gaussian(cov: np.ndarray, n: int, rng: np.random.Generator) -> np
     ``cov`` holds autocovariances for lags 0..m with m >= n - 1.  The
     embedding size is 2m; eigenvalues of the circulant must be
     non-negative for the construction to be exact.
+
+    One complex 2m buffer holds the circulant row, its spectrum, the
+    random spectrum and the inverse transform in turn, so the working
+    memory is that buffer plus the 2m eigenvalues: 48 m bytes.  Returns a
+    new n-sample array.
     """
-    first_row = np.concatenate([cov, cov[-2:0:-1]])
-    lam = np.fft.fft(first_row).real
-    if lam.min() < -1e-9 * lam.max():
+    size = 2 * (cov.size - 1)
+    half = size // 2
+    # The row is built as complex: numpy's FFT of a real array casts it,
+    # so the eigenvalues keep their bytes.
+    buf = np.zeros(size, dtype=complex)
+    buf.real[: half + 1] = cov
+    buf.real[half + 1 :] = cov[-2:0:-1]
+    del cov
+    np.fft.fft(buf, out=buf)
+    spectrum = buf.real
+    if spectrum.min() < -1e-9 * spectrum.max():
         raise EmbeddingError(
             f"circulant embedding not non-negative definite "
-            f"(min eigenvalue {lam.min():.3e})"
+            f"(min eigenvalue {spectrum.min():.3e})"
         )
-    lam = np.clip(lam, 0.0, None)
-    m = first_row.size
-    half = m // 2
-    z = np.zeros(m, dtype=complex)
+    # All 2m eigenvalues are kept, though z reads only 0..m.  Freeing this
+    # 16 m-byte array raises glibc's adaptive heap-trim threshold to 32 m
+    # bytes, above the two complex scratch arrays that numpy's FFT
+    # allocates and frees on every call, so later transforms of fewer than
+    # m points reuse heap pages.  With half of it, a Morlet pass at 2^18
+    # samples after gen_fbm(2^20) faulted 16 MiB in anew on every row and
+    # ran about 30 % slower.
+    lam = np.clip(spectrum, 0.0, None)
+    z = buf
     z[0] = math.sqrt(lam[0]) * rng.standard_normal()
     z[half] = math.sqrt(lam[half]) * rng.standard_normal()
-    re = rng.standard_normal(half - 1)
-    im = rng.standard_normal(half - 1)
-    z[1:half] = np.sqrt(lam[1:half] / 2.0) * (re + 1j * im)
-    z[half + 1 :] = np.conj(z[1:half][::-1])
-    x = math.sqrt(m) * np.fft.ifft(z).real
-    return x[:n]
+    # The draws go where the mirror image is written last: re, then im.
+    draws = z[half + 1 :].view(float)
+    rng.standard_normal(out=draws[: half - 1])
+    rng.standard_normal(out=draws[half - 1 :])
+    z.real[1:half] = draws[: half - 1]
+    z.imag[1:half] = draws[half - 1 :]
+    scale = lam[1:half]
+    scale /= 2.0
+    z[1:half] *= np.sqrt(scale, out=scale)
+    np.conjugate(z[1:half][::-1], out=z[half + 1 :])
+    np.fft.ifft(z, out=z)
+    return math.sqrt(size) * z.real[:n]
 
 
 def gen_fbm(
@@ -150,7 +174,9 @@ def gen_fbm(
     truncation).  Should the embedding spectrum come out negative, the
     embedding is retried once at double size before failing.
 
-    Requires ``n`` to be a power of two and at least 256.
+    Requires ``n`` to be a power of two and at least 256.  O(n log n) time;
+    the working memory is about 7 n floats: one complex 2n-point buffer,
+    its 2n eigenvalues and the n samples, summed in place.
     """
     if not 0.0 < hurst < 1.0:
         raise ValidationError("hurst must lie in (0, 1)")
@@ -158,14 +184,13 @@ def gen_fbm(
         raise ValidationError("n must be a power of two, at least 256")
     rng = np.random.default_rng(seed)
     for max_lag in (n, 2 * n):
-        cov = _fgn_autocovariance(hurst, max_lag)
         try:
-            fgn = _circulant_gaussian(cov, n, rng)
+            fgn = _circulant_gaussian(_fgn_autocovariance(hurst, max_lag), n, rng)
             break
         except EmbeddingError:
             if max_lag == 2 * n:
                 raise
-    samples = np.cumsum(fgn)
+    samples = np.cumsum(fgn, out=fgn)
     return TimeSeries(samples, sample_rate, label=f"fbm(H={hurst:g}, seed={seed})")
 
 

@@ -107,6 +107,33 @@ def test_sniffed_loader_bare_column_needs_rate(tmp_path):
     assert ts.samples.size == 32
 
 
+_BOM_TIME_CSV = b"\xef\xbb\xbftime_s,value\r\n0.0,4.0\r\n0.5,5.0\r\n1.0,6.0\r\n"
+
+
+def test_sniffed_loader_finds_a_time_header_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(_BOM_TIME_CSV)
+    ts = _load_csv_sniffed(path)
+    assert ts.sample_rate == 2.0
+    assert ts.samples.tolist() == [4.0, 5.0, 6.0]
+
+
+def test_sniffed_loader_reads_values_not_times_after_a_byte_order_mark(tmp_path):
+    # With a stated rate the time column used to be read as the values.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(_BOM_TIME_CSV)
+    ts = _load_csv_sniffed(path, sample_rate=2.0)
+    assert ts.samples.tolist() == [4.0, 5.0, 6.0]
+
+
+def test_sniffed_loader_finds_a_quoted_time_header(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('"time_s","value"\n0.0,4.0\n0.5,5.0\n1.0,6.0\n')
+    ts = _load_csv_sniffed(path)
+    assert ts.sample_rate == 2.0
+    assert ts.samples.tolist() == [4.0, 5.0, 6.0]
+
+
 # -------------------------------------------------------------------- runs
 
 
@@ -397,6 +424,36 @@ def test_run_inverts_each_row_once_per_scalogram(tmp_path, monkeypatch, pipeline
     monkeypatch.setattr(np.fft, "ifft", counting)
     run(cfg)
     assert len(calls) == passes * cwtmod.default_scales(2048, 1.0).size
+
+
+@pytest.mark.parametrize(
+    "pipeline, maps",
+    [
+        ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "globalpower"}], 1),
+        ([{"stage": "globalpower"}, {"stage": "denoise"}, {"stage": "cwt"}], 1),
+        ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "cwt"}], 2),
+        ([{"stage": "cwt"}, {"stage": "globalpower"}], 1),
+        ([{"stage": "globalpower"}, {"stage": "cwt"}], 1),
+        ([{"stage": "globalpower"}], 0),
+    ],
+)
+def test_run_bins_a_heat_map_only_for_a_cwt_stage_on_that_series(
+    tmp_path, monkeypatch, pipeline, maps
+):
+    # A heat map costs one log10 per row.  Only denoise returns a new
+    # series, so a scalogram of one side of it bins no map for a cwt stage
+    # on the other side.
+    cfg = _csv_run(tmp_path, 2048, pipeline)
+    calls = []
+    real = np.log10
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log10", counting)
+    run(cfg)
+    assert len(calls) == maps * cwtmod.default_scales(2048, 1.0).size
 
 
 def test_scalogram_run_memory_grows_with_n_not_scales_times_n(tmp_path):

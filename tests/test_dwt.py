@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavescope import TooShortError, ValidationError
+from wavescope import TooShortError, ValidationError, dwt
 from wavescope.dwt import (
     BOUNDARY_MODES,
     daubechies,
@@ -162,7 +162,7 @@ def test_extract_fluctuation_levels_share_one_pyramid_exactly(boundary):
         return v - dwt_reconstruct(decomp, keep={"approx"})
 
     before = x.copy()
-    got = extract_fluctuation(x, spec, levels, boundary=boundary)
+    got = list(extract_fluctuation(x, spec, levels, boundary=boundary))
     # The two directions are folded in place, into fresh residuals only.
     assert np.array_equal(x, before)
     assert not any(np.shares_memory(fluct, x) for fluct in got)
@@ -178,6 +178,43 @@ def test_extract_fluctuation_rejects_unordered_levels():
     for levels in ([], [3, 2], [0, 1], [2, 2]):
         with pytest.raises(ValidationError):
             extract_fluctuation(x, daubechies(2), levels)
+
+
+def test_extract_fluctuation_checks_a_level_sequence_at_the_call():
+    # The arrays are built lazily, but a bad argument raises before the
+    # first one is asked for.
+    spec = daubechies(2)
+    with pytest.raises(TooShortError):
+        extract_fluctuation(np.arange(16.0), spec, [1, 5])
+    with pytest.raises(ValidationError):
+        extract_fluctuation(np.arange(48.0), spec, [1, 5], boundary="periodic")
+    with pytest.raises(ValidationError):
+        extract_fluctuation(np.arange(64.0), spec, [1, 2], boundary="mirror")
+    with pytest.raises(ValidationError):
+        extract_fluctuation(np.ones((8, 8)), spec, [1, 2])
+
+
+def test_extract_fluctuation_builds_each_level_when_asked(monkeypatch):
+    # One analysis step per direction and level, taken only when the next
+    # array is asked for.
+    steps = []
+    original = dwt._analysis_symmetric
+
+    def counted(*args):
+        steps.append(args[0].size)
+        return original(*args)
+
+    monkeypatch.setattr(dwt, "_analysis_symmetric", counted)
+    x = np.cumsum(np.random.default_rng(3).standard_normal(1024))
+    flucts = extract_fluctuation(x, daubechies(2), [1, 3, 6])
+    assert steps == []
+    next(flucts)
+    assert steps == [1024, 1024]
+    next(flucts)
+    assert len(steps) == 2 * 3
+    next(flucts)
+    assert len(steps) == 2 * 6
+    assert next(flucts, None) is None
 
 
 def test_extract_fluctuation_kills_linear_trend():

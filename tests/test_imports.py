@@ -20,8 +20,10 @@ def test_import_leaves_heavy_scipy_modules_out():
     # the import time; the package needs scipy.signal only to render a
     # bouncing-ball series, scipy.spatial only for the Lyapunov estimator,
     # scipy.special only for CWT significance levels and MFDFA moments,
-    # and never scipy.stats.
-    heavy = ("scipy.stats", "scipy.signal", "scipy.spatial", "scipy.special")
+    # and never scipy.stats.  xml.sax.saxutils would pull in the network
+    # and mail modules, about 40 ms; svg escapes its labels itself.
+    heavy = ("scipy.stats", "scipy.signal", "scipy.spatial", "scipy.special",
+             "xml.sax", "urllib.request", "http.client", "email", "ssl")
     code = f"import sys, wavescope; print(sorted(m for m in {heavy!r} if m in sys.modules))"
 
     assert _python("-c", code).stdout.strip() == "[]"

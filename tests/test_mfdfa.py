@@ -1,7 +1,11 @@
+import hashlib
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +15,7 @@ from wavescope import (
     ZeroVarianceError,
     ZeroVarianceWarning,
 )
-from wavescope import dwt
+from wavescope import dwt, mfdfa
 from wavescope.dwt import daubechies, extract_fluctuation
 from wavescope.mfdfa import (
     FluctuationTable,
@@ -144,6 +148,68 @@ def test_one_analysis_pass_per_direction(monkeypatch):
     prof = np.cumsum(np.random.default_rng(5).standard_normal(4096))
     table = fluctuation_function(prof)
     assert len(calls) == 2 * int(table.levels.max())
+
+
+def test_fluctuation_function_frees_each_level_before_the_next(monkeypatch):
+    # Every level's fluctuation is dead by the time the next one reaches
+    # segment_variance: O(1) length-n arrays at any level count.
+    seen = []
+    original = mfdfa.segment_variance
+
+    def spy(fluct, scale, min_segments):
+        assert [ref() for ref in seen] == [None] * len(seen)
+        seen.append(weakref.ref(fluct))
+        return original(fluct, scale, min_segments)
+
+    monkeypatch.setattr(mfdfa, "segment_variance", spy)
+    table = fluctuation_function(np.cumsum(np.random.default_rng(5).standard_normal(4096)))
+    assert len(seen) == table.scales.size == 9
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_fluctuation_function_working_memory_is_flat_in_the_level_count(n):
+    # Documented bound: about 7 n floats at any level count, the first
+    # level's two analysis steps, one reconstruction and the forward
+    # residual.  One fluctuation array per level (9 levels at 2^12, 11 at
+    # 2^14) held 12.7 n and 14.6 n floats; the bound is 8 n floats.
+    prof = profile(np.random.default_rng(1).standard_normal(n))
+    fluctuation_function(prof)  # imports scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        fluctuation_function(prof)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * n
+
+
+#: The numpy and scipy versions the digest below was pinned on.
+_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+
+
+def test_fluctuation_tables_are_pinned():
+    # sha256 over the F_q(s) tables of fBm increments and of fBm itself
+    # with periodic edges: the levels are built one at a time and the
+    # tables keep their bytes.
+    versions = (np.__version__, scipy.__version__)
+    if versions != _PINNED_VERSIONS:
+        pytest.skip(
+            "tables pinned on numpy/scipy %s/%s, running %s/%s"
+            % (*_PINNED_VERSIONS, *versions)
+        )
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k in (10, 12, 14):
+            for hurst in (0.2, 0.5, 0.7, 0.9):
+                for seed in (0, 1):
+                    x = gen_fbm(hurst, 2**k, seed=seed).samples
+                    table = fluctuation_function(profile(np.diff(x)))
+                    digest.update(table.fluctuation.tobytes())
+                    periodic = MfdfaConfig(boundary="periodic")
+                    table = fluctuation_function(profile(x), periodic)
+                    digest.update(table.fluctuation.tobytes())
+    assert digest.hexdigest() == "2a10deea01f0c9b4df6cf0603cf5cd36ba3161edae9dfb6439307f63a21d3044"
 
 
 def test_config_rejects_unknown_boundary():

@@ -119,3 +119,18 @@ def test_csv_skips_blank_lines(tmp_path):
     path.write_text("1.0\n\n2.0\n\n3.0\n")
     ts = load_csv(path, sample_rate=1.0)
     assert ts.samples.size == 3
+
+
+def test_csv_bare_column_with_a_byte_order_mark_keeps_its_first_sample(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.5\n2.0\n3.0\n")
+    ts = load_csv(path, sample_rate=1.0)
+    assert ts.samples.tolist() == [1.5, 2.0, 3.0]
+
+
+def test_csv_time_column_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom_time.csv"
+    path.write_bytes(b"\xef\xbb\xbf0.0,4.0\n0.5,5.0\n1.0,6.0\n")
+    ts = load_csv(path, column=1, time_column=0)
+    assert ts.sample_rate == 2.0
+    assert ts.samples.tolist() == [4.0, 5.0, 6.0]

@@ -2,6 +2,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ def test_line_plot_log_axes_and_guides(tmp_path):
     assert "stroke-dasharray" in text  # dashed guide and vmark
     assert "cutoff" in text
     assert "<rect" in text  # shaded band
+
+
+@pytest.mark.parametrize(
+    "text", ["", "plain", "a & b", "<tag>", "&amp; &lt;", "x<y>z&&", "h(q) for q ≥ 0"]
+)
+def test_escape_writes_the_bytes_of_saxutils(text):
+    assert svg._escape(text) == escape(text)
 
 
 def test_line_plot_rejects_bad_input(tmp_path):

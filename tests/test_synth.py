@@ -1,7 +1,10 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 
 from wavescope import NyquistError, ValidationError
 from wavescope.lyapunov import map_lyapunov
@@ -59,6 +62,42 @@ def test_fbm_increment_scaling_matches_hurst():
     m2 = np.array([np.mean((x[k:] - x[:-k]) ** 2) for k in lags])
     slope = np.polyfit(np.log(lags), np.log(m2), 1)[0]
     assert slope / 2.0 == pytest.approx(H, abs=0.05)
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_fbm_working_memory_is_seven_floats_per_sample(n):
+    # Documented bound: one complex 2n-point buffer (4 n floats), its 2n
+    # eigenvalues and the n returned samples, about 7 n floats.  A row, a
+    # spectrum, a random spectrum and an inverse of their own held 17-18 n;
+    # the bound is 9 n floats.
+    tracemalloc.start()
+    try:
+        gen_fbm(0.7, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 8 * n
+
+
+#: The numpy and scipy versions the digest below was pinned on.
+_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+
+
+def test_fbm_samples_are_pinned():
+    # sha256 over the samples of every (n, H, seed) below: the circulant
+    # embedding keeps its bytes however its buffers are laid out.
+    versions = (np.__version__, scipy.__version__)
+    if versions != _PINNED_VERSIONS:
+        pytest.skip(
+            "samples pinned on numpy/scipy %s/%s, running %s/%s"
+            % (*_PINNED_VERSIONS, *versions)
+        )
+    digest = hashlib.sha256()
+    for k in range(8, 17):
+        for hurst in (0.2, 0.5, 0.6, 0.7, 0.9):
+            for seed in (0, 1):
+                digest.update(gen_fbm(hurst, 2**k, seed=seed).samples.tobytes())
+    assert digest.hexdigest() == "98249a438eb9c2c3f218505eba7635d56f45b4c15e2a8f1a46f5be08485ed109"
 
 
 def test_fgn_lag1_autocorr_closed_form():
