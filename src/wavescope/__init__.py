@@ -1,6 +1,6 @@
 """wavescope: wavelet-based characterization of nonstationary time series.
 
-The package groups eight concerns behind one namespace:
+The package groups nine concerns behind one namespace:
 
 - ``signal_core``: series container, CSV ingest, profile construction
 - ``spectral``: Fourier power spectra, power-law fits, regime presets
@@ -9,7 +9,8 @@ The package groups eight concerns behind one namespace:
 - ``cwt``: Morlet scalograms, significance tests, phase comparison
 - ``lyapunov``: delay embedding and largest-exponent estimation
 - ``synth``: generators with analytic ground truth for validation
-- ``cli``: config-driven pipeline runner and figure reproduction
+- ``figures``: the paper's figures rebuilt from synthetic stand-ins
+- ``cli``: config-driven pipeline runner and command line
 """
 
 from .errors import (
@@ -96,7 +97,8 @@ from .synth import (
     gen_power_law_noise,
     gen_sine_mix,
 )
-from .cli import RunConfig, RunReport, figure_repro, run, validate_config
+from .figures import figure_repro
+from .cli import RunConfig, RunReport, run, validate_config
 
 __version__ = "0.1.0"
 
@@ -135,6 +137,6 @@ __all__ = [
     "gen_fbm", "gen_power_law_noise", "gen_sine_mix",
     "bounce_map_trajectory", "bounce_map_jacobian", "gen_bouncing_ball",
     "gen_binomial_cascade",
-    # cli
+    # cli and figures
     "RunConfig", "RunReport", "validate_config", "run", "figure_repro",
 ]

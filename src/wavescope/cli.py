@@ -1,12 +1,11 @@
 """Command line interface and config-driven pipeline runner.
 
-Pipeline stages, figure presets and ``phase`` write every file through
-one writer (``_writer``), which applies the formats, builds the path
-and records it.  Everything written is deterministic: JSON is emitted
-with sorted keys and repr-roundtrip floats, CSV numbers use repr, SVG
-uses fixed precision, and no artifact carries a timestamp.  Identical
-config and seed therefore produce byte-identical artifacts, which the
-run report makes checkable by hashing every file it writes.
+This module holds the config schema and its validation, the input
+builder, the pipeline stages, ``run`` and the argv handling; each
+subcommand names its handler and ``main`` calls it.  The figure presets
+and the artifact writer live in ``figures``.  Identical config and seed
+produce byte-identical artifacts, which the run report makes checkable
+by hashing every file it writes.
 
 Exit codes: 0 success, 2 configuration problem, 3 stage failure,
 4 filesystem problem.
@@ -20,7 +19,6 @@ import hashlib
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +31,10 @@ from .errors import (
     StageError,
     WavescopeError,
 )
+from .figures import (
+    FIGURE_NAMES, _fq_plot, _phase_comparison, _plain, _scalogram_plot, _spectrum_plot,
+    _write_fq_table, _write_json, _writer, figure_repro,
+)
 from .signal_core import TimeSeries, _write_table, load_csv, profile, write_csv
 
 __all__ = ["RunConfig", "RunReport", "validate_config", "run", "figure_repro", "main"]
@@ -42,46 +44,8 @@ __all__ = ["RunConfig", "RunReport", "validate_config", "run", "figure_repro", "
 # serialization helpers
 
 
-def _plain(obj):
-    """Recursively convert numpy containers so json sees pure Python."""
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(
-        json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _writer(outdir: Path, prefix: str, wanted, written: list):
-    """The one artifact writer for stages, figure presets and ``phase``.
-
-    ``emit(name, write, *args, **kwargs)`` calls ``write(outdir / (prefix
-    + name), *args, **kwargs)`` when ``wanted(name)`` and then records the
-    path in ``written``.  Callers name ``write`` at the call
-    (``svg.line_plot``, ``write_csv``), never from a stored table, so a
-    wrapped module attribute sees every call.
-    """
-
-    def emit(name, write, /, *args, **kwargs):
-        if wanted(name):
-            path = outdir / (prefix + name)
-            write(path, *args, **kwargs)
-            written.append(path)
-
-    return emit
 
 
 # --------------------------------------------------------------------------
@@ -444,33 +408,6 @@ def _stage_denoise(ts, params, emit):
     }
 
 
-def _spectrum_plot(path, ps, title, guides=(), label="power"):
-    """Log-log spectrum with a dashed guide line per ``(fit, slope, label)``.
-
-    A guide runs across the fitted band, anchored at the band's centre on
-    the fit; its slope is the fit's own when ``slope`` is None.
-    """
-    nz = ps.freqs > 0
-    curves = [(ps.freqs[nz], ps.power[nz], label)]
-    for fit, slope, text in guides:
-        f_lo, f_hi = fit.band
-        f = np.array([f_lo, f_hi])
-        s = fit.slope if slope is None else slope
-        fc = math.sqrt(f_lo * f_hi)
-        level = fit.intercept + fit.slope * math.log10(fc)
-        y = 10.0 ** (level + s * (np.log10(f) - math.log10(fc)))
-        curves.append((f, y, text, True))
-    return svg.line_plot(
-        path,
-        curves,
-        xlabel="frequency (Hz)",
-        ylabel="power",
-        title=title,
-        xlog=True,
-        ylog=True,
-    )
-
-
 def _stage_spectrum(ts, params, emit):
     """One-sided power spectrum."""
     ps = spectral.power_spectrum(ts, window=params["window"])
@@ -534,25 +471,6 @@ def _stage_heisenberg(ts, params, emit):
     return ts, info
 
 
-def _write_fq_table(path, table):
-    header = ["scale"] + [f"q={v:g}" for v in table.q_values]
-    cols = [table.scales.astype(float)] + [
-        table.fluctuation[i] for i in range(table.q_values.size)
-    ]
-    _write_table(path, header, cols)
-
-
-def _fq_plot(path, table, rows, xlabel, title):
-    """Log-log F_q(s) curves for the moment orders at ``rows``."""
-    curves = [
-        (table.scales.astype(float), table.fluctuation[i], f"q={table.q_values[i]:g}")
-        for i in rows
-    ]
-    return svg.line_plot(
-        path, curves, xlabel=xlabel, ylabel="F_q(s)", title=title, xlog=True, ylog=True
-    )
-
-
 def _stage_mfdfa(ts, params, emit):
     """Multifractal fluctuation analysis."""
     data = np.diff(ts.samples) if params["difference"] else ts.samples
@@ -560,11 +478,7 @@ def _stage_mfdfa(ts, params, emit):
     q = np.arange(params["q_min"], params["q_max"] + 0.5 * q_step, q_step)
     cfg = mfdfa.MfdfaConfig(q_values=q)
     table = mfdfa.fluctuation_function(profile(data, ts.sample_rate), cfg)
-    fit_lo, fit_hi = params["fit_lo"], params["fit_hi"]
-    fit_range = (
-        2.0 * table.wavelet_support if fit_lo is None else fit_lo,
-        table.n / 8.0 if fit_hi is None else fit_hi,
-    )
+    fit_range = (params["fit_lo"], params["fit_hi"])
     table = mfdfa.generalized_hurst(table, fit_range=fit_range)
     emit("fq.csv", _write_fq_table, table)
     emit(
@@ -592,22 +506,6 @@ def _stage_mfdfa(ts, params, emit):
     }
     emit("mfdfa.json", _write_json, info)
     return ts, info
-
-
-def _scalogram_plot(path, sg, title):
-    """Heatmap of log10 power relative to the variance, cone of influence
-    drawn, from the column bins of ``sg.power_summary(heatmap=True)``."""
-    return svg.heatmap(
-        path,
-        sg.times,
-        sg.periods,
-        sg.power_summary(heatmap=True).heatmap,
-        xlabel="time (s)",
-        ylabel="period (s)",
-        title=title,
-        ylog=True,
-        overlay=(sg.times, sg.coi),
-    )
 
 
 def _stage_cwt(ts, params, emit, scalogram):
@@ -824,261 +722,6 @@ def run(cfg: RunConfig) -> RunReport:
 
 
 # --------------------------------------------------------------------------
-# figure reproduction presets
-
-_FOUR_TONES = [(0.018, 0.7, 0.0), (0.049, 1.5, 0.8), (0.226, 0.7, 1.6), (0.578, 1.3, 2.4)]
-
-
-def _four_tone_series(n: int = 2**14, rate: float = 5000.0) -> TimeSeries:
-    ts = synth.gen_sine_mix(_FOUR_TONES, rate, n)
-    rng = np.random.default_rng(42)
-    return TimeSeries(
-        ts.samples + 0.05 * rng.standard_normal(n), rate, label="four tones"
-    )
-
-
-def _two_regime_noise(n: int = 2**15, rate: float = 50000.0, fc: float = 500.0):
-    """Noise whose spectrum falls as f^-5/3 below fc and f^-7 above it."""
-    freqs = np.arange(1, n // 2 + 1) * (rate / n)
-    amp = np.where(
-        freqs <= fc,
-        freqs ** (-5.0 / 6.0),
-        fc ** (7.0 / 2.0 - 5.0 / 6.0) * freqs ** (-7.0 / 2.0),
-    )
-    samples = synth._fourier_noise(amp, np.random.default_rng(11))
-    return TimeSeries(samples, rate, label="two-regime noise")
-
-
-def _fig7(emit) -> None:
-    ts = synth.gen_power_law_noise(1.0, 2**14, seed=7, sample_rate=50000.0)
-    prof = profile(ts)
-    walk = TimeSeries(prof.values, ts.sample_rate)
-    ps = spectral.power_spectrum(walk)
-    fit = spectral.fit_power_law(ps, 330.0, 8000.0)
-    hurst = spectral.hurst_from_alpha(min(fit.alpha_abs, 2.999))
-    t = np.arange(prof.values.size) / ts.sample_rate
-    emit(
-        "fig7a.svg",
-        svg.line_plot,
-        [(t, prof.values, "profile")],
-        xlabel="time (s)",
-        ylabel="cumulative sum",
-        title="profile of the series",
-    )
-    emit(
-        "fig7b.svg",
-        _spectrum_plot,
-        ps,
-        "power law of the profile",
-        [(fit, None, f"slope {fit.slope:.2f}")],
-        label="profile power",
-    )
-    emit("fig7.csv", _write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
-    info = {"alpha_abs": fit.alpha_abs, "slope": fit.slope, "hurst": hurst}
-    emit("fig7.json", _write_json, info)
-
-
-def _fig8(emit) -> None:
-    ts = _four_tone_series()
-    sg = cwtmod.cwt_morlet(ts)
-    emit("fig8.svg", _scalogram_plot, sg, "scalogram with cone of influence")
-    emit(
-        "fig8.csv",
-        _write_table,
-        ["period_s", "mean_power_outside_coi"],
-        [sg.periods, sg.power_summary(heatmap=True).mean_relative],
-    )
-
-
-def _fig9(emit) -> None:
-    ts = synth.gen_binomial_cascade(synth.CascadeParams(0.75, 14))
-    q = np.arange(-10.0, 10.5, 1.0)
-    table = mfdfa.fluctuation_function(profile(ts), mfdfa.MfdfaConfig(q_values=q))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = mfdfa.generalized_hurst(
-            table, fit_range=(16.0, table.n / 16.0)
-        )
-    sel = np.flatnonzero(np.isin(table.q_values, (-10, -5, -2, 0, 2, 5, 10)))
-    emit(
-        "fig9a.svg",
-        _fq_plot,
-        table,
-        sel,
-        "scale s (samples)",
-        "fluctuation functions of the cascade",
-    )
-    emit("fig9a.csv", _write_fq_table, table)
-    closed = np.array([synth.cascade_hurst(0.75, v) for v in table.q_values])
-    emit(
-        "fig9b.svg",
-        svg.line_plot,
-        [
-            (table.q_values, table.hurst, "measured h(q)"),
-            (table.q_values, closed, "closed form", True),
-        ],
-        xlabel="q",
-        ylabel="h(q)",
-        title="generalized Hurst exponents",
-    )
-    emit(
-        "fig9b.csv",
-        _write_table,
-        ["q", "h_measured", "h_closed_form"],
-        [table.q_values, table.hurst, closed],
-    )
-
-
-def _fig10(emit) -> None:
-    ts = _four_tone_series()
-    sg = cwtmod.cwt_morlet(ts)
-    gp = cwtmod.global_power(sg, background="white", series=ts.samples)
-    peaks = cwtmod.dominant_periods(gp, max_count=4)
-    emit(
-        "fig10a.svg",
-        svg.line_plot,
-        [(gp.periods, gp.power, "global power")],
-        xlabel="period (s)",
-        ylabel="power",
-        title="time-averaged wavelet power",
-        xlog=True,
-        vmarks=[(p, f"{p * 1e3:.0f} ms") for p in sorted(peaks)],
-    )
-    emit("fig10a.csv", _write_table, ["period_s", "power"], [gp.periods, gp.power])
-    emit("fig10a.json", _write_json, {"dominant_periods_s": sorted(peaks)})
-    emit(
-        "fig10b.svg",
-        svg.line_plot,
-        [
-            (gp.periods, gp.power, "global power"),
-            (gp.periods, gp.significance_95, "95% significance", True),
-        ],
-        xlabel="period (s)",
-        ylabel="power",
-        title="global power against the 95% level",
-        xlog=True,
-        ylog=True,
-    )
-    sig = gp.power > gp.significance_95
-    emit(
-        "fig10b.csv",
-        _write_table,
-        ["period_s", "power", "significance_95", "significant"],
-        [gp.periods, gp.power, gp.significance_95, sig],
-    )
-
-
-def _phase_comparison(sga, sgb, period: float):
-    """Phase of ``sga`` minus phase of ``sgb`` at ``sga``'s scale nearest ``period``.
-
-    Returns the analysed period, the comparison and its synchronized
-    segments as (start, end) time bands.
-    """
-    idx = int(np.argmin(np.abs(sga.periods - period)))
-    scale = float(sga.scales[idx])
-    cmp_ = cwtmod.phase_difference(
-        cwtmod.phase_at_scale(sga, scale), cwtmod.phase_at_scale(sgb, scale)
-    )
-    bands = [(float(cmp_.times[a]), float(cmp_.times[b - 1])) for a, b in cmp_.segments]
-    return float(sga.periods[idx]), cmp_, bands
-
-
-def _fig11(emit) -> None:
-    rate, n = 200.0, 2**13
-    period = 0.578
-    base = synth.gen_sine_mix([(period, 1.0, 0.0)], rate, n)
-    locked = synth.gen_sine_mix([(period, 1.0, math.pi / 4)], rate, n)
-    detuned = synth.gen_sine_mix([(period / 1.01, 1.0, math.pi / 4)], rate, n)
-    rng = np.random.default_rng(5)
-    noise = lambda: 0.02 * rng.standard_normal(n)  # noqa: E731
-    sga = cwtmod.cwt_morlet(TimeSeries(base.samples + noise(), rate))
-    sgb = cwtmod.cwt_morlet(TimeSeries(locked.samples + noise(), rate))
-    sgc = cwtmod.cwt_morlet(TimeSeries(detuned.samples + noise(), rate))
-    # all three share one scale ladder, so each picks the same scale
-    cmps = {}
-    for tag, sg in (("locked", sgb), ("detuned", sgc)):
-        _, cmp_, bands = _phase_comparison(sg, sga, period)
-        cmps[tag] = cmp_
-        emit(
-            f"fig11_{tag}.svg",
-            svg.line_plot,
-            [(cmp_.times, cmp_.delta, "phase difference")],
-            xlabel="time (s)",
-            ylabel="delta phi (rad)",
-            title=f"phase difference, {tag} pair",
-            bands=bands,
-        )
-        emit(
-            f"fig11_{tag}.csv",
-            _write_table,
-            ["time_s", "delta_phi_rad"],
-            [cmp_.times, cmp_.delta],
-        )
-    emit(
-        "fig11.json",
-        _write_json,
-        {
-            "locked_median_rad": cmps["locked"].median,
-            "locked_segments": cmps["locked"].segments,
-            "detuned_segments": cmps["detuned"].segments,
-            "drift_bound_s": 0.4 / (2.0 * math.pi * (1.0 / period) * 0.01 / 1.01),
-        },
-    )
-
-
-def _fig12(emit) -> None:
-    ts = _two_regime_noise()
-    ps = spectral.power_spectrum(ts)
-    neutral = spectral.heisenberg_fit(ps, 20.0, 400.0, regime="neutral")
-    dissip = spectral.heisenberg_fit(ps, 800.0, 20000.0, regime="dissipation")
-    emit(
-        "fig12.svg",
-        _spectrum_plot,
-        ps,
-        "spectral regimes",
-        [
-            (neutral.fit, neutral.target, "-5/3 neutral"),
-            (dissip.fit, dissip.target, "-7 dissipation"),
-        ],
-    )
-    emit("fig12.csv", _write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
-    emit(
-        "fig12.json",
-        _write_json,
-        {
-            "neutral": {"slope": neutral.fit.slope, "matches": neutral.matches},
-            "dissipation": {"slope": dissip.fit.slope, "matches": dissip.matches},
-        },
-    )
-
-
-#: Each preset emits its files through the writer; a figure name keeps the
-#: files whose names start with it, so fig9a and fig9b share one preset.
-_FIGURES = {
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9a": _fig9,
-    "fig9b": _fig9,
-    "fig10a": _fig10,
-    "fig10b": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-}
-FIGURE_NAMES = tuple(_FIGURES)
-
-
-def figure_repro(name: str, out_dir: str | Path) -> list[Path]:
-    """Rebuild one documentation figure from its synthetic stand-in."""
-    if name not in _FIGURES:
-        raise ConfigError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
-    outdir = Path(out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    _FIGURES[name](_writer(outdir, "", lambda f: f.startswith(name), written))
-    return written
-
-
-# --------------------------------------------------------------------------
 # argument parsing
 
 
@@ -1120,6 +763,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # flags that the chosen kind does not declare
     _add_flags(sp, {p.name: p for ps in _SYNTH_PARAMS.values() for p in ps}.values())
     sp.add_argument("--out", required=True)
+    sp.set_defaults(handler=_cmd_synth)
 
     for name, params in _STAGE_PARAMS.items():
         sp = sub.add_parser(
@@ -1130,6 +774,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_flags(sp, params)
         sp.add_argument("--outdir", required=True)
         sp.add_argument("--svg", action="store_true", default=False)
+        sp.set_defaults(handler=_cmd_stage)
 
     sp = sub.add_parser("phase", help="phase difference of two series")
     sp.add_argument("--input-a", required=True)
@@ -1139,18 +784,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="analysis period in seconds")
     sp.add_argument("--outdir", required=True)
     sp.add_argument("--svg", action="store_true")
+    sp.set_defaults(handler=_cmd_phase)
 
     sp = sub.add_parser("run", help="execute a JSON pipeline config")
     sp.add_argument("--config", required=True)
+    sp.set_defaults(handler=_cmd_run)
 
     sp = sub.add_parser("figure-repro", help="rebuild a documentation figure")
     sp.add_argument("--name", required=True, choices=FIGURE_NAMES)
     sp.add_argument("--outdir", required=True)
+    sp.set_defaults(handler=_cmd_figure)
     return ap
 
 
 def _cmd_synth(args) -> int:
-    spec = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    spec = {
+        k: v for k, v in vars(args).items() if k not in ("command", "handler", "out")
+    }
     # only the input section is used: nothing is written to output_dir
     cfg = validate_config(
         {"input": {"kind": "synth", "synth": spec}, "pipeline": [], "output_dir": "."}
@@ -1214,33 +864,30 @@ def _cmd_phase(args) -> int:
     return 0
 
 
+def _cmd_run(args) -> int:
+    with open(args.config, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{args.config}: not UTF-8 text ({err.reason})")
+        except RecursionError:
+            raise ConfigError(f"{args.config}: nested too deeply")
+    cfg = validate_config(raw)
+    report = run(cfg)
+    print(f"run complete: {len(report.artifacts)} artifact(s) in {cfg.output_dir}")
+    return 0
+
+
+def _cmd_figure(args) -> int:
+    for p in figure_repro(args.name, args.outdir):
+        print(p)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command in _STAGE_PARAMS:
-            return _cmd_stage(args)
-        if args.command == "phase":
-            return _cmd_phase(args)
-        if args.command == "run":
-            with open(args.config, encoding="utf-8") as fh:
-                try:
-                    raw = json.load(fh)
-                except UnicodeDecodeError as err:
-                    raise ConfigError(f"{args.config}: not UTF-8 text ({err.reason})")
-            cfg = validate_config(raw)
-            report = run(cfg)
-            print(
-                f"run complete: {len(report.artifacts)} artifact(s) in "
-                f"{cfg.output_dir}"
-            )
-            return 0
-        if args.command == "figure-repro":
-            paths = figure_repro(args.name, args.outdir)
-            for p in paths:
-                print(p)
-            return 0
+        return args.handler(args)
     except (ConfigError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -248,13 +248,6 @@ class PhaseSeries:
     amplitude: np.ndarray
     sample_rate: float
 
-    def defined_mask(self, rel_eps: float = 1e-12) -> np.ndarray:
-        """Phase is meaningful only where the amplitude is resolvable."""
-        peak = float(self.amplitude.max(initial=0.0))
-        if peak <= 0.0:
-            return np.zeros(self.amplitude.size, dtype=bool)
-        return self.amplitude > rel_eps * peak
-
 
 @dataclass
 class PhaseComparison:

@@ -247,20 +247,20 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
 
 def generalized_hurst(
     table: FluctuationTable,
-    fit_range: tuple[float, float] | None = None,
+    fit_range: tuple[float | None, float | None] | None = None,
     min_scales: int = 6,
     r2_floor: float = 0.9,
 ) -> FluctuationTable:
     """Fit h(q) as the log-log slope of F_q(s) over the fit range.
 
     The default range drops scales below twice the wavelet support and
-    above N/8.  Moment orders whose fit falls under ``r2_floor`` are
-    flagged through PoorFitWarning but still reported.  Returns a new
-    table with ``hurst``, ``fit_r2`` and ``fit_range`` populated.
+    above N/8; a None end takes its default.  Orders whose fit falls
+    under ``r2_floor`` are flagged through PoorFitWarning but still
+    reported.  Returns a new table with ``hurst``, ``fit_r2``, ``fit_range`` set.
     """
-    if fit_range is None:
-        fit_range = (2.0 * table.wavelet_support, table.n / 8.0)
-    lo, hi = fit_range
+    lo, hi = (None, None) if fit_range is None else fit_range
+    lo = 2.0 * table.wavelet_support if lo is None else lo
+    hi = table.n / 8.0 if hi is None else hi
     sel = (table.scales >= lo) & (table.scales <= hi)
     if int(sel.sum()) < min_scales:
         raise ValidationError(

@@ -12,6 +12,7 @@ import scipy
 from wavescope import ConfigError, ParseError, svg
 from wavescope import cli as climod
 from wavescope import cwt as cwtmod
+from wavescope import figures as figmod
 from wavescope.cli import (
     FIGURE_NAMES,
     _STAGE_FUNCS,
@@ -175,6 +176,15 @@ def test_main_exit_codes(tmp_path):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"output_dir": "\xff"}')
     assert main(["run", "--config", str(latin1)]) == 2
+
+    # 2: nesting deeper than the JSON decoder recurses, before output exists
+    deep = tmp_path / "deep.json"
+    deep.write_text(
+        json.dumps({"output_dir": str(tmp_path / "deep_out")})[:-1]
+        + ', "pipeline": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    )
+    assert main(["run", "--config", str(deep)]) == 2
+    assert not (tmp_path / "deep_out").exists()
 
     # 4: filesystem error
     assert main(["run", "--config", str(tmp_path)]) == 4
@@ -487,12 +497,27 @@ def test_cli_reads_no_private_name_of_cwt_svg_or_scalogram():
     forbidden = private(vars(cwtmod)) | private(vars(svg))
     forbidden |= private(vars(cwtmod.Scalogram)) | private(vars(sg))
     assert {"_evaluate", "_outside_slices", "_spec", "_mean_or_nan"} <= forbidden
-    tree = ast.parse(open(climod.__file__, encoding="utf-8").read())
-    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for mod in (climod, figmod):
+        tree = ast.parse(open(mod.__file__, encoding="utf-8").read())
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("cwt", "svg"):
+                read |= {alias.name for alias in node.names}
+        assert sorted(read & forbidden) == [], mod.__name__
+
+
+def test_figures_imports_nothing_from_cli():
+    # cli imports figures, never the reverse, not even inside a function.
+    tree = ast.parse(open(figmod.__file__, encoding="utf-8").read())
+    names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in ("cwt", "svg"):
-            read |= {alias.name for alias in node.names}
-    assert sorted(read & forbidden) == []
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {f"{node.module}.{alias.name}" for alias in node.names}
+            names.add(str(node.module))
+    assert "signal_core" in names  # relative imports are seen
+    assert sorted(n for n in names if "cli" in n.split(".")) == []
 
 
 def test_stage_subcommand_flags_are_the_declared_params():

@@ -250,6 +250,18 @@ def test_generalized_hurst_default_fit_range():
     assert hi == pytest.approx(table.n / 8)
 
 
+@pytest.mark.parametrize("ends", [(None, None), (None, 256.0), (16.0, None)])
+def test_generalized_hurst_fills_each_open_end_with_its_default(ends):
+    table = fluctuation_function(profile(gen_fbm(0.6, 2**12, seed=3)))
+    default = (2.0 * table.wavelet_support, table.n / 8.0)
+    explicit = tuple(d if v is None else v for v, d in zip(ends, default))
+    got = generalized_hurst(table, fit_range=ends)
+    want = generalized_hurst(table, fit_range=explicit)
+    assert got.fit_range == want.fit_range
+    assert got.hurst.tobytes() == want.hurst.tobytes()
+    assert got.fit_r2.tobytes() == want.fit_r2.tobytes()
+
+
 def test_generalized_hurst_needs_enough_scales():
     scales = 4 * 2 ** np.arange(1, 4)
     table = _exact_table({2.0: 0.5}, scales)
