@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration problem, 3 stage failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -132,7 +131,8 @@ _INPUT_PARAMS = {
     "synth": (_Param("synth", dict),),
 }
 
-#: The run's seed; without its own seed, a synthetic input uses it.
+#: The run's seed; a synthetic kind that draws random numbers uses it
+#: unless the kind's own seed is given.
 _RUN_SEED = _Param("seed", int, 0)
 _SEED = _Param("seed", int, None)
 
@@ -154,7 +154,6 @@ _SYNTH_PARAMS = {
         _Param("components", list),
         _Param("sample_rate", float),
         _Param("n", int),
-        _SEED,
     ),
     "bounce": (
         _Param("amplitude", float),
@@ -164,11 +163,7 @@ _SYNTH_PARAMS = {
         _Param("sample_rate", float, None),
         _SEED,
     ),
-    "cascade": (
-        _Param("a", float),
-        _Param("levels", int),
-        _SEED,
-    ),
+    "cascade": (_Param("a", float), _Param("levels", int)),
 }
 
 
@@ -269,68 +264,28 @@ def validate_config(raw: dict) -> RunConfig:
     )
 
 
-_TIME_HEADERS = ("time", "time_s", "t", "timestamp", "timestamp_s")
-
-
-def _load_csv_sniffed(path, sample_rate=None, column=0) -> TimeSeries:
-    """Load a CSV, treating a header column named like a time axis as one.
-
-    The header row is read as ``load_csv`` reads it: UTF-8 with an
-    optional byte-order mark, fields split by ``csv.reader``.
-    """
-    time_column = None
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            first = next(csv.reader(fh), [])
-    except (OSError, UnicodeDecodeError, csv.Error):  # load_csv reports these
-        first = []
-    fields = [f.strip().lower() for f in first]
-    for i, name in enumerate(fields):
-        if name in _TIME_HEADERS:
-            time_column = i
-            if column == i:
-                column = 0 if i != 0 else 1
-            break
-    return load_csv(
-        path, sample_rate=sample_rate, column=column, time_column=time_column
-    )
-
-
 def _build_input(cfg: RunConfig) -> TimeSeries:
+    """The run's input: each declared param is a keyword of its reader or generator."""
     inp = cfg.input
     if inp["kind"] == "csv":
-        spec = _with_defaults(inp, _INPUT_PARAMS["csv"])
-        return _load_csv_sniffed(
-            spec["path"], sample_rate=spec["sample_rate"], column=spec["column"]
-        )
+        return load_csv(**_with_defaults(inp, _INPUT_PARAMS["csv"]))
     kind = inp["synth"]["kind"]
     spec = _with_defaults(inp["synth"], _SYNTH_PARAMS[kind])
-    seed = cfg.seed if spec["seed"] is None else spec["seed"]
+    if "seed" in spec and spec["seed"] is None:
+        spec["seed"] = cfg.seed
     if kind == "fbm":
-        ts = synth.gen_fbm(
-            spec["hurst"], spec["n"], seed=seed, sample_rate=spec["sample_rate"]
-        )
-        if spec["increments"]:
+        increments = spec.pop("increments")
+        ts = synth.gen_fbm(**spec)
+        if increments:
             ts = TimeSeries(np.diff(ts.samples), ts.sample_rate, label=ts.label)
         return ts
-    if kind == "powerlaw":
-        return synth.gen_power_law_noise(
-            spec["beta"], spec["n"], seed=seed, sample_rate=spec["sample_rate"]
-        )
-    if kind == "sines":
-        comps = [tuple(c) for c in spec["components"]]
-        return synth.gen_sine_mix(comps, spec["sample_rate"], spec["n"])
     if kind == "bounce":
-        p = synth.BounceParams(
-            spec["amplitude"],
-            spec["drive_freq"],
-            spec["restitution"],
-            spec["n_impacts"],
-            seed=seed,
-        )
-        return synth.gen_bouncing_ball(p, sample_rate=spec["sample_rate"])
-    p = synth.CascadeParams(spec["a"], spec["levels"], seed=seed)
-    return synth.gen_binomial_cascade(p)
+        rate = spec.pop("sample_rate")
+        return synth.gen_bouncing_ball(synth.BounceParams(**spec), sample_rate=rate)
+    if kind == "cascade":
+        return synth.gen_binomial_cascade(synth.CascadeParams(**spec))
+    gen = synth.gen_power_law_noise if kind == "powerlaw" else synth.gen_sine_mix
+    return gen(**spec)
 
 
 # --------------------------------------------------------------------------
@@ -830,8 +785,8 @@ def _cmd_stage(args) -> int:
 def _cmd_phase(args) -> int:
     if not (math.isfinite(args.period) and args.period > 0):
         raise ConfigError(f"--period must be finite and > 0, got {args.period}")
-    a = _load_csv_sniffed(args.input_a, sample_rate=args.sample_rate)
-    b = _load_csv_sniffed(args.input_b, sample_rate=args.sample_rate)
+    a = load_csv(args.input_a, sample_rate=args.sample_rate)
+    b = load_csv(args.input_b, sample_rate=args.sample_rate)
     period, cmp_, bands = _phase_comparison(
         cwtmod.cwt_morlet(a), cwtmod.cwt_morlet(b), args.period
     )

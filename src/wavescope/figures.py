@@ -277,16 +277,14 @@ def _fig10(emit) -> None:
 def _phase_comparison(sga, sgb, period: float):
     """Phase of ``sga`` minus phase of ``sgb`` at ``sga``'s scale nearest ``period``.
 
+    Nearness is measured on the log axis, as ``phase_at_scale`` does.
     Returns the analysed period, the comparison and its synchronized
     segments as (start, end) time bands.
     """
-    idx = int(np.argmin(np.abs(sga.periods - period)))
-    scale = float(sga.scales[idx])
-    cmp_ = cwtmod.phase_difference(
-        cwtmod.phase_at_scale(sga, scale), cwtmod.phase_at_scale(sgb, scale)
-    )
+    pa = cwtmod.phase_at_scale(sga, period / sga.fourier_factor)
+    cmp_ = cwtmod.phase_difference(pa, cwtmod.phase_at_scale(sgb, pa.scale))
     bands = [(float(cmp_.times[a]), float(cmp_.times[b - 1])) for a, b in cmp_.segments]
-    return float(sga.periods[idx]), cmp_, bands
+    return pa.period, cmp_, bands
 
 
 def _fig11(emit) -> None:

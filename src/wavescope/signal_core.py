@@ -28,6 +28,9 @@ __all__ = [
 #: Allowed relative deviation of timestamp spacing from the nominal period.
 MAX_TIMESTAMP_JITTER = 0.01
 
+#: Header names (stripped, any case) that mark a CSV column as timestamps.
+TIME_HEADERS = ("time", "time_s", "t", "timestamp", "timestamp_s")
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -173,14 +176,19 @@ def load_csv(
 ) -> TimeSeries:
     """Read a single-channel signal from an RFC-4180-style CSV file.
 
-    Two layouts are accepted.  With ``time_column`` set, that column holds
+    Two layouts are accepted.  With a time column, that column holds
     timestamps in seconds and ``column`` the values; the rate is inferred
     from the median spacing and checked for uniformity (any gap deviating
-    more than 1% from the nominal period is rejected).  Without it the file
-    is a bare value column and ``sample_rate`` is required.
+    more than 1% from the nominal period is rejected) and against
+    ``sample_rate`` if one is stated.  Without one the file is a bare
+    value column and ``sample_rate`` is required.
 
-    An optional single header row is skipped.  Decimal separator is '.',
-    encoding UTF-8, with or without a byte-order mark.
+    An optional single header row is skipped.  With ``time_column`` None,
+    its first field named in ``TIME_HEADERS`` (stripped, any case) marks
+    the time column; should ``column`` name that column too, the values
+    come from column 0, or column 1 when the times are in column 0.  So a
+    :func:`write_csv` file reads back as written.  Decimal separator is
+    '.', encoding UTF-8, with or without a byte-order mark.
 
     Raises
     ------
@@ -188,9 +196,13 @@ def load_csv(
         Malformed row, with the offending 1-based row number, or text
         that is not UTF-8.
     ValidationError
-        Non-finite values, fewer than two samples, missing rate, or
-        non-uniform timestamps.
+        A negative column index, non-finite values, fewer than two
+        samples, missing rate, or non-uniform timestamps.
     """
+    if column < 0 or (time_column is not None and time_column < 0):
+        raise ValidationError(
+            f"{path}: negative column index (column={column}, time_column={time_column})"
+        )
     path = Path(path)
     values: list[float] = []
     times: list[float] = []
@@ -201,6 +213,11 @@ def load_csv(
                 continue
             fields = [f.strip() for f in fields]
             if row_no == 1 and _looks_like_header(fields):
+                if time_column is None:
+                    found = [i for i, f in enumerate(fields) if f.lower() in TIME_HEADERS]
+                    time_column = found[0] if found else None
+                    if column == time_column:
+                        column = int(time_column == 0)
                 continue
             needed = column if time_column is None else max(column, time_column)
             if len(fields) <= needed:

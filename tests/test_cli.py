@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from wavescope import ConfigError, ParseError, svg
+from wavescope import ConfigError, ParseError, svg, synth
 from wavescope import cli as climod
 from wavescope import cwt as cwtmod
 from wavescope import figures as figmod
@@ -17,8 +17,8 @@ from wavescope.cli import (
     FIGURE_NAMES,
     _STAGE_FUNCS,
     _STAGE_PARAMS,
+    _build_input,
     _build_parser,
-    _load_csv_sniffed,
     figure_repro,
     main,
     run,
@@ -71,6 +71,9 @@ def test_validate_fills_defaults(tmp_path):
         lambda r: r["pipeline"].append({"stage": "lyapunov", "dim": True}),
         lambda r: r["pipeline"].append({"stage": "cwt", "omega0": float("nan")}),
         lambda r: r["input"]["synth"].update(sample_rate=float("inf")),
+        # neither kind draws a random number, so neither declares a seed
+        lambda r: r["input"].update(synth=dict(_SYNTHS["sines"][0], seed=1)),
+        lambda r: r["input"].update(synth=dict(_SYNTHS["cascade"][0], seed=1)),
     ],
 )
 def test_validate_rejects_bad_configs(tmp_path, mutate):
@@ -78,6 +81,44 @@ def test_validate_rejects_bad_configs(tmp_path, mutate):
     mutate(raw)
     with pytest.raises(ConfigError):
         validate_config(raw)
+
+
+#: kind -> (config section, the same series built by a direct generator call)
+_SYNTHS = {
+    "fbm": (
+        {"kind": "fbm", "hurst": 0.7, "n": 256, "sample_rate": 2.0, "increments": True},
+        lambda: np.diff(synth.gen_fbm(0.7, 256, seed=5, sample_rate=2.0).samples),
+    ),
+    "powerlaw": (
+        {"kind": "powerlaw", "beta": 1.5, "n": 64, "sample_rate": 3.0, "seed": 2},
+        lambda: synth.gen_power_law_noise(1.5, 64, seed=2, sample_rate=3.0).samples,
+    ),
+    "sines": (
+        {"kind": "sines", "components": [[0.5, 1.0, 0.3]], "sample_rate": 10.0, "n": 64},
+        lambda: synth.gen_sine_mix([(0.5, 1.0, 0.3)], 10.0, 64).samples,
+    ),
+    "bounce": (
+        {"kind": "bounce", "amplitude": 9.0, "drive_freq": 25.0, "restitution": 0.7,
+         "n_impacts": 40, "sample_rate": 800.0},
+        lambda: synth.gen_bouncing_ball(
+            BounceParams(9.0, 25.0, 0.7, 40, seed=5), sample_rate=800.0
+        ).samples,
+    ),
+    "cascade": (
+        {"kind": "cascade", "a": 0.7, "levels": 6},
+        lambda: synth.gen_binomial_cascade(synth.CascadeParams(0.7, 6)).samples,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SYNTHS))
+def test_every_synth_kind_builds_its_generators_bytes(tmp_path, kind):
+    # fbm and bounce give no seed of their own, so they take the run's (5).
+    section, direct = _SYNTHS[kind]
+    raw = {"input": {"kind": "synth", "synth": section}, "pipeline": [],
+           "output_dir": str(tmp_path), "seed": 5}
+    built = _build_input(validate_config(raw))
+    assert built.samples.tobytes() == direct().tobytes()
 
 
 def test_validation_happens_before_any_output(tmp_path):
@@ -95,7 +136,7 @@ def test_sniffed_loader_promotes_time_header(tmp_path):
     ts = TimeSeries(np.sin(np.arange(64) / 5.0), 25.0)
     path = tmp_path / "two_col.csv"
     write_csv(ts, path)  # writes time_s,value
-    back = _load_csv_sniffed(path)
+    back = load_csv(path)
     assert back.sample_rate == pytest.approx(25.0)
     np.testing.assert_allclose(back.samples, ts.samples, rtol=1e-12)
 
@@ -103,7 +144,7 @@ def test_sniffed_loader_promotes_time_header(tmp_path):
 def test_sniffed_loader_bare_column_needs_rate(tmp_path):
     path = tmp_path / "bare.csv"
     path.write_text("value\n" + "\n".join(str(v) for v in range(32)) + "\n")
-    ts = _load_csv_sniffed(path, sample_rate=10.0)
+    ts = load_csv(path, sample_rate=10.0)
     assert ts.sample_rate == 10.0
     assert ts.samples.size == 32
 
@@ -114,7 +155,7 @@ _BOM_TIME_CSV = b"\xef\xbb\xbftime_s,value\r\n0.0,4.0\r\n0.5,5.0\r\n1.0,6.0\r\n"
 def test_sniffed_loader_finds_a_time_header_after_a_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(_BOM_TIME_CSV)
-    ts = _load_csv_sniffed(path)
+    ts = load_csv(path)
     assert ts.sample_rate == 2.0
     assert ts.samples.tolist() == [4.0, 5.0, 6.0]
 
@@ -123,14 +164,14 @@ def test_sniffed_loader_reads_values_not_times_after_a_byte_order_mark(tmp_path)
     # With a stated rate the time column used to be read as the values.
     path = tmp_path / "bom.csv"
     path.write_bytes(_BOM_TIME_CSV)
-    ts = _load_csv_sniffed(path, sample_rate=2.0)
+    ts = load_csv(path, sample_rate=2.0)
     assert ts.samples.tolist() == [4.0, 5.0, 6.0]
 
 
 def test_sniffed_loader_finds_a_quoted_time_header(tmp_path):
     path = tmp_path / "quoted.csv"
     path.write_text('"time_s","value"\n0.0,4.0\n0.5,5.0\n1.0,6.0\n')
-    ts = _load_csv_sniffed(path)
+    ts = load_csv(path)
     assert ts.sample_rate == 2.0
     assert ts.samples.tolist() == [4.0, 5.0, 6.0]
 
@@ -193,7 +234,7 @@ def test_main_exit_codes(tmp_path):
 def test_undecodable_csv_is_a_parse_error(tmp_path):
     bad = tmp_path / "latin1.csv"
     bad.write_bytes(b"time_s,value\xff\n0.0,1.0\n0.5,2.0\n")
-    for load in (lambda: load_csv(bad, sample_rate=1.0), lambda: _load_csv_sniffed(bad)):
+    for load in (lambda: load_csv(bad, sample_rate=1.0), lambda: load_csv(bad)):
         with pytest.raises(ParseError, match="latin1.csv"):
             load()
     out = tmp_path / "sync"
@@ -244,6 +285,15 @@ def test_unexpected_stage_exception_leaves_marker(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(cfg_path)]) == 3
     assert (tmp_path / "out" / "mfdfa.failed").exists()
+
+
+def test_negative_csv_column_fails_the_input_stage(tmp_path):
+    raw = _good_raw(tmp_path, pipeline=[])
+    raw["input"] = {"kind": "csv", "path": _sine_csv(tmp_path), "column": -1}
+    cfg_path = tmp_path / "negative_column.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert "negative column" in (tmp_path / "out" / "input.failed").read_text()
 
 
 def test_failed_stage_leaves_marker(tmp_path):
@@ -520,6 +570,19 @@ def test_figures_imports_nothing_from_cli():
     assert sorted(n for n in names if "cli" in n.split(".")) == []
 
 
+def test_cli_imports_no_csv_module():
+    # load_csv alone reads CSV input; cli neither parses nor sniffs a file.
+    tree = ast.parse(open(climod.__file__, encoding="utf-8").read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add(str(node.module))
+    assert "argparse" in names
+    assert "csv" not in names
+
+
 def test_stage_subcommand_flags_are_the_declared_params():
     assert set(_STAGE_FUNCS) == set(_STAGE_PARAMS)
     ap = _build_parser()
@@ -637,6 +700,20 @@ def test_phase_subcommand_reports_locked_offset(tmp_path):
     assert len(info["segments"]) == 1
 
 
+def test_phase_comparison_snaps_to_the_nearest_scale_on_the_log_axis():
+    # Between the geometric and the arithmetic midpoint of two neighbouring
+    # periods, the upper one is nearer on the log axis and the lower one in
+    # linear distance; the comparison follows phase_at_scale's log rule.
+    ts = TimeSeries(np.sin(np.arange(512) / 3.0), 50.0)
+    sg = cwtmod.cwt_morlet(ts)
+    lo, hi = float(sg.periods[20]), float(sg.periods[21])
+    period = 0.5 * (np.sqrt(lo * hi) + 0.5 * (lo + hi))
+    assert abs(period - lo) < abs(period - hi)
+    analysed, cmp_, _ = figmod._phase_comparison(sg, sg, period)
+    assert analysed == hi
+    assert cmp_.median == 0.0
+
+
 @pytest.mark.parametrize("period", ["nan", "inf", "0", "-1"])
 def test_phase_subcommand_refuses_a_period_before_reading(tmp_path, period):
     # The period is checked before either input is read (neither exists)
@@ -666,7 +743,7 @@ def test_synth_subcommand_round_trip(tmp_path):
         ]
     )
     assert rc == 0
-    ts = _load_csv_sniffed(out)
+    ts = load_csv(out)
     assert ts.sample_rate == pytest.approx(100.0)
     t = np.arange(1000) / 100.0
     np.testing.assert_allclose(ts.samples, np.sin(2 * np.pi * t / 0.5), atol=1e-9)

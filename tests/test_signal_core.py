@@ -134,3 +134,36 @@ def test_csv_time_column_with_a_byte_order_mark(tmp_path):
     ts = load_csv(path, column=1, time_column=0)
     assert ts.sample_rate == 2.0
     assert ts.samples.tolist() == [4.0, 5.0, 6.0]
+
+
+def test_csv_from_write_csv_reads_back_with_default_arguments(tmp_path):
+    ts = TimeSeries(np.array([5.0, 6.0, 7.0, 8.0]), 4.0, t0=1.5)
+    path = tmp_path / "round.csv"
+    write_csv(ts, path)
+    for back in (load_csv(path), load_csv(path, sample_rate=4.0)):
+        assert back.samples.tobytes() == ts.samples.tobytes()
+        assert back.sample_rate == 4.0
+        assert back.t0 == 1.5
+
+
+def test_csv_explicit_time_column_wins_over_the_header(tmp_path):
+    path = tmp_path / "named.csv"
+    path.write_text("value,time_s\n0.0,9.0\n0.5,8.0\n1.0,7.0\n")
+    ts = load_csv(path, column=1, time_column=0)
+    assert ts.sample_rate == 2.0
+    assert ts.samples.tolist() == [9.0, 8.0, 7.0]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"column": -1, "sample_rate": 1.0},  # once read the last column
+        {"column": -5, "sample_rate": 1.0},  # once a bare IndexError
+        {"column": 1, "time_column": -1},  # once read the values as times
+    ],
+)
+def test_csv_refuses_a_negative_column_index(tmp_path, kwargs):
+    path = tmp_path / "two.csv"
+    path.write_text("0.0,4.0\n0.5,5.0\n1.0,6.0\n")
+    with pytest.raises(ValidationError, match="negative column"):
+        load_csv(path, **kwargs)
