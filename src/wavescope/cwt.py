@@ -585,17 +585,8 @@ def phase_difference(a: PhaseSeries, b: PhaseSeries) -> PhaseComparison:
     period = 0.5 * (a.period + b.period)
     min_duration_s = SYNC_MIN_PERIODS * period
     min_samples = max(int(math.ceil(min_duration_s * a.sample_rate)), 1)
-    segments: list[tuple[int, int]] = []
-    start = None
-    for i, flag in enumerate(inside):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start >= min_samples:
-                segments.append((start, i))
-            start = None
-    if start is not None and inside.size - start >= min_samples:
-        segments.append((start, int(inside.size)))
+    edges = np.flatnonzero(np.diff(inside, prepend=False, append=False)).reshape(-1, 2)
+    segments = [(lo, hi) for lo, hi in edges.tolist() if hi - lo >= min_samples]
     return PhaseComparison(
         delta=delta,
         times=a.times,

@@ -10,9 +10,10 @@ accepted.
 
 Two boundary policies are provided.  ``periodic`` treats the signal as
 circular and yields a critically sampled, exactly orthogonal transform
-(energy is conserved).  ``symmetric`` reflects the signal at the edges and
-keeps slightly redundant coefficient arrays; it avoids wrap-around
-artifacts and is the right choice for trend extraction.
+(energy is conserved).  ``symmetric`` reflects the signal at the edges, as
+often as a signal shorter than the filter needs, and keeps slightly
+redundant coefficient arrays; it avoids wrap-around artifacts and is the
+right choice for trend extraction.
 """
 
 from __future__ import annotations
@@ -118,13 +119,13 @@ class DwtDecomposition:
     """Multi-level DWT coefficient pyramid.
 
     ``details[j-1]`` holds level-j detail coefficients (level 1 is the
-    finest), or None for a band left out; ``approx`` is the coarsest
-    approximation.  ``lengths[k]`` is the signal length entering level k+1,
-    needed to invert the symmetric mode.
+    finest); ``approx`` is the coarsest approximation.  ``lengths[k]`` is
+    the signal length entering level k+1, needed to invert the symmetric
+    mode.
     """
 
     approx: np.ndarray
-    details: list[np.ndarray | None]
+    details: list[np.ndarray]
     boundary: str
     lengths: list[int]
     spec: WaveletSpec
@@ -134,57 +135,36 @@ class DwtDecomposition:
         return len(self.details)
 
 
-def _analysis_periodic(x: np.ndarray, h: np.ndarray, g: np.ndarray):
-    n = x.size
+def _analysis(x: np.ndarray, filters: Sequence[np.ndarray], boundary: str):
+    """One analysis step: ``x`` filtered by each of ``filters`` and
+    downsampled by two, one compact array per filter."""
+    L = filters[0].size
+    if boundary == "periodic":
+        n = x.size
+        windows = x[(2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n]
+        return [windows @ f for f in filters]
+    ext = np.pad(x, L - 1, mode="symmetric")
+    return [np.correlate(ext, f, mode="valid")[1::2].copy() for f in filters]
+
+
+def _synthesis(a, d, spec: WaveletSpec, boundary: str, out_len: int):
+    """Inverse of one analysis step; ``d`` is None for a dropped band."""
+    h, g = spec.scaling, spec.wavelet
     L = h.size
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n
-    windows = x[idx]
-    return windows @ h, windows @ g
-
-
-def _synthesis_periodic(a, d, h, g):
-    """Inverse of one periodic analysis step; ``d`` is None for a dropped band."""
-    n = 2 * a.size
-    L = h.size
-    out = np.zeros(n)
-    base = 2 * np.arange(a.size)
-    for k in range(L):
-        contrib = a * h[k] if d is None else a * h[k] + d * g[k]
-        out[(base + k) % n] += contrib  # distinct indices within one tap
-    return out
-
-
-def _symmetric_ext(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    if pad > x.size:
-        # Repeatedly reflect for very short signals.
-        ext = x
-        while pad > ext.size - 1:
-            ext = np.concatenate([ext[1:][::-1], ext, ext[:-1][::-1]])
-        mid = (ext.size - x.size) // 2
-        lo = mid - pad
-        return ext[lo : lo + x.size + 2 * pad]
-    return np.concatenate([x[:pad][::-1], x, x[-pad:][::-1]])
-
-
-def _analysis_symmetric(x: np.ndarray, h: np.ndarray, g: np.ndarray):
-    L = h.size
-    ext = _symmetric_ext(x, L - 1)
-    a_full = np.correlate(ext, h, mode="valid")
-    d_full = np.correlate(ext, g, mode="valid")
-    return a_full[1::2], d_full[1::2]
-
-
-def _synthesis_symmetric(a, d, h, g, out_len: int):
-    """Inverse of one symmetric analysis step; ``d`` is None for a dropped band."""
-    L = h.size
+    if boundary == "periodic":
+        n = 2 * a.size
+        out = np.zeros(n)
+        base = 2 * np.arange(a.size)
+        for k in range(L):
+            contrib = a * h[k] if d is None else a * h[k] + d * g[k]
+            out[(base + k) % n] += contrib  # distinct indices within one tap
+        return out
     up = np.zeros(2 * a.size - 1)
     up[::2] = a
     rec = np.convolve(up, h)
     if d is not None:
         up[::2] = d
-        rec = rec + np.convolve(up, g)
+        rec += np.convolve(up, g)
     return rec[L - 2 : L - 2 + out_len]
 
 
@@ -214,19 +194,6 @@ def _check_analysis(x: np.ndarray, levels: int, boundary: str) -> None:
         )
 
 
-def _analyse(x: np.ndarray, spec: WaveletSpec, levels: int, boundary: str):
-    """Check the arguments with :func:`_check_analysis`, then run the
-    analysis pyramid, yielding ``(input length, approximation, detail)`` for
-    each level, finest first."""
-    _check_analysis(x, levels, boundary)
-    step = _analysis_periodic if boundary == "periodic" else _analysis_symmetric
-    cur = x
-    for _ in range(levels):
-        size = cur.size
-        cur, d = step(cur, spec.scaling, spec.wavelet)
-        yield size, cur, d
-
-
 def dwt_decompose(
     x: np.ndarray, spec: WaveletSpec, levels: int, boundary: str = "symmetric"
 ) -> DwtDecomposition:
@@ -236,10 +203,13 @@ def dwt_decompose(
     the length to be divisible by ``2**levels`` so that every stage stays
     critically sampled.
     """
+    approx = np.asarray(x, dtype=float)
+    _check_analysis(approx, levels, boundary)
     details: list[np.ndarray] = []
     lengths: list[int] = []
-    for size, approx, d in _analyse(np.asarray(x, dtype=float), spec, levels, boundary):
-        lengths.append(size)
+    for _ in range(levels):
+        lengths.append(approx.size)
+        approx, d = _analysis(approx, (spec.scaling, spec.wavelet), boundary)
         details.append(d)
     return DwtDecomposition(
         approx=approx, details=details, boundary=boundary, lengths=lengths, spec=spec
@@ -269,15 +239,10 @@ def dwt_reconstruct(
     reproduces the input to machine precision.
     """
     keep_approx, keep_details = _select(decomp, keep)
-    h, g = decomp.spec.scaling, decomp.spec.wavelet
     cur = decomp.approx if keep_approx else np.zeros_like(decomp.approx)
     for j in range(decomp.levels, 0, -1):
         d = decomp.details[j - 1] if keep_details[j - 1] else None
-        out_len = decomp.lengths[j - 1]
-        if decomp.boundary == "periodic":
-            cur = _synthesis_periodic(cur, d, h, g)
-        else:
-            cur = _synthesis_symmetric(cur, d, h, g, out_len)
+        cur = _synthesis(cur, d, decomp.spec, decomp.boundary, decomp.lengths[j - 1])
     return cur
 
 
@@ -296,6 +261,12 @@ def denoise(
     ``soft_threshold`` rule instead shrinks every detail coefficient by the
     universal threshold ``sigma * sqrt(2 ln n)`` with the noise scale
     estimated from the finest level's median absolute value.
+
+    For an L-tap wavelet this takes O(L n) time.  With symmetric edges the
+    working memory is about 3.5 n floats (4.5 n for ``soft_threshold``):
+    the detail bands, one upsampled band and two convolutions of one
+    synthesis step.  Periodic edges add the first step's n/2 x L window
+    gather, L n / 2 floats.
     """
     x = np.asarray(x, dtype=float)
     spec = spec if spec is not None else daubechies(2)
@@ -335,9 +306,10 @@ def extract_fluctuation(
     array per level, in order, when it is asked for the next: a caller that
     reduces each array before asking for the next holds O(1) length-n arrays.
     Each direction is decomposed once, down to the deepest level (Mallat's
-    pyramid): O(n log n) time for n samples and about 7 length-n arrays of
-    working memory, the first level of both pyramids, one reconstruction
-    and the forward residual.
+    pyramid), and the trend is synthesised from the approximation alone:
+    O(n log n) time for n samples and about 5.5 length-n arrays of working
+    memory, the first-level approximations of both pyramids, one synthesis
+    step and the two residuals.
     """
     values = np.asarray(values, dtype=float)
     levels = [operator.index(j) for j in np.atleast_1d(level)]
@@ -361,11 +333,15 @@ def _fold(fwd: np.ndarray, rev: np.ndarray) -> np.ndarray:
 
 
 def _residuals(values, spec: WaveletSpec, levels: list[int], boundary: str):
-    """``values`` minus its trend at each of ``levels``, from one analysis pass."""
+    """``values`` minus its trend at each of ``levels``, from one pass of
+    approximations: the trend is synthesised from the approximation alone."""
     lengths: list[int] = []
-    for size, approx, _ in _analyse(values, spec, levels[-1], boundary):
-        lengths.append(size)
-        if len(lengths) in levels:
-            dropped = [None] * len(lengths)
-            trend = DwtDecomposition(approx, dropped, boundary, lengths, spec)
-            yield values - dwt_reconstruct(trend)
+    approx = values
+    for level in range(1, levels[-1] + 1):
+        lengths.append(approx.size)
+        (approx,) = _analysis(approx, (spec.scaling,), boundary)
+        if level in levels:
+            trend = approx
+            for size in reversed(lengths):
+                trend = _synthesis(trend, None, spec, boundary, size)
+            yield values - trend

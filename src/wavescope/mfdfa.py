@@ -205,7 +205,7 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
     :func:`~wavescope.dwt.extract_fluctuation`), and each level's
     fluctuation is reduced to its segment variances before the next level
     is built.  For n samples, L levels and Q moment orders this takes
-    O(n log n + n Q) time, and the working memory is about 7 n floats
+    O(n log n + n Q) time, and the working memory is about 5.5 n floats
     whatever L is, plus O(n / s) segment variances.
     """
     # Deferred: scipy.special costs about half of ``import wavescope``.

@@ -161,11 +161,14 @@ def _looks_like_header(fields: list[str]) -> bool:
 
 
 def _decoded(lines, path: Path):
-    """Pass ``lines`` on; a byte that is not UTF-8 raises ParseError."""
+    """Pass ``lines`` on; a byte that is not UTF-8, or a row the csv reader
+    refuses, raises ParseError."""
     try:
         yield from lines
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except csv.Error as err:
+        raise ParseError(f"{path}: {err}", row=lines.line_num) from None
 
 
 def load_csv(
@@ -193,8 +196,8 @@ def load_csv(
     Raises
     ------
     ParseError
-        Malformed row, with the offending 1-based row number, or text
-        that is not UTF-8.
+        Malformed row, with the offending 1-based row number (also for a
+        row the csv reader refuses), or text that is not UTF-8.
     ValidationError
         A negative column index, non-finite values, fewer than two
         samples, missing rate, or non-uniform timestamps.

@@ -243,6 +243,32 @@ def test_undecodable_csv_is_a_parse_error(tmp_path):
     assert main(argv) == 3
 
 
+def test_csv_reader_refusal_is_a_parse_error(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text('"' + "1" * 140_000 + '"\n1.0\n2.0\n')
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        load_csv(big, sample_rate=1.0)
+    assert err.value.row == 1
+    out = tmp_path / "sync"
+    argv = ["phase", "--input-a", str(big), "--input-b", str(big),
+            "--sample-rate", "1", "--period", "2", "--outdir", str(out)]
+    assert main(argv) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_denoise_one_shot_keeps_a_constant_shorter_than_the_filter(tmp_path):
+    const = tmp_path / "const6.csv"
+    write_csv(TimeSeries(np.full(6, 2.0), 1.0), const)
+    out = tmp_path / "out"
+    argv = ["denoise", "--input", str(const), "--vanishing-moments", "4",
+            "--outdir", str(out)]
+    assert main(argv) == 0
+    denoised = load_csv(out / "00_denoise_denoised.csv").samples
+    assert denoised.size == 6
+    assert np.max(np.abs(denoised - 2.0)) <= 1e-12
+
+
 def _sine_csv(tmp_path):
     path = tmp_path / "sine.csv"
     write_csv(TimeSeries(np.sin(np.arange(512) / 3.0), 50.0), path)

@@ -16,6 +16,7 @@ from wavescope import (
 from wavescope.cwt import (
     MORLET_GAMMA,
     SUBOCTAVES,
+    PhaseSeries,
     cwt_morlet,
     default_scales,
     dominant_periods,
@@ -467,6 +468,37 @@ def test_phase_difference_wraps_near_pi():
     cmp_ = phase_difference(phase_at_scale(a, s), phase_at_scale(b, s))
     # true difference is -0.1 wrapped, i.e. 2 pi - 0.1 -> -0.1
     assert abs(abs(cmp_.median) - 0.1) < 0.02
+
+
+@pytest.mark.parametrize(
+    "mask, segments",
+    [
+        ("####........", [(0, 4)]),
+        ("........####", [(8, 12)]),
+        (".###..##.....", [(1, 4)]),
+        ("############", [(0, 12)]),
+        (None, []),
+    ],
+)
+def test_phase_difference_segments_at_the_run_edges(mask, segments):
+    # One sample per second and a one-second period: a run needs 3
+    # samples.  "#" marks a difference of 0 rad, inside the band around
+    # the median; "." alternates +-1 rad, outside it, in equal numbers so
+    # that the median stays 0.  With no mask the difference alternates 0
+    # and 1 rad, whose median 0.5 rad leaves every sample outside the band.
+    if mask is not None:
+        outside = np.resize([1.0, -1.0], mask.count("."))
+        delta = np.zeros(len(mask))
+        delta[[c == "." for c in mask]] = outside
+    else:
+        delta = np.resize([0.0, 1.0], 12)
+
+    def series(phase):
+        n = phase.size
+        return PhaseSeries(1.0, 1.0, np.arange(n, dtype=float), phase, np.ones(n), 1.0)
+
+    cmp_ = phase_difference(series(delta), series(np.zeros(delta.size)))
+    assert cmp_.segments == segments
 
 
 def test_phase_difference_rejects_mismatched_rows():

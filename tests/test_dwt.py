@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,49 @@ def test_perfect_reconstruction_property(seed, n, vm, boundary):
     decomp = dwt_decompose(x, spec, levels, boundary=boundary)
     back = dwt_reconstruct(decomp)
     assert np.max(np.abs(back - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("vm", range(1, 11))
+def test_symmetric_reconstruction_is_exact_below_the_filter_support(vm):
+    # The symmetric extension reflects as often as a short input needs, so
+    # a signal shorter than the filter support still reconstructs exactly.
+    spec = daubechies(vm)
+    rng = np.random.default_rng(vm)
+    for n in range(2, spec.support + 1):
+        x = rng.standard_normal(n)
+        for levels in range(1, n.bit_length()):
+            back = dwt_reconstruct(dwt_decompose(x, spec, levels))
+            assert np.max(np.abs(back - x)) <= 1e-10 * np.max(np.abs(x)), (n, levels)
+
+
+def test_denoise_keeps_a_constant_shorter_than_the_filter():
+    out = denoise(np.full(6, 2.0), daubechies(4))
+    assert np.max(np.abs(out - 2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_denoise_takes_one_step_per_level_in_bounded_memory(n, monkeypatch):
+    # Documented bound: about 3.5 n floats with symmetric edges, the detail
+    # bands and one synthesis step; the bound is 4 n floats.
+    x = np.random.default_rng(1).standard_normal(n)
+    tracemalloc.start()
+    try:
+        denoise(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n
+
+    calls = {"_analysis": 0, "_synthesis": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(dwt, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dwt, name, counted)
+    denoise(x)
+    levels = dwt_max_level(n, daubechies(2)) - 2
+    assert calls == {"_analysis": levels, "_synthesis": levels}
 
 
 def test_decompose_levels_and_lengths():
@@ -198,13 +243,13 @@ def test_extract_fluctuation_builds_each_level_when_asked(monkeypatch):
     # One analysis step per direction and level, taken only when the next
     # array is asked for.
     steps = []
-    original = dwt._analysis_symmetric
+    original = dwt._analysis
 
     def counted(*args):
         steps.append(args[0].size)
         return original(*args)
 
-    monkeypatch.setattr(dwt, "_analysis_symmetric", counted)
+    monkeypatch.setattr(dwt, "_analysis", counted)
     x = np.cumsum(np.random.default_rng(3).standard_normal(1024))
     flucts = extract_fluctuation(x, daubechies(2), [1, 3, 6])
     assert steps == []

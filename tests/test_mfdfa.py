@@ -138,13 +138,13 @@ def test_one_analysis_pass_per_direction(monkeypatch):
     # Mallat's pyramid: each direction is decomposed once down to the
     # deepest level, not once per level.
     calls = []
-    original = dwt._analysis_symmetric
+    original = dwt._analysis
 
     def counted(*args):
         calls.append(args[0].size)
         return original(*args)
 
-    monkeypatch.setattr(dwt, "_analysis_symmetric", counted)
+    monkeypatch.setattr(dwt, "_analysis", counted)
     prof = np.cumsum(np.random.default_rng(5).standard_normal(4096))
     table = fluctuation_function(prof)
     assert len(calls) == 2 * int(table.levels.max())
@@ -168,10 +168,11 @@ def test_fluctuation_function_frees_each_level_before_the_next(monkeypatch):
 
 @pytest.mark.parametrize("n", [2**12, 2**14])
 def test_fluctuation_function_working_memory_is_flat_in_the_level_count(n):
-    # Documented bound: about 7 n floats at any level count, the first
-    # level's two analysis steps, one reconstruction and the forward
-    # residual.  One fluctuation array per level (9 levels at 2^12, 11 at
-    # 2^14) held 12.7 n and 14.6 n floats; the bound is 8 n floats.
+    # Documented bound: about 5.5 n floats at any level count, the
+    # first-level approximations of both pyramids, one synthesis step and
+    # the two residuals.  One fluctuation array per level (9 levels at
+    # 2^12, 11 at 2^14) held 12.7 n and 14.6 n floats; the bound is 6 n
+    # floats.
     prof = profile(np.random.default_rng(1).standard_normal(n))
     fluctuation_function(prof)  # imports scipy.special outside the trace
     tracemalloc.start()
@@ -180,7 +181,7 @@ def test_fluctuation_function_working_memory_is_flat_in_the_level_count(n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 8 * n
+    assert peak <= 6 * 8 * n
 
 
 #: The numpy and scipy versions the digest below was pinned on.
