@@ -31,8 +31,8 @@ from .errors import (
     WavescopeError,
 )
 from .figures import (
-    FIGURE_NAMES, _fq_plot, _phase_comparison, _plain, _scalogram_plot, _spectrum_plot,
-    _write_fq_table, _write_json, _writer, figure_repro,
+    FIGURE_NAMES, _emit_phase, _fq_plot, _phase_comparison, _plain, _scalogram_plot,
+    _spectrum_plot, _write_fq_table, _write_json, _writer, figure_repro,
 )
 from .signal_core import TimeSeries, _write_table, load_csv, profile, write_csv
 
@@ -314,7 +314,7 @@ class _Scalograms:
     new scalogram with params among them gets its ``power_summary`` pass
     with the heat map at once, so a stage of either kind, in either order,
     reads that one record; any other gets no heat map.  A held scalogram
-    is O(n_fft + S max_cols).
+    is O(n_fft + S HEATMAP_COLS).
     """
 
     def __init__(self):
@@ -468,7 +468,7 @@ def _stage_cwt(ts, params, emit, scalogram):
 
     The table and the heat map read the scalogram's one power_summary
     pass, shared with a ``globalpower`` stage in either order: O(S n_fft
-    log n_fft) time and O(n_fft + S max_cols) memory.
+    log n_fft) time and O(n_fft + S HEATMAP_COLS) memory.
     """
     sg = scalogram(ts, params["omega0"], params["norm"], params["pad"])
     emit(
@@ -622,7 +622,7 @@ def run(cfg: RunConfig) -> RunReport:
 
     The ``cwt`` and ``globalpower`` stages share one scalogram when they
     read the same series with the same params: the run computes it once
-    and holds it, O(n_fft + S max_cols), until the next transform or the
+    and holds it, O(n_fft + S HEATMAP_COLS), until the next transform or the
     end of the run.  Neither stage holds an S x n array, and in either
     order the two read one ``power_summary`` record, which bins the heat
     map when this or a later ``cwt`` stage reads that series with those params,
@@ -793,11 +793,9 @@ def _cmd_phase(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     emit = _writer(outdir, "", lambda f: args.svg or not f.endswith(".svg"), [])
-    emit(
-        "phase_difference.csv",
-        _write_table,
-        ["time_s", "delta_phi_rad"],
-        [cmp_.times, cmp_.delta],
+    _emit_phase(
+        emit, "phase.svg", "phase_difference.csv", cmp_, bands,
+        "delta phi", "phase difference",
     )
     info = {
         "period_s": period,
@@ -806,15 +804,6 @@ def _cmd_phase(args) -> int:
         "min_duration_s": cmp_.min_duration_s,
     }
     emit("phase.json", _write_json, info)
-    emit(
-        "phase.svg",
-        svg.line_plot,
-        [(cmp_.times, cmp_.delta, "delta phi")],
-        xlabel="time (s)",
-        ylabel="delta phi (rad)",
-        title="phase difference",
-        bands=bands,
-    )
     print(f"phase: median {cmp_.median:+.4f} rad, {len(cmp_.segments)} segment(s)")
     return 0
 

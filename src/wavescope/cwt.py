@@ -54,6 +54,10 @@ MORLET_GAMMA = 2.32
 SYNC_BAND_RAD = 0.2
 SYNC_MIN_PERIODS = 3.0
 
+#: Confidence level of every significance threshold: GlobalPower's
+#: ``significance_95`` and pointwise_significance.
+SIGNIFICANCE_LEVEL = 0.95
+
 
 def morlet_fourier_factor(omega0: float) -> float:
     """Ratio of equivalent Fourier period to scale for the Morlet window."""
@@ -104,7 +108,7 @@ class Scalogram:
     in place in a single complex n_fft buffer of its own, so a streamed
     row stays valid until the pass is asked for the next one.  ``coeffs``
     fills the S x n array (16 S n bytes) on first access and keeps it.
-    ``power_summary`` keeps the record of its pass, O(S max_cols), and
+    ``power_summary`` keeps the record of its pass, O(S HEATMAP_COLS), and
     serves every later request that record covers without a new pass.
     """
 
@@ -179,7 +183,7 @@ class Scalogram:
         fields if ``heatmap``.
 
         The record is kept and returned to every later call that it
-        covers.  A pass: O(S n_fft log n_fft) time, O(n_fft + S max_cols)
+        covers.  A pass: O(S n_fft log n_fft) time, O(n_fft + S HEATMAP_COLS)
         memory.
         """
         kept = self._summary
@@ -442,11 +446,6 @@ def _mean_power_scale(sg: Scalogram) -> np.ndarray:
     return dt / sg.scales
 
 
-def _check_siglevel(siglevel: float) -> None:
-    if not 0.0 < siglevel < 1.0:
-        raise ValidationError(f"siglevel must lie in (0, 1), got {siglevel}")
-
-
 def _chi2_ppf(p, dof):
     """Chi-squared quantile; the expression ``scipy.stats.chi2.ppf``
     evaluates, without importing ``scipy.stats``."""
@@ -459,33 +458,31 @@ def _chi2_ppf(p, dof):
 def pointwise_significance(
     sg: Scalogram,
     background: str = "white",
-    siglevel: float = 0.95,
     ar1: float | None = None,
     series: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-scale pointwise power threshold against a noise background.
+    """Per-scale pointwise power threshold at SIGNIFICANCE_LEVEL against a
+    noise background.
 
     For ``background="red"`` the lag-1 coefficient is taken from ``ar1``
-    or estimated from ``series``.  ``siglevel`` must lie in (0, 1).
+    or estimated from ``series``.
     """
-    _check_siglevel(siglevel)
     shape, _ = _background_shape(sg, background, ar1, series)
     base = sg.signal_variance * _mean_power_scale(sg)
-    return base * shape * (_chi2_ppf(siglevel, 2) / 2.0)
+    return base * shape * (_chi2_ppf(SIGNIFICANCE_LEVEL, 2) / 2.0)
 
 
 def global_power(
     sg: Scalogram,
     background: str = "white",
-    siglevel: float = 0.95,
     ar1: float | None = None,
     series: np.ndarray | None = None,
 ) -> GlobalPower:
     """Time-averaged power outside the cone, with significance curve.
 
     Scales that keep no point outside the cone are dropped.  The
-    significance threshold uses the chi-squared law with the effective
-    degrees of freedom of time averaging; ``siglevel`` must lie in (0, 1).
+    significance threshold at SIGNIFICANCE_LEVEL uses the chi-squared law
+    with the effective degrees of freedom of time averaging.
 
     The power comes from ``sg.power_summary()``: a record kept on ``sg``
     by an earlier pass is reused without a transform, otherwise one pass
@@ -493,7 +490,6 @@ def global_power(
     heat map, and takes O(S n_fft log n_fft) time and O(n_fft) working
     memory.
     """
-    _check_siglevel(siglevel)
     shape, ar1_used = _background_shape(sg, background, ar1, series)
     summary = sg.power_summary()
     counts, power = summary.counts, summary.mean_power
@@ -505,7 +501,7 @@ def global_power(
     n_avg = counts.astype(float)
     dof = 2.0 * np.sqrt(1.0 + (n_avg * dt / (MORLET_GAMMA * sg.scales)) ** 2)
     dof = np.maximum(dof, 2.0)
-    signif = base * _chi2_ppf(siglevel, dof) / dof
+    signif = base * _chi2_ppf(SIGNIFICANCE_LEVEL, dof) / dof
     return GlobalPower(
         scales=sg.scales[keep],
         periods=sg.periods[keep],

@@ -287,6 +287,21 @@ def _phase_comparison(sga, sgb, period: float):
     return pa.period, cmp_, bands
 
 
+def _emit_phase(emit, svg_name, csv_name, cmp_, bands, label, title) -> None:
+    """Write a phase comparison as a line plot with its synchronized
+    ``bands`` shaded, then as a ``time_s,delta_phi_rad`` table."""
+    emit(
+        svg_name,
+        svg.line_plot,
+        [(cmp_.times, cmp_.delta, label)],
+        xlabel="time (s)",
+        ylabel="delta phi (rad)",
+        title=title,
+        bands=bands,
+    )
+    emit(csv_name, _write_table, ["time_s", "delta_phi_rad"], [cmp_.times, cmp_.delta])
+
+
 def _fig11(emit) -> None:
     rate, n = 200.0, 2**13
     period = 0.578
@@ -303,20 +318,9 @@ def _fig11(emit) -> None:
     for tag, sg in (("locked", sgb), ("detuned", sgc)):
         _, cmp_, bands = _phase_comparison(sg, sga, period)
         cmps[tag] = cmp_
-        emit(
-            f"fig11_{tag}.svg",
-            svg.line_plot,
-            [(cmp_.times, cmp_.delta, "phase difference")],
-            xlabel="time (s)",
-            ylabel="delta phi (rad)",
-            title=f"phase difference, {tag} pair",
-            bands=bands,
-        )
-        emit(
-            f"fig11_{tag}.csv",
-            _write_table,
-            ["time_s", "delta_phi_rad"],
-            [cmp_.times, cmp_.delta],
+        _emit_phase(
+            emit, f"fig11_{tag}.svg", f"fig11_{tag}.csv", cmp_, bands,
+            "phase difference", f"phase difference, {tag} pair",
         )
     emit(
         "fig11.json",

@@ -448,15 +448,13 @@ def _fma_exact(a: float, b: float, c: float) -> float:
     return num / (ad * bd * cd)
 
 
-def map_lyapunov(
-    p: BounceParams, n_impacts: int | None = None, burn_in: int = 1000
-) -> float:
+def map_lyapunov(p: BounceParams, burn_in: int = 1000) -> float:
     """Largest exponent of the impact map via tangent norm growth, per impact.
 
     With zero drive amplitude the phase direction is neutral and the
     dynamics reduce to pure velocity contraction, so the exponent is
     log(restitution) exactly; that branch is returned in closed form.
-    Requires at least 10**4 impacts for the iterated estimate.
+    Requires ``p.n_impacts`` >= 10**4 for the iterated estimate.
 
     The tangent vector is advanced on scalars by the map's Jacobian
     [[1, 1], [s, r + s]] with s = A sin(phi): the second row is the
@@ -473,7 +471,7 @@ def map_lyapunov(
     """
     if p.amplitude == 0.0:
         return math.log(p.restitution)
-    n = p.n_impacts if n_impacts is None else n_impacts
+    n = p.n_impacts
     if n < 10_000:
         raise ValidationError("need at least 10**4 impacts for the map estimate")
     # Extra leading impacts let the tangent vector align with the leading

@@ -37,22 +37,28 @@ __all__ = [
     "generalized_hurst",
 ]
 
+#: Fewest segments (front and back together) a scale may leave.
+MIN_SEGMENTS = 4
+
+#: Fewest scales an h(q) fit may use, and the r-squared below which a fit
+#: raises PoorFitWarning.
+MIN_FIT_SCALES = 6
+R2_FLOOR = 0.9
+
 
 def default_q_values() -> np.ndarray:
     """Moment orders -10..10 in steps of 1, zero included."""
     return np.arange(-10.0, 11.0, 1.0)
 
 
-def default_scales(
-    n: int, wavelet: WaveletSpec | None = None, min_segments: int = 4
-) -> np.ndarray:
+def default_scales(n: int, wavelet: WaveletSpec | None = None) -> np.ndarray:
     """Dyadic scale ladder support * 2**j admissible for an n-point profile."""
     wavelet = wavelet if wavelet is not None else daubechies(2)
     scales = []
     level = 1
     while True:
         s = wavelet.support * 2**level
-        if 2 * (n // s) < min_segments or s > n:
+        if 2 * (n // s) < MIN_SEGMENTS or s > n:
             break
         scales.append(s)
         level += 1
@@ -74,7 +80,6 @@ class MfdfaConfig:
     q_values: np.ndarray = field(default_factory=default_q_values)
     scales: np.ndarray | None = None
     wavelet: WaveletSpec = field(default_factory=daubechies)
-    min_segments: int = 4
     boundary: str = "symmetric"
 
     def __post_init__(self):
@@ -82,8 +87,6 @@ class MfdfaConfig:
         object.__setattr__(self, "q_values", q)
         if q.size < 1:
             raise ValidationError("q_values must be non-empty")
-        if self.min_segments < 4:
-            raise ValidationError("min_segments must be >= 4")
         if self.boundary not in BOUNDARY_MODES:
             raise ValidationError(
                 f"boundary must be one of {BOUNDARY_MODES}, got {self.boundary!r}"
@@ -132,9 +135,7 @@ class FluctuationTable:
         return float(self.hurst[0] - self.hurst[-1])
 
 
-def segment_variance(
-    fluct: np.ndarray, scale: int, min_segments: int = 4
-) -> np.ndarray:
+def segment_variance(fluct: np.ndarray, scale: int) -> np.ndarray:
     """Mean squared fluctuation per segment, front and back traversal.
 
     Segments 0..M-1 tile the array from the start, segments M..2M-1 from
@@ -147,9 +148,9 @@ def segment_variance(
     if scale < 2:
         raise ValidationError("scale must be >= 2")
     m = n // scale
-    if 2 * m < min_segments:
+    if 2 * m < MIN_SEGMENTS:
         raise ValidationError(
-            f"scale {scale} leaves {2 * m} segments, need >= {min_segments}"
+            f"scale {scale} leaves {2 * m} segments, need >= {MIN_SEGMENTS}"
         )
     front = fluct[: m * scale].reshape(m, scale)
     back = fluct[n - m * scale :].reshape(m, scale)
@@ -215,16 +216,14 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
     values = prof.values if isinstance(prof, Profile) else np.asarray(prof, dtype=float)
     n = values.size
     support = cfg.wavelet.support
-    requested = (
-        cfg.scales if cfg.scales is not None else default_scales(n, cfg.wavelet, cfg.min_segments)
-    )
+    requested = cfg.scales if cfg.scales is not None else default_scales(n, cfg.wavelet)
     levels = sorted({_scale_to_level(s, support) for s in np.asarray(requested)})
     scales = np.array([support * 2**lv for lv in levels], dtype=int)
     for s in scales:
-        if 2 * (n // int(s)) < cfg.min_segments:
+        if 2 * (n // int(s)) < MIN_SEGMENTS:
             raise ValidationError(
                 f"snapped scale {int(s)} leaves fewer than "
-                f"{cfg.min_segments} segments for n={n}"
+                f"{MIN_SEGMENTS} segments for n={n}"
             )
 
     # Each level's fluctuation is reduced to its segment variances before
@@ -232,7 +231,7 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
     flucts = extract_fluctuation(values, cfg.wavelet, levels, boundary=cfg.boundary)
     columns = []
     for s in scales.tolist():
-        seg = segment_variance(next(flucts), s, cfg.min_segments)
+        seg = segment_variance(next(flucts), s)
         columns.append(_moments(seg, cfg.q_values, s, logsumexp))
     fq = np.column_stack(columns)
     return FluctuationTable(
@@ -248,34 +247,33 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
 def generalized_hurst(
     table: FluctuationTable,
     fit_range: tuple[float | None, float | None] | None = None,
-    min_scales: int = 6,
-    r2_floor: float = 0.9,
 ) -> FluctuationTable:
     """Fit h(q) as the log-log slope of F_q(s) over the fit range.
 
     The default range drops scales below twice the wavelet support and
-    above N/8; a None end takes its default.  Orders whose fit falls
-    under ``r2_floor`` are flagged through PoorFitWarning but still
-    reported.  Returns a new table with ``hurst``, ``fit_r2``, ``fit_range`` set.
+    above N/8; a None end takes its default.  The range must keep
+    MIN_FIT_SCALES scales.  Orders whose fit falls under R2_FLOOR are
+    flagged through PoorFitWarning but still reported.  Returns a new
+    table with ``hurst``, ``fit_r2``, ``fit_range`` set.
     """
     lo, hi = (None, None) if fit_range is None else fit_range
     lo = 2.0 * table.wavelet_support if lo is None else lo
     hi = table.n / 8.0 if hi is None else hi
     sel = (table.scales >= lo) & (table.scales <= hi)
-    if int(sel.sum()) < min_scales:
+    if int(sel.sum()) < MIN_FIT_SCALES:
         raise ValidationError(
             f"fit range [{lo:g}, {hi:g}] keeps {int(sel.sum())} scales, "
-            f"need >= {min_scales}"
+            f"need >= {MIN_FIT_SCALES}"
         )
     log_s = np.log(table.scales[sel].astype(float))
     hurst = np.empty(table.q_values.size)
     r2 = np.empty(table.q_values.size)
     for i in range(table.q_values.size):
         hurst[i], _, r2[i] = _fit_line(log_s, np.log(table.fluctuation[i, sel]))
-    poor = table.q_values[r2 < r2_floor]
+    poor = table.q_values[r2 < R2_FLOOR]
     if poor.size:
         warnings.warn(
-            f"h(q) fit below r2={r2_floor:g} at q={np.array2string(poor, precision=2)}",
+            f"h(q) fit below r2={R2_FLOOR:g} at q={np.array2string(poor, precision=2)}",
             PoorFitWarning,
             stacklevel=2,
         )

@@ -31,6 +31,9 @@ MAX_TIMESTAMP_JITTER = 0.01
 #: Header names (stripped, any case) that mark a CSV column as timestamps.
 TIME_HEADERS = ("time", "time_s", "t", "timestamp", "timestamp_s")
 
+#: Most columns a heat map keeps; wider rows are block-averaged down to it.
+HEATMAP_COLS = 192
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -287,22 +290,22 @@ def _write_table(path, header: list[str], columns, eol: str = "\n") -> None:
     path.write_text(",".join(header) + eol + body, encoding="utf-8")
 
 
-def column_bins(rows, ncol: int, max_cols: int = 192) -> np.ndarray:
+def column_bins(rows, ncol: int) -> np.ndarray:
     """Block means of each row's ``ncol`` columns, one row at a time.
 
-    With ``ncol > max_cols`` the columns fall into ``max_cols`` blocks and
+    With ``ncol > HEATMAP_COLS`` the columns fall into that many blocks and
     each row becomes its block means; a row that already holds them (the
     output of this function) passes through.  Otherwise rows stay as they
-    are.  Returns a (rows, min(ncol, max_cols)) array: O(S n) time and
-    O(n + S max_cols) memory for S rows that arrive one at a time.  The
+    are.  Returns a (rows, min(ncol, HEATMAP_COLS)) array: O(S n) time and
+    O(n + S HEATMAP_COLS) memory for S rows that arrive one at a time.  The
     heat-map binning of svg.heatmap and cwt.Scalogram.power_summary.
     """
-    width = min(ncol, max_cols)
+    width = min(ncol, HEATMAP_COLS)
     groups = []
-    if ncol > max_cols:
+    if ncol > HEATMAP_COLS:
         # The blocks come in at most two sizes; each size's blocks are
         # gathered into one (blocks, size) array and averaged along its rows.
-        edges = np.linspace(0, ncol, max_cols + 1).astype(int)
+        edges = np.linspace(0, ncol, HEATMAP_COLS + 1).astype(int)
         sizes = np.diff(edges)
         for size in np.unique(sizes).tolist():
             at = np.flatnonzero(sizes == size)

@@ -228,13 +228,13 @@ def fractal_dimension(beta: float) -> float:
     return (3.0 - beta) / 2.0
 
 
-def dominant_frequency(ps: PowerSpectrum, exclude_dc: bool = True) -> float:
-    """Frequency of the largest power bin; ties resolve to the lower bin."""
+def dominant_frequency(ps: PowerSpectrum) -> float:
+    """Frequency of the largest power bin above DC; ties resolve to the
+    lower bin."""
     power = ps.power
-    start = 1 if exclude_dc else 0
-    if power.size <= start:
+    if power.size <= 1:
         raise ValidationError("spectrum has no usable bins")
-    k = start + int(np.argmax(power[start:]))
+    k = 1 + int(np.argmax(power[1:]))
     return float(ps.freqs[k])
 
 

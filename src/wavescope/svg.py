@@ -155,11 +155,12 @@ def _polyline(ax: _Axes, x: np.ndarray, y: np.ndarray, color: str, dashed: bool)
     return (template % tuple(xy)).replace("-0.00", "0.00")
 
 
-def _frame(ax: _Axes, xlabel, ylabel, title):
+def _frame(ax: _Axes, xlabel, ylabel, title, fill):
+    """Panel border, ticks and labels; ``fill`` paints the panel."""
     out = []
     out.append(
         f'<rect x="{_fmt(ax.x0)}" y="{_fmt(ax.y1)}" width="{_fmt(ax.x1 - ax.x0)}" '
-        f'height="{_fmt(ax.y0 - ax.y1)}" fill="white" stroke="#444444"/>\n'
+        f'height="{_fmt(ax.y0 - ax.y1)}" fill="{fill}" stroke="#444444"/>\n'
     )
     xticks = _log_ticks(*ax.xlim) if ax.xlog else _nice_ticks(*ax.xlim)
     yticks = _log_ticks(*ax.ylim) if ax.ylog else _nice_ticks(*ax.ylim)
@@ -243,7 +244,7 @@ def line_plot(
     xlim = _limits([s[0] for s in norm], xlog)
     ylim = _limits([s[1] for s in norm], ylog)
     ax = _Axes(xlim, ylim, xlog, ylog)
-    body = [_frame(ax, xlabel, ylabel, title)]
+    body = [_frame(ax, xlabel, ylabel, title, "white")]
     for x0, x1 in bands:
         ex0 = min(max(ax.px(x0), ax.x0), ax.x1)
         ex1 = min(max(ax.px(x1), ax.x0), ax.x1)
@@ -316,22 +317,21 @@ def heatmap(
     title: str = "",
     ylog: bool = False,
     overlay: tuple[np.ndarray, np.ndarray] | None = None,
-    max_cols: int = 192,
 ) -> Path:
     """Write a column-binned heatmap of z[row, col] over (y, x) axes.
 
     ``z`` is a 2-D array or any iterable of its rows, one per y value.
-    Columns are block-averaged down to ``max_cols`` so file size stays
+    Columns are block-averaged down to ``HEATMAP_COLS`` so file size stays
     bounded; each row is binned as it arrives (a row may also be given as
     its block means, see signal_core.column_bins).  ``overlay`` draws one
     extra curve (x, y) on top, used for the edge-effect boundary.  With S rows and n
-    columns, binning takes O(S n) time and the cells O(S max_cols) time;
-    memory is O(n + S max_cols).
+    columns, binning takes O(S n) time and the cells O(S HEATMAP_COLS)
+    time; memory is O(n + S HEATMAP_COLS).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xc = column_bins([x], x.size, max_cols)[0]
-    z = column_bins(z, x.size, max_cols)
+    xc = column_bins([x], x.size)[0]
+    z = column_bins(z, x.size)
     if z.shape[0] != y.size:
         raise ValidationError("z must be shaped (len(y), len(x))")
     zmin, zmax = float(np.nanmin(z)), float(np.nanmax(z))
@@ -372,9 +372,7 @@ def heatmap(
         body.append(
             _polyline(ax, np.asarray(ox, float), np.asarray(oy, float), "#ffffff", True)
         )
-    body.append(_frame(ax, xlabel, ylabel, title).replace(
-        'fill="white" stroke="#444444"', 'fill="none" stroke="#444444"'
-    ))
+    body.append(_frame(ax, xlabel, ylabel, title, "none"))
     out = Path(path)
     out.write_text(_document("".join(body)), encoding="utf-8")
     return out

@@ -35,6 +35,19 @@ __all__ = [
 #: Ring-down time constant of the rendered impact response, seconds.
 IMPACT_RINGDOWN_S = 2e-3
 
+#: Map impacts discarded before a bouncing-ball series is rendered.
+RENDER_BURN_IN = 100
+
+#: Most samples (or impacts) a generator makes.  At this size gen_fbm's
+#: working memory, about 7 n floats, is 0.9 GiB.  A larger request is
+#: refused with ValidationError before anything is allocated.
+MAX_SAMPLES = 2**24
+
+
+def _check_size(n: int, what: str) -> None:
+    if n > MAX_SAMPLES:
+        raise ValidationError(f"{what} = {n} exceeds MAX_SAMPLES = {MAX_SAMPLES}")
+
 
 @dataclass(frozen=True)
 class BounceParams:
@@ -65,23 +78,27 @@ class BounceParams:
             raise ValidationError("restitution must lie in (0, 1)")
         if self.n_impacts < 1:
             raise ValidationError("n_impacts must be >= 1")
+        _check_size(self.n_impacts, "n_impacts")
 
 
 @dataclass(frozen=True)
 class CascadeParams:
     """Binomial multiplicative cascade: weight ``a`` to the left half at
-    every dyadic refinement.  The construction is deterministic; ``seed``
-    is accepted for interface uniformity and recorded but unused."""
+    every dyadic refinement.  The construction is deterministic."""
 
     a: float
     levels: int
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.5 < self.a < 1.0:
             raise ValidationError("cascade weight a must lie in (0.5, 1)")
         if self.levels < 1:
             raise ValidationError("levels must be >= 1")
+        # Compared as an exponent: 2**levels itself may be too big to build.
+        if self.levels > math.log2(MAX_SAMPLES):
+            raise ValidationError(
+                f"levels = {self.levels} gives more than MAX_SAMPLES = {MAX_SAMPLES} samples"
+            )
 
 
 def fgn_lag1_autocorr(hurst: float) -> float:
@@ -182,6 +199,7 @@ def gen_fbm(
         raise ValidationError("hurst must lie in (0, 1)")
     if n < 256 or n & (n - 1):
         raise ValidationError("n must be a power of two, at least 256")
+    _check_size(n, "n")
     rng = np.random.default_rng(seed)
     for max_lag in (n, 2 * n):
         try:
@@ -223,6 +241,7 @@ def gen_power_law_noise(
         raise ValidationError("beta must lie in [0, 8]")
     if n < 8 or n & (n - 1):
         raise ValidationError("n must be a power of two, at least 8")
+    _check_size(n, "n")
     freqs = np.arange(1, n // 2 + 1, dtype=float) / n
     samples = _fourier_noise(freqs ** (-beta / 2.0), np.random.default_rng(seed))
     return TimeSeries(
@@ -243,6 +262,9 @@ def gen_sine_mix(
         raise ValidationError("need at least one component")
     if n < 2:
         raise ValidationError("need at least two samples")
+    _check_size(n, "n")
+    if not sample_rate > 0:
+        raise ValidationError("sample_rate must be positive")
     t = np.arange(n) / sample_rate
     samples = np.zeros(n)
     for period, amplitude, phase in components:
@@ -294,27 +316,35 @@ def bounce_map_jacobian(phi_next: float, p: BounceParams) -> np.ndarray:
     return np.array([[1.0, 1.0], [s, p.restitution + s]])
 
 
-def gen_bouncing_ball(
-    p: BounceParams,
-    sample_rate: float | None = None,
-    burn_in: int = 100,
-) -> TimeSeries:
+def gen_bouncing_ball(p: BounceParams, sample_rate: float | None = None) -> TimeSeries:
     """Impact train of the driven bouncing map rendered as a time series.
 
-    Each impact contributes a spike whose height is the impact speed,
-    followed by an exponential ring-down with a 2 ms time constant.  Time
-    between impacts is the phase advance divided by the drive angular
+    The map runs RENDER_BURN_IN impacts before the ``p.n_impacts`` that are
+    rendered.  Each impact contributes a spike whose height is the impact
+    speed, followed by an exponential ring-down with a 2 ms time constant.
+    Time between impacts is the phase advance divided by the drive angular
     frequency; a small positive floor keeps degenerate (chattering)
-    trajectories renderable.
+    trajectories renderable.  A rendering longer than MAX_SAMPLES is
+    refused before its samples are allocated.
     """
     if sample_rate is None:
         sample_rate = 64.0 * p.drive_freq
-    phis, vs = bounce_map_trajectory(p, burn_in=burn_in)
+    if not sample_rate > 0:
+        raise ValidationError("sample_rate must be positive")
+    phis, vs = bounce_map_trajectory(p, burn_in=RENDER_BURN_IN)
     omega = 2.0 * math.pi * p.drive_freq
     gaps = np.maximum(np.abs(vs), 1e-3 * math.pi) / omega
     impact_times = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
     duration = impact_times[-1] + 5.0 * IMPACT_RINGDOWN_S
-    n_samples = int(math.ceil(duration * sample_rate)) + 1
+    span = duration * sample_rate
+    # The length is ceil(span) + 1 samples, checked on the float: an
+    # infinite span has no ceil.
+    if span > MAX_SAMPLES - 1:
+        raise ValidationError(
+            f"rendering at {sample_rate:g} Hz needs more than MAX_SAMPLES = "
+            f"{MAX_SAMPLES} samples"
+        )
+    n_samples = int(math.ceil(span)) + 1
     impulses = np.zeros(n_samples)
     idx = np.minimum(np.round(impact_times * sample_rate).astype(int), n_samples - 1)
     np.add.at(impulses, idx, np.abs(vs))

@@ -305,6 +305,55 @@ def test_synth_rejects_malformed_component(tmp_path):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--kind", "cascade", "--a", "0.7", "--levels", "70"],
+        ["--kind", "fbm", "--hurst", "0.5", "--n", str(2**70), "--sample-rate", "1"],
+        ["--kind", "bounce", "--amplitude", "7", "--drive-freq", "25",
+         "--restitution", "0.9", "--n-impacts", "50", "--sample-rate", "1e300"],
+    ],
+    ids=["cascade", "fbm", "bounce"],
+)
+def test_synth_refuses_more_than_max_samples(tmp_path, capsys, args):
+    # Each size is refused before anything is allocated.
+    out = tmp_path / "big.csv"
+    assert main(["synth", *args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "MAX_SAMPLES" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--kind", "sines", "--component", "0.5,1,0", "--sample-rate", "0", "--n", "64"],
+        ["--kind", "bounce", "--amplitude", "7", "--drive-freq", "25",
+         "--restitution", "0.9", "--n-impacts", "50", "--sample-rate", "0"],
+        ["--kind", "bounce", "--amplitude", "7", "--drive-freq", "25",
+         "--restitution", "0.9", "--n-impacts", "50", "--sample-rate", "-5"],
+    ],
+    ids=["sines-0", "bounce-0", "bounce-negative"],
+)
+def test_synth_refuses_a_rate_that_is_not_positive(tmp_path, capsys, args):
+    out = tmp_path / "wave.csv"
+    assert main(["synth", *args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "sample_rate must be positive" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_oversized_synth_input_fails_the_input_stage(tmp_path):
+    raw = _good_raw(tmp_path, pipeline=[])
+    raw["input"]["synth"]["n"] = 2**70
+    cfg_path = tmp_path / "oversized.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert "MAX_SAMPLES" in (tmp_path / "out" / "input.failed").read_text()
+
+
 def test_unexpected_stage_exception_leaves_marker(tmp_path):
     raw = _good_raw(tmp_path, pipeline=[{"stage": "mfdfa", "q_step": 0}])
     cfg_path = tmp_path / "zero_step.json"

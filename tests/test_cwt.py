@@ -434,19 +434,6 @@ def test_phase_at_scale_refuses_a_scale_that_is_not_finite_and_positive(scale):
         phase_at_scale(sg, scale)
 
 
-@pytest.mark.parametrize("siglevel", [1.5, math.nan, -0.2, 1.0, 0.0, math.inf])
-def test_significance_refuses_a_level_outside_the_open_unit_interval(siglevel):
-    sg = cwt_morlet(_tone(0.3, 100.0, 512))
-    for reducer in (global_power, pointwise_significance):
-        with pytest.raises(ValidationError, match="siglevel"):
-            reducer(sg, siglevel=siglevel)
-    # The refusal comes before the pass over the rows.
-    assert sg._summary is None
-    thresholds = global_power(sg, siglevel=0.99).significance_95
-    assert np.all(np.isfinite(thresholds))
-    assert np.all(np.isfinite(pointwise_significance(sg, siglevel=0.99)))
-
-
 def test_phase_difference_constant_offset():
     rate, n, period = 100.0, 4096, 0.4
     a = cwt_morlet(_tone(period, rate, n, phase=0.9))

@@ -1,9 +1,13 @@
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wavescope
+from wavescope import cwt, lyapunov, mfdfa, signal_core, spectral, svg, synth
 
 
 def _python(*args):
@@ -33,3 +37,29 @@ def test_python_dash_m_runs_the_cli_without_a_warning():
     out = _python("-m", "wavescope", "--help")
     assert out.stdout.startswith("usage: wavescope")
     assert "RuntimeWarning" not in out.stderr
+
+
+# Each of these was a keyword that only tests set; its value is now a
+# named module constant (or, for map_lyapunov, p.n_impacts alone).
+_FIXED_SETTINGS = [
+    (cwt.global_power, "siglevel"),
+    (cwt.pointwise_significance, "siglevel"),
+    (spectral.dominant_frequency, "exclude_dc"),
+    (mfdfa.MfdfaConfig, "min_segments"),
+    (mfdfa.default_scales, "min_segments"),
+    (mfdfa.segment_variance, "min_segments"),
+    (mfdfa.generalized_hurst, "min_scales"),
+    (mfdfa.generalized_hurst, "r2_floor"),
+    (svg.heatmap, "max_cols"),
+    (signal_core.column_bins, "max_cols"),
+    (lyapunov.map_lyapunov, "n_impacts"),
+    (synth.gen_bouncing_ball, "burn_in"),
+    (synth.CascadeParams, "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, name", _FIXED_SETTINGS, ids=[f"{f.__name__}-{n}" for f, n in _FIXED_SETTINGS]
+)
+def test_fixed_settings_are_constants_not_parameters(func, name):
+    assert name not in inspect.signature(func).parameters

@@ -40,7 +40,7 @@ def test_default_q_grid():
 def test_segment_variance_hand_example():
     # n=10, scale=4: two front segments [0:4],[4:8], two back [2:6],[6:10]
     x = np.arange(10.0)
-    seg = segment_variance(x, 4, min_segments=4)
+    seg = segment_variance(x, 4)
     front0 = np.mean(x[0:4] ** 2)
     front1 = np.mean(x[4:8] ** 2)
     back0 = np.mean(x[2:6] ** 2)
@@ -156,10 +156,10 @@ def test_fluctuation_function_frees_each_level_before_the_next(monkeypatch):
     seen = []
     original = mfdfa.segment_variance
 
-    def spy(fluct, scale, min_segments):
+    def spy(fluct, scale):
         assert [ref() for ref in seen] == [None] * len(seen)
         seen.append(weakref.ref(fluct))
-        return original(fluct, scale, min_segments)
+        return original(fluct, scale)
 
     monkeypatch.setattr(mfdfa, "segment_variance", spy)
     table = fluctuation_function(np.cumsum(np.random.default_rng(5).standard_normal(4096)))
@@ -234,7 +234,7 @@ def _exact_table(h_by_q, scales):
 def test_generalized_hurst_recovers_exact_slopes():
     scales = 4 * 2 ** np.arange(1, 8)
     table = _exact_table({-2.0: 0.9, 0.0: 0.7, 2.0: 0.5}, scales)
-    out = generalized_hurst(table, fit_range=(8.0, 512.0), min_scales=6)
+    out = generalized_hurst(table, fit_range=(8.0, 512.0))
     assert out.hurst_at(-2.0) == pytest.approx(0.9, abs=1e-12)
     assert out.hurst_at(0.0) == pytest.approx(0.7, abs=1e-12)
     assert out.hurst_at(2.0) == pytest.approx(0.5, abs=1e-12)
@@ -267,7 +267,7 @@ def test_generalized_hurst_needs_enough_scales():
     scales = 4 * 2 ** np.arange(1, 4)
     table = _exact_table({2.0: 0.5}, scales)
     with pytest.raises(ValidationError):
-        generalized_hurst(table, min_scales=6)
+        generalized_hurst(table)
 
 
 def test_generalized_hurst_warns_on_poor_fit():

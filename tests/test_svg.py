@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wavescope import ValidationError, svg
-from wavescope.signal_core import column_bins
+from wavescope.signal_core import HEATMAP_COLS, column_bins
 from wavescope.svg import heatmap, line_plot
 
 
@@ -71,12 +71,22 @@ def test_heatmap_caps_columns(tmp_path):
     x = np.arange(1000, dtype=float)
     y = np.arange(20, dtype=float)
     z = np.random.default_rng(0).random((20, 1000))
-    p = heatmap(tmp_path / "h.svg", x, y, z, max_cols=64)
+    p = heatmap(tmp_path / "h.svg", x, y, z)
     text = p.read_text()
     # one <rect> per retained cell plus a handful of chrome rects
     n_rects = text.count("<rect")
-    assert n_rects <= 64 * 20 + 10
+    assert n_rects <= HEATMAP_COLS * 20 + 10
     ET.parse(p)  # well formed
+
+
+def test_heatmap_title_keeps_its_text(tmp_path):
+    # Only the panel rect is unfilled; a label that reads like its
+    # attributes is written as given.
+    x, y, z = np.arange(5.0), np.arange(3.0), np.ones((3, 5))
+    title = 'fill="white" stroke="#444444"'
+    text = heatmap(tmp_path / "h.svg", x, y, z, title=title).read_text()
+    assert f">{title}</text>" in text
+    assert text.count('fill="none" stroke="#444444"') == 1
 
 
 def test_heatmap_overlay_and_repeatability(tmp_path):
@@ -149,11 +159,11 @@ def test_heat_colors_match_the_per_cell_function():
     assert got == [_heat_color_reference(float(v)) for v in u]
 
 
-def _heatmap_reference(path, x, y, z, ylog=False, overlay=None, max_cols=192):
+def _heatmap_reference(path, x, y, z, ylog=False, overlay=None):
     x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
     ncol = x.size
-    if ncol > max_cols:
-        edges = np.linspace(0, ncol, max_cols + 1).astype(int)
+    if ncol > HEATMAP_COLS:
+        edges = np.linspace(0, ncol, HEATMAP_COLS + 1).astype(int)
         blocks = list(zip(edges[:-1], edges[1:]))
         z = np.stack([z[:, a:b].mean(axis=1) for a, b in blocks], axis=1)
         xc = np.array([x[a:b].mean() for a, b in blocks])
@@ -188,9 +198,7 @@ def _heatmap_reference(path, x, y, z, ylog=False, overlay=None, max_cols=192):
     if overlay is not None:
         ox, oy = (np.asarray(a, float) for a in overlay)
         body.append(_polyline_reference(ax, ox, oy, "#ffffff", True))
-    body.append(svg._frame(ax, "", "", "").replace(
-        'fill="white" stroke="#444444"', 'fill="none" stroke="#444444"'
-    ))
+    body.append(svg._frame(ax, "", "", "", "none"))
     Path(path).write_text(svg._document("".join(body)), encoding="utf-8")
 
 
@@ -250,8 +258,8 @@ def _heat_case(ncol, nrow=7, seed=0):
 
 _HEAT_CASES = {
     "fewer columns than max_cols": (*_heat_case(50), {"ylog": True}),
-    "as many columns as max_cols": (*_heat_case(64), {"max_cols": 64}),
-    "more columns than max_cols": (*_heat_case(1000), {"max_cols": 64, "ylog": True}),
+    "as many columns as max_cols": (*_heat_case(HEATMAP_COLS), {}),
+    "more columns than max_cols": (*_heat_case(1000), {"ylog": True}),
     "nan cells": (
         *_heat_case(30)[:2],
         np.where(np.eye(7, 30, dtype=bool), np.nan, _heat_case(30)[2]),
@@ -296,7 +304,7 @@ def test_heatmap_of_streamed_or_binned_rows_matches_the_array(tmp_path, case):
     x, y, z, kwargs = _HEAT_CASES[case]
     heatmap(tmp_path / "array.svg", x, y, z, **kwargs)
     heatmap(tmp_path / "rows.svg", x, y, (row for row in z), **kwargs)
-    binned = column_bins(iter(z), x.size, kwargs.get("max_cols", 192))
+    binned = column_bins(iter(z), x.size)
     heatmap(tmp_path / "binned.svg", x, y, binned, **kwargs)
     want = (tmp_path / "array.svg").read_bytes()
     assert (tmp_path / "rows.svg").read_bytes() == want
@@ -319,4 +327,4 @@ def test_heatmap_rejects_misshapen_rows(tmp_path):
     x, y, z = _heat_case(300)
     for bad in (z[:, :299], z[:-1], list(z[:, :100]) + [z[0]], z[0]):
         with pytest.raises(ValidationError, match="z must be shaped"):
-            heatmap(tmp_path / "bad.svg", x, y, bad, max_cols=64)
+            heatmap(tmp_path / "bad.svg", x, y, bad)

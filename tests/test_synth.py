@@ -9,6 +9,7 @@ import scipy
 from wavescope import NyquistError, ValidationError
 from wavescope.lyapunov import map_lyapunov
 from wavescope.synth import (
+    MAX_SAMPLES,
     BounceParams,
     CascadeParams,
     bounce_map_jacobian,
@@ -181,8 +182,6 @@ def test_bounce_map_trajectory_rejects_negative_burn_in_and_empty_runs(n, burn_i
         bounce_map_trajectory(p, n=n, burn_in=burn_in)
     if burn_in < 0:
         with pytest.raises(ValidationError, match="burn_in"):
-            gen_bouncing_ball(p, burn_in=burn_in)
-        with pytest.raises(ValidationError, match="burn_in"):
             map_lyapunov(BounceParams(7.0, 25.0, 0.9, 10_000, seed=3), burn_in=burn_in)
 
 
@@ -293,3 +292,30 @@ def test_cascade_weight_validation():
         CascadeParams(1.0, 10)
     with pytest.raises(ValidationError):
         CascadeParams(0.75, 0)
+
+
+# ------------------------------------------------------------- input size
+
+
+def test_generators_refuse_more_than_max_samples():
+    # 2**70 samples fail at once even without the limit, so these
+    # refusals allocate nothing whether or not the limit is in place.
+    for make in (
+        lambda: gen_fbm(0.5, 2**70),
+        lambda: gen_power_law_noise(1.0, 2**70),
+        lambda: gen_sine_mix([(1.0, 1.0, 0.0)], 10.0, 2**70),
+        lambda: CascadeParams(0.7, 70),
+        lambda: gen_bouncing_ball(BounceParams(7.0, 25.0, 0.9, 50, seed=3), 1e300),
+        lambda: gen_bouncing_ball(BounceParams(7.0, 25.0, 0.9, 50, seed=3), math.inf),
+    ):
+        with pytest.raises(ValidationError, match="MAX_SAMPLES"):
+            make()
+
+
+def test_param_objects_take_max_samples_and_refuse_one_more():
+    assert 2 ** CascadeParams(0.7, 24).levels == MAX_SAMPLES
+    with pytest.raises(ValidationError, match="MAX_SAMPLES"):
+        CascadeParams(0.7, 25)
+    assert BounceParams(7.0, 25.0, 0.9, MAX_SAMPLES).n_impacts == MAX_SAMPLES
+    with pytest.raises(ValidationError, match="MAX_SAMPLES"):
+        BounceParams(7.0, 25.0, 0.9, MAX_SAMPLES + 1)
