@@ -33,14 +33,13 @@ from .errors import (
     ZeroVarianceError,
     ZeroVarianceWarning,
 )
-from .signal_core import Profile, TimeSeries, detrend_mean, load_csv, profile, write_csv
+from .signal_core import Profile, TimeSeries, load_csv, profile, write_csv
 from .spectral import (
     DISSIPATION_SLOPE,
     NEUTRAL_CASCADE_SLOPE,
     HeisenbergResult,
     PowerSpectrum,
     SpectrumFit,
-    alpha_from_hurst,
     dominant_frequency,
     fit_power_law,
     fractal_dimension,
@@ -75,7 +74,6 @@ from .cwt import (
     morlet_fourier_factor,
     phase_at_scale,
     phase_difference,
-    pointwise_significance,
 )
 from .lyapunov import (
     EmbeddingConfig,
@@ -90,7 +88,6 @@ from .synth import (
     bounce_map_jacobian,
     bounce_map_trajectory,
     cascade_hurst,
-    fgn_lag1_autocorr,
     gen_binomial_cascade,
     gen_bouncing_ball,
     gen_fbm,
@@ -112,10 +109,10 @@ __all__ = [
     "InsufficientNeighborsError", "PoorFitWarning", "EmbeddingQualityWarning",
     "ConfigError", "StageError",
     # core
-    "TimeSeries", "Profile", "profile", "detrend_mean", "load_csv", "write_csv",
+    "TimeSeries", "Profile", "profile", "load_csv", "write_csv",
     # spectral
     "PowerSpectrum", "SpectrumFit", "HeisenbergResult", "power_spectrum",
-    "fit_power_law", "hurst_from_alpha", "alpha_from_hurst",
+    "fit_power_law", "hurst_from_alpha",
     "fractal_dimension", "dominant_frequency", "heisenberg_fit",
     "NEUTRAL_CASCADE_SLOPE", "DISSIPATION_SLOPE",
     # dwt
@@ -127,13 +124,12 @@ __all__ = [
     # cwt
     "Scalogram", "GlobalPower", "PhaseSeries", "PhaseComparison",
     "morlet_fourier_factor", "cwt_morlet", "global_power",
-    "pointwise_significance", "dominant_periods", "phase_at_scale",
-    "phase_difference",
+    "dominant_periods", "phase_at_scale", "phase_difference",
     # lyapunov
     "EmbeddingConfig", "LyapunovResult", "estimate_delay",
     "largest_lyapunov", "map_lyapunov",
     # synth
-    "BounceParams", "CascadeParams", "fgn_lag1_autocorr", "cascade_hurst",
+    "BounceParams", "CascadeParams", "cascade_hurst",
     "gen_fbm", "gen_power_law_noise", "gen_sine_mix",
     "bounce_map_trajectory", "bounce_map_jacobian", "gen_bouncing_ball",
     "gen_binomial_cascade",

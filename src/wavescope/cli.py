@@ -31,10 +31,10 @@ from .errors import (
     WavescopeError,
 )
 from .figures import (
-    FIGURE_NAMES, _emit_phase, _fq_plot, _phase_comparison, _plain, _scalogram_plot,
-    _spectrum_plot, _write_fq_table, _write_json, _writer, figure_repro,
+    FIGURE_NAMES, emit_phase, figure_repro, fq_plot, phase_comparison, plain,
+    scalogram_plot, spectrum_plot, write_fq_table, write_json, writer,
 )
-from .signal_core import TimeSeries, _write_table, load_csv, profile, write_csv
+from .signal_core import TimeSeries, load_csv, profile, write_csv, write_table
 
 __all__ = ["RunConfig", "RunReport", "validate_config", "run", "figure_repro", "main"]
 
@@ -293,7 +293,7 @@ def _build_input(cfg: RunConfig) -> TimeSeries:
 #
 # Stage contract: ``_stage_x(ts, params, emit) -> (ts, info)``.  A stage
 # gets the series and its declared params with defaults filled in.  It
-# writes every file through ``emit`` (see _writer), inside the call, so a
+# writes every file through ``emit`` (see writer), inside the call, so a
 # failing write fails the stage and the stage's arrays die on return.  It
 # returns the series for the next stage and its summary entry.  A stage
 # in _SCALOGRAM_STAGES also gets the run's _Scalograms, held for the whole
@@ -366,8 +366,8 @@ def _stage_denoise(ts, params, emit):
 def _stage_spectrum(ts, params, emit):
     """One-sided power spectrum."""
     ps = spectral.power_spectrum(ts, window=params["window"])
-    emit("spectrum.csv", _write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
-    emit("spectrum.svg", _spectrum_plot, ps, "power spectrum")
+    emit("spectrum.csv", write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
+    emit("spectrum.svg", spectrum_plot, ps, "power spectrum")
     return ts, {
         "dominant_frequency_hz": spectral.dominant_frequency(ps),
         "n_bins": int(ps.freqs.size),
@@ -396,9 +396,9 @@ def _stage_fit(ts, params, emit):
     except WavescopeError as err:
         info["fractal_dimension"] = None
         info["fractal_dimension_note"] = str(err)
-    emit("fit.json", _write_json, info)
+    emit("fit.json", write_json, info)
     guide = (fit, None, f"slope {fit.slope:.3g}")
-    emit("fit.svg", _spectrum_plot, ps, "power-law fit", [guide])
+    emit("fit.svg", spectrum_plot, ps, "power-law fit", [guide])
     return ts, info
 
 
@@ -420,9 +420,9 @@ def _stage_heisenberg(ts, params, emit):
         "band_hz": list(res.fit.band),
         "r_squared": res.fit.r_squared,
     }
-    emit("heisenberg.json", _write_json, info)
+    emit("heisenberg.json", write_json, info)
     guide = (res.fit, res.target, f"target {res.target:.3g}")
-    emit("heisenberg.svg", _spectrum_plot, ps, "spectral regime fit", [guide])
+    emit("heisenberg.svg", spectrum_plot, ps, "spectral regime fit", [guide])
     return ts, info
 
 
@@ -435,15 +435,15 @@ def _stage_mfdfa(ts, params, emit):
     table = mfdfa.fluctuation_function(profile(data, ts.sample_rate), cfg)
     fit_range = (params["fit_lo"], params["fit_hi"])
     table = mfdfa.generalized_hurst(table, fit_range=fit_range)
-    emit("fq.csv", _write_fq_table, table)
+    emit("fq.csv", write_fq_table, table)
     emit(
         "hurst.csv",
-        _write_table,
+        write_table,
         ["q", "h", "r_squared"],
         [table.q_values, table.hurst, table.fit_r2],
     )
     rows = range(0, table.q_values.size, max(1, table.q_values.size // 6))
-    emit("fq.svg", _fq_plot, table, rows, "scale (samples)", "fluctuation function")
+    emit("fq.svg", fq_plot, table, rows, "scale (samples)", "fluctuation function")
     emit(
         "hurst.svg",
         svg.line_plot,
@@ -459,7 +459,7 @@ def _stage_mfdfa(ts, params, emit):
         "n_scales": int(table.scales.size),
         "differenced": params["difference"],
     }
-    emit("mfdfa.json", _write_json, info)
+    emit("mfdfa.json", write_json, info)
     return ts, info
 
 
@@ -473,11 +473,11 @@ def _stage_cwt(ts, params, emit, scalogram):
     sg = scalogram(ts, params["omega0"], params["norm"], params["pad"])
     emit(
         "scales.csv",
-        _write_table,
+        write_table,
         ["scale_s", "period_s", "mean_power_outside_coi"],
         [sg.scales, sg.periods, sg.power_summary(heatmap=True).mean_power],
     )
-    emit("scalogram.svg", _scalogram_plot, sg, "scalogram, log10 power / variance")
+    emit("scalogram.svg", scalogram_plot, sg, "scalogram, log10 power / variance")
     return ts, {
         "n_scales": int(sg.scales.size),
         "period_range_s": [float(sg.periods[0]), float(sg.periods[-1])],
@@ -491,7 +491,7 @@ def _stage_globalpower(ts, params, emit, scalogram):
     peaks = cwtmod.dominant_periods(gp, max_count=params["max_peaks"])
     emit(
         "globalpower.csv",
-        _write_table,
+        write_table,
         ["scale_s", "period_s", "power", "significance_95"],
         [gp.scales, gp.periods, gp.power, gp.significance_95],
     )
@@ -514,7 +514,7 @@ def _stage_globalpower(ts, params, emit, scalogram):
         "background": gp.background,
         "n_scales": int(gp.scales.size),
     }
-    emit("globalpower.json", _write_json, info)
+    emit("globalpower.json", write_json, info)
     return ts, info
 
 
@@ -539,10 +539,10 @@ def _stage_lyapunov(ts, params, emit):
         "delay": cfg.delay,
         "positive": res.positive,
     }
-    emit("lyapunov.json", _write_json, info)
+    emit("lyapunov.json", write_json, info)
     emit(
         "divergence.csv",
-        _write_table,
+        write_table,
         ["iteration", "mean_log_distance"],
         [np.arange(res.divergence.size), res.divergence],
     )
@@ -649,14 +649,14 @@ def run(cfg: RunConfig) -> RunReport:
             raise StageError(stage_name, f"{stage_name}: {err}") from err
 
     ts = attempt("input", _build_input, cfg)
-    _writer(outdir, "", wanted, written)("input.csv", lambda path: write_csv(ts, path))
+    writer(outdir, "", wanted, written)("input.csv", lambda path: write_csv(ts, path))
     summary["input"] = {
         "n": int(ts.samples.size),
         "sample_rate_hz": float(ts.sample_rate),
         "label": ts.label,
     }
     for i, (name, params) in enumerate(stages):
-        emit = _writer(outdir, f"{i:02d}_{name}_", wanted, written)
+        emit = writer(outdir, f"{i:02d}_{name}_", wanted, written)
         args = (ts, params, emit)
         if name in _SCALOGRAM_STAGES:
             scalograms.heatmap_params = _cwt_params_ahead(stages[i:])
@@ -669,7 +669,7 @@ def run(cfg: RunConfig) -> RunReport:
         summary=summary,
         exit_code=0,
     )
-    _write_json(
+    write_json(
         outdir / "report.json",
         {"artifacts": report.artifacts, "summary": report.summary, "exit_code": 0},
     )
@@ -778,7 +778,7 @@ def _cmd_stage(args) -> int:
         }
     )
     report = run(cfg)
-    print(f"{name}: " + json.dumps(_plain(report.summary[name]), sort_keys=True))
+    print(f"{name}: " + json.dumps(plain(report.summary[name]), sort_keys=True))
     return 0
 
 
@@ -787,13 +787,13 @@ def _cmd_phase(args) -> int:
         raise ConfigError(f"--period must be finite and > 0, got {args.period}")
     a = load_csv(args.input_a, sample_rate=args.sample_rate)
     b = load_csv(args.input_b, sample_rate=args.sample_rate)
-    period, cmp_, bands = _phase_comparison(
+    period, cmp_, bands = phase_comparison(
         cwtmod.cwt_morlet(a), cwtmod.cwt_morlet(b), args.period
     )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    emit = _writer(outdir, "", lambda f: args.svg or not f.endswith(".svg"), [])
-    _emit_phase(
+    emit = writer(outdir, "", lambda f: args.svg or not f.endswith(".svg"), [])
+    emit_phase(
         emit, "phase.svg", "phase_difference.csv", cmp_, bands,
         "delta phi", "phase difference",
     )
@@ -803,7 +803,7 @@ def _cmd_phase(args) -> int:
         "segments": cmp_.segments,
         "min_duration_s": cmp_.min_duration_s,
     }
-    emit("phase.json", _write_json, info)
+    emit("phase.json", write_json, info)
     print(f"phase: median {cmp_.median:+.4f} rad, {len(cmp_.segments)} segment(s)")
     return 0
 

@@ -11,8 +11,8 @@ compatibility with that reading is wanted.
 
 Significance testing follows the usual chi-squared recipe: wavelet power
 of a stationary background is distributed as its mean spectrum times
-chi2_nu / nu, with nu = 2 pointwise and an effective-sample correction
-for time-averaged (global) power.
+chi2_nu / nu.  Only time-averaged (global) power is tested, with nu from
+the effective-sample correction of the averaging.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "default_scales",
     "cwt_morlet",
     "global_power",
-    "pointwise_significance",
     "dominant_periods",
     "phase_at_scale",
     "phase_difference",
@@ -54,8 +53,7 @@ MORLET_GAMMA = 2.32
 SYNC_BAND_RAD = 0.2
 SYNC_MIN_PERIODS = 3.0
 
-#: Confidence level of every significance threshold: GlobalPower's
-#: ``significance_95`` and pointwise_significance.
+#: Confidence level of GlobalPower's ``significance_95``.
 SIGNIFICANCE_LEVEL = 0.95
 
 
@@ -453,23 +451,6 @@ def _chi2_ppf(p, dof):
     from scipy.special import gammaincinv
 
     return 2.0 * gammaincinv(dof / 2.0, p)
-
-
-def pointwise_significance(
-    sg: Scalogram,
-    background: str = "white",
-    ar1: float | None = None,
-    series: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-scale pointwise power threshold at SIGNIFICANCE_LEVEL against a
-    noise background.
-
-    For ``background="red"`` the lag-1 coefficient is taken from ``ar1``
-    or estimated from ``series``.
-    """
-    shape, _ = _background_shape(sg, background, ar1, series)
-    base = sg.signal_variance * _mean_power_scale(sg)
-    return base * shape * (_chi2_ppf(SIGNIFICANCE_LEVEL, 2) / 2.0)
 
 
 def global_power(

@@ -1,7 +1,7 @@
 """The paper's figures 7-12 rebuilt from synthetic stand-ins, and the
 artifact writer and plot helpers that the pipeline stages share.
 
-Stages, presets and ``phase`` write every file through ``_writer``.
+Stages, presets and ``phase`` write every file through ``writer``.
 Everything written is deterministic: JSON has sorted keys and
 repr-roundtrip floats, CSV numbers use repr, SVG uses fixed precision,
 and no artifact carries a timestamp.  Nothing here imports ``cli``.
@@ -19,7 +19,7 @@ import numpy as np
 from . import cwt as cwtmod
 from . import mfdfa, spectral, svg, synth
 from .errors import ConfigError
-from .signal_core import TimeSeries, _write_table, profile
+from .signal_core import TimeSeries, profile, write_table
 
 __all__ = ["FIGURE_NAMES", "figure_repro"]
 
@@ -28,27 +28,27 @@ __all__ = ["FIGURE_NAMES", "figure_repro"]
 # artifact helpers
 
 
-def _plain(obj):
+def plain(obj):
     """Recursively convert numpy containers so json sees pure Python."""
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        return [plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
+        return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [plain(v) for v in obj]
     return obj
 
 
-def _write_json(path: Path, obj) -> None:
+def write_json(path: Path, obj) -> None:
     path.write_text(
-        json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(plain(obj), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
 
 
-def _writer(outdir: Path, prefix: str, wanted, written: list):
+def writer(outdir: Path, prefix: str, wanted, written: list):
     """The one artifact writer for stages, figure presets and ``phase``.
 
     ``emit(name, write, *args, **kwargs)`` calls ``write(outdir / (prefix
@@ -67,7 +67,7 @@ def _writer(outdir: Path, prefix: str, wanted, written: list):
     return emit
 
 
-def _spectrum_plot(path, ps, title, guides=(), label="power"):
+def spectrum_plot(path, ps, title, guides=(), label="power"):
     """Log-log spectrum with a dashed guide line per ``(fit, slope, label)``.
 
     A guide runs across the fitted band, anchored at the band's centre on
@@ -94,15 +94,15 @@ def _spectrum_plot(path, ps, title, guides=(), label="power"):
     )
 
 
-def _write_fq_table(path, table):
+def write_fq_table(path, table):
     header = ["scale"] + [f"q={v:g}" for v in table.q_values]
     cols = [table.scales.astype(float)] + [
         table.fluctuation[i] for i in range(table.q_values.size)
     ]
-    _write_table(path, header, cols)
+    write_table(path, header, cols)
 
 
-def _fq_plot(path, table, rows, xlabel, title):
+def fq_plot(path, table, rows, xlabel, title):
     """Log-log F_q(s) curves for the moment orders at ``rows``."""
     curves = [
         (table.scales.astype(float), table.fluctuation[i], f"q={table.q_values[i]:g}")
@@ -113,7 +113,7 @@ def _fq_plot(path, table, rows, xlabel, title):
     )
 
 
-def _scalogram_plot(path, sg, title):
+def scalogram_plot(path, sg, title):
     """Heatmap of log10 power relative to the variance, cone of influence
     drawn, from the column bins of ``sg.power_summary(heatmap=True)``."""
     return svg.heatmap(
@@ -151,7 +151,7 @@ def _two_regime_noise(n: int = 2**15, rate: float = 50000.0, fc: float = 500.0):
         freqs ** (-5.0 / 6.0),
         fc ** (7.0 / 2.0 - 5.0 / 6.0) * freqs ** (-7.0 / 2.0),
     )
-    samples = synth._fourier_noise(amp, np.random.default_rng(11))
+    samples = synth.fourier_noise(amp, np.random.default_rng(11))
     return TimeSeries(samples, rate, label="two-regime noise")
 
 
@@ -173,24 +173,24 @@ def _fig7(emit) -> None:
     )
     emit(
         "fig7b.svg",
-        _spectrum_plot,
+        spectrum_plot,
         ps,
         "power law of the profile",
         [(fit, None, f"slope {fit.slope:.2f}")],
         label="profile power",
     )
-    emit("fig7.csv", _write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
+    emit("fig7.csv", write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
     info = {"alpha_abs": fit.alpha_abs, "slope": fit.slope, "hurst": hurst}
-    emit("fig7.json", _write_json, info)
+    emit("fig7.json", write_json, info)
 
 
 def _fig8(emit) -> None:
     ts = _four_tone_series()
     sg = cwtmod.cwt_morlet(ts)
-    emit("fig8.svg", _scalogram_plot, sg, "scalogram with cone of influence")
+    emit("fig8.svg", scalogram_plot, sg, "scalogram with cone of influence")
     emit(
         "fig8.csv",
-        _write_table,
+        write_table,
         ["period_s", "mean_power_outside_coi"],
         [sg.periods, sg.power_summary(heatmap=True).mean_relative],
     )
@@ -208,13 +208,13 @@ def _fig9(emit) -> None:
     sel = np.flatnonzero(np.isin(table.q_values, (-10, -5, -2, 0, 2, 5, 10)))
     emit(
         "fig9a.svg",
-        _fq_plot,
+        fq_plot,
         table,
         sel,
         "scale s (samples)",
         "fluctuation functions of the cascade",
     )
-    emit("fig9a.csv", _write_fq_table, table)
+    emit("fig9a.csv", write_fq_table, table)
     closed = np.array([synth.cascade_hurst(0.75, v) for v in table.q_values])
     emit(
         "fig9b.svg",
@@ -229,7 +229,7 @@ def _fig9(emit) -> None:
     )
     emit(
         "fig9b.csv",
-        _write_table,
+        write_table,
         ["q", "h_measured", "h_closed_form"],
         [table.q_values, table.hurst, closed],
     )
@@ -250,8 +250,8 @@ def _fig10(emit) -> None:
         xlog=True,
         vmarks=[(p, f"{p * 1e3:.0f} ms") for p in sorted(peaks)],
     )
-    emit("fig10a.csv", _write_table, ["period_s", "power"], [gp.periods, gp.power])
-    emit("fig10a.json", _write_json, {"dominant_periods_s": sorted(peaks)})
+    emit("fig10a.csv", write_table, ["period_s", "power"], [gp.periods, gp.power])
+    emit("fig10a.json", write_json, {"dominant_periods_s": sorted(peaks)})
     emit(
         "fig10b.svg",
         svg.line_plot,
@@ -268,13 +268,13 @@ def _fig10(emit) -> None:
     sig = gp.power > gp.significance_95
     emit(
         "fig10b.csv",
-        _write_table,
+        write_table,
         ["period_s", "power", "significance_95", "significant"],
         [gp.periods, gp.power, gp.significance_95, sig],
     )
 
 
-def _phase_comparison(sga, sgb, period: float):
+def phase_comparison(sga, sgb, period: float):
     """Phase of ``sga`` minus phase of ``sgb`` at ``sga``'s scale nearest ``period``.
 
     Nearness is measured on the log axis, as ``phase_at_scale`` does.
@@ -287,7 +287,7 @@ def _phase_comparison(sga, sgb, period: float):
     return pa.period, cmp_, bands
 
 
-def _emit_phase(emit, svg_name, csv_name, cmp_, bands, label, title) -> None:
+def emit_phase(emit, svg_name, csv_name, cmp_, bands, label, title) -> None:
     """Write a phase comparison as a line plot with its synchronized
     ``bands`` shaded, then as a ``time_s,delta_phi_rad`` table."""
     emit(
@@ -299,7 +299,7 @@ def _emit_phase(emit, svg_name, csv_name, cmp_, bands, label, title) -> None:
         title=title,
         bands=bands,
     )
-    emit(csv_name, _write_table, ["time_s", "delta_phi_rad"], [cmp_.times, cmp_.delta])
+    emit(csv_name, write_table, ["time_s", "delta_phi_rad"], [cmp_.times, cmp_.delta])
 
 
 def _fig11(emit) -> None:
@@ -316,15 +316,15 @@ def _fig11(emit) -> None:
     # all three share one scale ladder, so each picks the same scale
     cmps = {}
     for tag, sg in (("locked", sgb), ("detuned", sgc)):
-        _, cmp_, bands = _phase_comparison(sg, sga, period)
+        _, cmp_, bands = phase_comparison(sg, sga, period)
         cmps[tag] = cmp_
-        _emit_phase(
+        emit_phase(
             emit, f"fig11_{tag}.svg", f"fig11_{tag}.csv", cmp_, bands,
             "phase difference", f"phase difference, {tag} pair",
         )
     emit(
         "fig11.json",
-        _write_json,
+        write_json,
         {
             "locked_median_rad": cmps["locked"].median,
             "locked_segments": cmps["locked"].segments,
@@ -341,7 +341,7 @@ def _fig12(emit) -> None:
     dissip = spectral.heisenberg_fit(ps, 800.0, 20000.0, regime="dissipation")
     emit(
         "fig12.svg",
-        _spectrum_plot,
+        spectrum_plot,
         ps,
         "spectral regimes",
         [
@@ -349,10 +349,10 @@ def _fig12(emit) -> None:
             (dissip.fit, dissip.target, "-7 dissipation"),
         ],
     )
-    emit("fig12.csv", _write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
+    emit("fig12.csv", write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
     emit(
         "fig12.json",
-        _write_json,
+        write_json,
         {
             "neutral": {"slope": neutral.fit.slope, "matches": neutral.matches},
             "dissipation": {"slope": dissip.fit.slope, "matches": dissip.matches},
@@ -382,5 +382,5 @@ def figure_repro(name: str, out_dir: str | Path) -> list[Path]:
     outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    _FIGURES[name](_writer(outdir, "", lambda f: f.startswith(name), written))
+    _FIGURES[name](writer(outdir, "", lambda f: f.startswith(name), written))
     return written

@@ -26,7 +26,7 @@ from .errors import (
     InsufficientNeighborsError,
     ValidationError,
 )
-from .signal_core import TimeSeries, _fit_line
+from .signal_core import TimeSeries, fit_line
 from .synth import BounceParams, bounce_map_trajectory
 
 __all__ = [
@@ -173,7 +173,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     n = yy.size
     min_len = 4
     if n <= 2 * min_len:
-        slope, _, r2 = _fit_line(kk, yy)
+        slope, _, r2 = fit_line(kk, yy)
         return slope, (int(kk[0]), int(kk[-1])), r2
 
     def sse(lo: int, hi: int) -> float:
@@ -191,7 +191,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     # test, and for those the whole-curve trend is the right slope: the
     # mean of an oscillation, not its rising quarter-wave.
     if knee_sse > 0.5 * sse(0, n):
-        slope, _, r2 = _fit_line(kk, yy)
+        slope, _, r2 = fit_line(kk, yy)
         return slope, (int(kk[0]), int(kk[-1])), r2
     # The breakpoint tends to land past the bend (the long flat side
     # dominates the cost), so trim the prefix where the local slope first
@@ -205,7 +205,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
                 prefix_end = max(min_len, i + 1)
                 break
     lengths = range(min_len, prefix_end + 1)
-    r2_by_len = {m: _fit_line(kk[:m], yy[:m])[2] for m in lengths}
+    r2_by_len = {m: fit_line(kk[:m], yy[:m])[2] for m in lengths}
     top = max(r2_by_len.values())
     floor_eff = max(r2_floor, top - 0.005)
     passing = [m for m in lengths if r2_by_len[m] >= floor_eff]
@@ -213,7 +213,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
         best = max(passing)
     else:
         best = max(m for m in lengths if r2_by_len[m] >= top - 0.005)
-    slope, _, r2 = _fit_line(kk[:best], yy[:best])
+    slope, _, r2 = fit_line(kk[:best], yy[:best])
     return slope, (int(kk[0]), int(kk[best - 1])), r2
 
 

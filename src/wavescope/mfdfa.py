@@ -25,7 +25,7 @@ from .errors import (
     ZeroVarianceError,
     ZeroVarianceWarning,
 )
-from .signal_core import Profile, _fit_line
+from .signal_core import Profile, fit_line
 
 __all__ = [
     "MfdfaConfig",
@@ -269,7 +269,7 @@ def generalized_hurst(
     hurst = np.empty(table.q_values.size)
     r2 = np.empty(table.q_values.size)
     for i in range(table.q_values.size):
-        hurst[i], _, r2[i] = _fit_line(log_s, np.log(table.fluctuation[i, sel]))
+        hurst[i], _, r2[i] = fit_line(log_s, np.log(table.fluctuation[i, sel]))
     poor = table.q_values[r2 < R2_FLOOR]
     if poor.size:
         warnings.warn(

@@ -21,7 +21,6 @@ __all__ = [
     "load_csv",
     "write_csv",
     "profile",
-    "detrend_mean",
     "column_bins",
 ]
 
@@ -130,15 +129,7 @@ def profile(x: TimeSeries | np.ndarray, sample_rate: float | None = None) -> Pro
     return Profile(values=values, source_mean=float(mean), sample_rate=rate)
 
 
-def detrend_mean(x: np.ndarray) -> np.ndarray:
-    """Remove the arithmetic mean.  Output mean is zero to rounding."""
-    data = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(data)):
-        raise ValidationError("samples contain NaN or Inf")
-    return data - data.mean()
-
-
-def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line through (x, y): (slope, intercept, r-squared)."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -273,10 +264,10 @@ def write_csv(ts: TimeSeries, path: str | Path) -> None:
     Values are written with shortest round-trip float formatting, so
     loading the file back yields bit-identical samples.
     """
-    _write_table(path, ["time_s", "value"], [ts.times(), ts.samples], eol="\r\n")
+    write_table(path, ["time_s", "value"], [ts.times(), ts.samples], eol="\r\n")
 
 
-def _write_table(path, header: list[str], columns, eol: str = "\n") -> None:
+def write_table(path, header: list[str], columns, eol: str = "\n") -> None:
     """Write equal-length numeric columns as CSV under a header row.
 
     Every number is written as the ``repr`` of a float (``%r``) and every

@@ -21,7 +21,7 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .signal_core import TimeSeries, _fit_line
+from .signal_core import TimeSeries, fit_line
 
 __all__ = [
     "PowerSpectrum",
@@ -30,7 +30,6 @@ __all__ = [
     "power_spectrum",
     "fit_power_law",
     "hurst_from_alpha",
-    "alpha_from_hurst",
     "fractal_dimension",
     "dominant_frequency",
     "heisenberg_fit",
@@ -170,7 +169,7 @@ def fit_power_law(ps: PowerSpectrum, f_lo: float, f_hi: float) -> SpectrumFit:
     bf, bp = _band_average(ps.freqs[sel], ps.power[sel])
     if bf.size < 2:
         raise InsufficientBandError("band collapses to fewer than two averaged points")
-    slope, intercept, r2 = _fit_line(bf, bp)
+    slope, intercept, r2 = fit_line(bf, bp)
     return SpectrumFit(
         slope=slope,
         intercept=intercept,
@@ -196,13 +195,6 @@ def hurst_from_alpha(alpha_abs: float) -> float:
             value=hurst,
         )
     return hurst
-
-
-def alpha_from_hurst(hurst: float) -> float:
-    """Inverse of :func:`hurst_from_alpha`: alpha = 2 H + 1."""
-    if not 0.0 < hurst < 1.0:
-        raise OutOfRangeError(f"H = {hurst:g} outside (0, 1)", value=hurst)
-    return 2.0 * hurst + 1.0
 
 
 def fractal_dimension(beta: float) -> float:

@@ -1,9 +1,9 @@
 """Synthetic signals with known scaling, spectral or dynamical ground truth.
 
 Every generator is deterministic for a given (parameters, seed) pair and
-returns a :class:`~wavescope.signal_core.TimeSeries`.  Closed-form target
-values (generalized Hurst exponents of the cascade, lag-1 correlation of
-fractional noise) live here next to the generators they describe.
+returns a :class:`~wavescope.signal_core.TimeSeries`.  The closed-form
+generalized Hurst exponents of the cascade live here next to the
+generator they describe.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "bounce_map_trajectory",
     "bounce_map_jacobian",
     "cascade_hurst",
-    "fgn_lag1_autocorr",
 ]
 
 #: Ring-down time constant of the rendered impact response, seconds.
@@ -99,11 +98,6 @@ class CascadeParams:
             raise ValidationError(
                 f"levels = {self.levels} gives more than MAX_SAMPLES = {MAX_SAMPLES} samples"
             )
-
-
-def fgn_lag1_autocorr(hurst: float) -> float:
-    """Lag-1 autocorrelation of fractional Gaussian noise: 2**(2H-1) - 1."""
-    return 2.0 ** (2.0 * hurst - 1.0) - 1.0
 
 
 def cascade_hurst(a: float, q: float) -> float:
@@ -212,7 +206,7 @@ def gen_fbm(
     return TimeSeries(samples, sample_rate, label=f"fbm(H={hurst:g}, seed={seed})")
 
 
-def _fourier_noise(amplitude: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def fourier_noise(amplitude: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance noise whose bin k = 1..n/2 has amplitude[k - 1]; n = 2 * size."""
     half = amplitude.size
     re = rng.standard_normal(half)
@@ -243,7 +237,7 @@ def gen_power_law_noise(
         raise ValidationError("n must be a power of two, at least 8")
     _check_size(n, "n")
     freqs = np.arange(1, n // 2 + 1, dtype=float) / n
-    samples = _fourier_noise(freqs ** (-beta / 2.0), np.random.default_rng(seed))
+    samples = fourier_noise(freqs ** (-beta / 2.0), np.random.default_rng(seed))
     return TimeSeries(
         samples, sample_rate, label=f"powerlaw(beta={beta:g}, seed={seed})"
     )

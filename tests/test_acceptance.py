@@ -23,7 +23,6 @@ from wavescope.cwt import (
     morlet_fourier_factor,
     phase_at_scale,
     phase_difference,
-    pointwise_significance,
 )
 from wavescope.dwt import (
     daubechies,
@@ -179,10 +178,12 @@ def test_white_noise_false_positive_rate():
     for seed in range(100):
         x = np.random.default_rng(seed).standard_normal(512)
         sg = cwt_morlet(TimeSeries(x, 1.0))
-        threshold = pointwise_significance(sg)
+        # White background, l2 norm: |W|^2 is variance * dt * chi2_2 / 2,
+        # whose 95 % point is variance * dt * ln 20 at every scale.
+        threshold = sg.signal_variance / sg.sample_rate * math.log(20.0)
         power = np.abs(sg.coeffs) ** 2
         usable = sg.reliable_mask()
-        flagged = (power > threshold[:, None]) & usable
+        flagged = (power > threshold) & usable
         fractions.append(flagged.sum() / usable.sum())
     assert float(np.mean(fractions)) <= 0.10
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from wavescope import ConfigError, ParseError, svg, synth
+from wavescope import ConfigError, ParseError, synth
 from wavescope import cli as climod
 from wavescope import cwt as cwtmod
 from wavescope import figures as figmod
@@ -611,26 +611,6 @@ def test_scalogram_run_memory_grows_with_n_not_scales_times_n(tmp_path):
     assert growth <= 12 * 16 * 2 * (2**14 - 2**12) < scalogram_growth / 3
 
 
-def test_cli_reads_no_private_name_of_cwt_svg_or_scalogram():
-    # cli.py takes the scalogram's reduction and the heat-map binning by
-    # their public names: no attribute it reads and no name it imports is
-    # a private of cwt, svg or a Scalogram (class or instance).
-    def private(names):
-        return {n for n in names if n.startswith("_") and not n.startswith("__")}
-
-    sg = cwtmod.cwt_morlet(TimeSeries(np.sin(np.arange(64.0)), 1.0))
-    forbidden = private(vars(cwtmod)) | private(vars(svg))
-    forbidden |= private(vars(cwtmod.Scalogram)) | private(vars(sg))
-    assert {"_evaluate", "_outside_slices", "_spec", "_mean_or_nan"} <= forbidden
-    for mod in (climod, figmod):
-        tree = ast.parse(open(mod.__file__, encoding="utf-8").read())
-        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module in ("cwt", "svg"):
-                read |= {alias.name for alias in node.names}
-        assert sorted(read & forbidden) == [], mod.__name__
-
-
 def test_figures_imports_nothing_from_cli():
     # cli imports figures, never the reverse, not even inside a function.
     tree = ast.parse(open(figmod.__file__, encoding="utf-8").read())
@@ -784,7 +764,7 @@ def test_phase_comparison_snaps_to_the_nearest_scale_on_the_log_axis():
     lo, hi = float(sg.periods[20]), float(sg.periods[21])
     period = 0.5 * (np.sqrt(lo * hi) + 0.5 * (lo + hi))
     assert abs(period - lo) < abs(period - hi)
-    analysed, cmp_, _ = figmod._phase_comparison(sg, sg, period)
+    analysed, cmp_, _ = figmod.phase_comparison(sg, sg, period)
     assert analysed == hi
     assert cmp_.median == 0.0
 

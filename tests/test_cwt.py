@@ -24,7 +24,6 @@ from wavescope.cwt import (
     morlet_fourier_factor,
     phase_at_scale,
     phase_difference,
-    pointwise_significance,
 )
 from wavescope.signal_core import TimeSeries
 from wavescope.synth import gen_sine_mix
@@ -409,15 +408,6 @@ def test_red_background_needs_ar1_or_series():
         global_power(sg, background="red")
     gp = global_power(sg, background="red", ar1=0.5)
     assert gp.ar1 == pytest.approx(0.5)
-
-
-def test_pointwise_significance_shape_and_positivity():
-    rng = np.random.default_rng(0)
-    ts = TimeSeries(rng.standard_normal(512), 100.0)
-    sg = cwt_morlet(ts)
-    sig = pointwise_significance(sg, background="white")
-    assert sig.shape == (sg.scales.size,)
-    assert np.all(sig > 0)
 
 
 def test_phase_at_scale_reports_snapped_scale():

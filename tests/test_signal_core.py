@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from wavescope import ParseError, ValidationError
 from wavescope.signal_core import (
     TimeSeries,
-    detrend_mean,
     load_csv,
     profile,
     write_csv,
@@ -63,13 +62,6 @@ def test_profile_last_value_is_zero(xs):
     prof = profile(np.asarray(xs))
     scale = max(1.0, np.max(np.abs(xs)))
     assert abs(prof.values[-1]) <= 1e-8 * scale * len(xs)
-
-
-def test_detrend_mean():
-    x = np.array([5.0, 7.0, 9.0])
-    out = detrend_mean(x)
-    assert out.mean() == pytest.approx(0.0)
-    assert np.allclose(out, x - 7.0)
 
 
 def test_csv_round_trip_with_time_column(tmp_path):

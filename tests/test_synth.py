@@ -15,7 +15,6 @@ from wavescope.synth import (
     bounce_map_jacobian,
     bounce_map_trajectory,
     cascade_hurst,
-    fgn_lag1_autocorr,
     gen_binomial_cascade,
     gen_bouncing_ball,
     gen_fbm,
@@ -101,18 +100,13 @@ def test_fbm_samples_are_pinned():
     assert digest.hexdigest() == "98249a438eb9c2c3f218505eba7635d56f45b4c15e2a8f1a46f5be08485ed109"
 
 
-def test_fgn_lag1_autocorr_closed_form():
-    # rho(1) = 2^{2H-1} - 1
-    for H in (0.3, 0.5, 0.7, 0.9):
-        assert fgn_lag1_autocorr(H) == pytest.approx(2.0 ** (2 * H - 1) - 1.0)
-
-
 def test_fgn_lag1_autocorr_sample_agreement():
     H = 0.8
     x = np.diff(gen_fbm(H, 2**15, seed=2).samples)
     x = x - x.mean()
     rho = float(np.dot(x[1:], x[:-1]) / np.dot(x, x))
-    assert rho == pytest.approx(fgn_lag1_autocorr(H), abs=0.03)
+    # lag-1 autocorrelation of fractional Gaussian noise: 2**(2H-1) - 1
+    assert rho == pytest.approx(2.0 ** (2 * H - 1) - 1.0, abs=0.03)
 
 
 # ------------------------------------------------------------ colored noise
