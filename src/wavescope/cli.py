@@ -28,6 +28,7 @@ from . import dwt, lyapunov, mfdfa, spectral, svg, synth
 from .errors import (
     ConfigError,
     StageError,
+    ValidationError,
     WavescopeError,
 )
 from .figures import (
@@ -429,8 +430,19 @@ def _stage_heisenberg(ts, params, emit):
 def _stage_mfdfa(ts, params, emit):
     """Multifractal fluctuation analysis."""
     data = np.diff(ts.samples) if params["difference"] else ts.samples
-    q_step = params["q_step"]
-    q = np.arange(params["q_min"], params["q_max"] + 0.5 * q_step, q_step)
+    # The grid is checked before np.arange builds it: a step of 0 divides
+    # by zero, and a tiny one asks for more memory than there is.  With
+    # Q <= MAX_Q_VALUES orders the stage takes O(n log n + n Q) time.
+    q_min, q_max, q_step = params["q_min"], params["q_max"], params["q_step"]
+    if not q_step > 0:
+        raise ValidationError(f"q_step must be > 0, got {q_step}")
+    # np.arange's length is the ceiling of this ratio.
+    if (q_max + 0.5 * q_step - q_min) / q_step > mfdfa.MAX_Q_VALUES:
+        raise ValidationError(
+            f"q from {q_min:g} to {q_max:g} in steps of {q_step:g} exceeds "
+            f"MAX_Q_VALUES = {mfdfa.MAX_Q_VALUES} orders"
+        )
+    q = np.arange(q_min, q_max + 0.5 * q_step, q_step)
     cfg = mfdfa.MfdfaConfig(q_values=q)
     table = mfdfa.fluctuation_function(profile(data, ts.sample_rate), cfg)
     fit_range = (params["fit_lo"], params["fit_hi"])

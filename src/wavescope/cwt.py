@@ -500,8 +500,11 @@ def dominant_periods(gp: GlobalPower, max_count: int | None = None) -> list[floa
     """Periods of interior local power maxima, strongest first.
 
     A spectrum with no interior local maximum yields an empty list.  Equal
-    powers are broken toward the shorter period.
+    powers are broken toward the shorter period.  ``max_count`` keeps the
+    strongest that many; a negative count is refused.
     """
+    if max_count is not None and max_count < 0:
+        raise ValidationError(f"max_count must be >= 0, got {max_count}")
     p = gp.power
     if p.size < 3:
         return []

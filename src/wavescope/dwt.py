@@ -1,7 +1,8 @@
 """Orthogonal Daubechies wavelet transform with periodic or symmetric edges.
 
 The compactly supported Daubechies family is built by spectral
-factorization, so any number of vanishing moments is available.  Naming
+factorization, for 1 to MAX_VANISHING_MOMENTS vanishing moments; above
+that the root finding no longer keeps the filter orthogonal.  Naming
 follows tap count in user-facing strings: the 4-tap member (two vanishing
 moments, annihilates constant and linear trends exactly) is the default
 detrending wavelet throughout the package; the 8-tap member (four
@@ -40,6 +41,12 @@ __all__ = [
 ]
 
 BOUNDARY_MODES = ("periodic", "symmetric")
+
+#: Most vanishing moments daubechies builds.  Up to here the factorized
+#: filter is orthogonal within 1e-12 (max_k |sum_n h[n] h[n+2k] - delta_k|
+#: was 5.9e-13 at 21 and 1.2e-12 at 22); higher orders lose it, to 0.04
+#: at 50, while the sum check still passes.
+MAX_VANISHING_MOMENTS = 21
 
 
 @lru_cache(maxsize=32)
@@ -101,10 +108,14 @@ def daubechies(vanishing_moments: int = 2) -> WaveletSpec:
     """Daubechies wavelet with the given number of vanishing moments.
 
     ``daubechies(2)`` is the 4-tap filter used for detrending by default;
-    ``daubechies(4)`` is the 8-tap variant.
+    ``daubechies(4)`` is the 8-tap variant.  Orders above
+    MAX_VANISHING_MOMENTS are refused.
     """
-    if vanishing_moments < 1:
-        raise ValidationError("vanishing_moments must be >= 1")
+    if not 1 <= vanishing_moments <= MAX_VANISHING_MOMENTS:
+        raise ValidationError(
+            f"vanishing_moments must lie in [1, {MAX_VANISHING_MOMENTS}], "
+            f"got {vanishing_moments}"
+        )
     h = np.asarray(_daubechies_scaling_filter(vanishing_moments))
     # Quadrature mirror: g[k] = (-1)^k h[L-1-k].
     L = h.size
@@ -184,10 +195,10 @@ def _check_analysis(x: np.ndarray, levels: int, boundary: str) -> None:
         raise ValidationError("levels must be >= 1")
     if boundary not in BOUNDARY_MODES:
         raise ValidationError(f"unknown boundary mode {boundary!r}")
-    if x.size < 2**levels:
-        raise TooShortError(
-            f"need at least 2**{levels} = {2**levels} samples, got {x.size}"
-        )
+    # x.size < 2**levels, compared without building 2**levels, which a
+    # huge level count would make too big to form or to print.
+    if levels >= x.size.bit_length():
+        raise TooShortError(f"need at least 2**{levels} samples, got {x.size}")
     if boundary == "periodic" and x.size % (2**levels) != 0:
         raise ValidationError(
             "periodic boundary requires the length to be divisible by 2**levels"

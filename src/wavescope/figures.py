@@ -1,10 +1,12 @@
 """The paper's figures 7-12 rebuilt from synthetic stand-ins, and the
 artifact writer and plot helpers that the pipeline stages share.
 
-Stages, presets and ``phase`` write every file through ``writer``.
-Everything written is deterministic: JSON has sorted keys and
-repr-roundtrip floats, CSV numbers use repr, SVG uses fixed precision,
-and no artifact carries a timestamp.  Nothing here imports ``cli``.
+Stages, presets and ``phase`` write every file through ``writer``;
+``cli`` imports it and the helpers below by their public names, and
+``__all__`` lists only the figure entry points.  Everything written is
+deterministic: JSON has sorted keys and repr-roundtrip floats, CSV
+numbers use repr, SVG uses fixed precision, and no artifact carries a
+timestamp.  Nothing here imports ``cli``.
 """
 
 from __future__ import annotations

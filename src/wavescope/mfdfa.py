@@ -45,6 +45,11 @@ MIN_SEGMENTS = 4
 MIN_FIT_SCALES = 6
 R2_FLOOR = 0.9
 
+#: Most moment orders an analysis grid may hold.  fluctuation_function's
+#: time grows linearly with their count Q, about 9 ms per order at 2^20
+#: samples on a 2-core AVX-512 host, so this bounds it near 10 s there.
+MAX_Q_VALUES = 1001
+
 
 def default_q_values() -> np.ndarray:
     """Moment orders -10..10 in steps of 1, zero included."""
@@ -85,8 +90,10 @@ class MfdfaConfig:
     def __post_init__(self):
         q = np.asarray(self.q_values, dtype=float)
         object.__setattr__(self, "q_values", q)
-        if q.size < 1:
-            raise ValidationError("q_values must be non-empty")
+        if not 1 <= q.size <= MAX_Q_VALUES:
+            raise ValidationError(
+                f"q_values must hold 1 to MAX_Q_VALUES = {MAX_Q_VALUES} orders, got {q.size}"
+            )
         if self.boundary not in BOUNDARY_MODES:
             raise ValidationError(
                 f"boundary must be one of {BOUNDARY_MODES}, got {self.boundary!r}"

@@ -241,8 +241,11 @@ def heisenberg_fit(
 
     ``regime`` is "neutral" (-5/3), "dissipation" (-7) or an explicit
     target slope.  The match criterion is
-    ``|slope - target| <= rel_tolerance * |target|``.
+    ``|slope - target| <= rel_tolerance * |target|``; a negative
+    ``rel_tolerance`` is refused.
     """
+    if not rel_tolerance >= 0:
+        raise ValidationError(f"rel_tolerance must be >= 0, got {rel_tolerance}")
     if isinstance(regime, str):
         try:
             target = {

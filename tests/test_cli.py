@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from wavescope import ConfigError, ParseError, synth
+from wavescope import ConfigError, ParseError, mfdfa, synth
 from wavescope import cli as climod
 from wavescope import cwt as cwtmod
 from wavescope import figures as figmod
@@ -354,12 +354,37 @@ def test_oversized_synth_input_fails_the_input_stage(tmp_path):
     assert "MAX_SAMPLES" in (tmp_path / "out" / "input.failed").read_text()
 
 
-def test_unexpected_stage_exception_leaves_marker(tmp_path):
-    raw = _good_raw(tmp_path, pipeline=[{"stage": "mfdfa", "q_step": 0}])
-    cfg_path = tmp_path / "zero_step.json"
+def test_unexpected_stage_exception_leaves_marker(tmp_path, monkeypatch):
+    # run's catch-all turns any exception of a stage, not only a
+    # WavescopeError, into a marker and exit 3.
+    def broken(ts, params, emit):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(_STAGE_FUNCS, "mfdfa", broken)
+    raw = _good_raw(tmp_path, pipeline=[{"stage": "mfdfa"}])
+    cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(cfg_path)]) == 3
-    assert (tmp_path / "out" / "mfdfa.failed").exists()
+    assert (tmp_path / "out" / "mfdfa.failed").read_text() == "RuntimeError: unexpected\n"
+
+
+def _mfdfa_failure(tmp_path, **q):
+    raw = _good_raw(tmp_path, pipeline=[{"stage": "mfdfa", **q}])
+    cfg_path = tmp_path / "q_grid.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    return (tmp_path / "out" / "mfdfa.failed").read_text()
+
+
+@pytest.mark.parametrize("q_step", [0, -1])
+def test_mfdfa_stage_refuses_a_q_step_that_is_not_positive(tmp_path, q_step):
+    assert "q_step must be > 0" in _mfdfa_failure(tmp_path, q_step=q_step)
+
+
+def test_mfdfa_stage_refuses_one_order_more_than_max_q_values(tmp_path):
+    # q = 0, 1, ..., MAX_Q_VALUES: refused before np.arange builds it.
+    failed = _mfdfa_failure(tmp_path, q_min=0, q_max=mfdfa.MAX_Q_VALUES)
+    assert "MAX_Q_VALUES" in failed
 
 
 def test_negative_csv_column_fails_the_input_stage(tmp_path):
@@ -676,21 +701,63 @@ _FIGURE_FILES = {
 _PINNED_VERSIONS = ("2.4.6", "1.17.1")
 
 
-def _assert_pinned_list(directory, count, digest):
-    """Compare the sha256 of the sorted ``name  sha256`` lines of every
-    file in ``directory`` with a pinned one, on the pinned versions."""
+#: sha256 of each file of all figure presets.
+_FIGURE_DIGESTS = {
+    "fig10a.csv": "0f35e5d4459d3909df6e6bda5575c873736c5ed6ef41f1d0fd204a7c722c29d7",
+    "fig10a.json": "780a47a254827ef6586cb27a3fd27ceae45d3ff08e36987a46751eb7dfd889c2",
+    "fig10a.svg": "1dac02d8b59e9be9693c6b95591a319dc451fa5d1f76700e4340bdb5c5167e18",
+    "fig10b.csv": "4788b3b797ebc48b541f59abdacd874a2bf1806299776cbc702fa67487aff41e",
+    "fig10b.svg": "df4fd82ed2d13f544e03de2241a3d4f82b9e2c14513d8ed5d3aedd19ebdfd165",
+    "fig11.json": "924a95a06959f85c596670764cf92d9340161764ddf3a33ad46ecd42ba032a0a",
+    "fig11_detuned.csv": "afb37c3e271dce1047d7c7796a6b1704fe6eced6f6db34a9fd087466cfd78b3c",
+    "fig11_detuned.svg": "fc8a8d3f9b3a7a12233830d4ce83f06de72a20d5de9875eedab6e0e292a656c2",
+    "fig11_locked.csv": "4137b8f2fba06de2b3cf310225f9a97787296bd3d9c722dcf5b21ee38e446368",
+    "fig11_locked.svg": "87aee65ae0ae75323eb1e6569136437bc9a80b084e2e1658e1725c4e35bd0d63",
+    "fig12.csv": "78ef382240e0a79a42a891db356e4d41869801c7689281802e5e22127e07075b",
+    "fig12.json": "6caa2b061f0f11d4dd9135db9b122c99d875884c7e56be35cf29f5dbc990a16b",
+    "fig12.svg": "b73fa38bbd9056f2aec4c869c12c45bfdf49d37f9958e801f76effa72fbaf7e4",
+    "fig7.csv": "52205cefaf49059566c8ee09a0526f0c8e2d68bdafef99bf0e49a55d96ac415f",
+    "fig7.json": "1ca091116f05b3d1814b1191db49c6f7469c1d3e76101cabcffdb1513bfe94d2",
+    "fig7a.svg": "13008e9a5d8950f46836bed84d102932688eadfd2aee95cc3d13f652b9aa190a",
+    "fig7b.svg": "42a710d03bd045e1194d778f03377afdd8819bc08b49df5a29335ac5867f36c4",
+    "fig8.csv": "fba0b38c882ceee094cd6be99b8aa03e80e6397fb12608e39b8aad339ba134ec",
+    "fig8.svg": "c81c5c96db61026c0cc57fccea86bd2433f4b4e5d0e6e0e9df2c0880e75f8b02",
+    "fig9a.csv": "64470b90a9cfb32a484f6de25ba4407a017b0a72229a8197fd7a4f9c01789c1c",
+    "fig9a.svg": "151713a457f937f654391aa257640698c41d3879194795412d2e32a68d472548",
+    "fig9b.csv": "8c26655b6f59ee4aebbbe229519cd84831d4c8b70535aded58b0a6403e613ca9",
+    "fig9b.svg": "b097e79fc6add249cfc7f733933c6381e6daa80cd10c24af5ce045d885dad017",
+}
+
+#: sha256 of each file of the README config's run.
+_README_RUN_DIGESTS = {
+    "00_spectrum_spectrum.csv": "679a0b6f3e8463330163e278e608aba5249cbbdb5692e7ee7b72b7ffd6222b5a",
+    "00_spectrum_spectrum.svg": "3053e95a56ca5e2487697360f067fad674139fc3b20a6ccf6d6ae737e5f5af23",
+    "01_fit_fit.json": "42f20dd40585d4513f0f718ffc237439df3960ef1272bd27f1591b28e9b0b2b7",
+    "01_fit_fit.svg": "8b2bbe2a4d0f15ece332666231aee0d2adab0c1586295ba5002c6b83cba81c61",
+    "02_mfdfa_fq.csv": "cf712388dbf707ebc775335cb98af26163e115965bae0e88a83c9901e1711c11",
+    "02_mfdfa_fq.svg": "38a8b6c0d79302fc39fcfe45017df00b46511d5a796abca4f967cf4780bbcdee",
+    "02_mfdfa_hurst.csv": "91f0643e9497ebf2bbde6909d8d09e9c456ba30a50b08cce8f028dcf4d9b2714",
+    "02_mfdfa_hurst.svg": "cb4df10d9693ca9c23e939268e5109928213deb9b6ba9b198b5479b2d6b0d8ec",
+    "02_mfdfa_mfdfa.json": "f707b6afbd3f50bb5cad749ef93cf5b7cb770a217b090e3b0c4c85ca72268a59",
+    "input.csv": "65dfb987cab637be08c11c59b4e67fe38c682ec77fbde5436bcc41ced9324170",
+    "report.json": "81c3eab96d2f5042d047fd866dd04c7f1c4700827ce7f40a11e0a3c65052a9e4",
+}
+
+
+def _assert_pinned_files(directory, pinned):
+    """Compare the sha256 of every file in ``directory`` with its pinned
+    one, on the pinned versions; a miss names each file that moved, is
+    missing or is new."""
     versions = (np.__version__, scipy.__version__)
     if versions != _PINNED_VERSIONS:
         pytest.skip(
             "artifact list pinned on numpy/scipy %s/%s, running %s/%s"
             % (*_PINNED_VERSIONS, *versions)
         )
-    lines = sorted(
-        f"{p.name}  {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
-        for p in directory.iterdir()
-    )
-    assert len(lines) == count
-    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+    moved = [name for name in sorted(digests.keys() | pinned.keys())
+             if digests.get(name) != pinned.get(name)]
+    assert moved == [], "moved: " + ", ".join(moved)
 
 
 def test_figure_repro_writes_every_figure_deterministically(tmp_path):
@@ -701,11 +768,7 @@ def test_figure_repro_writes_every_figure_deterministically(tmp_path):
         assert [p.parent for p in first] == [tmp_path / "a"] * len(first)
         figure_repro(name, tmp_path / "b")
     assert _files(tmp_path / "a") == _files(tmp_path / "b")
-    _assert_pinned_list(
-        tmp_path / "a",
-        23,
-        "247bc01e6b990299397223d6661d41334d369fc2bb71d9097b5975d7142be2c5",
-    )
+    _assert_pinned_files(tmp_path / "a", _FIGURE_DIGESTS)
 
 
 def test_readme_config_artifacts_are_pinned(tmp_path):
@@ -726,11 +789,7 @@ def test_readme_config_artifacts_are_pinned(tmp_path):
         "formats": {"csv": True, "json": True, "svg": True},
     }
     run(validate_config(raw))
-    _assert_pinned_list(
-        tmp_path / "fbm_run",
-        11,
-        "8c12726ab569ed219ca2591ac6c6461a32712f05bbf3ba7f3a139fd349cd3f35",
-    )
+    _assert_pinned_files(tmp_path / "fbm_run", _README_RUN_DIGESTS)
 
 
 def test_figure_repro_rejects_unknown_name(tmp_path):

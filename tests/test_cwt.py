@@ -16,6 +16,7 @@ from wavescope import (
 from wavescope.cwt import (
     MORLET_GAMMA,
     SUBOCTAVES,
+    GlobalPower,
     PhaseSeries,
     cwt_morlet,
     default_scales,
@@ -399,6 +400,20 @@ def test_global_power_tone_peak_and_significance():
     assert peaks and peaks[0] == pytest.approx(period, rel=0.1)
     i = int(np.argmin(np.abs(gp.periods - period)))
     assert gp.power[i] > gp.significance_95[i]
+
+
+def test_dominant_periods_refuses_a_negative_count():
+    # Two interior maxima; a count of -1 would have sliced off the weaker.
+    periods = np.arange(1.0, 6.0)
+    gp = GlobalPower(
+        scales=periods, periods=periods, power=np.array([0.0, 2.0, 0.0, 1.0, 0.0]),
+        significance_95=np.ones(5), background="white", ar1=None,
+        n_averaged=np.ones(5, dtype=int), signal_variance=1.0, sample_rate=1.0,
+    )
+    assert dominant_periods(gp) == [2.0, 4.0]
+    assert dominant_periods(gp, max_count=0) == []
+    with pytest.raises(ValidationError, match="max_count"):
+        dominant_periods(gp, max_count=-1)
 
 
 def test_red_background_needs_ar1_or_series():

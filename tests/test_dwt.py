@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,18 @@ def test_daubechies_rejects_bad_order():
         daubechies(0)
     with pytest.raises(ValidationError):
         daubechies(-3)
+    with pytest.raises(ValidationError):
+        daubechies(dwt.MAX_VANISHING_MOMENTS + 1)
+
+
+def test_every_buildable_order_is_orthogonal():
+    # max_k |sum_n h[n] h[n+2k] - delta_k| within 1e-12 for every order
+    # daubechies builds; fsum keeps the check exact of any BLAS kernel.
+    for vm in range(1, dwt.MAX_VANISHING_MOMENTS + 1):
+        h = daubechies(vm).scaling.tolist()
+        for k in range(vm):
+            dot = math.fsum(a * b for a, b in zip(h, h[2 * k :]))
+            assert abs(dot - (k == 0)) <= 1e-12, (vm, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -127,6 +140,15 @@ def test_decompose_rejects_excess_depth():
     spec = daubechies(2)
     with pytest.raises(TooShortError):
         dwt_decompose(x, spec, dwt_max_level(64, spec) + 3, boundary="periodic")
+
+
+def test_decompose_refuses_a_huge_level_count_before_forming_its_power():
+    # 2**(10**7) has three million digits; the check never builds it.
+    with pytest.raises(TooShortError, match=r"2\*\*10000000 samples, got 8"):
+        dwt_decompose(np.zeros(8), daubechies(2), 10**7)
+    assert dwt_decompose(np.zeros(8), daubechies(2), 3).levels == 3
+    with pytest.raises(TooShortError):
+        dwt_decompose(np.zeros(8), daubechies(2), 4)
 
 
 def test_reconstruct_keep_subset_is_linear():

@@ -218,6 +218,13 @@ def test_config_rejects_unknown_boundary():
         MfdfaConfig(boundary="wrap")
 
 
+def test_config_holds_at_most_max_q_values_orders():
+    assert MfdfaConfig(q_values=np.zeros(mfdfa.MAX_Q_VALUES)).q_values.size == mfdfa.MAX_Q_VALUES
+    for size in (0, mfdfa.MAX_Q_VALUES + 1):
+        with pytest.raises(ValidationError, match="MAX_Q_VALUES"):
+            MfdfaConfig(q_values=np.zeros(size))
+
+
 def _exact_table(h_by_q, scales):
     q = np.array(sorted(h_by_q))
     fl = np.vstack([np.asarray(scales, float) ** h_by_q[v] for v in q])

@@ -140,6 +140,14 @@ def test_heisenberg_numeric_regime():
     assert res.tolerance == pytest.approx(0.125)
 
 
+def test_heisenberg_rejects_a_negative_tolerance():
+    # |slope - target| <= -0.1 * |target| could never hold.
+    ps = power_spectrum(_tone(5.0, 100.0, 256))
+    assert heisenberg_fit(ps, 1.0, 40.0, rel_tolerance=0.0).tolerance == 0.0
+    with pytest.raises(ValidationError, match="rel_tolerance"):
+        heisenberg_fit(ps, 1.0, 40.0, rel_tolerance=-0.1)
+
+
 def test_heisenberg_rejects_unknown_regime():
     ps = power_spectrum(_tone(5.0, 100.0, 256))
     with pytest.raises(ValidationError):
