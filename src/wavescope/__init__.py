@@ -33,7 +33,7 @@ from .errors import (
     ZeroVarianceError,
     ZeroVarianceWarning,
 )
-from .signal_core import Profile, TimeSeries, load_csv, profile, write_csv
+from .signal_core import TimeSeries, load_csv, profile, write_csv
 from .spectral import (
     DISSIPATION_SLOPE,
     NEUTRAL_CASCADE_SLOPE,
@@ -58,7 +58,6 @@ from .dwt import (
 )
 from .mfdfa import (
     FluctuationTable,
-    MfdfaConfig,
     fluctuation_function,
     generalized_hurst,
     segment_variance,
@@ -109,7 +108,7 @@ __all__ = [
     "InsufficientNeighborsError", "PoorFitWarning", "EmbeddingQualityWarning",
     "ConfigError", "StageError",
     # core
-    "TimeSeries", "Profile", "profile", "load_csv", "write_csv",
+    "TimeSeries", "profile", "load_csv", "write_csv",
     # spectral
     "PowerSpectrum", "SpectrumFit", "HeisenbergResult", "power_spectrum",
     "fit_power_law", "hurst_from_alpha",
@@ -119,7 +118,7 @@ __all__ = [
     "WaveletSpec", "daubechies", "dwt_max_level", "dwt_decompose",
     "dwt_reconstruct", "denoise", "extract_fluctuation",
     # mfdfa
-    "MfdfaConfig", "FluctuationTable", "segment_variance",
+    "FluctuationTable", "segment_variance",
     "fluctuation_function", "generalized_hurst",
     # cwt
     "Scalogram", "GlobalPower", "PhaseSeries", "PhaseComparison",

@@ -160,15 +160,15 @@ def _two_regime_noise(n: int = 2**15, rate: float = 50000.0, fc: float = 500.0):
 def _fig7(emit) -> None:
     ts = synth.gen_power_law_noise(1.0, 2**14, seed=7, sample_rate=50000.0)
     prof = profile(ts)
-    walk = TimeSeries(prof.values, ts.sample_rate)
+    walk = TimeSeries(prof, ts.sample_rate)
     ps = spectral.power_spectrum(walk)
     fit = spectral.fit_power_law(ps, 330.0, 8000.0)
     hurst = spectral.hurst_from_alpha(min(fit.alpha_abs, 2.999))
-    t = np.arange(prof.values.size) / ts.sample_rate
+    t = np.arange(prof.size) / ts.sample_rate
     emit(
         "fig7a.svg",
         svg.line_plot,
-        [(t, prof.values, "profile")],
+        [(t, prof, "profile")],
         xlabel="time (s)",
         ylabel="cumulative sum",
         title="profile of the series",
@@ -200,8 +200,7 @@ def _fig8(emit) -> None:
 
 def _fig9(emit) -> None:
     ts = synth.gen_binomial_cascade(synth.CascadeParams(0.75, 14))
-    q = np.arange(-10.0, 10.5, 1.0)
-    table = mfdfa.fluctuation_function(profile(ts), mfdfa.MfdfaConfig(q_values=q))
+    table = mfdfa.fluctuation_function(profile(ts))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = mfdfa.generalized_hurst(

@@ -7,14 +7,16 @@ polynomial fits.  Segment statistics follow the standard scheme: the
 profile is cut into floor(N/s) windows from the front and the same number
 from the back, every window contributes its mean squared fluctuation, and
 the q-th order fluctuation function is the power mean of order q/2 of
-those segment variances.
+those segment variances.  The profile is a plain array (see
+:func:`~wavescope.signal_core.profile`), and :func:`q_grid` builds and
+bounds the moment orders.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,12 +27,11 @@ from .errors import (
     ZeroVarianceError,
     ZeroVarianceWarning,
 )
-from .signal_core import Profile, fit_line
+from .signal_core import fit_line
 
 __all__ = [
-    "MfdfaConfig",
     "FluctuationTable",
-    "default_q_values",
+    "q_grid",
     "default_scales",
     "segment_variance",
     "fluctuation_function",
@@ -51,9 +52,23 @@ R2_FLOOR = 0.9
 MAX_Q_VALUES = 1001
 
 
-def default_q_values() -> np.ndarray:
-    """Moment orders -10..10 in steps of 1, zero included."""
-    return np.arange(-10.0, 11.0, 1.0)
+def q_grid(q_min: float = -10.0, q_max: float = 10.0, q_step: float = 1.0) -> np.ndarray:
+    """Moment orders from ``q_min`` in steps of ``q_step`` up to ``q_max``.
+
+    The default is -10..10 in steps of 1, zero included.  The grid is
+    checked before np.arange builds it: a step of 0 divides by zero, and a
+    tiny one asks for more memory than there is.  So ``q_step`` must be
+    > 0 and the grid may hold at most MAX_Q_VALUES orders.
+    """
+    if not q_step > 0:
+        raise ValidationError(f"q_step must be > 0, got {q_step}")
+    # np.arange's length is the ceiling of this ratio.
+    if (q_max + 0.5 * q_step - q_min) / q_step > MAX_Q_VALUES:
+        raise ValidationError(
+            f"q from {q_min:g} to {q_max:g} in steps of {q_step:g} exceeds "
+            f"MAX_Q_VALUES = {MAX_Q_VALUES} orders"
+        )
+    return np.arange(q_min, q_max + 0.5 * q_step, q_step)
 
 
 def default_scales(n: int, wavelet: WaveletSpec | None = None) -> np.ndarray:
@@ -70,39 +85,6 @@ def default_scales(n: int, wavelet: WaveletSpec | None = None) -> np.ndarray:
     if not scales:
         raise ValidationError(f"no admissible scales for n={n}")
     return np.asarray(scales, dtype=int)
-
-
-@dataclass(frozen=True)
-class MfdfaConfig:
-    """Analysis grid for the fluctuation function.
-
-    ``scales`` are requested segment lengths; each is snapped to the
-    nearest wavelet level via s = support * 2**level and the snapped value
-    is what the result reports.  ``None`` selects the full dyadic ladder
-    admissible for the profile length.
-    """
-
-    q_values: np.ndarray = field(default_factory=default_q_values)
-    scales: np.ndarray | None = None
-    wavelet: WaveletSpec = field(default_factory=daubechies)
-    boundary: str = "symmetric"
-
-    def __post_init__(self):
-        q = np.asarray(self.q_values, dtype=float)
-        object.__setattr__(self, "q_values", q)
-        if not 1 <= q.size <= MAX_Q_VALUES:
-            raise ValidationError(
-                f"q_values must hold 1 to MAX_Q_VALUES = {MAX_Q_VALUES} orders, got {q.size}"
-            )
-        if self.boundary not in BOUNDARY_MODES:
-            raise ValidationError(
-                f"boundary must be one of {BOUNDARY_MODES}, got {self.boundary!r}"
-            )
-        if self.scales is not None:
-            s = np.asarray(self.scales, dtype=int)
-            if s.size < 1 or np.any(np.diff(s) <= 0):
-                raise ValidationError("scales must be non-empty and ascending")
-            object.__setattr__(self, "scales", s)
 
 
 @dataclass
@@ -204,27 +186,50 @@ def _moments(
     return out
 
 
-def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = None) -> FluctuationTable:
-    """Evaluate F_q(s) over the configured grid.
+def fluctuation_function(
+    prof: np.ndarray,
+    q_values: np.ndarray | None = None,
+    scales: np.ndarray | None = None,
+    wavelet: WaveletSpec | None = None,
+    boundary: str = "symmetric",
+) -> FluctuationTable:
+    """Evaluate F_q(s) of the profile ``prof`` over an analysis grid.
 
-    Requested scales snap to the nearest dyadic wavelet level (duplicates
-    collapse) and the snapped values are reported in the result.  The
-    profile is decomposed once per direction for all levels (see
+    ``q_values`` holds 1 to MAX_Q_VALUES moment orders, :func:`q_grid` by
+    default.  ``scales`` are requested segment lengths, non-empty and
+    ascending; ``None`` selects the full dyadic ladder admissible for the
+    profile length.  Requested scales snap to the nearest dyadic wavelet
+    level via s = support * 2**level (duplicates collapse) and the snapped
+    values are reported in the result.  ``wavelet`` defaults to
+    ``daubechies(2)`` and ``boundary`` is one of BOUNDARY_MODES.
+
+    The profile is decomposed once per direction for all levels (see
     :func:`~wavescope.dwt.extract_fluctuation`), and each level's
     fluctuation is reduced to its segment variances before the next level
     is built.  For n samples, L levels and Q moment orders this takes
     O(n log n + n Q) time, and the working memory is about 5.5 n floats
     whatever L is, plus O(n / s) segment variances.
     """
+    q_values = np.asarray(q_grid() if q_values is None else q_values, dtype=float)
+    if not 1 <= q_values.size <= MAX_Q_VALUES:
+        raise ValidationError(
+            f"q_values must hold 1 to MAX_Q_VALUES = {MAX_Q_VALUES} orders, got {q_values.size}"
+        )
+    if boundary not in BOUNDARY_MODES:
+        raise ValidationError(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
+    if scales is not None:
+        scales = np.asarray(scales, dtype=int)
+        if scales.size < 1 or np.any(np.diff(scales) <= 0):
+            raise ValidationError("scales must be non-empty and ascending")
     # Deferred: scipy.special costs about half of ``import wavescope``.
     from scipy.special import logsumexp
 
-    cfg = cfg if cfg is not None else MfdfaConfig()
-    values = prof.values if isinstance(prof, Profile) else np.asarray(prof, dtype=float)
+    wavelet = wavelet if wavelet is not None else daubechies(2)
+    values = np.asarray(prof, dtype=float)
     n = values.size
-    support = cfg.wavelet.support
-    requested = cfg.scales if cfg.scales is not None else default_scales(n, cfg.wavelet)
-    levels = sorted({_scale_to_level(s, support) for s in np.asarray(requested)})
+    support = wavelet.support
+    requested = scales if scales is not None else default_scales(n, wavelet)
+    levels = sorted({_scale_to_level(s, support) for s in requested})
     scales = np.array([support * 2**lv for lv in levels], dtype=int)
     for s in scales:
         if 2 * (n // int(s)) < MIN_SEGMENTS:
@@ -235,14 +240,14 @@ def fluctuation_function(prof: Profile | np.ndarray, cfg: MfdfaConfig | None = N
 
     # Each level's fluctuation is reduced to its segment variances before
     # the next level is built, so no name keeps it.
-    flucts = extract_fluctuation(values, cfg.wavelet, levels, boundary=cfg.boundary)
+    flucts = extract_fluctuation(values, wavelet, levels, boundary=boundary)
     columns = []
     for s in scales.tolist():
         seg = segment_variance(next(flucts), s)
-        columns.append(_moments(seg, cfg.q_values, s, logsumexp))
+        columns.append(_moments(seg, q_values, s, logsumexp))
     fq = np.column_stack(columns)
     return FluctuationTable(
-        q_values=cfg.q_values.copy(),
+        q_values=q_values.copy(),
         scales=scales,
         levels=np.asarray(levels, dtype=int),
         fluctuation=fq,

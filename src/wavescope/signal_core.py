@@ -1,13 +1,15 @@
 """Core time-series containers, CSV ingestion and the cumulative profile.
 
 All analyses in this package operate on :class:`TimeSeries` (uniformly
-sampled, finite values) or on :class:`Profile`, the mean-subtracted
-cumulative sum that turns noise-like records into walk-like ones.
+sampled, finite values) or on the array :func:`profile` returns, the
+mean-subtracted cumulative sum that turns noise-like records into
+walk-like ones.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +19,6 @@ from .errors import ParseError, ValidationError
 
 __all__ = [
     "TimeSeries",
-    "Profile",
     "load_csv",
     "write_csv",
     "profile",
@@ -41,7 +42,7 @@ class TimeSeries:
     samples
         1-D float array, finite, at least two points.
     sample_rate
-        Samples per second, strictly positive.
+        Samples per second, finite and strictly positive.
     label
         Free-form provenance string (file name, generator name...).
     t0
@@ -62,8 +63,10 @@ class TimeSeries:
             raise ValidationError("need at least two samples")
         if not np.all(np.isfinite(samples)):
             raise ValidationError("samples contain NaN or Inf")
-        if not (self.sample_rate > 0):
-            raise ValidationError("sample_rate must be positive")
+        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
+            raise ValidationError(
+                f"sample_rate must be finite and positive, got {self.sample_rate}"
+            )
 
     def __len__(self) -> int:
         return self.samples.size
@@ -81,52 +84,25 @@ class TimeSeries:
         return self.t0 + np.arange(self.samples.size) / self.sample_rate
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Cumulative sum of a mean-subtracted signal.
-
-    By construction the final value is zero up to accumulated rounding,
-    which downstream fluctuation analysis relies on.
-    """
-
-    values: np.ndarray
-    source_mean: float
-    sample_rate: float = 1.0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 2:
-            raise ValidationError("profile must be a 1-D array of length >= 2")
-        scale = np.abs(values).max()
-        tol = 1e-9 * values.size * max(scale, 1.0)
-        if abs(values[-1]) > tol:
-            raise ValidationError(
-                f"profile does not return to zero: last={values[-1]!r}, tol={tol!r}"
-            )
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def profile(x: TimeSeries | np.ndarray, sample_rate: float | None = None) -> Profile:
+def profile(x: TimeSeries | np.ndarray) -> np.ndarray:
     """Cumulative sum of ``x`` after removing its mean.
 
-    For x = [1, -1, 1, -1] the result is [1, 0, 1, 0].
+    For x = [1, -1, 1, -1] the result is [1, 0, 1, 0].  The last value is
+    zero up to accumulated rounding, which downstream fluctuation analysis
+    relies on; one further than 1e-9 n max(|profile|, 1) is refused.
     """
-    if isinstance(x, TimeSeries):
-        data = x.samples
-        rate = x.sample_rate
-    else:
-        data = np.asarray(x, dtype=float)
-        rate = 1.0 if sample_rate is None else sample_rate
+    data = x.samples if isinstance(x, TimeSeries) else np.asarray(x, dtype=float)
     if data.size < 2:
         raise ValidationError("need at least two samples to build a profile")
     if not np.all(np.isfinite(data)):
         raise ValidationError("samples contain NaN or Inf")
-    mean = data.mean()
-    values = np.cumsum(data - mean)
-    return Profile(values=values, source_mean=float(mean), sample_rate=rate)
+    values = np.cumsum(data - data.mean())
+    tol = 1e-9 * values.size * max(np.abs(values).max(), 1.0)
+    if abs(values[-1]) > tol:
+        raise ValidationError(
+            f"profile does not return to zero: last={values[-1]!r}, tol={tol!r}"
+        )
+    return values
 
 
 def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -193,12 +169,17 @@ def load_csv(
         Malformed row, with the offending 1-based row number (also for a
         row the csv reader refuses), or text that is not UTF-8.
     ValidationError
-        A negative column index, non-finite values, fewer than two
-        samples, missing rate, or non-uniform timestamps.
+        A negative column index, a stated rate that is not finite and
+        > 0 (refused before the file is read), non-finite values, fewer
+        than two samples, missing rate, or non-uniform timestamps.
     """
     if column < 0 or (time_column is not None and time_column < 0):
         raise ValidationError(
             f"{path}: negative column index (column={column}, time_column={time_column})"
+        )
+    if sample_rate is not None and not (sample_rate > 0 and math.isfinite(sample_rate)):
+        raise ValidationError(
+            f"{path}: stated sample_rate must be finite and > 0, got {sample_rate}"
         )
     path = Path(path)
     values: list[float] = []

@@ -361,13 +361,7 @@ def gen_binomial_cascade(p: CascadeParams) -> TimeSeries:
     the standard dyadic multiplicative construction whose generalized Hurst
     exponents are given by :func:`cascade_hurst`.
     """
-    n = 2**p.levels
-    idx = np.arange(n, dtype=np.uint64)
-    bits = np.zeros(n, dtype=np.int64)
-    tmp = idx.copy()
-    while tmp.any():
-        bits += (tmp & 1).astype(np.int64)
-        tmp >>= 1
+    bits = np.bitwise_count(np.arange(2**p.levels, dtype=np.uint64)).astype(np.int64)
     samples = (p.a**bits) * ((1.0 - p.a) ** (p.levels - bits))
     return TimeSeries(
         samples, 1.0, label=f"cascade(a={p.a:g}, levels={p.levels})"

@@ -39,7 +39,7 @@ from wavescope.lyapunov import (
     largest_lyapunov,
     map_lyapunov,
 )
-from wavescope.mfdfa import MfdfaConfig, fluctuation_function, generalized_hurst
+from wavescope.mfdfa import fluctuation_function, generalized_hurst
 from wavescope.signal_core import TimeSeries, profile
 from wavescope.spectral import (
     dominant_frequency,
@@ -116,13 +116,10 @@ def test_fluctuation_function_matches_naive_reimplementation():
     rng = np.random.default_rng(17)
     x = rng.standard_normal(4096)
     prof = profile(x)
-    cfg = MfdfaConfig()
-    table = fluctuation_function(prof, cfg)
+    table = fluctuation_function(prof)
 
     for col, (level, scale) in enumerate(zip(table.levels, table.scales)):
-        fluct = extract_fluctuation(
-            prof.values, cfg.wavelet, int(level), boundary=cfg.boundary
-        )
+        fluct = extract_fluctuation(prof, daubechies(2), int(level))
         n = fluct.size
         s = int(scale)
         m = n // s

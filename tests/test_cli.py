@@ -839,6 +839,20 @@ def test_phase_subcommand_refuses_a_period_before_reading(tmp_path, period):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_phase_subcommand_refuses_a_rate_that_is_not_finite(tmp_path, capsys, rate):
+    # Both inputs carry a time column: a NaN or infinite rate used to be
+    # ignored there, and the inferred rate used in its place.
+    out = tmp_path / "sync"
+    argv = ["phase", "--input-a", _sine_csv(tmp_path), "--input-b", _sine_csv(tmp_path),
+            "--sample-rate", rate, "--period", "0.6", "--outdir", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"sample_rate must be finite and > 0, got {rate}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_subcommand_round_trip(tmp_path):
     out = tmp_path / "wave.csv"
     rc = main(

@@ -44,10 +44,11 @@ def test_python_dash_m_runs_the_cli_without_a_warning():
 
 # Each of these was a keyword that only tests set; its value is now a
 # named module constant (or, for map_lyapunov, p.n_impacts alone).
+# profile's sample_rate fed only a field that nothing read.
 _FIXED_SETTINGS = [
     (cwt.global_power, "siglevel"),
     (spectral.dominant_frequency, "exclude_dc"),
-    (mfdfa.MfdfaConfig, "min_segments"),
+    (mfdfa.fluctuation_function, "min_segments"),
     (mfdfa.default_scales, "min_segments"),
     (mfdfa.segment_variance, "min_segments"),
     (mfdfa.generalized_hurst, "min_scales"),
@@ -57,6 +58,7 @@ _FIXED_SETTINGS = [
     (lyapunov.map_lyapunov, "n_impacts"),
     (synth.gen_bouncing_ball, "burn_in"),
     (synth.CascadeParams, "seed"),
+    (signal_core.profile, "sample_rate"),
 ]
 
 
@@ -163,12 +165,17 @@ def test_every_public_callable_has_a_caller():
     assert uncalled == [], "no caller: " + ", ".join(uncalled)
 
 
-# Exported callables that had no caller outside tests; they are deleted.
+# Deleted exported callables: the first four had no caller outside tests;
+# the wrapper types Profile and MfdfaConfig, and default_q_values, gave way
+# to a plain profile array, fluctuation_function's keywords and q_grid.
 _REMOVED_CALLABLES = [
     (signal_core, "detrend_mean"),
     (spectral, "alpha_from_hurst"),
     (synth, "fgn_lag1_autocorr"),
     (cwt, "pointwise_significance"),
+    (signal_core, "Profile"),
+    (mfdfa, "MfdfaConfig"),
+    (mfdfa, "default_q_values"),
 ]
 
 

@@ -19,11 +19,10 @@ from wavescope import dwt, mfdfa
 from wavescope.dwt import daubechies, extract_fluctuation
 from wavescope.mfdfa import (
     FluctuationTable,
-    MfdfaConfig,
-    default_q_values,
     default_scales,
     fluctuation_function,
     generalized_hurst,
+    q_grid,
     segment_variance,
 )
 from wavescope.signal_core import profile
@@ -31,7 +30,7 @@ from wavescope.synth import gen_fbm
 
 
 def test_default_q_grid():
-    q = default_q_values()
+    q = q_grid()
     assert q[0] == -10.0 and q[-1] == 10.0
     assert 0.0 in q
     assert np.all(np.diff(q) == 1.0)
@@ -59,13 +58,12 @@ def test_fluctuation_q2_is_rms_of_segment_variance():
     # F_2(s)^2 must equal the arithmetic mean of segment variances
     ts = gen_fbm(0.6, 2048, seed=0)
     prof = profile(np.diff(ts.samples))
-    cfg = MfdfaConfig(q_values=np.array([2.0]))
-    table = fluctuation_function(prof, cfg)
+    table = fluctuation_function(prof, q_values=np.array([2.0]))
     from wavescope.dwt import daubechies, extract_fluctuation
 
     spec = daubechies(2)
     for j, (lvl, s) in enumerate(zip(table.levels, table.scales)):
-        fluct = extract_fluctuation(prof.values, spec, int(lvl))
+        fluct = extract_fluctuation(prof, spec, int(lvl))
         seg = segment_variance(fluct, int(s))
         assert table.fluctuation[0, j] == pytest.approx(
             np.sqrt(seg.mean()), rel=1e-12
@@ -77,15 +75,16 @@ def test_fluctuation_monotone_in_q():
     ts = gen_fbm(0.4, 4096, seed=2)
     prof = profile(np.diff(ts.samples))
     q = np.arange(-6.0, 6.5, 0.5)
-    table = fluctuation_function(prof, MfdfaConfig(q_values=q))
+    table = fluctuation_function(prof, q_values=q)
     diffs = np.diff(table.fluctuation, axis=0)
     assert np.all(diffs >= -1e-12 * table.fluctuation[:-1])
 
 
 def test_scales_snap_to_dyadic_levels():
     prof = profile(np.diff(gen_fbm(0.5, 2048, seed=1).samples))
-    cfg = MfdfaConfig(q_values=np.array([2.0]), scales=np.array([9.0, 30.0, 33.0]))
-    table = fluctuation_function(prof, cfg)
+    table = fluctuation_function(
+        prof, q_values=np.array([2.0]), scales=np.array([9.0, 30.0, 33.0])
+    )
     # 9 -> level 1 (scale 8), 30 and 33 both -> level 3 (scale 32)
     assert list(table.scales) == [8, 32]
 
@@ -93,15 +92,14 @@ def test_scales_snap_to_dyadic_levels():
 def test_zero_variance_segments_warn_for_negative_q():
     x = np.zeros(512)
     x[200:260] = np.sin(np.arange(60.0))
-    cfg = MfdfaConfig(q_values=np.array([-2.0, 2.0]))
     with pytest.warns(ZeroVarianceWarning):
-        fluctuation_function(x, cfg)
+        fluctuation_function(x, q_values=np.array([-2.0, 2.0]))
 
 
 def test_all_zero_variance_is_an_error():
     with pytest.warns(ZeroVarianceWarning):
         with pytest.raises((ZeroVarianceError, ValidationError)):
-            fluctuation_function(np.zeros(512), MfdfaConfig(q_values=np.array([-2.0])))
+            fluctuation_function(np.zeros(512), q_values=np.array([-2.0]))
 
 
 def test_zero_variance_warns_once_per_scale():
@@ -207,22 +205,23 @@ def test_fluctuation_tables_are_pinned():
                     x = gen_fbm(hurst, 2**k, seed=seed).samples
                     table = fluctuation_function(profile(np.diff(x)))
                     digest.update(table.fluctuation.tobytes())
-                    periodic = MfdfaConfig(boundary="periodic")
-                    table = fluctuation_function(profile(x), periodic)
+                    table = fluctuation_function(profile(x), boundary="periodic")
                     digest.update(table.fluctuation.tobytes())
     assert digest.hexdigest() == "2a10deea01f0c9b4df6cf0603cf5cd36ba3161edae9dfb6439307f63a21d3044"
 
 
 def test_config_rejects_unknown_boundary():
     with pytest.raises(ValidationError):
-        MfdfaConfig(boundary="wrap")
+        fluctuation_function(np.zeros(512), boundary="wrap")
 
 
 def test_config_holds_at_most_max_q_values_orders():
-    assert MfdfaConfig(q_values=np.zeros(mfdfa.MAX_Q_VALUES)).q_values.size == mfdfa.MAX_Q_VALUES
+    prof = profile(np.diff(gen_fbm(0.5, 256, seed=1).samples))
+    q = np.zeros(mfdfa.MAX_Q_VALUES)
+    assert fluctuation_function(prof, q_values=q).q_values.size == mfdfa.MAX_Q_VALUES
     for size in (0, mfdfa.MAX_Q_VALUES + 1):
         with pytest.raises(ValidationError, match="MAX_Q_VALUES"):
-            MfdfaConfig(q_values=np.zeros(size))
+            fluctuation_function(prof, q_values=np.zeros(size))
 
 
 def _exact_table(h_by_q, scales):

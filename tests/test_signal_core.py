@@ -30,6 +30,21 @@ def test_timeseries_rejects_nan_and_bad_rate():
         TimeSeries(np.arange(4.0), -5.0)
 
 
+@pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+def test_a_rate_that_is_not_finite_is_refused(tmp_path, rate):
+    with pytest.raises(ValidationError, match="finite"):
+        TimeSeries(np.arange(4.0), rate)
+    timed = tmp_path / "timed.csv"
+    write_csv(TimeSeries(np.arange(4.0), 2.0), timed)
+    bare = tmp_path / "bare.csv"
+    bare.write_text("1.0\n2.0\n3.0\n")
+    # The stated rate is refused before the file is read, so a missing
+    # file raises no OSError.
+    for path in (timed, bare, tmp_path / "missing.csv"):
+        with pytest.raises(ValidationError, match=f"finite and > 0, got {rate}"):
+            load_csv(path, sample_rate=rate)
+
+
 def test_timeseries_too_short():
     with pytest.raises(ValidationError):
         TimeSeries(np.array([1.0]), 1.0)
@@ -39,14 +54,14 @@ def test_profile_is_cumsum_of_mean_subtracted():
     x = np.array([2.0, -1.0, 3.0, 0.0])
     prof = profile(x)
     want = np.cumsum(x - x.mean())
-    assert np.allclose(prof.values, want)
+    assert np.allclose(prof, want)
 
 
-def test_profile_keeps_sample_rate_from_timeseries():
+def test_profile_of_timeseries_equals_profile_of_its_samples():
     ts = TimeSeries(np.random.default_rng(0).standard_normal(64), 250.0)
     prof = profile(ts)
-    assert prof.sample_rate == 250.0
-    assert prof.values.size == 64
+    assert prof.size == 64
+    assert prof.tobytes() == profile(ts.samples).tobytes()
 
 
 @settings(max_examples=50)
@@ -61,7 +76,7 @@ def test_profile_last_value_is_zero(xs):
     # cumsum of a mean-subtracted series always returns to zero
     prof = profile(np.asarray(xs))
     scale = max(1.0, np.max(np.abs(xs)))
-    assert abs(prof.values[-1]) <= 1e-8 * scale * len(xs)
+    assert abs(prof[-1]) <= 1e-8 * scale * len(xs)
 
 
 def test_csv_round_trip_with_time_column(tmp_path):

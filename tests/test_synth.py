@@ -256,6 +256,16 @@ def test_cascade_length_and_positivity():
     assert np.all(ts.samples > 0)
 
 
+@pytest.mark.parametrize("a", [0.55, 0.75, 0.9])
+def test_cascade_weights_follow_the_bit_count_of_the_index(a):
+    # Element i carries a**k * (1-a)**(levels-k), k the number of 1 bits in i.
+    levels = 10
+    k = np.array([bin(i).count("1") for i in range(2**levels)], dtype=np.int64)
+    want = a**k * (1.0 - a) ** (levels - k)
+    got = gen_binomial_cascade(CascadeParams(a, levels)).samples
+    assert got.tobytes() == want.tobytes()
+
+
 def test_cascade_mass_conservation():
     # each split only redistributes mass; the total stays at one
     for levels in (8, 12):
