@@ -56,6 +56,12 @@ SYNC_MIN_PERIODS = 3.0
 #: Confidence level of GlobalPower's ``significance_95``.
 SIGNIFICANCE_LEVEL = 0.95
 
+#: Largest block Scalogram._evaluate frees to warm the heap.  glibc raises
+#: its mmap threshold on a free only up to 32 MiB (DEFAULT_MMAP_THRESHOLD_MAX
+#: on 64-bit), and compares the mapped size, header and page rounding
+#: included, plus a flag bit: 2**25 - 2**12 bytes no longer raise it.
+_HEAP_WARM_MAX = 2**25 - 2**13
+
 
 def morlet_fourier_factor(omega0: float) -> float:
     """Ratio of equivalent Fourier period to scale for the Morlet window."""
@@ -160,9 +166,25 @@ class Scalogram:
         belongs to this generator, so interleaved passes do not disturb
         each other, and it is cleared when the next row is asked for: a
         yielded row is a view of it, valid until then.  Working memory is
-        the buffer and the band's window, O(n_fft).
+        the buffer and the band's window, 16 n_fft bytes plus O(band), and
+        numpy's two FFT scratch arrays of 16 n_fft bytes each, which
+        tracemalloc does not see: 48 n_fft bytes resident.  Before the
+        first row, one untouched block of min(32 n_fft, _HEAP_WARM_MAX)
+        bytes is allocated and freed; tracemalloc counts it, RSS does not.
         """
         n = self.times.size
+        # numpy's pocketfft allocates and frees its two scratch arrays in
+        # every ifft.  glibc serves a request at or above its mmap
+        # threshold (128 KiB at start) by a fresh mapping, so each row
+        # would map and fault its scratch in anew.  Freeing a mapped block
+        # raises the threshold to the block's size and the heap-trim
+        # threshold to twice that, up to a 32 MiB ceiling.  After this
+        # untouched block is freed, every row's scratch comes from the
+        # heap and stays there, whatever ran before this pass.  The
+        # dependence is on glibc: elsewhere the block is an allocation and
+        # nothing more, and above n_fft = 2**20 the scratch arrays exceed
+        # the ceiling and are mapped for each row anyway.
+        np.empty(min(2 * 16 * self._spec.size, _HEAP_WARM_MAX), dtype=np.uint8)
         buf = np.zeros(self._spec.size, dtype=complex)
         for i in indices:
             start, stop, prefactor = self._bands[i]

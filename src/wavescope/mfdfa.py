@@ -56,10 +56,14 @@ def q_grid(q_min: float = -10.0, q_max: float = 10.0, q_step: float = 1.0) -> np
     """Moment orders from ``q_min`` in steps of ``q_step`` up to ``q_max``.
 
     The default is -10..10 in steps of 1, zero included.  The grid is
-    checked before np.arange builds it: a step of 0 divides by zero, and a
-    tiny one asks for more memory than there is.  So ``q_step`` must be
-    > 0 and the grid may hold at most MAX_Q_VALUES orders.
+    checked before np.arange builds it: a step of 0 divides by zero, a
+    tiny one asks for more memory than there is, and a NaN or infinite
+    argument has no length.  So all three must be finite, ``q_step`` must
+    be > 0 and the grid may hold at most MAX_Q_VALUES orders.
     """
+    for name, value in (("q_min", q_min), ("q_max", q_max), ("q_step", q_step)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     if not q_step > 0:
         raise ValidationError(f"q_step must be > 0, got {q_step}")
     # np.arange's length is the ceiling of this ratio.

@@ -89,9 +89,12 @@ def profile(x: TimeSeries | np.ndarray) -> np.ndarray:
 
     For x = [1, -1, 1, -1] the result is [1, 0, 1, 0].  The last value is
     zero up to accumulated rounding, which downstream fluctuation analysis
-    relies on; one further than 1e-9 n max(|profile|, 1) is refused.
+    relies on; one further than 1e-9 n max(|profile|, 1) is refused, and
+    so is an array that is not one-dimensional.
     """
     data = x.samples if isinstance(x, TimeSeries) else np.asarray(x, dtype=float)
+    if data.ndim != 1:
+        raise ValidationError(f"samples must be one-dimensional, got shape {data.shape}")
     if data.size < 2:
         raise ValidationError("need at least two samples to build a profile")
     if not np.all(np.isfinite(data)):

@@ -37,9 +37,9 @@ IMPACT_RINGDOWN_S = 2e-3
 #: Map impacts discarded before a bouncing-ball series is rendered.
 RENDER_BURN_IN = 100
 
-#: Most samples (or impacts) a generator makes.  At this size gen_fbm's
-#: working memory, about 7 n floats, is 0.9 GiB.  A larger request is
-#: refused with ValidationError before anything is allocated.
+#: Most samples (or impacts) a generator makes.  At this size gen_fbm
+#: holds about 12 n floats at its transforms, 1.5 GiB.  A larger request
+#: is refused with ValidationError before anything is allocated.
 MAX_SAMPLES = 2**24
 
 
@@ -112,12 +112,22 @@ def cascade_hurst(a: float, q: float) -> float:
     return 1.0 / q - math.log(a**q + b**q) / (q * math.log(2.0))
 
 
+#: Lags per block of _fgn_autocovariance: its temporaries stay at 256 KiB
+#: each, whatever the length.
+_COV_BLOCK = 2**15
+
+
 def _fgn_autocovariance(hurst: float, max_lag: int) -> np.ndarray:
-    k = np.arange(max_lag + 1, dtype=float)
+    """fGn autocovariances for lags 0..max_lag, filled block by block so
+    that no temporary grows with max_lag."""
     two_h = 2.0 * hurst
-    return 0.5 * (
-        np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h
-    )
+    cov = np.empty(max_lag + 1)
+    for lo in range(0, max_lag + 1, _COV_BLOCK):
+        k = np.arange(lo, min(lo + _COV_BLOCK, max_lag + 1), dtype=float)
+        cov[lo : lo + k.size] = 0.5 * (
+            np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h
+        )
+    return cov
 
 
 def _circulant_gaussian(cov: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,9 +138,12 @@ def _circulant_gaussian(cov: np.ndarray, n: int, rng: np.random.Generator) -> np
     non-negative for the construction to be exact.
 
     One complex 2m buffer holds the circulant row, its spectrum, the
-    random spectrum and the inverse transform in turn, so the working
-    memory is that buffer plus the 2m eigenvalues: 48 m bytes.  Returns a
-    new n-sample array.
+    random spectrum and the inverse transform in turn.  The eigenvalues
+    stay in its real part, each bin's sqrt(lambda / 2) goes to the unused
+    imaginary part of the same bin, and the draws fill the mirrored half.
+    So at either transform only the buffer's 32 m bytes are live, which
+    tracemalloc sees, and numpy's two FFT scratch arrays of the same
+    size, which it does not: 96 m bytes.  Returns a new n-sample array.
     """
     size = 2 * (cov.size - 1)
     half = size // 2
@@ -147,14 +160,11 @@ def _circulant_gaussian(cov: np.ndarray, n: int, rng: np.random.Generator) -> np
             f"circulant embedding not non-negative definite "
             f"(min eigenvalue {spectrum.min():.3e})"
         )
-    # All 2m eigenvalues are kept, though z reads only 0..m.  Freeing this
-    # 16 m-byte array raises glibc's adaptive heap-trim threshold to 32 m
-    # bytes, above the two complex scratch arrays that numpy's FFT
-    # allocates and frees on every call, so later transforms of fewer than
-    # m points reuse heap pages.  With half of it, a Morlet pass at 2^18
-    # samples after gen_fbm(2^20) faulted 16 MiB in anew on every row and
-    # ran about 30 % slower.
-    lam = np.clip(spectrum, 0.0, None)
+    # Bins 0..m of the spectrum are read, clipped at zero in place.
+    lam = spectrum[: half + 1]
+    np.clip(lam, 0.0, None, out=lam)
+    scale = np.divide(lam[1:half], 2.0, out=buf.imag[1:half])
+    np.sqrt(scale, out=scale)
     z = buf
     z[0] = math.sqrt(lam[0]) * rng.standard_normal()
     z[half] = math.sqrt(lam[half]) * rng.standard_normal()
@@ -162,11 +172,9 @@ def _circulant_gaussian(cov: np.ndarray, n: int, rng: np.random.Generator) -> np
     draws = z[half + 1 :].view(float)
     rng.standard_normal(out=draws[: half - 1])
     rng.standard_normal(out=draws[half - 1 :])
-    z.real[1:half] = draws[: half - 1]
-    z.imag[1:half] = draws[half - 1 :]
-    scale = lam[1:half]
-    scale /= 2.0
-    z[1:half] *= np.sqrt(scale, out=scale)
+    # Part by part, the product (re + i im) * scale of each bin.
+    np.multiply(draws[: half - 1], scale, out=z.real[1:half])
+    np.multiply(draws[half - 1 :], scale, out=scale)
     np.conjugate(z[1:half][::-1], out=z[half + 1 :])
     np.fft.ifft(z, out=z)
     return math.sqrt(size) * z.real[:n]
@@ -185,9 +193,16 @@ def gen_fbm(
     truncation).  Should the embedding spectrum come out negative, the
     embedding is retried once at double size before failing.
 
-    Requires ``n`` to be a power of two and at least 256.  O(n log n) time;
-    the working memory is about 7 n floats: one complex 2n-point buffer,
-    its 2n eigenvalues and the n samples, summed in place.
+    Requires ``n`` to be a power of two and at least 256.  O(n log n)
+    time.  Memory, in 8-byte floats: at either transform, one complex
+    2n-point buffer (4 n) and numpy's two FFT scratch arrays of its size
+    (8 n), about 12 n in all.  tracemalloc sees about 5 n, not the
+    scratch: the buffer with the n + 1 autocovariances it is filled from,
+    then the buffer with the n samples, summed in place.  A retry
+    at double size doubles both.  The resident growth also depends on
+    the allocator: under glibc 2.36, freed blocks below its mmap
+    threshold stay in the heap, and 2^20 samples grew a fresh process's
+    RSS by 12.4 n.
     """
     if not 0.0 < hurst < 1.0:
         raise ValidationError("hurst must lie in (0, 1)")

@@ -1,4 +1,5 @@
 import math
+import platform
 import tracemalloc
 
 import numpy as np
@@ -252,6 +253,27 @@ def test_scalogram_pass_holds_one_row_buffer(n):
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * 16 * n_fft
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measured under glibc's malloc")
+def test_cold_morlet_pass_faults_like_a_warm_one(fresh_python, tmp_path):
+    # numpy's FFT frees two scratch arrays in every row's ifft.  Unless
+    # the process has freed a larger block, glibc maps them anew for each
+    # row: 504k minor faults at 2^18, against 12.5k after a 16 MiB block
+    # is freed.  A series from np.load frees no large block, so only the
+    # pass's own block keeps the cold run near the warm one (18k here).
+    path = tmp_path / "x.npy"
+    np.save(path, np.cumsum(np.random.default_rng(1).standard_normal(2**18)))
+    setup = (
+        "import numpy as np\n"
+        "from wavescope import cwt\n"
+        "from wavescope.signal_core import TimeSeries\n"
+        f"ts = TimeSeries(np.load({str(path)!r}), 1.0)\n"
+    )
+    code = "cwt.global_power(cwt.cwt_morlet(ts))"
+    cold = fresh_python(code, setup).minflt
+    warm = fresh_python(code, setup + "np.empty(2**24, dtype=np.uint8)\n").minflt
+    assert cold <= 2 * warm
 
 
 def _rows(sg):

@@ -1,10 +1,7 @@
 import ast
 import importlib
 import inspect
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -13,16 +10,7 @@ import wavescope
 from wavescope import cwt, lyapunov, mfdfa, signal_core, spectral, svg, synth
 
 
-def _python(*args):
-    """Run the interpreter on this checkout's package."""
-    src = str(Path(wavescope.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, check=True, env=env
-    )
-
-
-def test_import_leaves_heavy_scipy_modules_out():
+def test_import_leaves_heavy_scipy_modules_out(fresh_python):
     # scipy.stats, scipy.signal, scipy.spatial and scipy.special dominate
     # the import time; the package needs scipy.signal only to render a
     # bouncing-ball series, scipy.spatial only for the Lyapunov estimator,
@@ -33,11 +21,17 @@ def test_import_leaves_heavy_scipy_modules_out():
              "xml.sax", "urllib.request", "http.client", "email", "ssl")
     code = f"import sys, wavescope; print(sorted(m for m in {heavy!r} if m in sys.modules))"
 
-    assert _python("-c", code).stdout.strip() == "[]"
+    assert fresh_python(code).stdout.strip() == "[]"
 
 
-def test_python_dash_m_runs_the_cli_without_a_warning():
-    out = _python("-m", "wavescope", "--help")
+def test_python_dash_m_runs_the_cli_without_a_warning(fresh_python):
+    # runpy.run_module is what ``python -m wavescope --help`` runs,
+    # including its check for a module imported before it is executed.
+    out = fresh_python(
+        "import runpy\n"
+        "sys.argv = ['wavescope', '--help']\n"
+        "runpy.run_module('wavescope', run_name='__main__', alter_sys=True)"
+    )
     assert out.stdout.startswith("usage: wavescope")
     assert "RuntimeWarning" not in out.stderr
 

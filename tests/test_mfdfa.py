@@ -36,6 +36,22 @@ def test_default_q_grid():
     assert np.all(np.diff(q) == 1.0)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((float("nan"),), "q_min"),
+        ((-1.0, float("inf")), "q_max"),
+        ((-1.0, 1.0, float("inf")), "q_step"),
+    ],
+    ids=["q_min-nan", "q_max-inf", "q_step-inf"],
+)
+def test_q_grid_refuses_an_argument_that_is_not_finite(args, name):
+    # A NaN passes both of the grid's comparisons, and np.arange then
+    # raised its own ValueError.
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        q_grid(*args)
+
+
 def test_segment_variance_hand_example():
     # n=10, scale=4: two front segments [0:4],[4:8], two back [2:6],[6:10]
     x = np.arange(10.0)

@@ -64,6 +64,14 @@ def test_profile_of_timeseries_equals_profile_of_its_samples():
     assert prof.tobytes() == profile(ts.samples).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (12, 1), ()])
+def test_profile_refuses_samples_that_are_not_one_dimensional(shape):
+    # np.cumsum ravels without an axis, so a 2-D input gave a 12-point
+    # profile of its flattened rows.
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        profile(np.arange(12.0)[: int(np.prod(shape))].reshape(shape))
+
+
 @settings(max_examples=50)
 @given(
     st.lists(
