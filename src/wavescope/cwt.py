@@ -541,11 +541,18 @@ def phase_at_scale(sg: Scalogram, scale: float) -> PhaseSeries:
 
     Proximity is measured on the logarithmic scale axis and the actually
     used scale is reported back; no silent substitution: a scale that is
-    not a finite positive number is refused.  Only that row is evaluated:
-    one inverse FFT, O(n_fft) memory.
+    not a finite positive number is refused, and ScaleOutOfRangeError
+    refuses one more than an octave below the smallest scale or above the
+    largest.  Only that row is evaluated: one inverse FFT, O(n_fft) memory.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValidationError(f"scale must be a finite positive number, got {scale}")
+    lo, hi = float(sg.scales[0]), float(sg.scales[-1])
+    if not 0.5 * lo <= scale <= 2.0 * hi:
+        raise ScaleOutOfRangeError(
+            f"scale {scale:g} s lies more than an octave outside the ladder "
+            f"[{lo:g}, {hi:g}] s"
+        )
     idx = int(np.argmin(np.abs(np.log(sg.scales) - math.log(scale))))
     row = next(sg._evaluate((idx,)))
     return PhaseSeries(

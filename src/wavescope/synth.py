@@ -119,14 +119,14 @@ _COV_BLOCK = 2**15
 
 def _fgn_autocovariance(hurst: float, max_lag: int) -> np.ndarray:
     """fGn autocovariances for lags 0..max_lag, filled block by block so
-    that no temporary grows with max_lag."""
+    that no temporary grows with max_lag.  Each block raises |k| to 2H
+    once for k = lo - 1 .. hi, the lags its second differences read."""
     two_h = 2.0 * hurst
     cov = np.empty(max_lag + 1)
     for lo in range(0, max_lag + 1, _COV_BLOCK):
-        k = np.arange(lo, min(lo + _COV_BLOCK, max_lag + 1), dtype=float)
-        cov[lo : lo + k.size] = 0.5 * (
-            np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h
-        )
+        hi = min(lo + _COV_BLOCK, max_lag + 1)
+        p = np.abs(np.arange(lo - 1, hi + 1, dtype=float)) ** two_h
+        cov[lo:hi] = 0.5 * (p[2:] - 2.0 * p[1:-1] + p[:-2])
     return cov
 
 
@@ -325,6 +325,31 @@ def bounce_map_jacobian(phi_next: float, p: BounceParams) -> np.ndarray:
     return np.array([[1.0, 1.0], [s, p.restitution + s]])
 
 
+def _ring_down(impulses: np.ndarray, decay: float) -> np.ndarray:
+    """y[k] = decay * y[k-1] + impulses[k] with y[-1] = 0, for impulses >= 0.
+
+    These are the bits of ``scipy.signal.lfilter([1], [1, -decay], x)``.
+    Its transposed direct form computes y = z + 1*x and then
+    z = 0*x - (-decay)*y, so each sample is exactly fl(fl(decay*y) + x),
+    and where x = 0 it is fl(decay*y).  So y is decay everywhere, zero
+    before the first impulse, each impulse sample s holds
+    decay * y[s-1] + x[s], and an in-place multiply.accumulate from s up
+    to the next impulse applies fl(decay*y) in sequence.  O(samples) time
+    plus one Python step per impulse sample.
+    """
+    y = np.full(impulses.size, decay)
+    starts = np.flatnonzero(impulses)
+    y[: starts[0] if starts.size else y.size] = 0.0
+    ends = np.append(starts[1:], y.size)
+    prev = 0.0
+    for s, e, x in zip(starts.tolist(), ends.tolist(), impulses[starts].tolist()):
+        y[s] = decay * prev + x
+        run = y[s:e]
+        np.multiply.accumulate(run, out=run)
+        prev = float(run[-1])
+    return y
+
+
 def gen_bouncing_ball(p: BounceParams, sample_rate: float | None = None) -> TimeSeries:
     """Impact train of the driven bouncing map rendered as a time series.
 
@@ -335,6 +360,12 @@ def gen_bouncing_ball(p: BounceParams, sample_rate: float | None = None) -> Time
     frequency; a small positive floor keeps degenerate (chattering)
     trajectories renderable.  A rendering longer than MAX_SAMPLES is
     refused before its samples are allocated.
+
+    O(samples) time plus one Python step per impact sample for the
+    ring-down, about 3 us: a warm render of 10^5 impacts takes 0.3-0.4 s,
+    against 0.12-0.14 s with scipy.signal.lfilter, whose import alone
+    takes about 0.9 s and 70 MiB.  Memory: the impulse train and the
+    output, 16 bytes per sample, and O(impacts) for the map.
     """
     if sample_rate is None:
         sample_rate = 64.0 * p.drive_freq
@@ -357,13 +388,9 @@ def gen_bouncing_ball(p: BounceParams, sample_rate: float | None = None) -> Time
     impulses = np.zeros(n_samples)
     idx = np.minimum(np.round(impact_times * sample_rate).astype(int), n_samples - 1)
     np.add.at(impulses, idx, np.abs(vs))
-    # Deferred: scipy.signal costs about half of ``import wavescope``.
-    from scipy.signal import lfilter
-
     decay = math.exp(-1.0 / (sample_rate * IMPACT_RINGDOWN_S))
-    samples = lfilter([1.0], [1.0, -decay], impulses)
     return TimeSeries(
-        samples,
+        _ring_down(impulses, decay),
         sample_rate,
         label=f"bounce(A={p.amplitude:g}, r={p.restitution:g}, seed={p.seed})",
     )

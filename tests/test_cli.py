@@ -839,6 +839,20 @@ def test_phase_subcommand_refuses_a_period_before_reading(tmp_path, period):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("period", ["1e300", "1e-300"])
+def test_phase_subcommand_refuses_a_period_far_outside_the_ladder(tmp_path, capsys, period):
+    # The nearest scale used to be taken at any distance, so 1e300 s on a
+    # 512-sample series exited 0 with the largest scale's phase.
+    out = tmp_path / "sync"
+    argv = ["phase", "--input-a", _sine_csv(tmp_path), "--input-b", _sine_csv(tmp_path),
+            "--period", period, "--outdir", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "more than an octave outside the ladder" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_phase_subcommand_refuses_a_rate_that_is_not_finite(tmp_path, capsys, rate):
     # Both inputs carry a time column: a NaN or infinite rate used to be

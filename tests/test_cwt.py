@@ -461,6 +461,16 @@ def test_phase_at_scale_refuses_a_scale_that_is_not_finite_and_positive(scale):
         phase_at_scale(sg, scale)
 
 
+def test_phase_at_scale_takes_an_octave_beyond_the_ladder_and_refuses_more():
+    sg = cwt_morlet(_tone(0.4, 100.0, 512))
+    lo, hi = float(sg.scales[0]), float(sg.scales[-1])
+    assert phase_at_scale(sg, 0.5 * lo).scale == lo
+    assert phase_at_scale(sg, 2.0 * hi).scale == hi
+    for scale in (np.nextafter(0.5 * lo, 0.0), np.nextafter(2.0 * hi, math.inf), 1e300):
+        with pytest.raises(ScaleOutOfRangeError, match="more than an octave"):
+            phase_at_scale(sg, float(scale))
+
+
 def test_phase_difference_constant_offset():
     rate, n, period = 100.0, 4096, 0.4
     a = cwt_morlet(_tone(period, rate, n, phase=0.9))

@@ -12,16 +12,36 @@ from wavescope import cwt, lyapunov, mfdfa, signal_core, spectral, svg, synth
 
 def test_import_leaves_heavy_scipy_modules_out(fresh_python):
     # scipy.stats, scipy.signal, scipy.spatial and scipy.special dominate
-    # the import time; the package needs scipy.signal only to render a
-    # bouncing-ball series, scipy.spatial only for the Lyapunov estimator,
-    # scipy.special only for CWT significance levels and MFDFA moments,
-    # and never scipy.stats.  xml.sax.saxutils would pull in the network
-    # and mail modules, about 40 ms; svg escapes its labels itself.
+    # the import time; the package needs scipy.spatial only for the
+    # Lyapunov estimator, scipy.special only for CWT significance levels,
+    # and never scipy.signal or scipy.stats: the bouncing-ball ring-down
+    # and the MFDFA moments are computed here.  xml.sax.saxutils would
+    # pull in the network and mail modules, about 40 ms; svg escapes its
+    # labels itself.
     heavy = ("scipy.stats", "scipy.signal", "scipy.spatial", "scipy.special",
              "xml.sax", "urllib.request", "http.client", "email", "ssl")
     code = f"import sys, wavescope; print(sorted(m for m in {heavy!r} if m in sys.modules))"
 
     assert fresh_python(code).stdout.strip() == "[]"
+
+
+def test_bounce_render_and_mfdfa_load_no_scipy_and_stay_small(fresh_python):
+    # Rendering a bounce series and fitting its h(q) once imported
+    # scipy.signal (lfilter) and scipy.special (logsumexp), which pulled in
+    # scipy.stats too, and grew a fresh process's RSS by about 73 MiB; it
+    # reads about 5 MiB without them.
+    code = (
+        "ts = synth.gen_bouncing_ball(synth.BounceParams(9.0, 25.0, 0.7, 400, seed=2))\n"
+        "with warnings.catch_warnings():\n"
+        "    warnings.simplefilter('ignore')\n"
+        "    mfdfa.generalized_hurst(mfdfa.fluctuation_function(profile(ts.samples)))\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.special', 'scipy.stats')"
+        " if m in sys.modules))"
+    )
+    setup = "import warnings\nfrom wavescope import mfdfa, synth\nfrom wavescope.signal_core import profile"
+    run = fresh_python(code, setup)
+    assert run.stdout.strip() == "[]"
+    assert run.maxrss_kib < 20 * 1024
 
 
 def test_python_dash_m_runs_the_cli_without_a_warning(fresh_python):

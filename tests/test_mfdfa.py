@@ -226,6 +226,26 @@ def test_fluctuation_tables_are_pinned():
     assert digest.hexdigest() == "2a10deea01f0c9b4df6cf0603cf5cd36ba3161edae9dfb6439307f63a21d3044"
 
 
+def test_logsumexp_has_the_bits_of_scipy():
+    # The moments' log-sum-exp follows scipy's steps; scipy is the reference,
+    # on spreads, repeated maxima, sums near overflow and near underflow.
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(17)
+    for i in range(500):
+        n = int(rng.integers(1, 2000))
+        a = [
+            rng.normal(0.0, 50.0, n),
+            np.round(rng.normal(0.0, 3.0, n)),
+            rng.normal(700.0, 5.0, n),
+            rng.normal(-800.0, 30.0, n),
+        ][i % 4]
+        assert np.float64(mfdfa._logsumexp(a)).tobytes() == np.float64(logsumexp(a)).tobytes()
+    for a in ([np.inf, 1.0], [-np.inf, -np.inf], [1e308, 1e308], [5.0]):
+        a = np.array(a)
+        assert np.float64(mfdfa._logsumexp(a)).tobytes() == np.float64(logsumexp(a)).tobytes()
+
+
 def test_config_rejects_unknown_boundary():
     with pytest.raises(ValidationError):
         fluctuation_function(np.zeros(512), boundary="wrap")
