@@ -308,17 +308,13 @@ class _Scalograms:
     series object (compared with ``is``) or a param differs from the held
     one, and drops the held scalogram first, so at most one is alive.
     ``cwt_morlet`` is looked up on its module at call time, so a wrapped
-    module attribute sees every transform.  ``run`` sets
-    ``heatmap_params`` before each stage to the params of the ``cwt``
-    stages that will read this stage's series (see _cwt_params_ahead).  A
-    new scalogram with params among them gets its ``power_summary`` pass
-    with the heat map at once, so a stage of either kind, in either order,
-    reads that one record; any other gets no heat map.  A held scalogram
-    is O(n_fft + S HEATMAP_COLS).
+    module attribute sees every transform.  Each new scalogram gets its
+    one ``power_summary`` pass with the heat map at once, so a stage of
+    either kind, in either order, reads that one record.  A held
+    scalogram is O(n_fft + S HEATMAP_COLS).
     """
 
     def __init__(self):
-        self.heatmap_params = set()
         self._ts = self._params = self._sg = None
 
     def __call__(self, ts, omega0, norm, pad):
@@ -327,22 +323,8 @@ class _Scalograms:
             self._sg = None
             self._sg = cwtmod.cwt_morlet(ts, omega0=omega0, norm=norm, pad=pad)
             self._ts, self._params = ts, params
-            if params in self.heatmap_params:
-                self._sg.power_summary(heatmap=True)
+            self._sg.power_summary(heatmap=True)
         return self._sg
-
-
-def _cwt_params_ahead(stages) -> set:
-    """``(omega0, norm, pad)`` of the ``cwt`` stages among ``stages`` that
-    read the series the first one reads: those before the next
-    ``denoise``, the one stage that returns a new series."""
-    params = set()
-    for name, p in stages:
-        if name == "denoise":
-            break
-        if name == "cwt":
-            params.add((p["omega0"], p["norm"], p["pad"]))
-    return params
 
 
 def _stage_denoise(ts, params, emit):
@@ -466,9 +448,9 @@ def _stage_mfdfa(ts, params, emit):
 def _stage_cwt(ts, params, emit, scalogram):
     """Morlet scalogram summary.
 
-    The table and the heat map read the scalogram's one power_summary
-    pass, shared with a ``globalpower`` stage in either order: O(S n_fft
-    log n_fft) time and O(n_fft + S HEATMAP_COLS) memory.
+    The table and the heat map read the run scalogram's one binned
+    power_summary pass, shared with a ``globalpower`` stage in either
+    order: O(S n_fft log n_fft) time and O(n_fft + S HEATMAP_COLS) memory.
     """
     sg = scalogram(ts, params["omega0"], params["norm"], params["pad"])
     emit(
@@ -485,7 +467,12 @@ def _stage_cwt(ts, params, emit, scalogram):
 
 
 def _stage_globalpower(ts, params, emit, scalogram):
-    """Time-averaged wavelet power."""
+    """Time-averaged wavelet power.
+
+    Reads the run scalogram's one binned power_summary pass, as ``cwt``
+    does, in either order; the pass bins even when no ``cwt`` stage writes
+    the map.  Time and memory as for ``cwt``.
+    """
     sg = scalogram(ts, params["omega0"], "l2", "zero")
     gp = cwtmod.global_power(sg, background=params["background"], series=ts.samples)
     peaks = cwtmod.dominant_periods(gp, max_count=params["max_peaks"])
@@ -624,9 +611,8 @@ def run(cfg: RunConfig) -> RunReport:
     read the same series with the same params: the run computes it once
     and holds it, O(n_fft + S HEATMAP_COLS), until the next transform or the
     end of the run.  Neither stage holds an S x n array, and in either
-    order the two read one ``power_summary`` record, which bins the heat
-    map when this or a later ``cwt`` stage reads that series with those params,
-    so each row's inverse FFT runs once.
+    order the two read one ``power_summary`` record, which always bins the
+    heat map, so each row's inverse FFT runs once.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -659,7 +645,6 @@ def run(cfg: RunConfig) -> RunReport:
         emit = writer(outdir, f"{i:02d}_{name}_", wanted, written)
         args = (ts, params, emit)
         if name in _SCALOGRAM_STAGES:
-            scalograms.heatmap_params = _cwt_params_ahead(stages[i:])
             args += (scalograms,)
         ts, summary[name] = attempt(name, _STAGE_FUNCS[name], *args)
     report = RunReport(

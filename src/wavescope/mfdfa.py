@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dwt import BOUNDARY_MODES, WaveletSpec, daubechies, extract_fluctuation
+from .dwt import WaveletSpec, daubechies, extract_fluctuation
 from .errors import (
     PoorFitWarning,
     ValidationError,
@@ -226,7 +226,8 @@ def fluctuation_function(
     profile length.  Requested scales snap to the nearest dyadic wavelet
     level via s = support * 2**level (duplicates collapse) and the snapped
     values are reported in the result.  ``wavelet`` defaults to
-    ``daubechies(2)`` and ``boundary`` is one of BOUNDARY_MODES.
+    ``daubechies(2)``; ``extract_fluctuation`` refuses a ``boundary`` not
+    in ``dwt.BOUNDARY_MODES`` before any transform runs.
 
     The profile is decomposed once per direction for all levels (see
     :func:`~wavescope.dwt.extract_fluctuation`), and each level's
@@ -240,8 +241,6 @@ def fluctuation_function(
         raise ValidationError(
             f"q_values must hold 1 to MAX_Q_VALUES = {MAX_Q_VALUES} orders, got {q_values.size}"
         )
-    if boundary not in BOUNDARY_MODES:
-        raise ValidationError(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
     if scales is not None:
         scales = np.asarray(scales, dtype=int)
         if scales.size < 1 or np.any(np.diff(scales) <= 0):

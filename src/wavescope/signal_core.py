@@ -166,6 +166,10 @@ def load_csv(
     :func:`write_csv` file reads back as written.  Decimal separator is
     '.', encoding UTF-8, with or without a byte-order mark.
 
+    O(n) time for n rows.  The traced working memory is about 14 n floats
+    with a time column and 5.5 n without: a Python float object and a list
+    slot per parsed field, then the arrays and the spacing check.
+
     Raises
     ------
     ParseError

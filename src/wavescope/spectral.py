@@ -111,6 +111,11 @@ def power_spectrum(ts: TimeSeries, window: str = "none") -> PowerSpectrum:
 
     Without a window, the density integrates exactly to the mean square of
     the signal (discrete Parseval identity):  sum(power) * df == mean(x**2).
+
+    O(n log n) time for n samples.  The traced working memory is about
+    3 n floats, the n/2 + 1 complex bins and their power and frequencies,
+    and 5 n with the Hann window, which adds the window and the tapered
+    copy; numpy's FFT scratch is not traced.
     """
     if window not in ("none", "hann"):
         raise ValidationError(f"unknown window {window!r}")
@@ -158,6 +163,10 @@ def fit_power_law(ps: PowerSpectrum, f_lo: float, f_hi: float) -> SpectrumFit:
 
     Zero-power bins and DC are excluded; the band must keep at least 8
     usable bins or InsufficientBandError is raised.
+
+    O(m) time and about 5 floats of working memory per bin for the
+    m = n/2 + 1 bins of an n-sample spectrum: masks, logarithms and band
+    indices.
     """
     if not (0 < f_lo < f_hi):
         raise ValidationError("need 0 < f_lo < f_hi")
@@ -242,7 +251,8 @@ def heisenberg_fit(
     ``regime`` is "neutral" (-5/3), "dissipation" (-7) or an explicit
     target slope.  The match criterion is
     ``|slope - target| <= rel_tolerance * |target|``; a negative
-    ``rel_tolerance`` is refused.
+    ``rel_tolerance`` is refused.  Time and memory are those of
+    :func:`fit_power_law`.
     """
     if not rel_tolerance >= 0:
         raise ValidationError(f"rel_tolerance must be >= 0, got {rel_tolerance}")

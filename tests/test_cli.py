@@ -589,20 +589,18 @@ def test_run_inverts_each_row_once_per_scalogram(tmp_path, monkeypatch, pipeline
 @pytest.mark.parametrize(
     "pipeline, maps",
     [
-        ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "globalpower"}], 1),
-        ([{"stage": "globalpower"}, {"stage": "denoise"}, {"stage": "cwt"}], 1),
+        ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "globalpower"}], 2),
+        ([{"stage": "globalpower"}, {"stage": "denoise"}, {"stage": "cwt"}], 2),
         ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "cwt"}], 2),
         ([{"stage": "cwt"}, {"stage": "globalpower"}], 1),
         ([{"stage": "globalpower"}, {"stage": "cwt"}], 1),
-        ([{"stage": "globalpower"}], 0),
+        ([{"stage": "globalpower"}], 1),
     ],
 )
-def test_run_bins_a_heat_map_only_for_a_cwt_stage_on_that_series(
-    tmp_path, monkeypatch, pipeline, maps
-):
-    # A heat map costs one log10 per row.  Only denoise returns a new
-    # series, so a scalogram of one side of it bins no map for a cwt stage
-    # on the other side.
+def test_run_bins_one_heat_map_per_run_scalogram(tmp_path, monkeypatch, pipeline, maps):
+    # A heat map costs one log10 per row.  Every scalogram a run makes
+    # bins its map in its one pass, whether or not a cwt stage writes it;
+    # only denoise returns a new series, and so a new scalogram.
     cfg = _csv_run(tmp_path, 2048, pipeline)
     calls = []
     real = np.log10

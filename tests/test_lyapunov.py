@@ -445,14 +445,19 @@ def test_map_lyapunov_sign_structure():
 
 def _map_lyapunov_by_matrix_product(p, n, burn_in):
     """The impact-map exponent with the tangent advanced by the 2x2
-    Jacobian matrix product."""
+    Jacobian matrix product, row by row on Python floats, the second row
+    evaluated as an FMA kernel does, fma(s, u0, (r + s) u1), exactly
+    rounded through Fraction.  No BLAS kernel takes part, so the oracle's
+    bits are the same on every host."""
     phis, _ = bounce_map_trajectory(p, n=200 + n, burn_in=burn_in)
-    u = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    u0 = u1 = 1.0 / math.sqrt(2.0)
     log_sum = 0.0
-    for k, phi in enumerate(phis):
-        u = bounce_map_jacobian(float(phi), p) @ u
-        norm = math.hypot(u[0], u[1])
-        u /= norm
+    for k, phi in enumerate(phis.tolist()):
+        (a, b), (s, r_plus_s) = bounce_map_jacobian(phi, p).tolist()
+        u0, u1 = a * u0 + b * u1, _exactly_rounded_fma(s, u0, r_plus_s * u1)
+        norm = math.hypot(u0, u1)
+        u0 /= norm
+        u1 /= norm
         if k >= 200:
             log_sum += math.log(norm)
     return log_sum / n
@@ -460,7 +465,7 @@ def _map_lyapunov_by_matrix_product(p, n, burn_in):
 
 @pytest.mark.parametrize("amplitude, restitution", [(3.6, 0.45), (4.0, 0.55), (7.0, 0.9)])
 def test_map_lyapunov_scalar_tangent_matches_matrix_product(amplitude, restitution):
-    # The matrix product rounds its second row once (a fused multiply-add);
+    # The product rounds its second row once, as a fused multiply-add does;
     # on the first two presets plain s * u0 + (r + s) * u1 changes the bits.
     p = BounceParams(amplitude, 25.0, restitution, 10_000, seed=2)
     expected = _map_lyapunov_by_matrix_product(p, 10_000, 5000)

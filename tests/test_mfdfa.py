@@ -164,6 +164,22 @@ def test_one_analysis_pass_per_direction(monkeypatch):
     assert len(calls) == 2 * int(table.levels.max())
 
 
+def test_unknown_boundary_is_refused_before_any_analysis_step(monkeypatch):
+    # extract_fluctuation's argument check is the one refusal.
+    calls = []
+    original = dwt._analysis
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(dwt, "_analysis", counted)
+    prof = profile(np.random.default_rng(5).standard_normal(4096))
+    with pytest.raises(ValidationError, match="mirror"):
+        fluctuation_function(prof, boundary="mirror")
+    assert calls == []
+
+
 def test_fluctuation_function_frees_each_level_before_the_next(monkeypatch):
     # Every level's fluctuation is dead by the time the next one reaches
     # segment_variance: O(1) length-n arrays at any level count.

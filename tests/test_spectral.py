@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from wavescope import (
     OutOfRangeError,
     ValidationError,
 )
-from wavescope.signal_core import TimeSeries
+from wavescope.signal_core import TimeSeries, load_csv, write_csv
 from wavescope.spectral import (
     DISSIPATION_SLOPE,
     NEUTRAL_CASCADE_SLOPE,
@@ -19,6 +21,7 @@ from wavescope.spectral import (
     hurst_from_alpha,
     power_spectrum,
 )
+from wavescope.synth import gen_fbm
 
 
 def _tone(freq, rate, n, amp=1.0):
@@ -152,3 +155,35 @@ def test_heisenberg_rejects_unknown_regime():
     ps = power_spectrum(_tone(5.0, 100.0, 256))
     with pytest.raises(ValidationError):
         heisenberg_fit(ps, 1.0, 40.0, regime="inertial")
+
+
+def _traced_peak(fn):
+    """The tracemalloc peak of ``fn()``, after one untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_input_and_spectral_stage_memory_is_linear_in_n(tmp_path, n):
+    # Documented bounds, in bytes per sample (measured): load_csv of a
+    # write_csv file about 14 floats (106-108), power_spectrum 3 (24.1),
+    # 5 with hann (40.1), and fit_power_law and heisenberg_fit about 5
+    # floats per bin of the n/2 + 1 (19.7 per sample).
+    ts = gen_fbm(0.5, n, seed=1, sample_rate=1.0)
+    path = tmp_path / "x.csv"
+    write_csv(ts, path)
+    ps = power_spectrum(ts)
+    bounds = {
+        "load_csv": (lambda: load_csv(path), 15 * 8),
+        "spectrum": (lambda: power_spectrum(ts), 3.5 * 8),
+        "hann": (lambda: power_spectrum(ts, window="hann"), 5.5 * 8),
+        "fit": (lambda: fit_power_law(ps, 0.002, 0.4), 3 * 8),
+        "heisenberg": (lambda: heisenberg_fit(ps, 0.002, 0.4), 3 * 8),
+    }
+    per_sample = {name: _traced_peak(fn) / n for name, (fn, _) in bounds.items()}
+    assert all(per_sample[name] <= bound for name, (_, bound) in bounds.items()), per_sample
