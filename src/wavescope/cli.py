@@ -291,43 +291,38 @@ def _build_input(cfg: RunConfig) -> TimeSeries:
 # --------------------------------------------------------------------------
 # pipeline stages
 #
-# Stage contract: ``_stage_x(ts, params, emit) -> (ts, info)``.  A stage
-# gets the series and its declared params with defaults filled in.  It
-# writes every file through ``emit`` (see writer), inside the call, so a
-# failing write fails the stage and the stage's arrays die on return.  It
-# returns the series for the next stage and its summary entry.  A stage
-# in _SCALOGRAM_STAGES also gets the run's _Scalograms, held for the whole
-# run, and takes its Morlet scalogram from there.
+# Stage contract: ``_stage_x(ts, params, emit, shared) -> (ts, info)``.  A
+# stage gets the series and its declared params with defaults filled in.
+# It writes every file through ``emit`` (see writer), inside the call, so
+# a failing write fails the stage and the stage's arrays die on return.
+# It reads a result that another stage may also need, a spectrum or a
+# Morlet scalogram, through ``shared`` (see _Shared).  It returns the
+# series for the next stage and its summary entry.
 
 
-class _Scalograms:
-    """The one Morlet scalogram that the stages of a run share.
+class _Shared:
+    """The one result that the stages of a run share.
 
-    ``scalograms(ts, omega0, norm, pad)`` returns ``cwt_morlet`` of the
-    series with those params.  It computes the transform only when the
-    series object (compared with ``is``) or a param differs from the held
-    one, and drops the held scalogram first, so at most one is alive.
-    ``cwt_morlet`` is looked up on its module at call time, so a wrapped
-    module attribute sees every transform.  Each new scalogram gets its
-    one ``power_summary`` pass with the heat map at once, so a stage of
-    either kind, in either order, reads that one record.  A held
-    scalogram is O(n_fft + S HEATMAP_COLS).
+    ``shared(fn, ts, **kwargs)`` returns ``fn(ts, **kwargs)``.  It calls
+    ``fn`` only when ``fn`` or the series (both compared with ``is``) or
+    a keyword differs from the held call, and drops the held result
+    first, so at most one is alive.  Callers name ``fn`` on its module at
+    the call (``spectral.power_spectrum``, ``cwtmod.cwt_morlet``), so a
+    wrapped module attribute sees every call.  A held spectrum is O(n),
+    a held scalogram O(n_fft + S HEATMAP_COLS) with its binned pass.
     """
 
-    def __init__(self):
-        self._ts = self._params = self._sg = None
+    _held = None  # (fn, ts, kwargs, result)
 
-    def __call__(self, ts, omega0, norm, pad):
-        params = (omega0, norm, pad)
-        if self._ts is not ts or self._params != params:
-            self._sg = None
-            self._sg = cwtmod.cwt_morlet(ts, omega0=omega0, norm=norm, pad=pad)
-            self._ts, self._params = ts, params
-            self._sg.power_summary(heatmap=True)
-        return self._sg
+    def __call__(self, fn, ts, **kwargs):
+        held = self._held
+        if not (held and held[0] is fn and held[1] is ts and held[2] == kwargs):
+            held = self._held = None  # no reference left while fn runs
+            held = self._held = (fn, ts, kwargs, fn(ts, **kwargs))
+        return held[3]
 
 
-def _stage_denoise(ts, params, emit):
+def _stage_denoise(ts, params, emit, shared):
     """Wavelet denoising."""
     cleaned = dwt.denoise(
         ts.samples,
@@ -345,9 +340,9 @@ def _stage_denoise(ts, params, emit):
     }
 
 
-def _stage_spectrum(ts, params, emit):
+def _stage_spectrum(ts, params, emit, shared):
     """One-sided power spectrum."""
-    ps = spectral.power_spectrum(ts, window=params["window"])
+    ps = shared(spectral.power_spectrum, ts, window=params["window"])
     emit("spectrum.csv", write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
     emit("spectrum.svg", spectrum_plot, ps, "power spectrum")
     return ts, {
@@ -356,9 +351,9 @@ def _stage_spectrum(ts, params, emit):
     }
 
 
-def _stage_fit(ts, params, emit):
+def _stage_fit(ts, params, emit, shared):
     """Power-law fit of the spectrum."""
-    ps = spectral.power_spectrum(ts)
+    ps = shared(spectral.power_spectrum, ts, window="none")
     fit = spectral.fit_power_law(ps, params["f_lo"], params["f_hi"])
     info = {
         "slope": fit.slope,
@@ -384,9 +379,9 @@ def _stage_fit(ts, params, emit):
     return ts, info
 
 
-def _stage_heisenberg(ts, params, emit):
+def _stage_heisenberg(ts, params, emit, shared):
     """Spectral regime comparison."""
-    ps = spectral.power_spectrum(ts)
+    ps = shared(spectral.power_spectrum, ts, window="none")
     res = spectral.heisenberg_fit(
         ps,
         params["f_lo"],
@@ -408,7 +403,7 @@ def _stage_heisenberg(ts, params, emit):
     return ts, info
 
 
-def _stage_mfdfa(ts, params, emit):
+def _stage_mfdfa(ts, params, emit, shared):
     """Multifractal fluctuation analysis."""
     data = np.diff(ts.samples) if params["difference"] else ts.samples
     # q_grid bounds the grid before building it, so with Q <= MAX_Q_VALUES
@@ -445,14 +440,15 @@ def _stage_mfdfa(ts, params, emit):
     return ts, info
 
 
-def _stage_cwt(ts, params, emit, scalogram):
+def _stage_cwt(ts, params, emit, shared):
     """Morlet scalogram summary.
 
-    The table and the heat map read the run scalogram's one binned
-    power_summary pass, shared with a ``globalpower`` stage in either
-    order: O(S n_fft log n_fft) time and O(n_fft + S HEATMAP_COLS) memory.
+    The table and the heat map read the shared scalogram's one binned
+    power_summary pass, which a ``globalpower`` stage of the same series
+    and params reads too, in either order: O(S n_fft log n_fft) time and
+    O(n_fft + S HEATMAP_COLS) memory.
     """
-    sg = scalogram(ts, params["omega0"], params["norm"], params["pad"])
+    sg = shared(cwtmod.cwt_morlet, ts, **params)  # omega0, norm and pad
     emit(
         "scales.csv",
         write_table,
@@ -466,14 +462,15 @@ def _stage_cwt(ts, params, emit, scalogram):
     }
 
 
-def _stage_globalpower(ts, params, emit, scalogram):
+def _stage_globalpower(ts, params, emit, shared):
     """Time-averaged wavelet power.
 
-    Reads the run scalogram's one binned power_summary pass, as ``cwt``
-    does, in either order; the pass bins even when no ``cwt`` stage writes
-    the map.  Time and memory as for ``cwt``.
+    Reads the shared scalogram's one binned power_summary pass, as ``cwt``
+    does, and bins the heat map even when no ``cwt`` stage writes it.
+    Time and memory as for ``cwt``.
     """
-    sg = scalogram(ts, params["omega0"], "l2", "zero")
+    sg = shared(cwtmod.cwt_morlet, ts, omega0=params["omega0"], norm="l2", pad="zero")
+    sg.power_summary(heatmap=True)
     gp = cwtmod.global_power(sg, background=params["background"], series=ts.samples)
     peaks = cwtmod.dominant_periods(gp, max_count=params["max_peaks"])
     emit(
@@ -505,8 +502,16 @@ def _stage_globalpower(ts, params, emit, scalogram):
     return ts, info
 
 
-def _stage_lyapunov(ts, params, emit):
-    """Largest Lyapunov exponent."""
+def _stage_lyapunov(ts, params, emit, shared):
+    """Largest Lyapunov exponent.
+
+    O(n log n + L n + m log m + u k log m + max_iter pairs dim) time and
+    O(n dim + 1024 k) memory for n samples, m embedded points, u of them
+    without a partner after the first neighbour pass, k <= 64 candidates
+    and L estimate_delay's mutual-information stop lag (0 when the
+    autocorrelation crosses its floor, at most n / 4; max_iter <= 300 by
+    default).
+    """
     delay = params["delay"]
     if delay == "auto":
         delay = lyapunov.estimate_delay(ts)
@@ -549,9 +554,6 @@ _STAGE_FUNCS = {
     "lyapunov": _stage_lyapunov,
 }
 
-#: The stages that read a Morlet scalogram through _Scalograms.
-_SCALOGRAM_STAGES = ("cwt", "globalpower")
-
 _OMEGA0 = _Param("omega0", float, 6.0)
 
 #: Each stage's params, declared once: validate_config checks configs
@@ -559,18 +561,18 @@ _OMEGA0 = _Param("omega0", float, 6.0)
 #: gets one flag per param.
 _STAGE_PARAMS = {
     "denoise": (
-        _Param("rule", None, "kill_details", ("kill_details", "soft_threshold")),
+        _Param("rule", None, "kill_details", dwt.DENOISE_RULES),
         _Param("levels", int, None),
         _Param("kill_count", int, None),
         _Param("vanishing_moments", int, 2),
         _Param("boundary", None, "symmetric", dwt.BOUNDARY_MODES),
     ),
-    "spectrum": (_Param("window", None, "none", ("none", "hann")),),
+    "spectrum": (_Param("window", None, "none", spectral.WINDOWS),),
     "fit": (_Param("f_lo", float), _Param("f_hi", float)),
     "heisenberg": (
         _Param("f_lo", float),
         _Param("f_hi", float),
-        _Param("regime", float, "neutral", ("neutral", "dissipation")),
+        _Param("regime", float, "neutral", tuple(spectral.REGIMES)),
         _Param("rel_tolerance", float, 0.15),
     ),
     "mfdfa": (
@@ -583,12 +585,12 @@ _STAGE_PARAMS = {
     ),
     "cwt": (
         _OMEGA0,
-        _Param("norm", None, "l2", ("l2", "eq4")),
-        _Param("pad", None, "zero", ("zero", "periodic")),
+        _Param("norm", None, "l2", cwtmod.NORMS),
+        _Param("pad", None, "zero", cwtmod.PAD_MODES),
     ),
     "globalpower": (
         _OMEGA0,
-        _Param("background", None, "white", ("white", "red")),
+        _Param("background", None, "white", cwtmod.BACKGROUNDS),
         _Param("max_peaks", int, None),
     ),
     "lyapunov": (
@@ -607,12 +609,11 @@ def run(cfg: RunConfig) -> RunReport:
     ``<stage>.failed`` marker records the reason next to any partial
     output of that stage.
 
-    The ``cwt`` and ``globalpower`` stages share one scalogram when they
-    read the same series with the same params: the run computes it once
-    and holds it, O(n_fft + S HEATMAP_COLS), until the next transform or the
-    end of the run.  Neither stage holds an S x n array, and in either
-    order the two read one ``power_summary`` record, which always bins the
-    heat map, so each row's inverse FFT runs once.
+    Stages share one result through the run's _Shared: a spectrum or a
+    scalogram, computed once per series and params and held until the
+    next shared call or the end of the run.  ``cwt`` and ``globalpower``
+    read one ``power_summary`` record, which always bins the heat map, so
+    in either order each row's inverse FFT runs once.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -621,7 +622,7 @@ def run(cfg: RunConfig) -> RunReport:
     stages = [
         (s["stage"], _with_defaults(s, _STAGE_PARAMS[s["stage"]])) for s in cfg.pipeline
     ]
-    scalograms = _Scalograms()
+    shared = _Shared()
 
     def wanted(name):
         return cfg.formats[name.rsplit(".", 1)[1]]
@@ -643,10 +644,7 @@ def run(cfg: RunConfig) -> RunReport:
     }
     for i, (name, params) in enumerate(stages):
         emit = writer(outdir, f"{i:02d}_{name}_", wanted, written)
-        args = (ts, params, emit)
-        if name in _SCALOGRAM_STAGES:
-            args += (scalograms,)
-        ts, summary[name] = attempt(name, _STAGE_FUNCS[name], *args)
+        ts, summary[name] = attempt(name, _STAGE_FUNCS[name], ts, params, emit, shared)
     report = RunReport(
         artifacts=[
             {"path": p.name, "sha256": _sha256(p)} for p in written

@@ -56,6 +56,12 @@ SYNC_MIN_PERIODS = 3.0
 #: Confidence level of GlobalPower's ``significance_95``.
 SIGNIFICANCE_LEVEL = 0.95
 
+#: The normalizations and padding modes cwt_morlet takes, and the
+#: backgrounds global_power tests against.
+NORMS = ("l2", "eq4")
+PAD_MODES = ("zero", "periodic")
+BACKGROUNDS = ("white", "red")
+
 #: Largest block Scalogram._evaluate frees to warm the heap.  glibc raises
 #: its mmap threshold on a free only up to 32 MiB (DEFAULT_MMAP_THRESHOLD_MAX
 #: on 64-bit), and compares the mapped size, header and page rounding
@@ -356,9 +362,9 @@ def cwt_morlet(
         raise ValidationError(
             "omega0 must be a finite number >= 5 for a usable analytic Morlet"
         )
-    if norm not in ("l2", "eq4"):
+    if norm not in NORMS:
         raise ValidationError(f"unknown norm {norm!r}")
-    if pad not in ("zero", "periodic"):
+    if pad not in PAD_MODES:
         raise ValidationError(f"unknown pad mode {pad!r}")
     x = ts.samples
     n = x.size
@@ -434,10 +440,10 @@ def _background_shape(sg: Scalogram, background: str, ar1: float | None, series)
 
     A red background without ``ar1`` estimates it from ``series``.
     """
+    if background not in BACKGROUNDS:
+        raise ValidationError(f"unknown background {background!r}")
     if background == "white":
         return np.ones(sg.scales.size), None
-    if background != "red":
-        raise ValidationError(f"unknown background {background!r}")
     if ar1 is None:
         if series is None:
             raise ValidationError("red background needs ar1 or the source series")

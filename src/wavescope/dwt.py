@@ -42,6 +42,9 @@ __all__ = [
 
 BOUNDARY_MODES = ("periodic", "symmetric")
 
+#: The rules denoise applies to the detail levels.
+DENOISE_RULES = ("kill_details", "soft_threshold")
+
 #: Most vanishing moments daubechies builds.  Up to here the factorized
 #: filter is orthogonal within 1e-12 (max_k |sum_n h[n] h[n+2k] - delta_k|
 #: was 5.9e-13 at 21 and 1.2e-12 at 22); higher orders lose it, to 0.04
@@ -279,6 +282,8 @@ def denoise(
     synthesis step.  Periodic edges add the first step's n/2 x L window
     gather, L n / 2 floats.
     """
+    if rule not in DENOISE_RULES:
+        raise ValidationError(f"unknown denoise rule {rule!r}")
     x = np.asarray(x, dtype=float)
     spec = spec if spec is not None else daubechies(2)
     if levels is None:
@@ -290,14 +295,12 @@ def denoise(
             raise ValidationError(f"kill_count must lie in [0, {levels}]")
         keep = {"approx"} | {f"d{j}" for j in range(kill + 1, levels + 1)}
         return dwt_reconstruct(decomp, keep)
-    if rule == "soft_threshold":
-        sigma = np.median(np.abs(decomp.details[0])) / 0.6745
-        thr = sigma * math.sqrt(2.0 * math.log(max(x.size, 2)))
-        for j in range(levels):
-            d = decomp.details[j]
-            decomp.details[j] = np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
-        return dwt_reconstruct(decomp, None)
-    raise ValidationError(f"unknown denoise rule {rule!r}")
+    sigma = np.median(np.abs(decomp.details[0])) / 0.6745
+    thr = sigma * math.sqrt(2.0 * math.log(max(x.size, 2)))
+    for j in range(levels):
+        d = decomp.details[j]
+        decomp.details[j] = np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
+    return dwt_reconstruct(decomp, None)
 
 
 def extract_fluctuation(

@@ -173,14 +173,11 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     n = yy.size
     min_len = 4
     if n <= 2 * min_len:
-        slope, _, r2 = fit_line(kk, yy)
+        slope, _, r2, _ = fit_line(kk, yy)
         return slope, (int(kk[0]), int(kk[-1])), r2
 
     def sse(lo: int, hi: int) -> float:
-        seg_k = kk[lo:hi]
-        seg_y = yy[lo:hi]
-        slope, intercept = np.polyfit(seg_k, seg_y, 1)
-        return float(np.sum((seg_y - (slope * seg_k + intercept)) ** 2))
+        return fit_line(kk[lo:hi], yy[lo:hi])[3]
 
     knee, knee_sse = min(
         ((b, sse(0, b) + sse(b, n)) for b in range(min_len, n - min_len + 1)),
@@ -191,7 +188,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     # test, and for those the whole-curve trend is the right slope: the
     # mean of an oscillation, not its rising quarter-wave.
     if knee_sse > 0.5 * sse(0, n):
-        slope, _, r2 = fit_line(kk, yy)
+        slope, _, r2, _ = fit_line(kk, yy)
         return slope, (int(kk[0]), int(kk[-1])), r2
     # The breakpoint tends to land past the bend (the long flat side
     # dominates the cost), so trim the prefix where the local slope first
@@ -213,7 +210,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
         best = max(passing)
     else:
         best = max(m for m in lengths if r2_by_len[m] >= top - 0.005)
-    slope, _, r2 = fit_line(kk[:best], yy[:best])
+    slope, _, r2, _ = fit_line(kk[:best], yy[:best])
     return slope, (int(kk[0]), int(kk[best - 1])), r2
 
 

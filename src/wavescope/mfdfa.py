@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dwt import WaveletSpec, daubechies, extract_fluctuation
+from .dwt import daubechies, extract_fluctuation
 from .errors import (
     PoorFitWarning,
     ValidationError,
@@ -75,13 +75,14 @@ def q_grid(q_min: float = -10.0, q_max: float = 10.0, q_step: float = 1.0) -> np
     return np.arange(q_min, q_max + 0.5 * q_step, q_step)
 
 
-def default_scales(n: int, wavelet: WaveletSpec | None = None) -> np.ndarray:
-    """Dyadic scale ladder support * 2**j admissible for an n-point profile."""
-    wavelet = wavelet if wavelet is not None else daubechies(2)
+def default_scales(n: int) -> np.ndarray:
+    """Dyadic scale ladder support * 2**j of ``daubechies(2)`` admissible
+    for an n-point profile."""
+    support = daubechies(2).support
     scales = []
     level = 1
     while True:
-        s = wavelet.support * 2**level
+        s = support * 2**level
         if 2 * (n // s) < MIN_SEGMENTS or s > n:
             break
         scales.append(s)
@@ -215,7 +216,6 @@ def fluctuation_function(
     prof: np.ndarray,
     q_values: np.ndarray | None = None,
     scales: np.ndarray | None = None,
-    wavelet: WaveletSpec | None = None,
     boundary: str = "symmetric",
 ) -> FluctuationTable:
     """Evaluate F_q(s) of the profile ``prof`` over an analysis grid.
@@ -225,7 +225,7 @@ def fluctuation_function(
     ascending; ``None`` selects the full dyadic ladder admissible for the
     profile length.  Requested scales snap to the nearest dyadic wavelet
     level via s = support * 2**level (duplicates collapse) and the snapped
-    values are reported in the result.  ``wavelet`` defaults to
+    values are reported in the result.  The detrending wavelet is
     ``daubechies(2)``; ``extract_fluctuation`` refuses a ``boundary`` not
     in ``dwt.BOUNDARY_MODES`` before any transform runs.
 
@@ -245,11 +245,11 @@ def fluctuation_function(
         scales = np.asarray(scales, dtype=int)
         if scales.size < 1 or np.any(np.diff(scales) <= 0):
             raise ValidationError("scales must be non-empty and ascending")
-    wavelet = wavelet if wavelet is not None else daubechies(2)
+    wavelet = daubechies(2)
     values = np.asarray(prof, dtype=float)
     n = values.size
     support = wavelet.support
-    requested = scales if scales is not None else default_scales(n, wavelet)
+    requested = scales if scales is not None else default_scales(n)
     levels = sorted({_scale_to_level(s, support) for s in requested})
     scales = np.array([support * 2**lv for lv in levels], dtype=int)
     for s in scales:
@@ -302,7 +302,7 @@ def generalized_hurst(
     hurst = np.empty(table.q_values.size)
     r2 = np.empty(table.q_values.size)
     for i in range(table.q_values.size):
-        hurst[i], _, r2[i] = fit_line(log_s, np.log(table.fluctuation[i, sel]))
+        hurst[i], _, r2[i], _ = fit_line(log_s, np.log(table.fluctuation[i, sel]))
     poor = table.q_values[r2 < R2_FLOOR]
     if poor.size:
         warnings.warn(

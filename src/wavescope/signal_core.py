@@ -108,13 +108,15 @@ def profile(x: TimeSeries | np.ndarray) -> np.ndarray:
     return values
 
 
-def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line through (x, y): (slope, intercept, r-squared)."""
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares line through (x, y): (slope, intercept, r-squared,
+    residual sum of squares)."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
+    sse = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return float(slope), float(intercept), r2
+    r2 = 1.0 if ss_tot == 0 else 1.0 - sse / ss_tot
+    return float(slope), float(intercept), r2, sse
 
 
 def _parse_float(token: str, row: int, path: str) -> float:
@@ -148,7 +150,6 @@ def load_csv(
     path: str | Path,
     sample_rate: float | None = None,
     column: int = 0,
-    time_column: int | None = None,
 ) -> TimeSeries:
     """Read a single-channel signal from an RFC-4180-style CSV file.
 
@@ -159,12 +160,12 @@ def load_csv(
     ``sample_rate`` if one is stated.  Without one the file is a bare
     value column and ``sample_rate`` is required.
 
-    An optional single header row is skipped.  With ``time_column`` None,
-    its first field named in ``TIME_HEADERS`` (stripped, any case) marks
-    the time column; should ``column`` name that column too, the values
-    come from column 0, or column 1 when the times are in column 0.  So a
-    :func:`write_csv` file reads back as written.  Decimal separator is
-    '.', encoding UTF-8, with or without a byte-order mark.
+    An optional single header row is skipped.  Its first field named in
+    ``TIME_HEADERS`` (stripped, any case) marks the time column; a file
+    without such a header has none.  Should ``column`` name that column
+    too, the values come from column 0, or column 1 when the times are in
+    column 0.  So a :func:`write_csv` file reads back as written.  Decimal
+    separator is '.', encoding UTF-8, with or without a byte-order mark.
 
     O(n) time for n rows.  The traced working memory is about 14 n floats
     with a time column and 5.5 n without: a Python float object and a list
@@ -180,10 +181,8 @@ def load_csv(
         > 0 (refused before the file is read), non-finite values, fewer
         than two samples, missing rate, or non-uniform timestamps.
     """
-    if column < 0 or (time_column is not None and time_column < 0):
-        raise ValidationError(
-            f"{path}: negative column index (column={column}, time_column={time_column})"
-        )
+    if column < 0:
+        raise ValidationError(f"{path}: negative column index (column={column})")
     if sample_rate is not None and not (sample_rate > 0 and math.isfinite(sample_rate)):
         raise ValidationError(
             f"{path}: stated sample_rate must be finite and > 0, got {sample_rate}"
@@ -191,6 +190,7 @@ def load_csv(
     path = Path(path)
     values: list[float] = []
     times: list[float] = []
+    time_column = None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for row_no, fields in enumerate(_decoded(reader, path), start=1):
@@ -198,9 +198,9 @@ def load_csv(
                 continue
             fields = [f.strip() for f in fields]
             if row_no == 1 and _looks_like_header(fields):
-                if time_column is None:
-                    found = [i for i, f in enumerate(fields) if f.lower() in TIME_HEADERS]
-                    time_column = found[0] if found else None
+                found = [i for i, f in enumerate(fields) if f.lower() in TIME_HEADERS]
+                if found:
+                    time_column = found[0]
                     if column == time_column:
                         column = int(time_column == 0)
                 continue

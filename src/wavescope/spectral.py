@@ -42,6 +42,12 @@ NEUTRAL_CASCADE_SLOPE = -5.0 / 3.0
 #: Spectral slope of the far dissipation range.
 DISSIPATION_SLOPE = -7.0
 
+#: The tapers power_spectrum applies.
+WINDOWS = ("none", "hann")
+
+#: The named regimes heisenberg_fit compares against, with their slopes.
+REGIMES = {"neutral": NEUTRAL_CASCADE_SLOPE, "dissipation": DISSIPATION_SLOPE}
+
 #: Number of logarithmic averaging bands per frequency decade.
 BANDS_PER_DECADE = 8
 
@@ -117,7 +123,7 @@ def power_spectrum(ts: TimeSeries, window: str = "none") -> PowerSpectrum:
     and 5 n with the Hann window, which adds the window and the tapered
     copy; numpy's FFT scratch is not traced.
     """
-    if window not in ("none", "hann"):
+    if window not in WINDOWS:
         raise ValidationError(f"unknown window {window!r}")
     x = ts.samples
     n = x.size
@@ -178,7 +184,7 @@ def fit_power_law(ps: PowerSpectrum, f_lo: float, f_hi: float) -> SpectrumFit:
     bf, bp = _band_average(ps.freqs[sel], ps.power[sel])
     if bf.size < 2:
         raise InsufficientBandError("band collapses to fewer than two averaged points")
-    slope, intercept, r2 = fit_line(bf, bp)
+    slope, intercept, r2, _ = fit_line(bf, bp)
     return SpectrumFit(
         slope=slope,
         intercept=intercept,
@@ -257,13 +263,9 @@ def heisenberg_fit(
     if not rel_tolerance >= 0:
         raise ValidationError(f"rel_tolerance must be >= 0, got {rel_tolerance}")
     if isinstance(regime, str):
-        try:
-            target = {
-                "neutral": NEUTRAL_CASCADE_SLOPE,
-                "dissipation": DISSIPATION_SLOPE,
-            }[regime]
-        except KeyError:
-            raise ValidationError(f"unknown regime {regime!r}") from None
+        if regime not in REGIMES:
+            raise ValidationError(f"unknown regime {regime!r}")
+        target = REGIMES[regime]
     else:
         target = float(regime)
         if target == 0:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from wavescope import ConfigError, ParseError, mfdfa, synth
+from wavescope import ConfigError, ParseError, dwt, mfdfa, spectral, synth
 from wavescope import cli as climod
 from wavescope import cwt as cwtmod
 from wavescope import figures as figmod
@@ -357,7 +357,7 @@ def test_oversized_synth_input_fails_the_input_stage(tmp_path):
 def test_unexpected_stage_exception_leaves_marker(tmp_path, monkeypatch):
     # run's catch-all turns any exception of a stage, not only a
     # WavescopeError, into a marker and exit 3.
-    def broken(ts, params, emit):
+    def broken(ts, params, emit, shared):
         raise RuntimeError("unexpected")
 
     monkeypatch.setitem(_STAGE_FUNCS, "mfdfa", broken)
@@ -492,7 +492,7 @@ def test_one_shot_matches_one_stage_run(tmp_path, flags, stage):
     assert _files(shot) == _files(piped)
 
 
-# ------------------------------------------------------- shared scalogram
+# ----------------------------------------------------------- shared result
 
 
 def _svg_run(tmp_path, pipeline, name="out"):
@@ -502,18 +502,29 @@ def _svg_run(tmp_path, pipeline, name="out"):
     return run(validate_config(raw))
 
 
-def _count_transforms(monkeypatch):
-    """Weak references to the scalograms that cwt_morlet returns."""
+def _count_shared(monkeypatch):
+    """Weak references to the scalograms and spectra that cwt_morlet and
+    power_spectrum return.  Each call first checks that no earlier one is
+    alive: the run's one slot drops its result before computing the next."""
     made = []
-    real = cwtmod.cwt_morlet
 
-    def counting(*args, **kwargs):
-        sg = real(*args, **kwargs)
-        made.append(weakref.ref(sg))
-        return sg
+    def counting(real):
+        def call(*args, **kwargs):
+            assert [ref for ref in made if ref() is not None] == []
+            out = real(*args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
 
-    monkeypatch.setattr(cwtmod, "cwt_morlet", counting)
+        return call
+
+    monkeypatch.setattr(cwtmod, "cwt_morlet", counting(cwtmod.cwt_morlet))
+    monkeypatch.setattr(spectral, "power_spectrum", counting(spectral.power_spectrum))
     return made
+
+
+def _stage(name):
+    band = {"f_lo": 0.01, "f_hi": 0.2} if name in ("fit", "heisenberg") else {}
+    return {"stage": name, **band}
 
 
 @pytest.mark.parametrize(
@@ -524,22 +535,38 @@ def _count_transforms(monkeypatch):
         ([{"stage": "cwt", "norm": "eq4"}, {"stage": "globalpower"}], 2),
         ([{"stage": "cwt", "pad": "periodic"}, {"stage": "globalpower"}], 2),
         ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "globalpower"}], 2),
+        # fit and heisenberg read the unwindowed spectrum; so does a
+        # spectrum stage with its default window, but not with hann.
+        ([_stage("fit"), _stage("heisenberg")], 1),
+        ([_stage("fit"), _stage("denoise"), _stage("heisenberg")], 2),
+        ([_stage("spectrum"), _stage("fit"), _stage("heisenberg")], 1),
+        ([{"stage": "spectrum", "window": "hann"}, _stage("fit"), _stage("heisenberg")], 2),
+        # One slot: a scalogram between them replaces the spectrum.
+        ([_stage(s) for s in ("fit", "cwt", "globalpower", "heisenberg")], 3),
     ],
 )
 def test_run_shares_one_scalogram_per_series_and_params(
     tmp_path, monkeypatch, pipeline, calls
 ):
-    made = _count_transforms(monkeypatch)
+    made = _count_shared(monkeypatch)
     _svg_run(tmp_path, pipeline)
     assert len(made) == calls
 
 
-@pytest.mark.parametrize("order", [("cwt", "globalpower"), ("globalpower", "cwt")])
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("cwt", "globalpower"),
+        ("globalpower", "cwt"),
+        ("spectrum", "fit", "heisenberg"),
+        ("heisenberg", "cwt", "fit", "globalpower"),
+    ],
+)
 def test_shared_scalogram_leaves_each_stages_files_unchanged(tmp_path, order):
-    _svg_run(tmp_path, [{"stage": name} for name in order], "both")
+    _svg_run(tmp_path, [_stage(name) for name in order], "both")
     both = _files(tmp_path / "both")
     for i, name in enumerate(order):
-        _svg_run(tmp_path, [{"stage": name}], name)
+        _svg_run(tmp_path, [_stage(name)], name)
         alone = _files(tmp_path / name)
         mine = {f[3:]: data for f, data in both.items() if f.startswith(f"{i:02d}_")}
         own = {f[3:]: data for f, data in alone.items() if f.startswith("00_")}
@@ -634,6 +661,33 @@ def test_scalogram_run_memory_grows_with_n_not_scales_times_n(tmp_path):
     assert growth <= 12 * 16 * 2 * (2**14 - 2**12) < scalogram_growth / 3
 
 
+@pytest.mark.filterwarnings("ignore::wavescope.errors.EmbeddingQualityWarning")
+def test_lyapunov_stage_memory_is_linear_in_samples_times_dim():
+    # The stage with its defaults (delay "auto", dim 5) on bounce renders
+    # of 100 and 400 impacts, 8,029 and 31,480 samples.  The traced peak
+    # reads about 2.1 x 8 dim bytes per added sample on top of one block
+    # of 1024 kd-tree queries of up to 65 candidates, about 32 bytes each
+    # (distances, indices and their Theiler-window differences).
+    import scipy.spatial  # noqa: F401  the stage imports it on first use
+
+    params = climod._with_defaults({}, _STAGE_PARAMS["lyapunov"])
+    dim = params["dim"]
+    block = 1024 * 65 * 32
+    peaks = {}
+    for n_impacts in (100, 400):
+        ts = gen_bouncing_ball(BounceParams(9.0, 25.0, 0.7, n_impacts, seed=2))
+        tracemalloc.start()
+        try:
+            _STAGE_FUNCS["lyapunov"](ts, params, lambda *args: None, None)
+            peaks[ts.samples.size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    (n1, p1), (n2, p2) = sorted(peaks.items())
+    assert (n1, n2) == (8029, 31480)
+    assert all(p <= 4 * 8 * n * dim + block for n, p in peaks.items()), peaks
+    assert p2 - p1 <= 3 * 8 * dim * (n2 - n1), (p2 - p1) / (8 * dim * (n2 - n1))
+
+
 def test_figures_imports_nothing_from_cli():
     # cli imports figures, never the reverse, not even inside a function.
     tree = ast.parse(open(figmod.__file__, encoding="utf-8").read())
@@ -659,6 +713,22 @@ def test_cli_imports_no_csv_module():
             names.add(str(node.module))
     assert "argparse" in names
     assert "csv" not in names
+
+
+def test_stage_choice_sets_are_the_librarys_own():
+    # validate_config and the library's own refusal read one constant.
+    owners = {
+        ("denoise", "rule"): dwt.DENOISE_RULES,
+        ("denoise", "boundary"): dwt.BOUNDARY_MODES,
+        ("spectrum", "window"): spectral.WINDOWS,
+        ("heisenberg", "regime"): tuple(spectral.REGIMES),
+        ("cwt", "norm"): cwtmod.NORMS,
+        ("cwt", "pad"): cwtmod.PAD_MODES,
+        ("globalpower", "background"): cwtmod.BACKGROUNDS,
+        ("lyapunov", "delay"): ("auto",),
+    }
+    declared = {(s, p.name): p.choices for s, ps in _STAGE_PARAMS.items() for p in ps if p.choices}
+    assert declared == owners
 
 
 def test_stage_subcommand_flags_are_the_declared_params():

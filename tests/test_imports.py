@@ -58,12 +58,15 @@ def test_python_dash_m_runs_the_cli_without_a_warning(fresh_python):
 
 # Each of these was a keyword that only tests set; its value is now a
 # named module constant (or, for map_lyapunov, p.n_impacts alone).
-# profile's sample_rate fed only a field that nothing read.
+# profile's sample_rate fed only a field that nothing read, and a CSV
+# header alone names load_csv's time column.
 _FIXED_SETTINGS = [
     (cwt.global_power, "siglevel"),
     (spectral.dominant_frequency, "exclude_dc"),
     (mfdfa.fluctuation_function, "min_segments"),
     (mfdfa.default_scales, "min_segments"),
+    (mfdfa.fluctuation_function, "wavelet"),
+    (mfdfa.default_scales, "wavelet"),
     (mfdfa.segment_variance, "min_segments"),
     (mfdfa.generalized_hurst, "min_scales"),
     (mfdfa.generalized_hurst, "r2_floor"),
@@ -73,6 +76,7 @@ _FIXED_SETTINGS = [
     (synth.gen_bouncing_ball, "burn_in"),
     (synth.CascadeParams, "seed"),
     (signal_core.profile, "sample_rate"),
+    (signal_core.load_csv, "time_column"),
 ]
 
 

@@ -92,7 +92,7 @@ def test_csv_round_trip_with_time_column(tmp_path):
     path = tmp_path / "sig.csv"
     write_csv(ts, path)
     # CLI-facing layout: time_s,value with a header row
-    back = load_csv(path, column=1, time_column=0)
+    back = load_csv(path, column=1)
     assert back.sample_rate == pytest.approx(100.0)
     assert np.allclose(back.samples, ts.samples)
     # exact bytes: header, CRLF line ends, repr numbers
@@ -124,9 +124,9 @@ def test_csv_rejects_jittered_timestamps(tmp_path):
     t[10] += 0.004  # 40% of the period, far beyond the 1% tolerance
     rows = "\n".join(f"{ti},{vi}" for ti, vi in zip(t, np.ones(20)))
     path = tmp_path / "jitter.csv"
-    path.write_text(rows + "\n")
-    with pytest.raises(ValidationError):
-        load_csv(path, column=1, time_column=0)
+    path.write_text("time_s,value\n" + rows + "\n")
+    with pytest.raises(ValidationError, match="non-uniform sampling"):
+        load_csv(path, column=1)
 
 
 def test_csv_skips_blank_lines(tmp_path):
@@ -145,8 +145,10 @@ def test_csv_bare_column_with_a_byte_order_mark_keeps_its_first_sample(tmp_path)
 
 def test_csv_time_column_with_a_byte_order_mark(tmp_path):
     path = tmp_path / "bom_time.csv"
-    path.write_bytes(b"\xef\xbb\xbf0.0,4.0\n0.5,5.0\n1.0,6.0\n")
-    ts = load_csv(path, column=1, time_column=0)
+    # The mark precedes the header's first field, which still names the
+    # time column.
+    path.write_bytes(b"\xef\xbb\xbftime_s,value\n0.0,4.0\n0.5,5.0\n1.0,6.0\n")
+    ts = load_csv(path, column=1)
     assert ts.sample_rate == 2.0
     assert ts.samples.tolist() == [4.0, 5.0, 6.0]
 
@@ -161,20 +163,11 @@ def test_csv_from_write_csv_reads_back_with_default_arguments(tmp_path):
         assert back.t0 == 1.5
 
 
-def test_csv_explicit_time_column_wins_over_the_header(tmp_path):
-    path = tmp_path / "named.csv"
-    path.write_text("value,time_s\n0.0,9.0\n0.5,8.0\n1.0,7.0\n")
-    ts = load_csv(path, column=1, time_column=0)
-    assert ts.sample_rate == 2.0
-    assert ts.samples.tolist() == [9.0, 8.0, 7.0]
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"column": -1, "sample_rate": 1.0},  # once read the last column
         {"column": -5, "sample_rate": 1.0},  # once a bare IndexError
-        {"column": 1, "time_column": -1},  # once read the values as times
     ],
 )
 def test_csv_refuses_a_negative_column_index(tmp_path, kwargs):
