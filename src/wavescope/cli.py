@@ -297,7 +297,9 @@ def _build_input(cfg: RunConfig) -> TimeSeries:
 # a failing write fails the stage and the stage's arrays die on return.
 # It reads a result that another stage may also need, a spectrum or a
 # Morlet scalogram, through ``shared`` (see _Shared).  It returns the
-# series for the next stage and its summary entry.
+# series for the next stage and its summary entry.  A stage that returns a
+# new series calls ``shared.drop()`` first: the held result can match no
+# later call, since the match is by ``is``.
 
 
 class _Shared:
@@ -310,6 +312,7 @@ class _Shared:
     the call (``spectral.power_spectrum``, ``cwtmod.cwt_morlet``), so a
     wrapped module attribute sees every call.  A held spectrum is O(n),
     a held scalogram O(n_fft + S HEATMAP_COLS) with its binned pass.
+    ``drop()`` lets the held result go.
     """
 
     _held = None  # (fn, ts, kwargs, result)
@@ -321,9 +324,13 @@ class _Shared:
             held = self._held = (fn, ts, kwargs, fn(ts, **kwargs))
         return held[3]
 
+    def drop(self):
+        self._held = None
+
 
 def _stage_denoise(ts, params, emit, shared):
     """Wavelet denoising."""
+    shared.drop()
     cleaned = dwt.denoise(
         ts.samples,
         dwt.daubechies(params["vanishing_moments"]),
@@ -505,12 +512,13 @@ def _stage_globalpower(ts, params, emit, shared):
 def _stage_lyapunov(ts, params, emit, shared):
     """Largest Lyapunov exponent.
 
-    O(n log n + L n + m log m + u k log m + max_iter pairs dim) time and
-    O(n dim + 1024 k) memory for n samples, m embedded points, u of them
-    without a partner after the first neighbour pass, k <= 64 candidates
-    and L estimate_delay's mutual-information stop lag (0 when the
-    autocorrelation crosses its floor, at most n / 4; max_iter <= 300 by
-    default).
+    O(n log n + L n + m log m + u k log m + max_iter pairs dim + max_iter
+    c + p^2) time and O(n dim + 1024 k) memory for n samples, m embedded
+    points, u of them without a partner after the first neighbour pass,
+    k <= 64 candidates, L estimate_delay's mutual-information stop lag (0
+    when the autocorrelation crosses its floor, at most n / 4; max_iter
+    <= 300 by default), c knee breakpoints kept by the closed-form screen
+    and p <= max_iter the fitted prefix (see largest_lyapunov).
     """
     delay = params["delay"]
     if delay == "auto":
@@ -611,9 +619,10 @@ def run(cfg: RunConfig) -> RunReport:
 
     Stages share one result through the run's _Shared: a spectrum or a
     scalogram, computed once per series and params and held until the
-    next shared call or the end of the run.  ``cwt`` and ``globalpower``
-    read one ``power_summary`` record, which always bins the heat map, so
-    in either order each row's inverse FFT runs once.
+    next shared call, a stage that returns a new series or the end of the
+    run.  ``cwt`` and ``globalpower`` read one ``power_summary`` record,
+    which always bins the heat map, so in either order each row's inverse
+    FFT runs once.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -156,6 +156,32 @@ def _embed(x: np.ndarray, dim: int, delay: int) -> np.ndarray:
     return x[idx]
 
 
+def _split_sse(k: np.ndarray, y: np.ndarray, min_len: int) -> np.ndarray:
+    """Two-segment residual sum of squares at each breakpoint b in
+    min_len..n - min_len, the segments being [0, b) and [b, n).
+
+    Closed form from prefix sums of the centred k, y, k^2, ky and y^2,
+    O(n) time and memory.  Its rounding error is a small multiple of
+    eps * n * sum(y^2), which is what the knee screen's tolerance covers.
+    """
+    kc = k - k.mean()
+    yc = y - y.mean()
+    sums = np.zeros((6, k.size + 1))
+    sums[0, 1:] = 1.0
+    for row, term in enumerate((kc, yc, kc * kc, kc * yc, yc * yc), start=1):
+        sums[row, 1:] = term
+    np.cumsum(sums, axis=1, out=sums)
+    b = np.arange(min_len, k.size - min_len + 1)
+
+    def sse(seg):
+        cnt, sk, sy, skk, sky, syy = seg
+        sxx = skk - sk * sk / cnt
+        sxy = sky - sk * sy / cnt
+        return syy - sy * sy / cnt - sxy * sxy / sxx
+
+    return sse(sums[:, b]) + sse(sums[:, -1:] - sums[:, b])
+
+
 def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     """Initial linear region of the divergence curve.
 
@@ -166,6 +192,18 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     r-squared, which keeps knee curvature from tilting the slope.  Flat
     or oscillating curves have no knee worth speaking of; the same rule
     then returns a near-zero slope, which is the honest answer.
+
+    The knee is the breakpoint whose two ``fit_line`` fits leave the
+    smallest total residual, the first such on a tie.  ``_split_sse``
+    screens every breakpoint in O(n); only those within 1e-9 sum(y^2) of
+    the screened minimum, far above its rounding error, are refitted with
+    ``fit_line`` and ranked, so the pick has ``fit_line``'s bits.  The
+    tolerance scales with the uncentred sum because ``fit_line``'s
+    residuals round on the scale of y, not of y - mean(y): scaled on the
+    centred sum, ulp-scale ramps on a constant lost their knee.  An
+    all-zero curve has a zero tolerance and refits every breakpoint.
+    O(n) time for n points, plus two fits of O(n) per screened breakpoint
+    and one fit per prefix length up to the trimmed knee.
     """
     start = 1 if y.size > 5 else 0
     kk = k[start:]
@@ -179,8 +217,11 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     def sse(lo: int, hi: int) -> float:
         return fit_line(kk[lo:hi], yy[lo:hi])[3]
 
+    screened = _split_sse(kk, yy, min_len)
+    tol = 1e-9 * float(np.sum(yy * yy))
+    candidates = min_len + np.flatnonzero(screened <= screened.min() + tol)
     knee, knee_sse = min(
-        ((b, sse(0, b) + sse(b, n)) for b in range(min_len, n - min_len + 1)),
+        ((b, sse(0, b) + sse(b, n)) for b in candidates.tolist()),
         key=lambda t: t[1],
     )
     # A knee only exists when breaking the curve in two explains it far
@@ -244,32 +285,38 @@ def _divergence(x, dim, delay, pairs_a, pairs_b, max_iter):
     x[pairs_a[p] + s] - x[pairs_b[p] + s] at shift s = k + j delay, so
     steps k and k + delay share dim - 1 shifts.  The steps are walked one
     residue class mod ``delay`` at a time, in order, with the class's
-    current dim shifted differences held in a ring of rows: the first
-    step of a class gathers all dim shifts, every later one gathers only
-    its last.  That is (max_iter + 1) + min(delay, max_iter + 1) (dim - 1)
-    gathers instead of (max_iter + 1) dim.  Each step copies the ring rows
-    in column order into one reused C-contiguous buffer, so the einsum
-    sees the bytes a gather of embedding rows would give it.
-    O(max_iter pairs dim) time, O(pairs dim) memory.
+    current dim squared shifted differences held in a ring of rows: the
+    first step of a class gathers all dim shifts, every later one gathers
+    only its last.  That is (max_iter + 1) + min(delay, max_iter + 1)
+    (dim - 1) gathers instead of (max_iter + 1) dim.  Each step sums the
+    ring rows in column order, j = 0 to dim - 1, into one reused pairs
+    buffer and takes its square root there.  O(max_iter pairs dim) time,
+    O(pairs dim) memory.
     """
     steps = max_iter + 1
     divergence = np.empty(steps)
-    diff = np.empty((pairs_a.size, dim))
     ring = np.empty((dim, pairs_a.size))
+    d = np.empty(pairs_a.size)
     for first in range(min(delay, steps)):
         for i, k in enumerate(range(first, steps, delay)):
             # Column j holds shift index t = i + j of the class, in slot t % dim.
             for j in range(dim) if i == 0 else (dim - 1,):
                 xs = x[k + j * delay :]
-                np.subtract(xs[pairs_a], xs[pairs_b], out=ring[(i + j) % dim])
-            for j in range(dim):
-                diff[:, j] = ring[(i + j) % dim]
-            d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            nz = d > 0
-            if not np.any(nz):
-                divergence[k] = -np.inf
+                row = ring[(i + j) % dim]
+                np.subtract(xs[pairs_a], xs[pairs_b], out=row)
+                np.multiply(row, row, out=row)
+            np.add(ring[i % dim], ring[(i + 1) % dim], out=d)
+            for j in range(2, dim):
+                np.add(d, ring[(i + j) % dim], out=d)
+            np.sqrt(d, out=d)
+            # Without a coincident pair the log runs in place: the same
+            # values in the same order as the copy d[d > 0], so the same mean.
+            if d.min() > 0:
+                divergence[k] = float(np.mean(np.log(d, out=d)))
+            elif d.max() > 0:
+                divergence[k] = float(np.mean(np.log(d[d > 0])))
             else:
-                divergence[k] = float(np.mean(np.log(d[nz])))
+                divergence[k] = -np.inf
     return divergence
 
 
@@ -295,7 +342,12 @@ def largest_lyapunov(
     O(min(u, 1024) k) memory.  The divergence trace reads the series
     itself once the embedding and tree are freed: (max_iter + 1) +
     min(delay, max_iter + 1) (dim - 1) gathers of pairs values,
-    O(max_iter * pairs * dim) time and O(pairs * dim) memory.
+    O(max_iter * pairs * dim) time and O(pairs * dim) memory.  The knee
+    search on the traced curve screens every breakpoint in O(max_iter)
+    and refits only the c breakpoints the screen keeps (one or a few on
+    a divergence curve, every one on an all-zero curve), then fits each
+    prefix up to the trimmed knee p: O(max_iter c + p^2) time, where
+    fitting every breakpoint took O(max_iter^2) on its own.
     """
     config = config if config is not None else EmbeddingConfig()
     x = ts.samples

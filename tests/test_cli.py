@@ -573,6 +573,43 @@ def test_shared_scalogram_leaves_each_stages_files_unchanged(tmp_path, order):
         assert own and mine == own, name
 
 
+
+@pytest.mark.parametrize("before", [["cwt"], ["spectrum"], ["cwt", "globalpower"]])
+def test_denoise_works_beside_no_held_result(tmp_path, monkeypatch, before):
+    # Denoise returns a new series, so no later call can match the held
+    # spectrum or scalogram; it is dropped before the denoise work.  On
+    # 2^14 fBm with formats off a held scalogram is about 0.9 MB and a
+    # held spectrum 0.13 MB, the series itself 0.13 MB.  Each run is made
+    # once untraced first, so that caches filled on first use are not
+    # counted.
+    live = []
+    real = dwt.denoise
+
+    def measuring(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dwt, "denoise", measuring)
+
+    def live_at_denoise(names, out):
+        raw = _good_raw(tmp_path, [{"stage": s} for s in names])
+        raw["input"]["synth"]["n"] = 2**14
+        raw["output_dir"] = str(tmp_path / out)
+        raw["formats"] = {"csv": False, "json": False, "svg": False}
+        cfg = validate_config(raw)
+        run(cfg)
+        tracemalloc.start()
+        try:
+            run(cfg)
+        finally:
+            tracemalloc.stop()
+        return live[-1]
+
+    alone = live_at_denoise(["denoise"], "alone")
+    after = live_at_denoise([*before, "denoise"], "after")
+    assert alone <= 2 * 8 * 2**14, alone
+    assert after <= alone + 16 * 1024, (after, alone)
+
 def _csv_run(tmp_path, n, pipeline):
     """Run ``pipeline`` with SVG on over a CSV of n fBm samples at 1 Hz;
     the input stage makes no FFT.  Returns the config."""

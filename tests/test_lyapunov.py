@@ -19,7 +19,7 @@ from wavescope.lyapunov import (
     largest_lyapunov,
     map_lyapunov,
 )
-from wavescope.signal_core import TimeSeries
+from wavescope.signal_core import TimeSeries, fit_line
 from wavescope.synth import (
     BounceParams,
     bounce_map_jacobian,
@@ -292,13 +292,20 @@ def test_neighbor_query_memory_is_bounded_by_the_block():
 
 
 def _gathered_divergence(x, dim, delay, pairs_a, pairs_b, max_iter):
-    """The divergence curve from whole embedding rows gathered per step."""
+    """The divergence curve from whole embedding rows gathered per step.
+
+    Each pair's squared distance sums its coordinates' squares in column
+    order, so the bytes do not depend on how a numpy reduction groups
+    its terms."""
     m = x.size - (dim - 1) * delay
     emb = x[np.arange(m)[:, None] + delay * np.arange(dim)[None, :]]
     divergence = np.empty(max_iter + 1)
     for k in range(max_iter + 1):
         diff = emb[pairs_a + k] - emb[pairs_b + k]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        sq = diff[:, 0] * diff[:, 0]
+        for j in range(1, dim):
+            sq = sq + diff[:, j] * diff[:, j]
+        d = np.sqrt(sq)
         nz = d > 0
         divergence[k] = np.mean(np.log(d[nz])) if np.any(nz) else -np.inf
     return divergence
@@ -388,10 +395,12 @@ def test_divergence_gathers_each_shift_once_per_residue_class(monkeypatch, dim, 
 
 def test_lyapunov_peak_memory_is_linear_in_points_times_dim():
     # The embedding, the tree and the neighbor queries each hold O(m dim)
-    # bytes; the trace adds one pairs x dim buffer whatever max_iter is.
-    # The traced peak reads about 3.6-3.9 x 8 m dim bytes here (the
-    # kd-tree's own nodes are C++ allocations that tracemalloc does not
-    # see); per-step copies of the pairs' embedding rows push it past 5.
+    # bytes; the trace adds a ring of dim rows of pairs values and one
+    # pairs buffer whatever max_iter is.
+    # The traced peak reads about 2.8 x 8 m dim bytes here (the kd-tree's
+    # own nodes are C++ allocations that tracemalloc does not see); a
+    # pairs x dim copy per step read 3.5-3.8, and per-step copies of the
+    # pairs' embedding rows push it past 5.
     dim = 5
     for n in (2**12, 2**14):
         ts = _logistic(n)
@@ -403,6 +412,173 @@ def test_lyapunov_peak_memory_is_linear_in_points_times_dim():
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * 8 * m * dim, (n, peak / (8 * m * dim))
+
+
+# ------------------------------------------------------------ knee search
+
+
+def _all_breakpoints_region(k, y, r2_floor=0.95):
+    """The linear region with both fits of every breakpoint made by
+    fit_line, as before the closed-form screen."""
+    start = 1 if y.size > 5 else 0
+    kk = k[start:]
+    yy = y[start:]
+    n = yy.size
+    min_len = 4
+    if n <= 2 * min_len:
+        slope, _, r2, _ = fit_line(kk, yy)
+        return slope, (int(kk[0]), int(kk[-1])), r2
+
+    def sse(lo, hi):
+        return fit_line(kk[lo:hi], yy[lo:hi])[3]
+
+    knee, knee_sse = min(
+        ((b, sse(0, b) + sse(b, n)) for b in range(min_len, n - min_len + 1)),
+        key=lambda t: t[1],
+    )
+    if knee_sse > 0.5 * sse(0, n):
+        slope, _, r2, _ = fit_line(kk, yy)
+        return slope, (int(kk[0]), int(kk[-1])), r2
+    prefix_end = knee
+    inc = np.diff(yy[: knee + 1])
+    s0 = float(np.mean(inc[:3]))
+    if s0 > 0:
+        for i in range(inc.size - 1):
+            if 0.5 * (inc[i] + inc[i + 1]) < 0.85 * s0:
+                prefix_end = max(min_len, i + 1)
+                break
+    lengths = range(min_len, prefix_end + 1)
+    r2_by_len = {m: fit_line(kk[:m], yy[:m])[2] for m in lengths}
+    top = max(r2_by_len.values())
+    floor_eff = max(r2_floor, top - 0.005)
+    passing = [m for m in lengths if r2_by_len[m] >= floor_eff]
+    if passing:
+        best = max(passing)
+    else:
+        best = max(m for m in lengths if r2_by_len[m] >= top - 0.005)
+    slope, _, r2, _ = fit_line(kk[:best], yy[:best])
+    return slope, (int(kk[0]), int(kk[best - 1])), r2
+
+
+def _assert_same_region(k, y):
+    assert repr(lyapunov._linear_region(k, y)) == repr(_all_breakpoints_region(k, y)), (
+        k.size,
+        y[:4],
+    )
+
+
+#: The presets of test_bounce_presets_sign_matches_map_oracle.
+_ACCEPTANCE_PRESETS = (
+    (3.6, 0.45), (4.0, 0.45), (4.0, 0.55), (5.2, 0.6), (5.2, 0.65),
+    (6.0, 0.8), (7.0, 0.9), (8.0, 0.85), (9.0, 0.7), (10.0, 0.8),
+)
+
+
+def test_knee_screen_keeps_every_pick_on_estimator_curves():
+    # The divergence curves of the ten acceptance presets and of three
+    # 2**12 fBm realisations, cut where largest_lyapunov cuts them.
+    curves = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmbeddingQualityWarning)
+        for amplitude, restitution in _ACCEPTANCE_PRESETS:
+            ts = _noisy_bounce(amplitude, restitution)
+            res = largest_lyapunov(ts, EmbeddingConfig(dim=5, delay=estimate_delay(ts)))
+            curves.append(res.divergence)
+        for seed in range(3):
+            res = largest_lyapunov(gen_fbm(0.7, 2**12, seed=seed), EmbeddingConfig(dim=4, delay=6))
+            curves.append(res.divergence)
+    for divergence in curves:
+        usable = np.isfinite(divergence)
+        _assert_same_region(np.arange(divergence.size)[usable], divergence[usable])
+
+
+def _adversarial_curves():
+    """Curves whose screened totals tie or sit at rounding scale."""
+    k = np.arange(121)
+    yield k, np.zeros(k.size)
+    for c in (1e-300, 1.0, 3.7, -2.5e8):
+        yield k, np.full(k.size, c)
+    # Ramps one ulp-scale step per iteration on a constant.
+    for c in (0.3, 1.7, 2.9, 11.0, 1e6):
+        yield k, np.log(c) + 1e-16 * k
+        yield k, c + math.ulp(c) * (k % 3)
+    # A step of 1e-12 at a few places.
+    for at in (5, 6, 60, 114, 116):
+        yield k, 1.0 + 1e-12 * (k >= at)
+    yield k, (-1.0) ** k
+    yield k, 1.0 + 1e-15 * (-1.0) ** k
+    yield k, np.where(k % 2, 0.0, 1e-300)
+    # Exact lines: every breakpoint leaves no residual at all.
+    for slope, intercept in ((0.5, 0.0), (-3.0, 2.0), (0.1, 7.3), (1e-12, 0.0)):
+        yield k, slope * k + intercept
+    # Shapes whose breakpoints tie exactly, and rounded curves.
+    yield k, -np.abs(k - 60.0)
+    yield k, np.minimum(k, 40.0)
+    yield k, np.round(np.log1p(k), 1)
+    yield k, np.round(np.minimum(k, 25.0) * 0.3, 0)
+    yield k, np.floor(np.sqrt(k))
+    # Gaps in k, where largest_lyapunov drops -inf steps.
+    gaps = k[(k % 7 != 3) | (k > 80)]
+    yield gaps, np.minimum(gaps, 30.0) * 0.05
+    yield gaps, np.zeros(gaps.size)
+
+
+def test_knee_screen_keeps_every_pick_on_adversarial_curves():
+    for k, y in _adversarial_curves():
+        _assert_same_region(k, y)
+
+
+def test_knee_screen_keeps_every_pick_from_9_to_301_points():
+    # A derandomized knee curve with a ripple, cut to lengths from the
+    # shortest that searches for a knee to the longest the default trace
+    # gives: every length up to 60, where the breakpoints are few, then
+    # every eighth.  Every length costs the reference about 4 s.
+    k = np.arange(301)
+    full = np.log1p(np.minimum(k, 90) / 6.0) + 0.02 * np.sin(1.3 * k) + 0.01 * np.cos(0.37 * k)
+    for n in [*range(9, 61), *range(61, 301, 8), 301]:
+        _assert_same_region(k[:n], full[:n])
+
+
+def test_knee_search_refits_only_the_screened_breakpoints(monkeypatch):
+    # The A = 10, r = 0.8 preset: its 301-step curve has 294 breakpoints,
+    # which an unscreened search fits twice each.
+    fits, screens = [], []
+    real_fit, real_screen = lyapunov.fit_line, lyapunov._split_sse
+
+    def counting_fit(x, y):
+        fits.append((int(x[0]), int(x[-1])))
+        return real_fit(x, y)
+
+    def recording_screen(k, y, min_len):
+        out = real_screen(k, y, min_len)
+        tol = 1e-9 * float(np.sum(y * y))
+        screens.append((k, min_len + np.flatnonzero(out <= out.min() + tol)))
+        return out
+
+    real_divergence = lyapunov._divergence
+    monkeypatch.setattr(lyapunov, "fit_line", counting_fit)
+    monkeypatch.setattr(lyapunov, "_split_sse", recording_screen)
+    monkeypatch.setattr(
+        lyapunov, "_divergence", lambda x, *args: real_divergence(x.view(_CountingSeries), *args)
+    )
+    monkeypatch.setattr(_CountingSeries, "gathers", 0)
+    ts = _noisy_bounce(10.0, 0.8)
+    delay = estimate_delay(ts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmbeddingQualityWarning)
+        res = largest_lyapunov(ts, EmbeddingConfig(dim=5, delay=delay))
+    ((kk, candidates),) = screens
+    n = kk.size
+    assert n == 300 and res.divergence.size == 301
+    # The knee search's fits come first, a pair per screened breakpoint,
+    # and the whole-curve fit that tests the knee ends them.
+    whole = fits.index((int(kk[0]), int(kk[-1])))
+    assert fits[:whole] == [
+        f for b in candidates.tolist() for f in ((int(kk[0]), int(kk[b - 1])), (int(kk[b]), int(kk[-1])))
+    ]
+    assert 2 * candidates.size <= 2 * 4 < 2 * (n - 7)
+    steps = res.divergence.size
+    assert _CountingSeries.gathers == 2 * (steps + min(delay, steps) * (5 - 1))
 
 
 # ------------------------------------------------------------- map oracle
