@@ -62,7 +62,7 @@ NORMS = ("l2", "eq4")
 PAD_MODES = ("zero", "periodic")
 BACKGROUNDS = ("white", "red")
 
-#: Largest block Scalogram._evaluate frees to warm the heap.  glibc raises
+#: Largest block Scalogram.rows frees to warm the heap.  glibc raises
 #: its mmap threshold on a free only up to 32 MiB (DEFAULT_MMAP_THRESHOLD_MAX
 #: on 64-bit), and compares the mapped size, header and page rounding
 #: included, plus a flag bit: 2**25 - 2**12 bytes no longer raise it.
@@ -107,19 +107,19 @@ class PowerSummary:
 class Scalogram:
     """Complex CWT coefficients on a scale-by-time grid, evaluated on demand.
 
-    ``coeffs[i, t]`` is the response at ``scales[i]`` (seconds, ascending)
-    and ``times[t]``.  ``coi[t]`` is the largest equivalent Fourier period
-    free of edge effects at that instant; rows and columns with
+    Row ``i`` of ``rows`` is the response at ``scales[i]`` (seconds,
+    ascending) at each of ``times``.  ``coi[t]`` is the largest equivalent
+    Fourier period free of edge effects at that instant; samples with
     ``periods[i] > coi[t]`` sit inside the cone of influence.
 
     The scalogram keeps the signal spectrum and each row's frequency band
     and prefactor, O(n_fft + S) memory, and runs a row's inverse FFT each
-    time a reader asks for the row.  A pass over the rows inverts each one
-    in place in a single complex n_fft buffer of its own, so a streamed
-    row stays valid until the pass is asked for the next one.  ``coeffs``
-    fills the S x n array (16 S n bytes) on first access and keeps it.
-    ``power_summary`` keeps the record of its pass, O(S HEATMAP_COLS), and
-    serves every later request that record covers without a new pass.
+    time a reader asks for the row; it holds no S x n array.  A pass over
+    the rows inverts each one in place in a single complex n_fft buffer of
+    its own, so a streamed row stays valid until the pass is asked for the
+    next one.  ``power_summary`` keeps the record of its pass,
+    O(S HEATMAP_COLS), and serves every later request that record covers
+    without a new pass.
     """
 
     def __init__(self, scales, times, coi, omega0, sample_rate, norm,
@@ -137,18 +137,7 @@ class Scalogram:
         self._spec = spec
         self._freq_step = freq_step
         self._bands = bands
-        self._coeffs = None
         self._summary = None
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """The S x n complex coefficients, filled on first access."""
-        if self._coeffs is None:
-            coeffs = np.empty((self.scales.size, self.times.size), dtype=complex)
-            for out, row in zip(coeffs, self._evaluate(range(self.scales.size))):
-                out[...] = row
-            self._coeffs = coeffs
-        return self._coeffs
 
     @property
     def fourier_factor(self) -> float:
@@ -159,11 +148,7 @@ class Scalogram:
         """Equivalent Fourier periods of the scale axis, seconds."""
         return self.scales * self.fourier_factor
 
-    def reliable_mask(self) -> np.ndarray:
-        """Boolean (scale, time) grid, True outside the cone of influence."""
-        return self.periods[:, None] <= self.coi[None, :]
-
-    def _evaluate(self, indices: Iterable[int]) -> Iterator[np.ndarray]:
+    def rows(self, indices: Iterable[int]) -> Iterator[np.ndarray]:
         """The rows at ``indices``, each computed when it is reached.
 
         Each row writes the spectrum times the window on the row's band
@@ -218,7 +203,7 @@ class Scalogram:
         counts, means, relative = [], [], []
 
         def power_rows():
-            coeff_rows = self._evaluate(range(self.scales.size))
+            coeff_rows = self.rows(range(self.scales.size))
             for row, outside in zip(coeff_rows, self._outside_slices()):
                 power = np.abs(row)
                 power **= 2
@@ -355,8 +340,7 @@ def cwt_morlet(
     over the rows reuses one complex n_fft buffer, and a row it yields
     stays valid until the next is read.  ``power_summary``, the one
     reduction over all rows, takes O(S n_fft log n_fft) time and O(n_fft)
-    working memory and keeps its record for later readers; ``coeffs``
-    holds 16 S n bytes once it is read.
+    working memory and keeps its record for later readers.
     """
     if not math.isfinite(omega0) or omega0 < 5.0:
         raise ValidationError(
@@ -455,12 +439,17 @@ def _background_shape(sg: Scalogram, background: str, ar1: float | None, series)
     return shape, ar1
 
 
-def _estimate_ar1(coeffs_source: np.ndarray) -> float:
-    x = coeffs_source - coeffs_source.mean()
-    denom = float(np.dot(x, x))
+def _estimate_ar1(series: np.ndarray) -> float:
+    """Lag-1 autocorrelation of ``series``, clipped to [0, 0.999999].
+
+    The sums are numpy's pairwise sums of the products, not ``np.dot``,
+    whose BLAS kernel may group them differently on each CPU.
+    """
+    x = series - series.mean()
+    denom = float(np.sum(x * x))
     if denom == 0.0:
         return 0.0
-    rho = float(np.dot(x[1:], x[:-1])) / denom
+    rho = float(np.sum(x[1:] * x[:-1])) / denom
     return min(max(rho, 0.0), 0.999999)
 
 
@@ -560,7 +549,7 @@ def phase_at_scale(sg: Scalogram, scale: float) -> PhaseSeries:
             f"[{lo:g}, {hi:g}] s"
         )
     idx = int(np.argmin(np.abs(np.log(sg.scales) - math.log(scale))))
-    row = next(sg._evaluate((idx,)))
+    row = next(sg.rows((idx,)))
     return PhaseSeries(
         scale=float(sg.scales[idx]),
         period=float(sg.periods[idx]),

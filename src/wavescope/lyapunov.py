@@ -42,6 +42,14 @@ __all__ = [
 #: drop below this floor is used as the crossing by convention.
 ACF_ZERO_LEVEL = 0.05
 
+#: Bins per axis of the joint histogram behind the mutual information
+#: that estimate_delay falls back on.
+MI_BINS = 16
+
+#: Least r-squared of the fitted prefix of a divergence curve; a prefix
+#: within 0.005 of the best r-squared also passes (see _linear_region).
+R2_FLOOR = 0.95
+
 #: Neighbor distance amplification that marks a false nearest neighbor.
 FNN_THRESHOLD = 15.0
 FNN_WARN_FRACTION = 0.10
@@ -103,10 +111,10 @@ def _autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
     return acov / acov[0]
 
 
-def _mutual_information(x: np.ndarray, lag: int, bins: int = 16) -> float:
+def _mutual_information(x: np.ndarray, lag: int) -> float:
     a = x[:-lag]
     b = x[lag:]
-    joint, _, _ = np.histogram2d(a, b, bins=bins)
+    joint, _, _ = np.histogram2d(a, b, bins=MI_BINS)
     joint /= joint.sum()
     pa = joint.sum(axis=1, keepdims=True)
     pb = joint.sum(axis=0, keepdims=True)
@@ -182,7 +190,7 @@ def _split_sse(k: np.ndarray, y: np.ndarray, min_len: int) -> np.ndarray:
     return sse(sums[:, b]) + sse(sums[:, -1:] - sums[:, b])
 
 
-def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
+def _linear_region(k: np.ndarray, y: np.ndarray):
     """Initial linear region of the divergence curve.
 
     Divergence curves rise linearly until neighbor separations reach the
@@ -245,7 +253,7 @@ def _linear_region(k: np.ndarray, y: np.ndarray, r2_floor: float = 0.95):
     lengths = range(min_len, prefix_end + 1)
     r2_by_len = {m: fit_line(kk[:m], yy[:m])[2] for m in lengths}
     top = max(r2_by_len.values())
-    floor_eff = max(r2_floor, top - 0.005)
+    floor_eff = max(R2_FLOOR, top - 0.005)
     passing = [m for m in lengths if r2_by_len[m] >= floor_eff]
     if passing:
         best = max(passing)

@@ -190,19 +190,24 @@ def gen_fbm(
 
     The increments are drawn by circulant embedding of the fGn
     autocovariance, which reproduces the target covariance exactly (no
-    truncation).  Should the embedding spectrum come out negative, the
-    embedding is retried once at double size before failing.
+    truncation).  The embedding is non-negative definite for 0 < H < 1,
+    so an eigenvalue below -1e-9 of the largest comes from rounding in
+    the autocovariance's second difference, which cancels for H near 1.
+    Such a draw raises EmbeddingError; twice the lags round worse, so no
+    larger embedding is tried.  Of H in {0.001, 0.01, 0.9, 0.95, ...,
+    0.9999} at n = 2^8 .. 2^21 (x86-64, numpy 2.4), H >= 0.9999 was
+    refused from 2^17, 0.999 from 2^18, 0.985 from 2^19, 0.97 from 2^20
+    (``gen_fbm(0.97, 2**20)``) and 0.95 at 2^21.
 
     Requires ``n`` to be a power of two and at least 256.  O(n log n)
     time.  Memory, in 8-byte floats: at either transform, one complex
     2n-point buffer (4 n) and numpy's two FFT scratch arrays of its size
     (8 n), about 12 n in all.  tracemalloc sees about 5 n, not the
     scratch: the buffer with the n + 1 autocovariances it is filled from,
-    then the buffer with the n samples, summed in place.  A retry
-    at double size doubles both.  The resident growth also depends on
-    the allocator: under glibc 2.36, freed blocks below its mmap
-    threshold stay in the heap, and 2^20 samples grew a fresh process's
-    RSS by 12.4 n.
+    then the buffer with the n samples, summed in place.  The resident
+    growth also depends on the allocator: under glibc 2.36, freed blocks
+    below its mmap threshold stay in the heap, and 2^20 samples grew a
+    fresh process's RSS by 12.4 n.
     """
     if not 0.0 < hurst < 1.0:
         raise ValidationError("hurst must lie in (0, 1)")
@@ -210,13 +215,7 @@ def gen_fbm(
         raise ValidationError("n must be a power of two, at least 256")
     _check_size(n, "n")
     rng = np.random.default_rng(seed)
-    for max_lag in (n, 2 * n):
-        try:
-            fgn = _circulant_gaussian(_fgn_autocovariance(hurst, max_lag), n, rng)
-            break
-        except EmbeddingError:
-            if max_lag == 2 * n:
-                raise
+    fgn = _circulant_gaussian(_fgn_autocovariance(hurst, n), n, rng)
     samples = np.cumsum(fgn, out=fgn)
     return TimeSeries(samples, sample_rate, label=f"fbm(H={hurst:g}, seed={seed})")
 

@@ -1,6 +1,10 @@
 import math
+import os
 import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,21 @@ def _tone(period, rate, n, amp=1.0, phase=0.0):
     return gen_sine_mix([(period, amp, phase)], rate, n)
 
 
+def _rows(sg):
+    """Every row of ``sg`` in scale order, one pass."""
+    return sg.rows(range(sg.scales.size))
+
+
+def _grid(sg):
+    """The S x n coefficients, copied row by row from one pass."""
+    return np.array([row.copy() for row in _rows(sg)])
+
+
+def _reliable_mask(sg):
+    """Boolean (scale, time) grid, True outside the cone of influence."""
+    return sg.periods[:, None] <= sg.coi[None, :]
+
+
 def test_fourier_factor_value():
     # omega0=6: 4 pi / (6 + sqrt(38)) = 1.03304...
     assert morlet_fourier_factor(6.0) == pytest.approx(1.033044, abs=1e-5)
@@ -52,8 +71,8 @@ def test_default_scale_ladder():
 def test_scalogram_peak_scale_tracks_the_period():
     rate, n, period = 200.0, 2048, 0.4
     sg = cwt_morlet(_tone(period, rate, n))
-    mean_power = np.abs(sg.coeffs[:, n // 4 : 3 * n // 4]) ** 2
-    ridge = int(np.argmax(mean_power.mean(axis=1)))
+    mean_power = [np.mean(np.abs(row[n // 4 : 3 * n // 4]) ** 2) for row in _rows(sg)]
+    ridge = int(np.argmax(mean_power))
     assert sg.periods[ridge] == pytest.approx(period, rel=2 ** (1.0 / SUBOCTAVES) - 1)
 
 
@@ -80,7 +99,7 @@ def test_direct_convolution_oracle():
             dt / math.sqrt(s)
         )
     interior = slice(half, n - half)
-    got = sg.coeffs[0, interior]
+    got = next(sg.rows([0]))[interior]
     want = direct[interior]
     assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
@@ -92,7 +111,8 @@ def test_periodic_pad_is_shift_covariant():
     shift = 17
     a = cwt_morlet(TimeSeries(x, rate), pad="periodic")
     b = cwt_morlet(TimeSeries(np.roll(x, shift), rate), pad="periodic")
-    assert np.allclose(np.roll(a.coeffs, shift, axis=1), b.coeffs, atol=1e-10)
+    for row_a, row_b in zip(_rows(a), _rows(b)):
+        assert np.allclose(np.roll(row_a, shift), row_b, atol=1e-10)
 
 
 def test_coi_shape_and_reliable_mask():
@@ -102,7 +122,7 @@ def test_coi_shape_and_reliable_mask():
     # rises from the edges, peaks in the middle, symmetric
     assert coi[0] <= coi[5] <= coi[n // 2]
     assert np.allclose(coi, coi[::-1], rtol=1e-9, atol=1e-12)
-    mask = sg.reliable_mask()
+    mask = _reliable_mask(sg)
     assert mask.shape == (sg.scales.size, n)
     # the smallest scale survives near the center, the largest does not
     assert mask[0, n // 2]
@@ -144,7 +164,7 @@ def test_omega0_with_no_energy_below_nyquist_is_refused(monkeypatch):
             cwt_morlet(ts, omega0=13.0)
     # A ladder that starts higher keeps energy below Nyquist and runs.
     sg = cwt_morlet(ts, scales=[0.04, 0.08], omega0=13.0)
-    assert np.all(np.isfinite(sg.coeffs))
+    assert all(np.all(np.isfinite(row)) for row in _rows(sg))
 
 
 @pytest.mark.parametrize(
@@ -201,22 +221,25 @@ def test_band_limited_window_matches_full_grid_bytes(n, pad, norm, omega0, edge_
     scales = [2.0 * dt, n * dt / 2.0] if edge_scales else default_scales(n, rate)
     sg = cwt_morlet(ts, scales=scales, omega0=omega0, norm=norm, pad=pad)
     want = _full_grid_cwt(ts, scales, omega0, norm, pad)
-    assert sg.coeffs.tobytes() == want.tobytes()
+    assert [row.tobytes() for row in _rows(sg)] == [row.tobytes() for row in want]
 
 
 @pytest.mark.parametrize("n", [2**12, 2**14])
 def test_cwt_working_memory_is_linear_in_the_padded_length(n):
-    # Documented bound: the S x n coefficients, once read, plus O(n_fft)
-    # working arrays; 8 complex arrays of n_fft = 2 n leave headroom.
+    # Documented bound: the transform and a pass reading every row hold
+    # O(n_fft) working arrays; 8 complex arrays of n_fft = 2 n leave
+    # headroom.  The S x n coefficients would take 16 S n bytes.
     ts = TimeSeries(np.random.default_rng(1).standard_normal(n), 1.0)
     tracemalloc.start()
     try:
         sg = cwt_morlet(ts)
-        sg.coeffs
+        for _ in _rows(sg):
+            pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - sg.coeffs.nbytes <= 8 * 16 * (2 * n)
+    assert 16 * sg.scales.size * n > 4 * (8 * 16 * (2 * n))
+    assert peak <= 8 * 16 * (2 * n)
 
 
 @pytest.mark.parametrize("n", [2**12, 2**14])
@@ -233,7 +256,6 @@ def test_streamed_global_power_holds_no_scalogram(n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sg._coeffs is None
     assert 16 * sg.scales.size * n > 4 * (8 * 16 * n_fft)
     assert peak <= 8 * 16 * n_fft
 
@@ -276,15 +298,10 @@ def test_cold_morlet_pass_faults_like_a_warm_one(fresh_python, tmp_path):
     assert cold <= 2 * warm
 
 
-def _rows(sg):
-    """Every row of ``sg`` in scale order, one pass."""
-    return sg._evaluate(range(sg.scales.size))
-
-
 def _masked_means(sg, grid):
     """Per-scale mean of a (scale, time) grid over the reliable mask, NaN
     where a scale has no point outside the cone."""
-    mask = sg.reliable_mask()
+    mask = _reliable_mask(sg)
     return np.array([row[m].mean() if m.any() else np.nan for row, m in zip(grid, mask)])
 
 
@@ -322,8 +339,7 @@ def test_power_summary_keeps_the_record_it_covers(monkeypatch):
     assert len(calls) == 3 * plain.scales.size
     for name in ("counts", "mean_power", "mean_relative", "heatmap"):
         assert getattr(with_map, name).tobytes() == getattr(full.power_summary(), name).tobytes()
-    coeffs = cwt_morlet(ts).coeffs
-    power = np.abs(coeffs) ** 2
+    power = np.abs(_grid(cwt_morlet(ts))) ** 2
     want = _masked_means(plain, power / plain.signal_variance)
     assert with_map.mean_relative.tobytes() == want.tobytes()
 
@@ -333,26 +349,25 @@ def test_interleaved_row_passes_keep_their_own_buffers():
     # moving on, whether the two walk in step or one row apart.
     ts = TimeSeries(np.random.default_rng(3).standard_normal(700), 20.0)
     sg = cwt_morlet(ts)
-    want = [row.tobytes() for row in cwt_morlet(ts).coeffs]
+    want = [row.tobytes() for row in _rows(cwt_morlet(ts))]
     in_step = [(a.tobytes(), b.tobytes()) for a, b in zip(_rows(sg), _rows(sg))]
     assert in_step == list(zip(want, want))
     ahead = _rows(sg)
     next(ahead)
     offset = [(a.tobytes(), b.tobytes()) for a, b in zip(_rows(sg), ahead)]
     assert offset == list(zip(want, want[1:]))
-    assert sg._coeffs is None
 
 
 @pytest.mark.parametrize("pad, norm", [("zero", "l2"), ("periodic", "eq4")])
 def test_streamed_rows_match_the_held_coefficients(pad, norm):
-    # Streamed rows are the bytes that ``coeffs`` holds, whether or not a
-    # scalogram filled its coefficients, and so is the global power.
+    # Streamed rows are the bytes of a grid copied from another pass,
+    # whether or not that scalogram was read before, and so is the global
+    # power.
     ts = TimeSeries(np.random.default_rng(7).standard_normal(1000), 20.0)
     streamed, held = (cwt_morlet(ts, pad=pad, norm=norm) for _ in range(2))
-    coeffs = held.coeffs
+    coeffs = _grid(held)
     assert [r.tobytes() for r in _rows(streamed)] == [r.tobytes() for r in coeffs]
     a, b = global_power(streamed), global_power(held)
-    assert streamed._coeffs is None
     for name in ("power", "significance_95", "n_averaged"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     # The per-scale power that global_power read is the masked mean's.
@@ -363,7 +378,7 @@ def test_streamed_rows_match_the_held_coefficients(pad, norm):
 def test_phase_at_scale_evaluates_only_its_row(monkeypatch):
     ts = _tone(0.4, 100.0, 700)
     held = cwt_morlet(ts)
-    coeffs = held.coeffs
+    coeffs = _grid(held)
     picks = (0, 9, held.scales.size - 1)
     # The held scalogram's phase rows are computed before counting starts.
     held_phase = [phase_at_scale(held, float(held.scales[i])).phase for i in picks]
@@ -382,15 +397,14 @@ def test_phase_at_scale_evaluates_only_its_row(monkeypatch):
         assert ph.amplitude.tobytes() == np.abs(coeffs[idx]).tobytes()
         assert ph.phase.tobytes() == want.tobytes()
     assert len(calls) == 3
-    assert sg._coeffs is None
 
 
 def test_global_power_matches_masked_mean():
     ts = _tone(0.3, 100.0, 1024)
     sg = cwt_morlet(ts)
     gp = global_power(sg, background="white", series=ts.samples)
-    mask = sg.reliable_mask()
-    power = np.abs(sg.coeffs) ** 2
+    mask = _reliable_mask(sg)
+    power = np.abs(_grid(sg)) ** 2
     keep = mask.sum(axis=1) > 0
     manual = np.array(
         [row[m].mean() for row, m in zip(power[keep], mask[keep])]
@@ -405,7 +419,7 @@ def test_cone_slices_match_the_reliable_mask(n):
     # where the scale has none, at odd and even lengths alike.
     ts = TimeSeries(np.random.default_rng(n).standard_normal(n), 20.0)
     sg = cwt_morlet(ts, scales=default_scales(n, 20.0).tolist() + [n / 40.0])
-    mask = sg.reliable_mask()
+    mask = _reliable_mask(sg)
     runs = np.zeros_like(mask)
     for row, outside in zip(runs, sg._outside_slices()):
         row[outside] = True
@@ -445,6 +459,44 @@ def test_red_background_needs_ar1_or_series():
         global_power(sg, background="red")
     gp = global_power(sg, background="red", ar1=0.5)
     assert gp.ar1 == pytest.approx(0.5)
+
+
+#: A seeded AR(1) series with phi = 0.6, its red-background global power,
+#: and the bytes of that power's significance curve.
+_RED_AR1 = """\
+import hashlib
+import numpy as np
+from wavescope.cwt import cwt_morlet, global_power
+from wavescope.signal_core import TimeSeries
+e = np.random.default_rng(5).standard_normal(4096)
+x = np.empty_like(e)
+x[0] = e[0]
+for t in range(1, x.size):
+    x[t] = 0.6 * x[t - 1] + e[t]
+gp = global_power(cwt_morlet(TimeSeries(x, 1.0)), background="red", series=x)
+digest = hashlib.sha256(gp.significance_95.tobytes()).hexdigest()
+"""
+
+
+def test_red_background_estimates_ar1_with_the_same_bits_on_every_blas_core():
+    # The estimate sums with numpy, not BLAS: np.dot on this series gave a
+    # different last bit under each forced OpenBLAS core type.
+    scope = {}
+    exec(_RED_AR1, scope)
+    assert scope["gp"].ar1 == pytest.approx(0.6, abs=0.05)
+    want = f"{scope['gp'].ar1.hex()} {scope['digest']}"
+    src = str(Path(cwt_morlet.__code__.co_filename).resolve().parents[1])
+    for core in ("SkylakeX", "Haswell", "Sandybridge"):
+        env = {
+            **os.environ,
+            "OPENBLAS_CORETYPE": core,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        code = _RED_AR1 + "print(gp.ar1.hex(), digest)"
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert child.stdout.strip() == want, core
 
 
 def test_phase_at_scale_reports_snapped_scale():

@@ -73,6 +73,8 @@ _FIXED_SETTINGS = [
     (svg.heatmap, "max_cols"),
     (signal_core.column_bins, "max_cols"),
     (lyapunov.map_lyapunov, "n_impacts"),
+    (lyapunov._mutual_information, "bins"),
+    (lyapunov._linear_region, "r2_floor"),
     (synth.gen_bouncing_ball, "burn_in"),
     (synth.CascadeParams, "seed"),
     (signal_core.profile, "sample_rate"),
@@ -151,9 +153,27 @@ def test_no_module_reads_another_modules_private_name():
     # Modules share helpers by public names that one module owns; an
     # underscore name stays inside the module that defines it.
     defined = {name: _private_definitions(tree) for name, tree in _TREES.items()}
-    assert {"_evaluate", "_outside_slices", "_spec", "_mean_or_nan"} <= defined["cwt"]
+    assert {"_bands", "_outside_slices", "_spec", "_mean_or_nan"} <= defined["cwt"]
     reads = set().union(*(_private_reads(name, defined) for name in _TREES))
     assert sorted(reads) == [], "; ".join(sorted(reads))
+
+
+def test_the_scalogram_is_read_only_through_its_rows():
+    # Scalogram.rows is the one reader of coefficients.  The S x n grid
+    # ``coeffs`` (16 S n bytes), its ``_coeffs`` cache and the (scale,
+    # time) ``reliable_mask`` had no caller and stay out of the package.
+    removed = {"coeffs", "_coeffs", "reliable_mask"}
+    defined = set()
+    for tree in _TREES.values():
+        defined |= _bound(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined |= _bound(node.body)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+    assert "rows" in defined and "power_summary" in defined  # the walk sees methods
+    assert sorted(removed & defined) == []
+    assert not any(hasattr(cwt.Scalogram, name) for name in removed)
 
 
 def test_every_public_callable_has_a_caller():

@@ -417,7 +417,7 @@ def test_lyapunov_peak_memory_is_linear_in_points_times_dim():
 # ------------------------------------------------------------ knee search
 
 
-def _all_breakpoints_region(k, y, r2_floor=0.95):
+def _all_breakpoints_region(k, y):
     """The linear region with both fits of every breakpoint made by
     fit_line, as before the closed-form screen."""
     start = 1 if y.size > 5 else 0
@@ -450,7 +450,7 @@ def _all_breakpoints_region(k, y, r2_floor=0.95):
     lengths = range(min_len, prefix_end + 1)
     r2_by_len = {m: fit_line(kk[:m], yy[:m])[2] for m in lengths}
     top = max(r2_by_len.values())
-    floor_eff = max(r2_floor, top - 0.005)
+    floor_eff = max(lyapunov.R2_FLOOR, top - 0.005)
     passing = [m for m in lengths if r2_by_len[m] >= floor_eff]
     if passing:
         best = max(passing)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
-from wavescope import NyquistError, ValidationError
+from wavescope import EmbeddingError, NyquistError, ValidationError, synth
 from wavescope.lyapunov import map_lyapunov
 from wavescope.synth import (
     MAX_SAMPLES,
@@ -38,6 +38,24 @@ def test_fbm_hurst_range():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValidationError):
             gen_fbm(bad, 1024)
+
+
+def test_a_refused_embedding_is_not_retried(monkeypatch):
+    # At H = 0.9999 and 2^17 samples the second difference in the fGn
+    # autocovariance cancels enough to give the circulant an eigenvalue
+    # of -4.2e-9 of the largest, below the -1e-9 floor.  Twice the lags
+    # round worse (-1.3e-8), so one embedding is made and refused.
+    lags = []
+    real = synth._circulant_gaussian
+
+    def counting(cov, n, rng):
+        lags.append(cov.size - 1)
+        return real(cov, n, rng)
+
+    monkeypatch.setattr(synth, "_circulant_gaussian", counting)
+    with pytest.raises(EmbeddingError, match="not non-negative definite"):
+        gen_fbm(0.9999, 2**17)
+    assert lags == [2**17]
 
 
 def test_fbm_deterministic_per_seed():
