@@ -43,8 +43,17 @@ __all__ = ["RunConfig", "RunReport", "validate_config", "run", "figure_repro", "
 # serialization helpers
 
 
+#: Bytes that _sha256 reads and hashes at a time.
+HASH_BLOCK = 2**16
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex sha256 of a file, read ``HASH_BLOCK`` bytes at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # --------------------------------------------------------------------------

@@ -56,6 +56,13 @@ SYNC_MIN_PERIODS = 3.0
 #: Confidence level of GlobalPower's ``significance_95``.
 SIGNIFICANCE_LEVEL = 0.95
 
+#: Least fraction of its window energy that the smallest scale must keep
+#: below Nyquist, or cwt_morlet refuses the ladder.  Below it the erf
+#: form of the fraction, which the row prefactors use, is off by more
+#: than 1e-8 relative through cancellation (1.1e-6 at omega0 = 11 and
+#: scale 2 dt, and exactly 0.0 from 12.25 on).
+MIN_RETAINED_MASS = 1e-9
+
 #: The normalizations and padding modes cwt_morlet takes, and the
 #: backgrounds global_power tests against.
 NORMS = ("l2", "eq4")
@@ -310,6 +317,15 @@ def _retained_mass(s: float, dt: float, omega0: float) -> float:
     return 0.5 * (math.erf(nyq - omega0) + math.erf(omega0))
 
 
+def _tail_mass(s: float, dt: float, omega0: float) -> float:
+    """The fraction of :func:`_retained_mass` computed from the upper
+    tails, erfc(omega0 - nyq) - erfc(omega0), with no cancellation when
+    it is small; it decides the refusal, and the erf form keeps every
+    accepted row's bits."""
+    nyq = s * math.pi / dt
+    return 0.5 * (math.erfc(omega0 - nyq) - math.erfc(omega0))
+
+
 def cwt_morlet(
     ts: TimeSeries,
     scales: Sequence[float] | np.ndarray | None = None,
@@ -324,8 +340,9 @@ def cwt_morlet(
     before transforming.  ``pad="zero"`` extends to the next power of two
     (edge effects tracked by the cone of influence); ``pad="periodic"``
     wraps the signal instead, making the transform exactly shift-covariant.
-    An ``omega0`` that leaves the smallest scale no window energy below
-    Nyquist (above about 12.2 at 2 dt) is refused with ValidationError.
+    An ``omega0`` that leaves the smallest scale less than
+    ``MIN_RETAINED_MASS`` = 1e-9 of its window energy below Nyquist (above
+    about 10.52 at 2 dt) is refused with ValidationError.
 
     Each row multiplies the signal spectrum by the window and inverts it.
     The window is zero at and below zero frequency, and it underflows to
@@ -368,11 +385,14 @@ def cwt_morlet(
             f"[{scales[0]:g}, {scales[-1]:g}]"
         )
     # The retained mass grows with the scale, so the smallest scale decides
-    # whether every row keeps some window energy below Nyquist.
-    if not _retained_mass(scales[0], dt, omega0) > 0.0:
+    # whether every row keeps enough window energy below Nyquist.
+    mass = _tail_mass(scales[0], dt, omega0)
+    if not mass >= MIN_RETAINED_MASS:
         raise ValidationError(
             f"omega0 = {omega0:g} leaves no Morlet energy below Nyquist at the "
-            f"smallest scale {scales[0]:g} s; lower omega0 or raise the smallest scale"
+            f"smallest scale {scales[0]:g} s beyond a fraction {mass:.3g} < "
+            f"MIN_RETAINED_MASS = {MIN_RETAINED_MASS:g}; lower omega0 or raise "
+            "the smallest scale"
         )
 
     demeaned = x - x.mean()

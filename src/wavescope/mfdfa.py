@@ -157,36 +157,46 @@ def _scale_to_level(scale: float, support: int) -> int:
     return max(1, round(math.log2(max(scale, support) / support)))
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a non-empty 1-D array, in the steps of
-    ``scipy.special.logsumexp`` (scipy 1.17) and so with its bits.
+def _logsumexp(log_v: np.ndarray, factor: float, buf: np.ndarray) -> float:
+    """log(sum(exp(factor * log_v))) of a non-empty 1-D array, in the
+    steps of ``scipy.special.logsumexp`` (scipy 1.17) and so with its bits.
 
+    ``buf``, of ``log_v``'s size, receives factor * log_v and is shifted
+    and exponentiated in place, so a call allocates no array of that size.
     The m maxima are taken out of the sum: s = sum(exp(a - max)) over the
     rest, divided by m when nonzero, and the result is
     log1p(s) + log(m) + max.  Where that is not finite, scipy returns
-    log(sum(exp(a))), and so does this.
+    log(sum(exp(a))), and so does this, from a recomputed a.
     """
+    a = np.multiply(log_v, factor, out=buf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max()
         is_max = a == a_max
         m = np.float64(np.count_nonzero(is_max))
-        shifted = a - a_max
-        shifted[is_max] = -np.inf
-        s = np.exp(shifted, out=shifted).sum()
+        a -= a_max
+        a[is_max] = -np.inf
+        s = np.exp(a, out=a).sum()
         if s != 0:
             s = s / m
         out = np.log1p(s) + np.log(m) + a_max
         if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
+            out = np.log(np.exp(factor * log_v).sum())
     return float(out)
 
 
 def _moments(seg_var: np.ndarray, q_values: np.ndarray, scale: int) -> np.ndarray:
     """Power means of order q/2 over segment variances, q = 0 geometric."""
-    positive = seg_var[seg_var > 0]
-    n_zero = seg_var.size - positive.size
+    # ``out`` outlives the call, so it is allocated before the temporaries:
+    # allocated after them, it stayed among the space they free in glibc's
+    # heap, and on 2^20 samples the next levels then grew the heap, by
+    # 1-3 MiB of peak RSS in most repeated runs.  The logs of the positive
+    # variances overwrite the copy that the mask selects, and every order
+    # scales them into one buffer.
     out = np.empty(q_values.size)
-    log_v = np.log(positive) if positive.size else np.empty(0)
+    log_v = seg_var[seg_var > 0]
+    np.log(log_v, out=log_v)
+    buf = np.empty_like(log_v)
+    n_zero = seg_var.size - log_v.size
     if n_zero and np.any(q_values <= 0):
         warnings.warn(
             f"scale {scale}: dropped {n_zero} zero-variance segments for q <= 0",
@@ -195,7 +205,7 @@ def _moments(seg_var: np.ndarray, q_values: np.ndarray, scale: int) -> np.ndarra
         )
     for i, q in enumerate(q_values):
         if q < 0 or q == 0:
-            if positive.size == 0:
+            if log_v.size == 0:
                 raise ZeroVarianceError(
                     f"scale {scale}: all segments have zero variance"
                 )
@@ -203,11 +213,11 @@ def _moments(seg_var: np.ndarray, q_values: np.ndarray, scale: int) -> np.ndarra
                 out[i] = math.exp(0.5 * float(np.mean(log_v)))
             else:
                 out[i] = math.exp(
-                    (_logsumexp(0.5 * q * log_v) - math.log(positive.size)) / q
+                    (_logsumexp(log_v, 0.5 * q, buf) - math.log(log_v.size)) / q
                 )
         else:
             # Zero segments legitimately contribute 0 to positive moments.
-            total = _logsumexp(0.5 * q * log_v) if positive.size else -math.inf
+            total = _logsumexp(log_v, 0.5 * q, buf) if log_v.size else -math.inf
             out[i] = math.exp((total - math.log(seg_var.size)) / q)
     return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,6 +136,18 @@ def _looks_like_header(fields: list[str]) -> bool:
     return False
 
 
+def _header_columns(fields: list[str], column: int) -> tuple[int | None, int]:
+    """The time column that a header row's stripped ``fields`` name (None
+    when none does) and the value column, moved off the time column."""
+    found = [i for i, f in enumerate(fields) if f.lower() in TIME_HEADERS]
+    if not found:
+        return None, column
+    time_column = found[0]
+    if column == time_column:
+        column = int(time_column == 0)
+    return time_column, column
+
+
 def _decoded(lines, path: Path):
     """Pass ``lines`` on; a byte that is not UTF-8, or a row the csv reader
     refuses, raises ParseError."""
@@ -144,6 +157,66 @@ def _decoded(lines, path: Path):
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     except csv.Error as err:
         raise ParseError(f"{path}: {err}", row=lines.line_num) from None
+
+
+def _short_lines(fh):
+    """The lines of ``fh``; one longer than the csv reader's field limit
+    raises ValueError, so that numpy reads no field the row reader refuses."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if len(line) > limit:
+            raise ValueError("line longer than the csv field limit")
+        yield line
+
+
+def _numpy_columns(fh, column: int):
+    """(values, times or None) of an open CSV file, read by ``np.loadtxt``.
+
+    The first row goes through the csv reader and the header rule; the
+    rest must be a rectangle of numbers that numpy reads with no quoting
+    and no comments.  Anything else raises ValueError or csv.Error, and
+    the caller reads the file again row by row.
+    """
+    first = [f.strip() for f in next(csv.reader(fh), [])]
+    time_column = None
+    if any(first) and _looks_like_header(first):
+        time_column, column = _header_columns(first, column)
+    else:
+        fh.seek(0)
+    with warnings.catch_warnings():
+        # An empty table warns; the sample count check refuses it.
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(_short_lines(fh), delimiter=",", comments=None, ndmin=2)
+    needed = column if time_column is None else max(column, time_column)
+    if table.shape[1] <= needed:
+        raise ValueError("too few columns")
+    times = None if time_column is None else table[:, time_column].copy()
+    return table[:, column].copy(), times
+
+
+def _row_columns(fh, path: Path, column: int):
+    """(values, times or None) of an open CSV file, parsed row by row; a
+    row that does not parse raises ParseError with its 1-based number."""
+    values: list[float] = []
+    times: list[float] = []
+    time_column = None
+    for row_no, fields in enumerate(_decoded(csv.reader(fh), path), start=1):
+        if not fields or all(not f.strip() for f in fields):
+            continue
+        fields = [f.strip() for f in fields]
+        if row_no == 1 and _looks_like_header(fields):
+            time_column, column = _header_columns(fields, column)
+            continue
+        needed = column if time_column is None else max(column, time_column)
+        if len(fields) <= needed:
+            raise ParseError(
+                f"{path}: expected at least {needed + 1} columns, got {len(fields)}",
+                row=row_no,
+            )
+        values.append(_parse_float(fields[column], row_no, str(path)))
+        if time_column is not None:
+            times.append(_parse_float(fields[time_column], row_no, str(path)))
+    return np.array(values), None if time_column is None else np.array(times)
 
 
 def load_csv(
@@ -167,9 +240,18 @@ def load_csv(
     column 0.  So a :func:`write_csv` file reads back as written.  Decimal
     separator is '.', encoding UTF-8, with or without a byte-order mark.
 
-    O(n) time for n rows.  The traced working memory is about 14 n floats
-    with a time column and 5.5 n without: a Python float object and a list
-    slot per parsed field, then the arrays and the spacing check.
+    Rows after the header are read by ``np.loadtxt`` when they form a
+    rectangle of numbers that it parses (its number parser is the one
+    ``float`` uses, less underscores and non-ASCII digits); any other
+    file, one with quotes, ragged or blank-field rows, ``#`` or numbers
+    written as ``1_000``, is read again row by row with ``float``, which
+    gives the same values and raises each ParseError with its row number.
+    O(n) time for n rows.  The traced working memory is the k-column table
+    numpy returns and the columns copied out of it, then the spacing
+    check, with no Python object per row: about 4 n floats for a
+    :func:`write_csv` file (32-34 B per sample) and 2 n for a bare column
+    (16-17 B).  The row reader holds a Python float per parsed field,
+    about 14 n and 5.5 n floats.
 
     Raises
     ------
@@ -188,46 +270,26 @@ def load_csv(
             f"{path}: stated sample_rate must be finite and > 0, got {sample_rate}"
         )
     path = Path(path)
-    values: list[float] = []
-    times: list[float] = []
-    time_column = None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        for row_no, fields in enumerate(_decoded(reader, path), start=1):
-            if not fields or all(not f.strip() for f in fields):
-                continue
-            fields = [f.strip() for f in fields]
-            if row_no == 1 and _looks_like_header(fields):
-                found = [i for i, f in enumerate(fields) if f.lower() in TIME_HEADERS]
-                if found:
-                    time_column = found[0]
-                    if column == time_column:
-                        column = int(time_column == 0)
-                continue
-            needed = column if time_column is None else max(column, time_column)
-            if len(fields) <= needed:
-                raise ParseError(
-                    f"{path}: expected at least {needed + 1} columns, got {len(fields)}",
-                    row=row_no,
-                )
-            values.append(_parse_float(fields[column], row_no, str(path)))
-            if time_column is not None:
-                times.append(_parse_float(fields[time_column], row_no, str(path)))
+        try:
+            data, tarr = _numpy_columns(fh, column)
+        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+            fh.seek(0)
+            data, tarr = _row_columns(fh, path, column)
 
-    if len(values) < 2:
-        raise ValidationError(f"{path}: need at least two samples, got {len(values)}")
-    data = np.asarray(values, dtype=float)
+    if data.size < 2:
+        raise ValidationError(f"{path}: need at least two samples, got {data.size}")
     if not np.all(np.isfinite(data)):
         bad = int(np.flatnonzero(~np.isfinite(data))[0])
         raise ValidationError(f"{path}: non-finite value at sample {bad}")
 
-    if time_column is not None:
-        tarr = np.asarray(times, dtype=float)
+    if tarr is not None:
         gaps = np.diff(tarr)
         period = float(np.median(gaps))
         if period <= 0:
             raise ValidationError(f"{path}: timestamps are not increasing")
-        worst = float(np.abs(gaps - period).max())
+        gaps -= period
+        worst = float(np.abs(gaps, out=gaps).max())
         if worst > MAX_TIMESTAMP_JITTER * period:
             raise ValidationError(
                 f"{path}: non-uniform sampling, max deviation {worst:.3g} s "
@@ -255,18 +317,29 @@ def write_csv(ts: TimeSeries, path: str | Path) -> None:
     write_table(path, ["time_s", "value"], [ts.times(), ts.samples], eol="\r\n")
 
 
+#: Rows that write_table formats and writes per ``%`` call.
+TABLE_BLOCK_ROWS = 2048
+
+
 def write_table(path, header: list[str], columns, eol: str = "\n") -> None:
     """Write equal-length numeric columns as CSV under a header row.
 
     Every number is written as the ``repr`` of a float (``%r``) and every
-    line, the last too, ends with ``eol``.  All rows are formatted by one
-    ``%`` call on the row template repeated once per row.
+    line, the last too, ends with ``eol``.  Rows are formatted and written
+    ``TABLE_BLOCK_ROWS`` at a time, by one ``%`` call on the row template
+    repeated once per row: O(rows) time, and O(TABLE_BLOCK_ROWS) memory
+    beyond the columns as float arrays, whatever the table's size.
     """
-    path = Path(path)
-    grid = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row = ",".join(["%r"] * grid.shape[1]) + eol
-    body = (row * grid.shape[0]) % tuple(grid.ravel().tolist())
-    path.write_text(",".join(header) + eol + body, encoding="utf-8")
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    rows = columns[0].shape[0]
+    if any(c.shape != (rows,) for c in columns):
+        raise ValidationError("write_table needs 1-D columns of one length")
+    row = ",".join(["%r"] * len(columns)) + eol
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + eol)
+        for lo in range(0, rows, TABLE_BLOCK_ROWS):
+            block = np.column_stack([c[lo : lo + TABLE_BLOCK_ROWS] for c in columns])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def column_bins(rows, ncol: int) -> np.ndarray:

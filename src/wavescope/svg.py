@@ -5,11 +5,17 @@ no timestamps or generator metadata, so the same data always produces the
 same bytes.  That property is load-bearing: pipeline artifacts are hashed
 and compared across runs.  Only line plots and heatmaps are provided;
 anything fancier belongs in a real plotting package.
+
+Each plot writes its file as it builds it, polyline points
+``POINT_BLOCK`` at a time and heat-map cells one row at a time, so the
+text in memory is O(block) whatever the document's size.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -113,12 +119,13 @@ def _limits(arrays: list[np.ndarray], log: bool) -> tuple[float, float]:
     lo = math.inf
     hi = -math.inf
     for a in arrays:
-        vals = a[np.isfinite(a)]
+        # A byte mask, not a copy of the values it selects.
+        ok = np.isfinite(a)
         if log:
-            vals = vals[vals > 0]
-        if vals.size:
-            lo = min(lo, float(vals.min()))
-            hi = max(hi, float(vals.max()))
+            ok &= a > 0
+        if ok.any():
+            lo = min(lo, float(a.min(where=ok, initial=math.inf)))
+            hi = max(hi, float(a.max(where=ok, initial=-math.inf)))
     if not math.isfinite(lo):
         raise ValidationError("no finite data to plot")
     if lo == hi:
@@ -132,7 +139,22 @@ def _limits(arrays: list[np.ndarray], log: bool) -> tuple[float, float]:
     return lo, hi
 
 
-def _polyline(ax: _Axes, x: np.ndarray, y: np.ndarray, color: str, dashed: bool):
+#: Polyline points that one ``%`` call formats and one write writes.
+POINT_BLOCK = 2048
+
+
+def _points(ax: _Axes, x: np.ndarray, y: np.ndarray) -> str:
+    """The ``points`` text of (x, y), pairs separated by spaces."""
+    xy = np.column_stack((ax.px(x), ax.py(y))).ravel().tolist()
+    # One %-format call formats every coordinate as _fmt does.  Each has
+    # exactly two decimals and the markup holds no "-0.00", so that text
+    # only occurs as a whole coordinate.
+    return (" ".join(["%.2f,%.2f"] * x.size) % tuple(xy)).replace("-0.00", "0.00")
+
+
+def _write_polyline(fh, ax: _Axes, x: np.ndarray, y: np.ndarray, color: str, dashed: bool):
+    """Write one ``<polyline>`` per run of drawable points, their text
+    formatted ``POINT_BLOCK`` points at a time."""
     ok = np.isfinite(x) & np.isfinite(y)
     if ax.xlog:
         ok &= x > 0
@@ -141,18 +163,17 @@ def _polyline(ax: _Axes, x: np.ndarray, y: np.ndarray, color: str, dashed: bool)
     # A good point is drawn when a neighbour is good too: a run of one
     # point draws nothing.
     drawn = ok & (np.r_[False, ok[:-1]] | np.r_[ok[1:], False])
-    bounds = np.flatnonzero(np.diff(drawn, prepend=False, append=False))
+    bounds = np.flatnonzero(np.diff(drawn, prepend=False, append=False)).tolist()
     dash = ' stroke-dasharray="6,4"' if dashed else ""
     head = f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="'
-    template = "".join(
-        head + " ".join(["%.2f,%.2f"] * size) + '"/>\n'
-        for size in (bounds[1::2] - bounds[::2]).tolist()
-    )
-    # One %-format call formats every coordinate as _fmt does.  Each has
-    # exactly two decimals and the markup holds no "-0.00", so that text
-    # only occurs as a whole coordinate.
-    xy = np.column_stack((ax.px(x[drawn]), ax.py(y[drawn]))).ravel().tolist()
-    return (template % tuple(xy)).replace("-0.00", "0.00")
+    for start, stop in zip(bounds[::2], bounds[1::2]):
+        fh.write(head)
+        for lo in range(start, stop, POINT_BLOCK):
+            if lo > start:
+                fh.write(" ")
+            hi = min(lo + POINT_BLOCK, stop)
+            fh.write(_points(ax, x[lo:hi], y[lo:hi]))
+        fh.write('"/>\n')
 
 
 def _frame(ax: _Axes, xlabel, ylabel, title, fill):
@@ -202,15 +223,19 @@ def _frame(ax: _Axes, xlabel, ylabel, title, fill):
     return "".join(out)
 
 
-def _document(body: str) -> str:
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
-        + body
-        + "</svg>\n"
-    )
+@contextmanager
+def _svg_file(path):
+    """The open SVG file at ``path`` between the document head and its
+    closing tag; each plot writes its elements as it builds them."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
+        )
+        yield fh
+        fh.write("</svg>\n")
 
 
 def line_plot(
@@ -227,8 +252,10 @@ def line_plot(
     """Write a multi-series line plot.
 
     Each series is (x, y, label) or (x, y, label, dashed).  ``vmarks``
-    draws labeled vertical guides, ``bands`` shaded x-intervals.  Points
-    are mapped and formatted in bulk: O(points) time and memory.
+    draws labeled vertical guides, ``bands`` shaded x-intervals.  The
+    file is written as it is built, each run of points ``POINT_BLOCK``
+    points at a time: O(points) time, and beyond the series as float
+    arrays and a byte mask per point, O(POINT_BLOCK) memory.
     """
     if not series:
         raise ValidationError("need at least one series")
@@ -244,40 +271,40 @@ def line_plot(
     xlim = _limits([s[0] for s in norm], xlog)
     ylim = _limits([s[1] for s in norm], ylog)
     ax = _Axes(xlim, ylim, xlog, ylog)
-    body = [_frame(ax, xlabel, ylabel, title, "white")]
-    for x0, x1 in bands:
-        ex0 = min(max(ax.px(x0), ax.x0), ax.x1)
-        ex1 = min(max(ax.px(x1), ax.x0), ax.x1)
-        if ex1 > ex0:
-            body.append(
-                f'<rect x="{_fmt(ex0)}" y="{_fmt(ax.y1)}" width="{_fmt(ex1 - ex0)}" '
-                f'height="{_fmt(ax.y0 - ax.y1)}" fill="#ffe8a0" fill-opacity="0.6"/>\n'
-            )
-    for i, (x, y, label, dashed) in enumerate(norm):
-        body.append(_polyline(ax, x, y, PALETTE[i % len(PALETTE)], dashed))
-    for xv, text in vmarks:
-        px = ax.px(xv)
-        if ax.x0 <= px <= ax.x1:
-            body.append(
-                f'<line x1="{_fmt(px)}" y1="{_fmt(ax.y1)}" x2="{_fmt(px)}" '
-                f'y2="{_fmt(ax.y0)}" stroke="#888888" stroke-dasharray="3,3"/>\n'
-                f'<text x="{_fmt(px + 3)}" y="{_fmt(ax.y1 + 12)}" font-size="10" '
-                f'fill="#555555">{_escape(text)}</text>\n'
-            )
-    ly = _MARGIN_T + 6
-    for i, (_, _, label, _) in enumerate(norm):
-        if not label:
-            continue
-        color = PALETTE[i % len(PALETTE)]
-        body.append(
-            f'<line x1="{_fmt(ax.x1 - 120)}" y1="{_fmt(ly)}" x2="{_fmt(ax.x1 - 100)}" '
-            f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="2"/>\n'
-            f'<text x="{_fmt(ax.x1 - 96)}" y="{_fmt(ly + 3)}" font-size="10">'
-            f"{_escape(label)}</text>\n"
-        )
-        ly += 14
     out = Path(path)
-    out.write_text(_document("".join(body)), encoding="utf-8")
+    with _svg_file(out) as fh:
+        fh.write(_frame(ax, xlabel, ylabel, title, "white"))
+        for x0, x1 in bands:
+            ex0 = min(max(ax.px(x0), ax.x0), ax.x1)
+            ex1 = min(max(ax.px(x1), ax.x0), ax.x1)
+            if ex1 > ex0:
+                fh.write(
+                    f'<rect x="{_fmt(ex0)}" y="{_fmt(ax.y1)}" width="{_fmt(ex1 - ex0)}" '
+                    f'height="{_fmt(ax.y0 - ax.y1)}" fill="#ffe8a0" fill-opacity="0.6"/>\n'
+                )
+        for i, (x, y, label, dashed) in enumerate(norm):
+            _write_polyline(fh, ax, x, y, PALETTE[i % len(PALETTE)], dashed)
+        for xv, text in vmarks:
+            px = ax.px(xv)
+            if ax.x0 <= px <= ax.x1:
+                fh.write(
+                    f'<line x1="{_fmt(px)}" y1="{_fmt(ax.y1)}" x2="{_fmt(px)}" '
+                    f'y2="{_fmt(ax.y0)}" stroke="#888888" stroke-dasharray="3,3"/>\n'
+                    f'<text x="{_fmt(px + 3)}" y="{_fmt(ax.y1 + 12)}" font-size="10" '
+                    f'fill="#555555">{_escape(text)}</text>\n'
+                )
+        ly = _MARGIN_T + 6
+        for i, (_, _, label, _) in enumerate(norm):
+            if not label:
+                continue
+            color = PALETTE[i % len(PALETTE)]
+            fh.write(
+                f'<line x1="{_fmt(ax.x1 - 120)}" y1="{_fmt(ly)}" x2="{_fmt(ax.x1 - 100)}" '
+                f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="2"/>\n'
+                f'<text x="{_fmt(ax.x1 - 96)}" y="{_fmt(ly + 3)}" font-size="10">'
+                f"{_escape(label)}</text>\n"
+            )
+            ly += 14
     return out
 
 
@@ -326,7 +353,10 @@ def heatmap(
     its block means, see signal_core.column_bins).  ``overlay`` draws one
     extra curve (x, y) on top, used for the edge-effect boundary.  With S rows and n
     columns, binning takes O(S n) time and the cells O(S HEATMAP_COLS)
-    time; memory is O(n + S HEATMAP_COLS).
+    time.  The file is written as it is built, one row of cells and one
+    block of overlay points at a time, so memory is O(n + S HEATMAP_COLS)
+    for the arrays and their bins and O(HEATMAP_COLS + POINT_BLOCK) for
+    the text.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -339,7 +369,6 @@ def heatmap(
     xlim = (float(x.min()), float(x.max()))
     ylim = (float(y.min()), float(y.max()))
     ax = _Axes(xlim, ylim, False, ylog)
-    body = []
     # cell edges: midpoints between centers, clamped at the limits
     def edges_of(centers, log):
         if log:
@@ -351,28 +380,27 @@ def heatmap(
         )
 
     # Each column's x and width and each row's y and height are formatted
-    # once, not once per cell; the colours of all finite cells at once.
+    # once, not once per cell; the colours of a row's finite cells at once.
     pxe = ax.px(edges_of(xc, False))
     xs = list(map(_fmt, pxe[:-1].tolist()))
     widths = list(map(_fmt, np.maximum(pxe[1:] - pxe[:-1], 0.1).tolist()))
     pye = ax.py(edges_of(y, ylog))
     tops = list(map(_fmt, np.minimum(pye[:-1], pye[1:]).tolist()))
     heights = list(map(_fmt, np.maximum(np.abs(pye[:-1] - pye[1:]), 0.1).tolist()))
-    finite = np.isfinite(z)
-    colors = iter(_heat_colors((z[finite] - zmin) / span))
-    for top, hgt, row_finite in zip(tops, heights, finite.tolist()):
-        for x0, wid, ok in zip(xs, widths, row_finite):
-            if ok:
-                body.append(
-                    f'<rect x="{x0}" y="{top}" width="{wid}" height="{hgt}" '
-                    f'fill="{next(colors)}"/>\n'
-                )
-    if overlay is not None:
-        ox, oy = overlay
-        body.append(
-            _polyline(ax, np.asarray(ox, float), np.asarray(oy, float), "#ffffff", True)
-        )
-    body.append(_frame(ax, xlabel, ylabel, title, "none"))
     out = Path(path)
-    out.write_text(_document("".join(body)), encoding="utf-8")
+    with _svg_file(out) as fh:
+        for top, hgt, row in zip(tops, heights, z):
+            finite = np.isfinite(row)
+            colors = _heat_colors((row[finite] - zmin) / span)
+            cells = zip(compress(xs, finite), compress(widths, finite), colors)
+            fh.write("".join(
+                f'<rect x="{x0}" y="{top}" width="{wid}" height="{hgt}" fill="{c}"/>\n'
+                for x0, wid, c in cells
+            ))
+        if overlay is not None:
+            ox, oy = overlay
+            _write_polyline(
+                fh, ax, np.asarray(ox, float), np.asarray(oy, float), "#ffffff", True
+            )
+        fh.write(_frame(ax, xlabel, ylabel, title, "none"))
     return out

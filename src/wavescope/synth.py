@@ -360,11 +360,13 @@ def gen_bouncing_ball(p: BounceParams, sample_rate: float | None = None) -> Time
     trajectories renderable.  A rendering longer than MAX_SAMPLES is
     refused before its samples are allocated.
 
-    O(samples) time plus one Python step per impact sample for the
-    ring-down, about 3 us: a warm render of 10^5 impacts takes 0.3-0.4 s,
+    O(samples) time plus two Python costs per impact: the map on floats,
+    about 0.47 s per 10^6 impacts, and one ring-down step per impact
+    sample, about 3 us.  A warm render of 10^5 impacts takes 0.3-0.4 s,
     against 0.12-0.14 s with scipy.signal.lfilter, whose import alone
-    takes about 0.9 s and 70 MiB.  Memory: the impulse train and the
-    output, 16 bytes per sample, and O(impacts) for the map.
+    takes about 0.9 s and 70 MiB; one of MAX_SAMPLES = 2^24 impacts takes
+    about a minute.  Memory: the impulse train and the output, 16 bytes
+    per sample, and O(impacts) for the map.
     """
     if sample_rate is None:
         sample_rate = 64.0 * p.drive_freq

@@ -17,6 +17,7 @@ from wavescope import (
     dwt,
     mfdfa,
     spectral,
+    svg,
     synth,
 )
 from wavescope import cli as climod
@@ -33,7 +34,7 @@ from wavescope.cli import (
     run,
     validate_config,
 )
-from wavescope.signal_core import TimeSeries, load_csv, write_csv
+from wavescope.signal_core import TimeSeries, load_csv, write_csv, write_table
 from wavescope.synth import BounceParams, gen_bouncing_ball, gen_fbm
 
 
@@ -714,6 +715,64 @@ def test_scalogram_run_memory_grows_with_n_not_scales_times_n(tmp_path):
     growth = peaks[2**14] - peaks[2**12]
     scalogram_growth = 16 * (89 * 2**14 - 73 * 2**12)
     assert growth <= 12 * 16 * 2 * (2**14 - 2**12) < scalogram_growth / 3
+
+
+def _writer_calls(tmp_path, n):
+    """Each artifact writer on n-sample inputs built here, untraced, with
+    the floats per sample that it may allocate besides one block."""
+    rng = np.random.default_rng(n)
+    x = np.arange(n) * 0.1
+    y = np.cumsum(rng.standard_normal(n))
+    ts = TimeSeries(y, 10.0)
+    rows = 8 * int(np.log2(n))  # about a default Morlet ladder
+    z = rng.standard_normal((rows, 192))  # rows binned to HEATMAP_COLS
+    periods = np.geomspace(0.2, n / 40.0, rows)
+    coi = np.minimum(x, x[::-1]) + 0.05
+    hashed = tmp_path / "hashed.csv"
+    write_csv(ts, hashed)
+    return {
+        "write_table": (lambda: write_table(tmp_path / "t.csv", ["x", "y"], [x, y]), 0),
+        # ts.times(): an index array and the times
+        "write_csv": (lambda: write_csv(ts, tmp_path / "s.csv"), 2),
+        # byte masks of the drawn points
+        "line_plot": (
+            lambda: svg.line_plot(tmp_path / "l.svg", [(x, y, "y"), (x, -y, "z", True)]),
+            1,
+        ),
+        # column-bin indices and gathers of x, and the overlay's masks
+        "heatmap": (
+            lambda: svg.heatmap(tmp_path / "h.svg", x, periods, z, ylog=True, overlay=(x, coi)),
+            3,
+        ),
+        "sha256": (lambda: climod._sha256(hashed), 0),
+    }
+
+
+@pytest.mark.parametrize("writer", ["write_table", "write_csv", "line_plot", "heatmap", "sha256"])
+def test_artifact_writers_hold_their_inputs_and_one_block(tmp_path, writer):
+    # Every artifact is formatted, written and hashed a block at a time.
+    # The traced peak is the writer's own arrays plus one block (at most
+    # 384 KiB: a table block of 2048 rows or 2048 polyline points as
+    # Python floats and text, a row of heat-map cells, a 64 KiB read),
+    # and from 2^12 to 2^14 samples it grows by at most half a float per
+    # sample beyond those arrays.  Any document costs more than that: a
+    # CSV row of two numbers or a polyline point is at least 8 bytes of
+    # text, and each writer that built its document whole grew by 26
+    # (hashing) to 150 (heat map) bytes per sample.
+    block = 384 * 2**10
+    peaks = {}
+    for n in (2**12, 2**14):
+        call, floats = _writer_calls(tmp_path, n)[writer]
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(p <= 8 * floats * n + block for n, p in peaks.items()), peaks
+    growth = (peaks[2**14] - peaks[2**12]) / (2**14 - 2**12)
+    assert growth <= 8 * (floats + 0.5), growth
 
 
 @pytest.mark.filterwarnings("ignore::wavescope.errors.EmbeddingQualityWarning")

@@ -18,6 +18,7 @@ from wavescope import (
     ScaleOutOfRangeError,
     ValidationError,
 )
+from wavescope import cwt as cwtmod
 from wavescope.cwt import (
     MORLET_GAMMA,
     SUBOCTAVES,
@@ -165,6 +166,41 @@ def test_omega0_with_no_energy_below_nyquist_is_refused(monkeypatch):
     # A ladder that starts higher keeps energy below Nyquist and runs.
     sg = cwt_morlet(ts, scales=[0.04, 0.08], omega0=13.0)
     assert all(np.all(np.isfinite(row)) for row in _rows(sg))
+
+
+@pytest.mark.parametrize("omega0", [11.5, 12.0])
+def test_omega0_under_the_retained_mass_floor_is_refused(omega0):
+    # At the smallest scale 2 dt the window keeps 8.1e-14 (11.5) and
+    # 3.1e-16 (12) of its energy below Nyquist, under MIN_RETAINED_MASS;
+    # the erf form read those 2e-4 and 7 % too high.
+    ts = _tone(0.5, 100.0, 256)
+    with pytest.raises(ValidationError, match=f"omega0 = {omega0:g} .* MIN_RETAINED_MASS"):
+        cwt_morlet(ts, omega0=omega0)
+
+
+def test_omega0_8_is_accepted_with_the_erf_prefactor():
+    # The floor only decides the refusal: at omega0 = 8 the smallest
+    # scale keeps 0.0076 of its energy, and every row keeps the bytes of
+    # the full-grid reference, which divides by the erf form.
+    rate, n = 20.0, 600
+    ts = TimeSeries(np.random.default_rng(8).standard_normal(n), rate)
+    scales = default_scales(n, rate)
+    assert scales[0] == 2.0 / rate
+    sg = cwt_morlet(ts, omega0=8.0)
+    want = _full_grid_cwt(ts, scales, 8.0, "l2", "zero")
+    assert [row.tobytes() for row in _rows(sg)] == [row.tobytes() for row in want]
+
+
+def test_tail_mass_is_the_erf_form_to_1e8_above_the_floor():
+    # Where the tail form clears MIN_RETAINED_MASS, the erf form that the
+    # prefactors use agrees with it to 1e-8 relative, at any scale.
+    dt = 0.01
+    for s in (2 * dt, 2.5 * dt, 4 * dt):
+        for omega0 in np.linspace(5.0, 14.0, 181):
+            tail = cwtmod._tail_mass(s, dt, omega0)
+            if tail >= cwtmod.MIN_RETAINED_MASS:
+                erf_form = cwtmod._retained_mass(s, dt, omega0)
+                assert abs(erf_form - tail) <= 1e-8 * tail
 
 
 @pytest.mark.parametrize(

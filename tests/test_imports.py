@@ -176,6 +176,39 @@ def test_the_scalogram_is_read_only_through_its_rows():
     assert not any(hasattr(cwt.Scalogram, name) for name in removed)
 
 
+def _attribute_sites(tree, names):
+    """``"function.attr"`` for each read of an attribute in ``names``,
+    named by the chain of functions that encloses it."""
+    sites = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, where + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in names:
+                sites.add(".".join(where + (child.attr,)))
+            visit(child, where)
+
+    visit(tree, ())
+    return sites
+
+
+def test_whole_file_reads_and_writes_stay_at_small_file_sites():
+    # CSV tables and SVG plots are written, and artifacts hashed, a block
+    # at a time.  A whole-file write_text, write_bytes or read_bytes is
+    # left only where the file is small: the JSON writer and the marker
+    # of a failed stage.  Any other site would build a whole artifact in
+    # memory again.
+    whole = {"write_text", "write_bytes", "read_bytes"}
+    sites = {
+        f"{module}.{site}"
+        for module, tree in _TREES.items()
+        for site in _attribute_sites(tree, whole)
+    }
+    assert sorted(sites) == ["cli.run.attempt.write_text", "figures.write_json.write_text"]
+
+
 def test_every_public_callable_has_a_caller():
     # Each module's __all__ callable is loaded by name somewhere in the
     # package (outside the re-exports of __init__) or named by the benchmark.

@@ -214,6 +214,26 @@ def test_fluctuation_function_working_memory_is_flat_in_the_level_count(n):
     assert peak <= 6 * 8 * n
 
 
+def test_moments_share_one_scaled_buffer_across_the_orders():
+    # At scale 8 on 2^16 samples, 8192 segment variances and 21 orders.
+    # _moments holds the logs of the positive variances, taken in place,
+    # and one buffer that every order scales into and shifts in place:
+    # about 2.2 arrays of the variances' size.  The logs beside their
+    # operand and a scaled and a shifted copy per order took it to 4.2;
+    # under glibc those per-order copies came from the heap once a Morlet
+    # pass had raised the mmap threshold.
+    seg = np.random.default_rng(3).random(2**16 // 8)
+    q = mfdfa.q_grid()
+    mfdfa._moments(seg, q, 8)
+    tracemalloc.start()
+    try:
+        mfdfa._moments(seg, q, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * seg.nbytes
+
+
 #: The numpy and scipy versions the digest below was pinned on.
 _PINNED_VERSIONS = ("2.4.6", "1.17.1")
 
@@ -256,10 +276,12 @@ def test_logsumexp_has_the_bits_of_scipy():
             rng.normal(700.0, 5.0, n),
             rng.normal(-800.0, 30.0, n),
         ][i % 4]
-        assert np.float64(mfdfa._logsumexp(a)).tobytes() == np.float64(logsumexp(a)).tobytes()
+        got = mfdfa._logsumexp(a, 1.0, np.empty_like(a))
+        assert np.float64(got).tobytes() == np.float64(logsumexp(a)).tobytes()
     for a in ([np.inf, 1.0], [-np.inf, -np.inf], [1e308, 1e308], [5.0]):
         a = np.array(a)
-        assert np.float64(mfdfa._logsumexp(a)).tobytes() == np.float64(logsumexp(a)).tobytes()
+        got = mfdfa._logsumexp(a, 1.0, np.empty_like(a))
+        assert np.float64(got).tobytes() == np.float64(logsumexp(a)).tobytes()
 
 
 def test_config_rejects_unknown_boundary():

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wavescope import ParseError, ValidationError
+from wavescope import ParseError, ValidationError, signal_core
 from wavescope.signal_core import (
     TimeSeries,
     load_csv,
@@ -175,3 +177,150 @@ def test_csv_refuses_a_negative_column_index(tmp_path, kwargs):
     path.write_text("0.0,4.0\n0.5,5.0\n1.0,6.0\n")
     with pytest.raises(ValidationError, match="negative column"):
         load_csv(path, **kwargs)
+
+
+# ------------------------------------------------- numpy against row reader
+#
+# load_csv reads a rectangle of numbers with np.loadtxt and anything else
+# again with the csv row reader; both must give the same series or the
+# same error, down to the bytes of the samples and the row of a ParseError.
+
+#: Fields the two readers could split on: spellings float() reads and
+#: numpy does not (1_000, non-ASCII digits, quotes), the inf and nan
+#: spellings, padding, comment marks, subnormals, underflow and overflow,
+#: and text that is no number.
+_TOKENS = [
+    "1_000", "١٢", "٣.٥", '"1.5"', '"2"', "inf", "-inf", "+Infinity", "INF", "nan",
+    "NaN", "-nan", " 1.5", "2.5 ", "\t3\t", "\u20034.0\u2003", "1.0\x0b", "1e-400",
+    "-1e-400", "5e-324", "2.4703282292062328e-324", "2.2250738585072009e-308", "1e400",
+    "#1", "# note", "", " ", "x", "1.0.0", "0x10", ".5", "5.", "+.5e1", "1E5", "\x00",
+    "1\x00", "\ufeff1", "0.1000000000000000055511151231257827021181583404541015625",
+]
+_HEADERS = ["time_s", "time", "T", " Timestamp ", "value", "v", "x"]
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.from_regex(r"-?[0-9]{1,25}(\.[0-9]{0,25})?([eE]-?[0-9]{1,3})?", fullmatch=True),
+)
+_FIELD = st.one_of(_NUMBER, st.sampled_from(_TOKENS))
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV text, often a uniform time column beside numbers, with a few
+    rows blanked, made ragged, commented out or given a field from
+    _TOKENS."""
+    ncol = draw(st.integers(1, 3))
+    rate = draw(st.sampled_from([1.0, 4.0, 0.3]))
+    t0 = draw(st.sampled_from([0.0, 1.5, -2.0]))
+    header = st.lists(st.sampled_from(_HEADERS), min_size=1, max_size=3)
+    rows = [draw(header)] if draw(st.booleans()) else []
+    for k in range(draw(st.integers(1, 10))):
+        rows.append([repr(t0 + k / rate)] + [draw(_NUMBER) for _ in range(ncol - 1)])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        edit = draw(st.sampled_from(["field", "blank", "ragged", "comment"]))
+        if edit == "blank":
+            rows.insert(at, [draw(st.sampled_from(["", "  ", "\t"]))] * draw(st.integers(1, 3)))
+        elif edit == "comment":
+            rows.insert(at, ["#" + draw(_NUMBER)])
+        elif rows:
+            row = rows[min(at, len(rows) - 1)]
+            if edit == "ragged":
+                row[:] = row[:-1] if draw(st.booleans()) else row + [draw(_FIELD)]
+            elif row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(_FIELD)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(",".join(row) for row in rows)
+    if draw(st.booleans()):
+        text += eol
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _outcome(path, column, sample_rate):
+    try:
+        ts = load_csv(path, sample_rate=sample_rate, column=column)
+    except (ParseError, ValidationError) as err:
+        return type(err).__name__, getattr(err, "row", None), str(err)
+    return ts.samples.tobytes(), ts.sample_rate, ts.t0
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    text=_csv_texts(), column=st.integers(0, 2), sample_rate=st.sampled_from([None, 4.0, 4.0])
+)
+@example(text="time_s,value\n0,1_000\n1,2\n", column=1, sample_rate=None)
+@example(text="١٢\n٣.٥\n", column=0, sample_rate=4.0)
+@example(text='"1.5"\n2\n', column=0, sample_rate=4.0)
+@example(text="x\ninf\n1\n", column=0, sample_rate=4.0)
+@example(text="t,v\n0,1\n1,NaN\n2,-Infinity\n", column=1, sample_rate=None)
+@example(text=" 1.5 , 2\n 3 ,4 \n", column=1, sample_rate=4.0)
+@example(text="1\r\n2\r\n3", column=0, sample_rate=4.0)
+@example(text="time\r0\r0.25\r", column=0, sample_rate=4.0)
+@example(text="1\n#2\n3\n", column=0, sample_rate=4.0)
+@example(text="#t,v\n0,1\n1,2\n", column=0, sample_rate=4.0)
+@example(text="\ufefftime_s,value\n0,1\n1,2\n", column=1, sample_rate=None)
+@example(text="\ufeff1\n2\n", column=0, sample_rate=4.0)
+@example(text="1\n\n2\n,\n  \n3\n", column=0, sample_rate=4.0)
+@example(text="1,2\n3\n4,5,6\n", column=0, sample_rate=4.0)
+@example(text="0,5e-324\n1,2.2250738585072009e-308\n", column=1, sample_rate=4.0)
+@example(text="1e-400\n-1e-400\n1e400\n", column=0, sample_rate=4.0)
+def test_numpy_reader_agrees_with_the_row_reader(tmp_path, text, column, sample_rate):
+    path = tmp_path / "x.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    fast = _outcome(path, column, sample_rate)
+    with mock.patch.object(signal_core, "_numpy_columns", side_effect=ValueError):
+        rows = _outcome(path, column, sample_rate)
+    assert fast == rows
+
+
+def test_text_that_is_not_utf8_is_refused_by_both_readers(tmp_path):
+    # The bad byte lies beyond the first 8 KiB that the header read decodes.
+    path = tmp_path / "latin1.csv"
+    rows = "".join(f"{k},{k}\n" for k in range(2000))
+    path.write_bytes(b"time_s,value\n" + rows.encode() + b"2000,\xe9\n")
+    fast = _outcome(path, 1, None)
+    with mock.patch.object(signal_core, "_numpy_columns", side_effect=ValueError):
+        assert _outcome(path, 1, None) == fast
+    assert fast[0] == "ParseError" and "not UTF-8" in fast[2]
+
+
+def test_a_field_over_the_csv_limit_is_refused_by_both_readers(tmp_path):
+    # float() reads 140,000 digits, and so would numpy; the row reader's
+    # csv module refuses the field, so the numpy path must not read it.
+    path = tmp_path / "long.csv"
+    path.write_text("time_s,value\n0,1\n1," + "7" * 140_000 + "\n2,3\n", encoding="utf-8")
+    fast = _outcome(path, 1, None)
+    with mock.patch.object(signal_core, "_numpy_columns", side_effect=ValueError):
+        assert _outcome(path, 1, None) == fast
+    assert fast[:2] == ("ParseError", 3) and "field limit" in fast[2]
+
+
+def test_a_table_of_numbers_is_read_without_the_row_reader(tmp_path):
+    ts = TimeSeries(np.array([5e-324, -0.0, 1e300, 0.1]), 4.0, t0=1.5)
+    written = tmp_path / "written.csv"
+    write_csv(ts, written)
+    bare = tmp_path / "bare.csv"
+    bare.write_bytes(b"\xef\xbb\xbf 1.5\r2.0\r\r3.0")
+    with mock.patch.object(signal_core, "_row_columns", side_effect=AssertionError):
+        back = load_csv(written)
+        assert back.samples.tobytes() == ts.samples.tobytes()
+        assert (back.sample_rate, back.t0) == (4.0, 1.5)
+        assert load_csv(bare, sample_rate=1.0).samples.tolist() == [1.5, 2.0, 3.0]
+
+
+def test_what_numpy_refuses_the_row_reader_reads(tmp_path):
+    # np.loadtxt refuses 1_000, a quoted number and Arabic-Indic digits;
+    # float() reads all three, so the row reader does.
+    path = tmp_path / "spelled.csv"
+    path.write_text('1_000\n"1.5"\n١٢\n', encoding="utf-8")
+    with mock.patch.object(
+        signal_core, "_row_columns", wraps=signal_core._row_columns
+    ) as row_reader:
+        assert load_csv(path, sample_rate=1.0).samples.tolist() == [1000.0, 1.5, 12.0]
+    assert row_reader.call_count == 1

@@ -171,7 +171,7 @@ def _traced_peak(fn):
 @pytest.mark.parametrize("n", [2**12, 2**14])
 def test_input_and_spectral_stage_memory_is_linear_in_n(tmp_path, n):
     # Documented bounds, in bytes per sample (measured): load_csv of a
-    # write_csv file about 14 floats (106-108), power_spectrum 3 (24.1),
+    # write_csv file about 4 floats (32-34), power_spectrum 3 (24.1),
     # 5 with hann (40.1), and fit_power_law and heisenberg_fit about 5
     # floats per bin of the n/2 + 1 (19.7 per sample).
     ts = gen_fbm(0.5, n, seed=1, sample_rate=1.0)
@@ -179,7 +179,7 @@ def test_input_and_spectral_stage_memory_is_linear_in_n(tmp_path, n):
     write_csv(ts, path)
     ps = power_spectrum(ts)
     bounds = {
-        "load_csv": (lambda: load_csv(path), 15 * 8),
+        "load_csv": (lambda: load_csv(path), 4.5 * 8),
         "spectrum": (lambda: power_spectrum(ts), 3.5 * 8),
         "hann": (lambda: power_spectrum(ts, window="hann"), 5.5 * 8),
         "fit": (lambda: fit_power_law(ps, 0.002, 0.4), 3 * 8),

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -199,20 +200,35 @@ def _heatmap_reference(path, x, y, z, ylog=False, overlay=None):
         ox, oy = (np.asarray(a, float) for a in overlay)
         body.append(_polyline_reference(ax, ox, oy, "#ffffff", True))
     body.append(svg._frame(ax, "", "", "", "none"))
-    Path(path).write_text(svg._document("".join(body)), encoding="utf-8")
+    Path(path).write_text(_document_reference("".join(body)), encoding="utf-8")
 
 
-def test_polyline_matches_the_per_point_loop():
+def _document_reference(body):
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="420" '
+        'viewBox="0 0 720 420">\n<rect width="720" height="420" fill="white"/>\n'
+        + body
+        + "</svg>\n"
+    )
+
+
+def test_polyline_matches_the_per_point_loop(monkeypatch):
     # Linear axes over [0, 1]: pixel 0 lies at x = -64 / 642 and at
     # y = 374 / 344, so these points straddle it and some round to -0.00.
+    # Blocks of 1, 2, 7 and 4096 points put the block seams inside runs.
     ax = svg._Axes((0.0, 1.0), (0.0, 1.0), False, False)
     near = np.linspace(-0.02, 0.02, 41)
     x = np.r_[(near - 64.0) / 642.0, np.nan, 0.5, np.inf, 0.25, 0.75, 2.0, -1.0]
     y = np.r_[(near - 374.0) / -344.0, 0.5, 0.5, np.nan, 0.1, -np.inf, 3.0, -3.0]
-    for dashed in (False, True):
-        got = svg._polyline(ax, x, y, "#123456", dashed)
-        assert got == _polyline_reference(ax, x, y, "#123456", dashed)
-        assert "-0.00" not in got
+    for block in (1, 2, 7, 4096):
+        monkeypatch.setattr(svg, "POINT_BLOCK", block)
+        for dashed in (False, True):
+            out = io.StringIO()
+            svg._write_polyline(out, ax, x, y, "#123456", dashed)
+            got = out.getvalue()
+            assert got == _polyline_reference(ax, x, y, "#123456", dashed)
+            assert "-0.00" not in got
 
 
 _GAPPED = np.where(np.arange(40) % 7 == 3, np.nan, np.cos(np.arange(40.0)))
@@ -245,7 +261,9 @@ _LINE_CASES = {
 def test_line_plot_matches_the_per_point_loop(tmp_path, monkeypatch, case):
     series, kwargs = _LINE_CASES[case]
     line_plot(tmp_path / "bulk.svg", series, **kwargs)
-    monkeypatch.setattr(svg, "_polyline", _polyline_reference)
+    monkeypatch.setattr(
+        svg, "_write_polyline", lambda fh, *args: fh.write(_polyline_reference(*args))
+    )
     line_plot(tmp_path / "loop.svg", series, **kwargs)
     assert (tmp_path / "bulk.svg").read_bytes() == (tmp_path / "loop.svg").read_bytes()
 
