@@ -18,6 +18,7 @@ the effective-sample correction of the averaging.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -119,18 +120,19 @@ class Scalogram:
     Fourier period free of edge effects at that instant; samples with
     ``periods[i] > coi[t]`` sit inside the cone of influence.
 
-    The scalogram keeps the signal spectrum and each row's frequency band
-    and prefactor, O(n_fft + S) memory, and runs a row's inverse FFT each
-    time a reader asks for the row; it holds no S x n array.  A pass over
-    the rows inverts each one in place in a single complex n_fft buffer of
-    its own, so a streamed row stays valid until the pass is asked for the
-    next one.  ``power_summary`` keeps the record of its pass,
-    O(S HEATMAP_COLS), and serves every later request that record covers
-    without a new pass.
+    The scalogram keeps the positive half of the signal spectrum, the
+    (n_fft + 1) // 2 bins that the rows read (8 n_fft bytes), the padded
+    length n_fft, and each row's frequency band and prefactor: O(n_fft + S)
+    memory.  It runs a row's inverse FFT each time a reader asks for the
+    row; it holds no S x n array.  A pass over the rows inverts each one in
+    place in a single complex n_fft buffer of its own, so a streamed row
+    stays valid until the pass is asked for the next one.
+    ``power_summary`` keeps the record of its pass, O(S HEATMAP_COLS), and
+    serves every later request that record covers without a new pass.
     """
 
     def __init__(self, scales, times, coi, omega0, sample_rate, norm,
-                 signal_variance, spec, freq_step, bands):
+                 signal_variance, spec, n_fft, freq_step, bands):
         self.scales = scales
         self.times = times
         self.coi = coi
@@ -138,10 +140,12 @@ class Scalogram:
         self.sample_rate = sample_rate
         self.norm = norm
         self.signal_variance = signal_variance
-        # The padded signal spectrum, its frequency step in Hz, and per row
-        # (start, stop, prefactor): the positive band where the window is
-        # nonzero and the row's amplitude factor.
+        # The padded signal spectrum up to its last positive bin, the padded
+        # length, the frequency step in Hz, and per row (start, stop,
+        # prefactor): the positive band where the window is nonzero and the
+        # row's amplitude factor.
         self._spec = spec
+        self._n_fft = n_fft
         self._freq_step = freq_step
         self._bands = bands
         self._summary = None
@@ -164,11 +168,14 @@ class Scalogram:
         belongs to this generator, so interleaved passes do not disturb
         each other, and it is cleared when the next row is asked for: a
         yielded row is a view of it, valid until then.  Working memory is
-        the buffer and the band's window, 16 n_fft bytes plus O(band), and
-        numpy's two FFT scratch arrays of 16 n_fft bytes each, which
-        tracemalloc does not see: 48 n_fft bytes resident.  Before the
-        first row, one untouched block of min(32 n_fft, _HEAP_WARM_MAX)
-        bytes is allocated and freed; tracemalloc counts it, RSS does not.
+        the buffer, 16 n_fft bytes, with the band's frequencies and window,
+        O(band), while the band is filled; they are freed before the
+        inverse FFT allocates numpy's two scratch arrays of 16 n_fft bytes
+        each, which tracemalloc does not see.  So 48 n_fft bytes are
+        resident at each FFT, beside the held 8 n_fft of the spectrum.
+        Before the first row, one untouched block of min(32 n_fft,
+        _HEAP_WARM_MAX) bytes is allocated and freed; tracemalloc counts
+        it, RSS does not.
         """
         n = self.times.size
         # numpy's pocketfft allocates and frees its two scratch arrays in
@@ -182,14 +189,17 @@ class Scalogram:
         # dependence is on glibc: elsewhere the block is an allocation and
         # nothing more, and above n_fft = 2**20 the scratch arrays exceed
         # the ceiling and are mapped for each row anyway.
-        np.empty(min(2 * 16 * self._spec.size, _HEAP_WARM_MAX), dtype=np.uint8)
-        buf = np.zeros(self._spec.size, dtype=complex)
+        np.empty(min(2 * 16 * self._n_fft, _HEAP_WARM_MAX), dtype=np.uint8)
+        buf = np.zeros(self._n_fft, dtype=complex)
         for i in indices:
             start, stop, prefactor = self._bands[i]
             # The band's angular frequencies, as fftfreq computes them.
             omega = 2.0 * math.pi * (np.arange(start, stop) * self._freq_step)
             window = _morlet_hat(omega, self.scales[i], self.omega0)
             np.multiply(self._spec[start:stop], window, out=buf[start:stop])
+            # Freed before the FFT allocates its scratch: at the smallest
+            # scales a band spans every positive bin.
+            del omega, window
             np.fft.ifft(buf, out=buf)
             row = buf[:n]
             row *= prefactor
@@ -202,7 +212,7 @@ class Scalogram:
 
         The record is kept and returned to every later call that it
         covers.  A pass: O(S n_fft log n_fft) time, O(n_fft + S HEATMAP_COLS)
-        memory.
+        memory; each power row is freed before the next row is computed.
         """
         kept = self._summary
         if kept is not None and (kept.heatmap is not None or not heatmap):
@@ -222,11 +232,12 @@ class Scalogram:
                     power += 1e-300
                     np.log10(power, out=power)
                 yield power
+                del power  # before the next row is computed
 
         powers = power_rows()
         bins = column_bins(powers, self.times.size) if heatmap else None
-        for _ in powers:  # the whole pass, also where no binning reads it
-            pass
+        # The whole pass, also where no binning reads it, holding no row.
+        deque(powers, maxlen=0)
         relative = np.array(relative) if heatmap else None
         self._summary = PowerSummary(np.array(counts), np.array(means), relative, bins)
         return self._summary
@@ -352,7 +363,10 @@ def cwt_morlet(
     product bit for bit.  With S scales and n_fft the padded length (the
     next power of two >= 2 n for zero padding, n for periodic), this call
     takes O(n_fft log n_fft + S log n_fft) time and returns a Scalogram of
-    O(n_fft + S) memory that runs no inverse FFT yet.  Each row costs one
+    O(n_fft + S) memory that runs no inverse FFT yet.  The padded signal
+    is transformed in place in one complex n_fft buffer, which is then cut
+    in place to the (n_fft + 1) // 2 positive bins the rows read; the
+    times and the cone are built in place too.  Each row costs one
     in-place inverse FFT, O(n_fft log n_fft), when it is read; a pass
     over the rows reuses one complex n_fft buffer, and a row it yields
     stays valid until the next is read.  ``power_summary``, the one
@@ -397,16 +411,20 @@ def cwt_morlet(
 
     demeaned = x - x.mean()
     variance = float(np.var(demeaned))
-    if pad == "zero":
-        # At least double the length so the frequency grid resolves the
-        # Morlet window even at the largest scale.
-        n_fft = 1 << int(math.ceil(math.log2(2 * n)))
-        padded = np.zeros(n_fft)
-        padded[:n] = demeaned
-    else:
-        n_fft = n
-        padded = demeaned
-    spec = np.fft.fft(padded)
+    # At least double the length for zero padding, so the frequency grid
+    # resolves the Morlet window even at the largest scale.
+    n_fft = 1 << int(math.ceil(math.log2(2 * n))) if pad == "zero" else n
+    # The signal is transformed in place in one complex buffer, zero past
+    # the series; that is the transform of the real padded signal, bit for
+    # bit, since numpy converts real input to complex before transforming.
+    spec = np.zeros(n_fft, dtype=complex)
+    spec.real[:n] = demeaned
+    del demeaned
+    np.fft.fft(spec, out=spec)
+    # The bands read only the positive bins, below (n_fft + 1) // 2, so the
+    # buffer is cut to them where it lies: no copy, and realloc returns the
+    # tail.  No other reference to the buffer exists.
+    spec.resize((n_fft + 1) // 2, refcheck=False)
     freq_step = 1.0 / (n_fft * dt)
     # The positive angular frequencies, omega[1:(n_fft + 1) // 2], ascend.
     positive = 2.0 * math.pi * (np.arange(1, (n_fft + 1) // 2) * freq_step)
@@ -422,18 +440,24 @@ def cwt_morlet(
         bands.append((start, stop, prefactor))
 
     ff = morlet_fourier_factor(omega0)
-    edge = np.minimum(np.arange(n), np.arange(n)[::-1]).astype(float)
-    edge = np.maximum(edge, 1e-8)
-    coi = ff / math.sqrt(2.0) * dt * edge
+    # The distance to the nearer edge, min(t, n - 1 - t), then the cone.
+    coi = np.arange(n, dtype=float)
+    np.subtract(n - 1, coi[n // 2 :], out=coi[n // 2 :])
+    np.maximum(coi, 1e-8, out=coi)
+    coi *= ff / math.sqrt(2.0) * dt
+    times = np.arange(n, dtype=float)
+    times *= dt
+    times += ts.t0
     return Scalogram(
         scales=scales,
-        times=ts.t0 + np.arange(n) * dt,
+        times=times,
         coi=coi,
         omega0=omega0,
         sample_rate=ts.sample_rate,
         norm=norm,
         signal_variance=variance,
         spec=spec,
+        n_fft=n_fft,
         freq_step=freq_step,
         bands=bands,
     )

@@ -338,7 +338,9 @@ def largest_lyapunov(
     samples.  Raises InsufficientNeighborsError when fewer than 10 valid
     neighbor pairs exist, naming the cause: points with no partner outside
     the Theiler window among their k nearest (k = min(2 * theiler + 3, 64,
-    m - 1)), or pairs too close to the end to trace.  A
+    m - 1)), and, where the separation floor of 1e-9 std alone dropped
+    enough of those partners, that the series repeats itself to rounding;
+    or pairs too close to the end to trace.  A
     false-nearest-neighbor fraction above 10%, measured over the
     estimator's own partner pairs, triggers EmbeddingQualityWarning.
 
@@ -413,10 +415,23 @@ def largest_lyapunov(
 
     valid = np.flatnonzero(found)
     if valid.size < 10:
+        # The points the floor alone left without a partner: each has
+        # candidates outside the window, and all of them lie at or below it.
+        unfloored, _ = _first_partner(
+            tree, emb, np.flatnonzero(~found), k_query, theiler, -1.0
+        )
+        repeats = np.count_nonzero(unfloored >= 0)
+        cause = (
+            f"; for {repeats} of them every candidate outside the window lies "
+            f"at or below the separation floor {floor:.3g} (1e-9 std): the "
+            "series repeats itself to rounding, as an exactly periodic signal does"
+            if valid.size + repeats >= 10
+            else ""
+        )
         raise InsufficientNeighborsError(
             f"only {valid.size} of {m} embedded points have a neighbor outside "
             f"the Theiler window of {theiler} samples among their {k_query} "
-            f"nearest (need >= 10); {m - valid.size} have none"
+            f"nearest (need >= 10); {m - valid.size} have none{cause}"
         )
     # Both trajectories must stay inside the embedding for the full trace.
     n_found = valid.size

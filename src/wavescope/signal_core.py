@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError, ValidationError
 
@@ -312,9 +313,16 @@ def write_csv(ts: TimeSeries, path: str | Path) -> None:
     """Write a series as ``time_s,value`` CSV with a header row.
 
     Values are written with shortest round-trip float formatting, so
-    loading the file back yields bit-identical samples.
+    loading the file back yields bit-identical samples.  Each block's
+    times are computed from its row numbers k as ``t0 + k / sample_rate``,
+    the values of ``ts.times()``, so the series' times are never held
+    whole: O(TABLE_BLOCK_ROWS) memory beyond the samples.
     """
-    write_table(path, ["time_s", "value"], [ts.times(), ts.samples], eol="\r\n")
+
+    def block(lo, hi):
+        return [ts.t0 + np.arange(lo, hi) / ts.sample_rate, ts.samples[lo:hi]]
+
+    _write_blocks(path, ["time_s", "value"], ts.samples.size, block, "\r\n")
 
 
 #: Rows that write_table formats and writes per ``%`` call.
@@ -334,12 +342,18 @@ def write_table(path, header: list[str], columns, eol: str = "\n") -> None:
     rows = columns[0].shape[0]
     if any(c.shape != (rows,) for c in columns):
         raise ValidationError("write_table needs 1-D columns of one length")
-    row = ",".join(["%r"] * len(columns)) + eol
+    _write_blocks(path, header, rows, lambda lo, hi: [c[lo:hi] for c in columns], eol)
+
+
+def _write_blocks(path, header: list[str], rows: int, block, eol: str) -> None:
+    """Write ``header`` and then rows 0..rows-1, ``TABLE_BLOCK_ROWS`` at a
+    time; ``block(lo, hi)`` gives the float columns of rows lo..hi-1."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + eol)
         for lo in range(0, rows, TABLE_BLOCK_ROWS):
-            block = np.column_stack([c[lo : lo + TABLE_BLOCK_ROWS] for c in columns])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            table = np.column_stack(block(lo, min(lo + TABLE_BLOCK_ROWS, rows)))
+            row = ",".join(["%r"] * table.shape[1]) + eol
+            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def column_bins(rows, ncol: int) -> np.ndarray:
@@ -348,27 +362,32 @@ def column_bins(rows, ncol: int) -> np.ndarray:
     With ``ncol > HEATMAP_COLS`` the columns fall into that many blocks and
     each row becomes its block means; a row that already holds them (the
     output of this function) passes through.  Otherwise rows stay as they
-    are.  Returns a (rows, min(ncol, HEATMAP_COLS)) array: O(S n) time and
-    O(n + S HEATMAP_COLS) memory for S rows that arrive one at a time.  The
-    heat-map binning of svg.heatmap and cwt.Scalogram.power_summary.
+    are.  Each block size's means are taken over one gather of the row's
+    windows of that size at the blocks' starts, a view until the gather,
+    so no column index array is built.  Returns a (rows, min(ncol,
+    HEATMAP_COLS)) array: O(S n) time, and O(n + S HEATMAP_COLS) memory
+    for S rows of ncol columns that arrive one at a time, O(S HEATMAP_COLS)
+    for rows that arrive binned.  The heat-map binning of svg.heatmap and
+    cwt.Scalogram.power_summary.
     """
     width = min(ncol, HEATMAP_COLS)
     groups = []
     if ncol > HEATMAP_COLS:
         # The blocks come in at most two sizes; each size's blocks are
-        # gathered into one (blocks, size) array and averaged along its rows.
+        # gathered by their starts from the row's windows of that size into
+        # one (blocks, size) array and averaged along its rows.
         edges = np.linspace(0, ncol, HEATMAP_COLS + 1).astype(int)
         sizes = np.diff(edges)
         for size in np.unique(sizes).tolist():
             at = np.flatnonzero(sizes == size)
-            groups.append((at, edges[at][:, None] + np.arange(size)))
+            groups.append((at, size, edges[at]))
     out = []
     for row in rows:
         row = np.asarray(row, dtype=float)
         if groups and row.shape == (ncol,):
             means = np.empty(width)
-            for at, cols in groups:
-                means[at] = row[cols].mean(axis=1)
+            for at, size, starts in groups:
+                means[at] = sliding_window_view(row, size)[starts].mean(axis=1)
             row = means
         if row.shape != (width,):
             raise ValidationError("z must be shaped (len(y), len(x))")

@@ -312,6 +312,52 @@ def test_scalogram_pass_holds_one_row_buffer(n):
     assert peak <= 3.25 * 16 * n_fft
 
 
+@pytest.mark.parametrize("n", [2**14, 2**16])
+def test_each_inverse_fft_sees_the_half_spectrum_the_row_buffer_and_o_n(monkeypatch, n):
+    # Live traced memory as each row's inverse FFT starts, transform
+    # included: the positive half of the spectrum (8 n_fft bytes), the row
+    # buffer (16 n_fft), the times and the cone (2 n floats), one float
+    # per sample to spare and the heat-map record.  About 64.5-67.5 n
+    # bytes at 2^16.  A full spectrum, or a band's frequencies and window
+    # kept through the FFT (up to 8 n_fft bytes at the smallest scales),
+    # would add 16 n or more; before, the calls read 104-113 n.
+    ts = TimeSeries(np.random.default_rng(1).standard_normal(n), 1.0)
+    n_fft = 2 * n
+    live = []
+    real = np.fft.ifft
+
+    def recording(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", recording)
+    tracemalloc.start()
+    try:
+        sg = cwt_morlet(ts)
+        sg.power_summary(heatmap=True)
+    finally:
+        tracemalloc.stop()
+    record = 2 * 8 * sg.scales.size * 192
+    assert len(live) == sg.scales.size
+    assert max(live) <= 8 * n_fft + 16 * n_fft + 3 * 8 * n + record, max(live) / n
+
+
+@pytest.mark.parametrize("n, pad", [(600, "zero"), (777, "zero"), (600, "periodic"), (777, "periodic")])
+def test_the_scalogram_holds_only_the_positive_half_of_the_spectrum(n, pad):
+    # The bands read bins 1 .. (n_fft + 1) // 2 - 1, so that is all the
+    # spectrum kept: the bytes of the full transform's first bins.
+    ts = TimeSeries(np.random.default_rng(n).standard_normal(n), 20.0)
+    sg = cwt_morlet(ts, pad=pad)
+    n_fft = 2048 if pad == "zero" else n
+    padded = np.zeros(n_fft)
+    padded[:n] = ts.samples - ts.samples.mean()
+    half = (n_fft + 1) // 2
+    assert sg._n_fft == n_fft
+    assert sg._spec.shape == (half,) and sg._spec.flags.owndata
+    assert sg._spec.tobytes() == np.fft.fft(padded)[:half].tobytes()
+    assert max(stop for _, stop, _ in sg._bands) <= half
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measured under glibc's malloc")
 def test_cold_morlet_pass_faults_like_a_warm_one(fresh_python, tmp_path):
     # numpy's FFT frees two scratch arrays in every row's ifft.  Unless

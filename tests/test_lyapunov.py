@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -164,6 +165,25 @@ def test_missing_partners_name_the_window_and_the_cap():
         r"nearest .* 1999 have none",
     ):
         largest_lyapunov(ts, EmbeddingConfig(dim=2, delay=1, theiler=100))
+
+
+def test_exact_repeats_are_named_as_the_cause():
+    # A 300-sample period tiled 20 times: every candidate outside the
+    # Theiler window is an exact repeat, dropped by the 1e-9 std floor.
+    # The ramp's candidates all lie inside its window, so it names none.
+    tiled = np.tile(np.random.default_rng(0).standard_normal(300), 20)
+    with pytest.raises(InsufficientNeighborsError) as refused:
+        largest_lyapunov(TimeSeries(tiled, 100.0), EmbeddingConfig(dim=3, delay=2))
+    assert re.fullmatch(
+        r"only 0 of 5996 .* Theiler window of 6 samples among their 15 nearest "
+        r"\(need >= 10\); 5996 have none; for 5996 of them every candidate "
+        r"outside the window lies at or below the separation floor \S+ "
+        r"\(1e-9 std\): the series repeats itself to rounding, .*",
+        str(refused.value),
+    )
+    with pytest.raises(InsufficientNeighborsError) as ramp:
+        largest_lyapunov(TimeSeries(np.arange(2000.0), 1.0), EmbeddingConfig(2, 1, 100))
+    assert str(ramp.value).endswith("1999 have none")
 
 
 def test_fnn_warning_on_undersized_embedding():

@@ -104,6 +104,18 @@ def test_csv_round_trip_with_time_column(tmp_path):
     )
 
 
+def test_csv_times_per_block_are_the_series_times(tmp_path):
+    # Each block's times, computed from its row numbers, are the bytes of
+    # ts.times() written whole, also past the first block and with t0.
+    n = 2 * signal_core.TABLE_BLOCK_ROWS + 5
+    ts = TimeSeries(np.random.default_rng(8).standard_normal(n), 7.0, t0=12.3)
+    write_csv(ts, tmp_path / "blocks.csv")
+    signal_core.write_table(
+        tmp_path / "whole.csv", ["time_s", "value"], [ts.times(), ts.samples], eol="\r\n"
+    )
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_csv_bare_column_needs_rate(tmp_path):
     path = tmp_path / "bare.csv"
     path.write_text("1.0\n2.0\n3.0\n")

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -339,6 +340,26 @@ def test_row_bins_equal_the_column_block_means(shape, size):
     edges = np.linspace(0, size, 193).astype(int)
     want = np.stack([z[:, a:b].mean(axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1)
     assert column_bins(iter(z), size).tobytes() == want.tobytes()
+
+
+def test_binned_rows_cost_nothing_in_the_column_count():
+    # Rows that arrive as their block means are only stacked: the traced
+    # peak is the stacked result and the list of rows, the same at 2^12
+    # and 2^16 columns.  Index groups over every column would add about
+    # 8 bytes per column (690 KiB in all at 2^16, before).
+    z = np.random.default_rng(5).standard_normal((105, HEATMAP_COLS))
+    peaks = []
+    for ncol in (2**12, 2**16):
+        column_bins(iter(z), ncol)
+        tracemalloc.start()
+        try:
+            binned = column_bins(iter(z), ncol)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert binned.tobytes() == z.tobytes()
+    assert peaks[1] - peaks[0] <= 1024, peaks
+    assert peaks[1] <= 1.25 * z.nbytes, peaks
 
 
 def test_heatmap_rejects_misshapen_rows(tmp_path):
