@@ -189,11 +189,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """What a run produced: artifact paths with content hashes."""
+    """What a run produced: artifact paths with content hashes, and the
+    stage summaries that :func:`run` describes."""
 
     artifacts: list
     summary: dict
-    exit_code: int
 
 
 def _require_keys(d: dict, required, optional, where: str):
@@ -632,6 +632,10 @@ def run(cfg: RunConfig) -> RunReport:
     run.  ``cwt`` and ``globalpower`` read one ``power_summary`` record,
     which always bins the heat map, so in either order each row's inverse
     FFT runs once.
+
+    The summary keeps the first stage of a name under that name and each
+    repeat under its artifact prefix, so ``[fit, fit]`` reports ``fit``
+    and ``01_fit``.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -661,14 +665,15 @@ def run(cfg: RunConfig) -> RunReport:
         "label": ts.label,
     }
     for i, (name, params) in enumerate(stages):
-        emit = writer(outdir, f"{i:02d}_{name}_", wanted, written)
-        ts, summary[name] = attempt(name, _STAGE_FUNCS[name], ts, params, emit, shared)
+        prefix = f"{i:02d}_{name}"
+        emit = writer(outdir, prefix + "_", wanted, written)
+        key = prefix if name in summary else name
+        ts, summary[key] = attempt(name, _STAGE_FUNCS[name], ts, params, emit, shared)
     report = RunReport(
         artifacts=[
             {"path": p.name, "sha256": _sha256(p)} for p in written
         ],
         summary=summary,
-        exit_code=0,
     )
     write_json(
         outdir / "report.json",

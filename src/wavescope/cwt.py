@@ -18,7 +18,6 @@ the effective-sample correction of the averaging.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -212,34 +211,28 @@ class Scalogram:
 
         The record is kept and returned to every later call that it
         covers.  A pass: O(S n_fft log n_fft) time, O(n_fft + S HEATMAP_COLS)
-        memory; each power row is freed before the next row is computed.
+        memory; each power row is reduced, and binned for the heat map,
+        before the next row is computed.
         """
         kept = self._summary
         if kept is not None and (kept.heatmap is not None or not heatmap):
             return kept
-        counts, means, relative = [], [], []
-
-        def power_rows():
-            coeff_rows = self.rows(range(self.scales.size))
-            for row, outside in zip(coeff_rows, self._outside_slices()):
-                power = np.abs(row)
-                power **= 2
-                counts.append(power[outside].size)
-                means.append(_mean_or_nan(power[outside]))
-                if heatmap:
-                    power /= self.signal_variance
-                    relative.append(_mean_or_nan(power[outside]))
-                    power += 1e-300
-                    np.log10(power, out=power)
-                yield power
-                del power  # before the next row is computed
-
-        powers = power_rows()
-        bins = column_bins(powers, self.times.size) if heatmap else None
-        # The whole pass, also where no binning reads it, holding no row.
-        deque(powers, maxlen=0)
-        relative = np.array(relative) if heatmap else None
-        self._summary = PowerSummary(np.array(counts), np.array(means), relative, bins)
+        counts, means, relative, bins = [], [], [], []
+        coeff_rows = self.rows(range(self.scales.size))
+        for row, outside in zip(coeff_rows, self._outside_slices()):
+            power = np.abs(row)
+            power **= 2
+            counts.append(power[outside].size)
+            means.append(_mean_or_nan(power[outside]))
+            if heatmap:
+                power /= self.signal_variance
+                relative.append(_mean_or_nan(power[outside]))
+                power += 1e-300
+                np.log10(power, out=power)
+                bins.append(column_bins(power))
+            del power  # before the next row is computed
+        maps = (np.array(relative), np.array(bins)) if heatmap else (None, None)
+        self._summary = PowerSummary(np.array(counts), np.array(means), *maps)
         return self._summary
 
     def _outside_slices(self) -> list[slice]:

@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class WaveletSpec:
     bank.  ``support`` is the filter length, 2 * vanishing_moments.
     """
 
-    family: str
     vanishing_moments: int
     scaling: np.ndarray = field(repr=False)
     wavelet: np.ndarray = field(repr=False)
@@ -123,9 +122,7 @@ def daubechies(vanishing_moments: int = 2) -> WaveletSpec:
     # Quadrature mirror: g[k] = (-1)^k h[L-1-k].
     L = h.size
     g = ((-1.0) ** np.arange(L)) * h[::-1]
-    return WaveletSpec(
-        family="daubechies", vanishing_moments=vanishing_moments, scaling=h, wavelet=g
-    )
+    return WaveletSpec(vanishing_moments=vanishing_moments, scaling=h, wavelet=g)
 
 
 @dataclass
@@ -133,13 +130,14 @@ class DwtDecomposition:
     """Multi-level DWT coefficient pyramid.
 
     ``details[j-1]`` holds level-j detail coefficients (level 1 is the
-    finest); ``approx`` is the coarsest approximation.  ``lengths[k]`` is
-    the signal length entering level k+1, needed to invert the symmetric
+    finest), or None for a band that :func:`dwt_reconstruct` leaves out;
+    ``approx`` is the coarsest approximation.  ``lengths[k]`` is the
+    signal length entering level k+1, needed to invert the symmetric
     mode.
     """
 
     approx: np.ndarray
-    details: list[np.ndarray]
+    details: list[np.ndarray | None]
     boundary: str
     lengths: list[int]
     spec: WaveletSpec
@@ -230,33 +228,16 @@ def dwt_decompose(
     )
 
 
-def _select(decomp: DwtDecomposition, keep: Iterable[str] | None):
-    """Resolve a keep-set into (approx flag, per-level detail flags)."""
-    levels = decomp.levels
-    if keep is None:
-        return True, [True] * levels
-    tokens = set(keep)
-    valid = {"approx"} | {f"d{j}" for j in range(1, levels + 1)}
-    unknown = tokens - valid
-    if unknown:
-        raise ValidationError(f"unknown component selectors: {sorted(unknown)}")
-    return "approx" in tokens, [f"d{j}" in tokens for j in range(1, levels + 1)]
+def dwt_reconstruct(decomp: DwtDecomposition) -> np.ndarray:
+    """Invert a decomposition; a detail band that is None is left out.
 
-
-def dwt_reconstruct(
-    decomp: DwtDecomposition, keep: Iterable[str] | None = None
-) -> np.ndarray:
-    """Invert a decomposition, optionally keeping a subset of components.
-
-    ``keep`` is a set of selectors: ``"approx"`` and ``"d1"`` ... ``"dJ"``
-    (level 1 is the finest detail band).  ``None`` keeps everything, which
-    reproduces the input to machine precision.
+    With every band present this reproduces the input to machine
+    precision.  A subset of the bands is reconstructed by setting the
+    others to None, or the approximation to zeros.
     """
-    keep_approx, keep_details = _select(decomp, keep)
-    cur = decomp.approx if keep_approx else np.zeros_like(decomp.approx)
-    for j in range(decomp.levels, 0, -1):
-        d = decomp.details[j - 1] if keep_details[j - 1] else None
-        cur = _synthesis(cur, d, decomp.spec, decomp.boundary, decomp.lengths[j - 1])
+    cur = decomp.approx
+    for d, size in zip(reversed(decomp.details), reversed(decomp.lengths)):
+        cur = _synthesis(cur, d, decomp.spec, decomp.boundary, size)
     return cur
 
 
@@ -276,9 +257,10 @@ def denoise(
     universal threshold ``sigma * sqrt(2 ln n)`` with the noise scale
     estimated from the finest level's median absolute value.
 
-    For an L-tap wavelet this takes O(L n) time.  With symmetric edges the
-    working memory is about 3.5 n floats (4.5 n for ``soft_threshold``):
-    the detail bands, one upsampled band and two convolutions of one
+    For an L-tap wavelet this takes O(L n) time.  The killed bands are
+    freed before synthesis, so with symmetric edges the working memory is
+    about 3 n floats for ``kill_details`` (4.5 n for ``soft_threshold``):
+    the kept detail bands, one upsampled band and two convolutions of one
     synthesis step.  Periodic edges add the first step's n/2 x L window
     gather, L n / 2 floats.
     """
@@ -293,40 +275,40 @@ def denoise(
         kill = math.ceil(levels / 2) if kill_count is None else kill_count
         if not 0 <= kill <= levels:
             raise ValidationError(f"kill_count must lie in [0, {levels}]")
-        keep = {"approx"} | {f"d{j}" for j in range(kill + 1, levels + 1)}
-        return dwt_reconstruct(decomp, keep)
+        decomp.details[:kill] = [None] * kill
+        return dwt_reconstruct(decomp)
     sigma = np.median(np.abs(decomp.details[0])) / 0.6745
     thr = sigma * math.sqrt(2.0 * math.log(max(x.size, 2)))
     for j in range(levels):
         d = decomp.details[j]
         decomp.details[j] = np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
-    return dwt_reconstruct(decomp, None)
+    return dwt_reconstruct(decomp)
 
 
 def extract_fluctuation(
     values: np.ndarray,
     spec: WaveletSpec,
-    level: int | Sequence[int],
+    levels: Sequence[int],
     boundary: str = "symmetric",
-) -> np.ndarray | Iterator[np.ndarray]:
-    """Bandpass fluctuation of a profile around its level-``level`` trend.
+) -> Iterator[np.ndarray]:
+    """Bandpass fluctuation of a profile around its trend at each of
+    ``levels``, an ascending sequence of levels >= 1.
 
-    The trend is the wavelet approximation at the requested level.  To keep
-    edge distortion symmetric, the residual is computed on the profile and
-    on its time reversal and the two are averaged after re-reversal.
+    The trend is the wavelet approximation at the level.  To keep edge
+    distortion symmetric, the residual is computed on the profile and on
+    its time reversal and the two are averaged after re-reversal.
 
-    ``level`` may also be an ascending sequence of levels.  The arguments
-    are checked at the call, and the result is an iterator that builds one
-    array per level, in order, when it is asked for the next: a caller that
-    reduces each array before asking for the next holds O(1) length-n arrays.
-    Each direction is decomposed once, down to the deepest level (Mallat's
-    pyramid), and the trend is synthesised from the approximation alone:
-    O(n log n) time for n samples and about 5.5 length-n arrays of working
-    memory, the first-level approximations of both pyramids, one synthesis
-    step and the two residuals.
+    The arguments are checked at the call, and the result is an iterator
+    that builds one array per level, in order, when it is asked for the
+    next: a caller that reduces each array before asking for the next
+    holds O(1) length-n arrays.  Each direction is decomposed once, down
+    to the deepest level (Mallat's pyramid), and the trend is synthesised
+    from the approximation alone: O(n log n) time for n samples and about
+    5.5 length-n arrays of working memory, the first-level approximations
+    of both pyramids, one synthesis step and the two residuals.
     """
     values = np.asarray(values, dtype=float)
-    levels = [operator.index(j) for j in np.atleast_1d(level)]
+    levels = [operator.index(j) for j in levels]
     if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValidationError("levels must be ascending and >= 1")
     _check_analysis(values, levels[-1], boundary)
@@ -335,8 +317,7 @@ def extract_fluctuation(
     # array once it is handed out.
     fwd = _residuals(values, spec, levels, boundary)
     rev = _residuals(values[::-1], spec, levels, boundary)
-    flucts = (_fold(next(fwd), next(rev)) for _ in levels)
-    return next(flucts) if np.ndim(level) == 0 else flucts
+    return (_fold(next(fwd), next(rev)) for _ in levels)
 
 
 def _fold(fwd: np.ndarray, rev: np.ndarray) -> np.ndarray:

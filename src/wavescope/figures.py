@@ -159,7 +159,7 @@ def _two_regime_noise(n: int = 2**15, rate: float = 50000.0, fc: float = 500.0):
 
 def _fig7(emit) -> None:
     ts = synth.gen_power_law_noise(1.0, 2**14, seed=7, sample_rate=50000.0)
-    prof = profile(ts)
+    prof = profile(ts.samples)
     walk = TimeSeries(prof, ts.sample_rate)
     ps = spectral.power_spectrum(walk)
     fit = spectral.fit_power_law(ps, 330.0, 8000.0)
@@ -200,7 +200,7 @@ def _fig8(emit) -> None:
 
 def _fig9(emit) -> None:
     ts = synth.gen_binomial_cascade(synth.CascadeParams(0.75, 14))
-    table = mfdfa.fluctuation_function(profile(ts))
+    table = mfdfa.fluctuation_function(profile(ts.samples))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = mfdfa.generalized_hurst(

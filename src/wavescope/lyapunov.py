@@ -122,8 +122,8 @@ def _mutual_information(x: np.ndarray, lag: int) -> float:
     return float(np.sum(joint[mask] * np.log(joint[mask] / (pa @ pb)[mask])))
 
 
-def estimate_delay(x: TimeSeries | np.ndarray, max_lag: int | None = None) -> int:
-    """Embedding delay from the autocorrelation zero crossing.
+def estimate_delay(ts: TimeSeries, max_lag: int | None = None) -> int:
+    """Embedding delay of ``ts`` from the autocorrelation zero crossing.
 
     Returns the first lag where the sample ACF drops below 0.05 (the
     documented zero-crossing convention).  If that never happens within
@@ -135,7 +135,7 @@ def estimate_delay(x: TimeSeries | np.ndarray, max_lag: int | None = None) -> in
     Cost: O(N log N) for the ACF, plus O(N) per mutual-information lag up
     to the stop lag L (the minimum plus one, else ``max_lag``); memory O(N).
     """
-    data = x.samples if isinstance(x, TimeSeries) else np.asarray(x, dtype=float)
+    data = ts.samples
     if data.size < 256:
         raise ValidationError("need at least 256 samples to estimate a delay")
     if max_lag is None:

@@ -86,15 +86,16 @@ class TimeSeries:
         return self.t0 + np.arange(self.samples.size) / self.sample_rate
 
 
-def profile(x: TimeSeries | np.ndarray) -> np.ndarray:
-    """Cumulative sum of ``x`` after removing its mean.
+def profile(x: np.ndarray) -> np.ndarray:
+    """Cumulative sum of the array ``x`` after removing its mean.
 
     For x = [1, -1, 1, -1] the result is [1, 0, 1, 0].  The last value is
     zero up to accumulated rounding, which downstream fluctuation analysis
     relies on; one further than 1e-9 n max(|profile|, 1) is refused, and
-    so is an array that is not one-dimensional.
+    so is an array that is not one-dimensional.  A series' profile is
+    ``profile(ts.samples)``.
     """
-    data = x.samples if isinstance(x, TimeSeries) else np.asarray(x, dtype=float)
+    data = np.asarray(x, dtype=float)
     if data.ndim != 1:
         raise ValidationError(f"samples must be one-dimensional, got shape {data.shape}")
     if data.size < 2:
@@ -356,40 +357,25 @@ def _write_blocks(path, header: list[str], rows: int, block, eol: str) -> None:
             fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def column_bins(rows, ncol: int) -> np.ndarray:
-    """Block means of each row's ``ncol`` columns, one row at a time.
+def column_bins(row: np.ndarray) -> np.ndarray:
+    """The heat-map bins of one row: its block means if it is wider than
+    ``HEATMAP_COLS``, else the row unchanged.
 
-    With ``ncol > HEATMAP_COLS`` the columns fall into that many blocks and
-    each row becomes its block means; a row that already holds them (the
-    output of this function) passes through.  Otherwise rows stay as they
-    are.  Each block size's means are taken over one gather of the row's
-    windows of that size at the blocks' starts, a view until the gather,
-    so no column index array is built.  Returns a (rows, min(ncol,
-    HEATMAP_COLS)) array: O(S n) time, and O(n + S HEATMAP_COLS) memory
-    for S rows of ncol columns that arrive one at a time, O(S HEATMAP_COLS)
-    for rows that arrive binned.  The heat-map binning of svg.heatmap and
-    cwt.Scalogram.power_summary.
+    A row of ncol > HEATMAP_COLS columns falls into HEATMAP_COLS blocks
+    of at most two sizes.  Each size's blocks are gathered by their starts
+    from the row's windows of that size, a view until the gather, into one
+    (blocks, size) array and averaged along its rows, so no column index
+    array is built: O(ncol) time and memory.  The binning of svg.heatmap's
+    x axis and of cwt.Scalogram.power_summary's rows.
     """
-    width = min(ncol, HEATMAP_COLS)
-    groups = []
-    if ncol > HEATMAP_COLS:
-        # The blocks come in at most two sizes; each size's blocks are
-        # gathered by their starts from the row's windows of that size into
-        # one (blocks, size) array and averaged along its rows.
-        edges = np.linspace(0, ncol, HEATMAP_COLS + 1).astype(int)
-        sizes = np.diff(edges)
-        for size in np.unique(sizes).tolist():
-            at = np.flatnonzero(sizes == size)
-            groups.append((at, size, edges[at]))
-    out = []
-    for row in rows:
-        row = np.asarray(row, dtype=float)
-        if groups and row.shape == (ncol,):
-            means = np.empty(width)
-            for at, size, starts in groups:
-                means[at] = sliding_window_view(row, size)[starts].mean(axis=1)
-            row = means
-        if row.shape != (width,):
-            raise ValidationError("z must be shaped (len(y), len(x))")
-        out.append(row)
-    return np.array(out).reshape(len(out), width)
+    row = np.asarray(row, dtype=float)
+    ncol = row.size
+    if ncol <= HEATMAP_COLS:
+        return row
+    edges = np.linspace(0, ncol, HEATMAP_COLS + 1).astype(int)
+    sizes = np.diff(edges)
+    means = np.empty(HEATMAP_COLS)
+    for size in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == size)
+        means[at] = sliding_window_view(row, size)[edges[at]].mean(axis=1)
+    return means

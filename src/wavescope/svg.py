@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .signal_core import column_bins
+from .signal_core import HEATMAP_COLS, column_bins
 
 __all__ = ["line_plot", "heatmap"]
 
@@ -338,32 +338,35 @@ def heatmap(
     path: str | Path,
     x: np.ndarray,
     y: np.ndarray,
-    z,
+    z: np.ndarray,
     xlabel: str = "",
     ylabel: str = "",
     title: str = "",
     ylog: bool = False,
     overlay: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Path:
-    """Write a column-binned heatmap of z[row, col] over (y, x) axes.
+    """Write a heatmap of the cells z[row, col] over (y, x) axes.
 
-    ``z`` is a 2-D array or any iterable of its rows, one per y value.
-    Columns are block-averaged down to ``HEATMAP_COLS`` so file size stays
-    bounded; each row is binned as it arrives (a row may also be given as
-    its block means, see signal_core.column_bins).  ``overlay`` draws one
-    extra curve (x, y) on top, used for the edge-effect boundary.  With S rows and n
-    columns, binning takes O(S n) time and the cells O(S HEATMAP_COLS)
+    Only x is binned, down to ``HEATMAP_COLS`` block means
+    (signal_core.column_bins); ``z`` holds one row of cells per y value,
+    each row the column bins of its values, so it must be shaped (len(y),
+    min(len(x), HEATMAP_COLS)) or ValidationError is raised.  ``overlay``
+    draws one extra curve (x, y) on top, used for the edge-effect
+    boundary.  With S rows and n x values this takes O(n + S HEATMAP_COLS)
     time.  The file is written as it is built, one row of cells and one
-    block of overlay points at a time, so memory is O(n + S HEATMAP_COLS)
-    for the arrays and their bins and O(HEATMAP_COLS + POINT_BLOCK) for
-    the text.
+    block of overlay points at a time: O(n + S HEATMAP_COLS) memory for
+    the arrays and O(HEATMAP_COLS + POINT_BLOCK) for the text.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xc = column_bins([x], x.size)[0]
-    z = column_bins(z, x.size)
-    if z.shape[0] != y.size:
-        raise ValidationError("z must be shaped (len(y), len(x))")
+    try:
+        z = np.array(z, dtype=float)
+        ok = x.ndim == 1 and z.shape == (y.size, min(x.size, HEATMAP_COLS))
+    except ValueError:  # ragged rows
+        ok = False
+    if not ok:
+        raise ValidationError("z must be shaped (len(y), min(len(x), HEATMAP_COLS))")
+    xc = column_bins(x)
     zmin, zmax = float(np.nanmin(z)), float(np.nanmax(z))
     span = zmax - zmin if zmax > zmin else 1.0
     xlim = (float(x.min()), float(x.max()))
@@ -371,13 +374,9 @@ def heatmap(
     ax = _Axes(xlim, ylim, False, ylog)
     # cell edges: midpoints between centers, clamped at the limits
     def edges_of(centers, log):
-        if log:
-            c = np.log(centers)
-            mid = np.concatenate([[c[0]], 0.5 * (c[1:] + c[:-1]), [c[-1]]])
-            return np.exp(mid)
-        return np.concatenate(
-            [[centers[0]], 0.5 * (centers[1:] + centers[:-1]), [centers[-1]]]
-        )
+        c = np.log(centers) if log else centers
+        mid = np.concatenate([[c[0]], 0.5 * (c[1:] + c[:-1]), [c[-1]]])
+        return np.exp(mid) if log else mid
 
     # Each column's x and width and each row's y and height are formatted
     # once, not once per cell; the colours of a row's finite cells at once.

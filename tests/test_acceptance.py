@@ -118,8 +118,8 @@ def test_fluctuation_function_matches_naive_reimplementation():
     prof = profile(x)
     table = fluctuation_function(prof)
 
-    for col, (level, scale) in enumerate(zip(table.levels, table.scales)):
-        fluct = extract_fluctuation(prof, daubechies(2), int(level))
+    flucts = extract_fluctuation(prof, daubechies(2), table.levels)
+    for col, (fluct, scale) in enumerate(zip(flucts, table.scales)):
         n = fluct.size
         s = int(scale)
         m = n // s

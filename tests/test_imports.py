@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import wavescope
-from wavescope import cwt, lyapunov, mfdfa, signal_core, spectral, svg, synth
+from wavescope import cwt, dwt, lyapunov, mfdfa, signal_core, spectral, svg, synth
 
 
 def test_import_leaves_heavy_scipy_modules_out(fresh_python):
@@ -59,7 +59,8 @@ def test_python_dash_m_runs_the_cli_without_a_warning(fresh_python):
 # Each of these was a keyword that only tests set; its value is now a
 # named module constant (or, for map_lyapunov, p.n_impacts alone).
 # profile's sample_rate fed only a field that nothing read, and a CSV
-# header alone names load_csv's time column.
+# header alone names load_csv's time column.  dwt_reconstruct's keep, a
+# selector-string set, gave way to None detail bands.
 _FIXED_SETTINGS = [
     (cwt.global_power, "siglevel"),
     (spectral.dominant_frequency, "exclude_dc"),
@@ -70,6 +71,7 @@ _FIXED_SETTINGS = [
     (mfdfa.segment_variance, "min_segments"),
     (mfdfa.generalized_hurst, "min_scales"),
     (mfdfa.generalized_hurst, "r2_floor"),
+    (dwt.dwt_reconstruct, "keep"),
     (svg.heatmap, "max_cols"),
     (signal_core.column_bins, "max_cols"),
     (lyapunov.map_lyapunov, "n_impacts"),

@@ -75,11 +75,8 @@ def test_fluctuation_q2_is_rms_of_segment_variance():
     ts = gen_fbm(0.6, 2048, seed=0)
     prof = profile(np.diff(ts.samples))
     table = fluctuation_function(prof, q_values=np.array([2.0]))
-    from wavescope.dwt import daubechies, extract_fluctuation
-
-    spec = daubechies(2)
-    for j, (lvl, s) in enumerate(zip(table.levels, table.scales)):
-        fluct = extract_fluctuation(prof, spec, int(lvl))
+    flucts = extract_fluctuation(prof, daubechies(2), table.levels)
+    for j, (fluct, s) in enumerate(zip(flucts, table.scales)):
         seg = segment_variance(fluct, int(s))
         assert table.fluctuation[0, j] == pytest.approx(
             np.sqrt(seg.mean()), rel=1e-12
@@ -128,8 +125,7 @@ def test_zero_variance_warns_once_per_scale():
         table = fluctuation_function(x)
     zero = [w for w in caught if issubclass(w.category, ZeroVarianceWarning)]
     affected = []
-    for lv, s in zip(table.levels, table.scales):
-        fluct = extract_fluctuation(x, daubechies(2), int(lv))
+    for fluct, s in zip(extract_fluctuation(x, daubechies(2), table.levels), table.scales):
         if np.any(segment_variance(fluct, int(s)) == 0):
             affected.append(int(s))
     assert len(affected) == 8
@@ -333,7 +329,7 @@ def test_generalized_hurst_default_fit_range():
 
 @pytest.mark.parametrize("ends", [(None, None), (None, 256.0), (16.0, None)])
 def test_generalized_hurst_fills_each_open_end_with_its_default(ends):
-    table = fluctuation_function(profile(gen_fbm(0.6, 2**12, seed=3)))
+    table = fluctuation_function(profile(gen_fbm(0.6, 2**12, seed=3).samples))
     default = (2.0 * table.wavelet_support, table.n / 8.0)
     explicit = tuple(d if v is None else v for v, d in zip(ends, default))
     got = generalized_hurst(table, fit_range=ends)

@@ -59,13 +59,6 @@ def test_profile_is_cumsum_of_mean_subtracted():
     assert np.allclose(prof, want)
 
 
-def test_profile_of_timeseries_equals_profile_of_its_samples():
-    ts = TimeSeries(np.random.default_rng(0).standard_normal(64), 250.0)
-    prof = profile(ts)
-    assert prof.size == 64
-    assert prof.tobytes() == profile(ts.samples).tobytes()
-
-
 @pytest.mark.parametrize("shape", [(3, 4), (12, 1), ()])
 def test_profile_refuses_samples_that_are_not_one_dimensional(shape):
     # np.cumsum ravels without an axis, so a 2-D input gave a 12-point

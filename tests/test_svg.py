@@ -73,7 +73,7 @@ def test_heatmap_caps_columns(tmp_path):
     x = np.arange(1000, dtype=float)
     y = np.arange(20, dtype=float)
     z = np.random.default_rng(0).random((20, 1000))
-    p = heatmap(tmp_path / "h.svg", x, y, z)
+    p = heatmap(tmp_path / "h.svg", x, y, _block_means(z))
     text = p.read_text()
     # one <rect> per retained cell plus a handful of chrome rects
     n_rects = text.count("<rect")
@@ -161,16 +161,21 @@ def test_heat_colors_match_the_per_cell_function():
     assert got == [_heat_color_reference(float(v)) for v in u]
 
 
+def _block_means(z):
+    """The columns of each row of ``z`` averaged in HEATMAP_COLS blocks,
+    or ``z`` itself when it is no wider."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    ncol = z.shape[1]
+    if ncol <= HEATMAP_COLS:
+        return z
+    edges = np.linspace(0, ncol, HEATMAP_COLS + 1).astype(int)
+    return np.stack([z[:, a:b].mean(axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1)
+
+
 def _heatmap_reference(path, x, y, z, ylog=False, overlay=None):
-    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
-    ncol = x.size
-    if ncol > HEATMAP_COLS:
-        edges = np.linspace(0, ncol, HEATMAP_COLS + 1).astype(int)
-        blocks = list(zip(edges[:-1], edges[1:]))
-        z = np.stack([z[:, a:b].mean(axis=1) for a, b in blocks], axis=1)
-        xc = np.array([x[a:b].mean() for a, b in blocks])
-    else:
-        xc = x
+    x, y = (np.asarray(a, dtype=float) for a in (x, y))
+    z = _block_means(z)
+    xc = _block_means(x)[0]
     zmin, zmax = float(np.nanmin(z)), float(np.nanmax(z))
     span = zmax - zmin if zmax > zmin else 1.0
     xlim, ylim = (float(x.min()), float(x.max())), (float(y.min()), float(y.max()))
@@ -311,23 +316,19 @@ _HEAT_CASES = {
 @pytest.mark.parametrize("case", sorted(_HEAT_CASES))
 def test_heatmap_matches_the_per_cell_loop(tmp_path, case):
     x, y, z, kwargs = _HEAT_CASES[case]
-    heatmap(tmp_path / "bulk.svg", x, y, z, **kwargs)
+    heatmap(tmp_path / "bulk.svg", x, y, _block_means(z), **kwargs)
     _heatmap_reference(tmp_path / "loop.svg", x, y, z, **kwargs)
     assert (tmp_path / "bulk.svg").read_bytes() == (tmp_path / "loop.svg").read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(_HEAT_CASES))
 def test_heatmap_of_streamed_or_binned_rows_matches_the_array(tmp_path, case):
-    # Rows from a generator, and rows given as their block means, give
-    # the bytes of the 2-D array.
+    # Rows binned one at a time by column_bins, as power_summary bins the
+    # rows it streams, draw the bytes of the whole array's block means.
     x, y, z, kwargs = _HEAT_CASES[case]
-    heatmap(tmp_path / "array.svg", x, y, z, **kwargs)
-    heatmap(tmp_path / "rows.svg", x, y, (row for row in z), **kwargs)
-    binned = column_bins(iter(z), x.size)
-    heatmap(tmp_path / "binned.svg", x, y, binned, **kwargs)
-    want = (tmp_path / "array.svg").read_bytes()
-    assert (tmp_path / "rows.svg").read_bytes() == want
-    assert (tmp_path / "binned.svg").read_bytes() == want
+    heatmap(tmp_path / "array.svg", x, y, _block_means(z), **kwargs)
+    heatmap(tmp_path / "rows.svg", x, y, [column_bins(row) for row in z], **kwargs)
+    assert (tmp_path / "rows.svg").read_bytes() == (tmp_path / "array.svg").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -337,33 +338,41 @@ def test_heatmap_of_streamed_or_binned_rows_matches_the_array(tmp_path, case):
 def test_row_bins_equal_the_column_block_means(shape, size):
     z = np.random.default_rng(size).standard_normal(shape)
     z *= 10.0 ** np.arange(shape[0])[:, None]
-    edges = np.linspace(0, size, 193).astype(int)
-    want = np.stack([z[:, a:b].mean(axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1)
-    assert column_bins(iter(z), size).tobytes() == want.tobytes()
+    want = _block_means(z)
+    assert np.array([column_bins(row) for row in z]).tobytes() == want.tobytes()
 
 
 def test_binned_rows_cost_nothing_in_the_column_count():
-    # Rows that arrive as their block means are only stacked: the traced
-    # peak is the stacked result and the list of rows, the same at 2^12
-    # and 2^16 columns.  Index groups over every column would add about
-    # 8 bytes per column (690 KiB in all at 2^16, before).
-    z = np.random.default_rng(5).standard_normal((105, HEATMAP_COLS))
-    peaks = []
-    for ncol in (2**12, 2**16):
-        column_bins(iter(z), ncol)
+    # A row no wider than HEATMAP_COLS, such as the bins of a row of 2^16
+    # columns, comes back as it is: no copy and nothing allocated.
+    for width in (1, 50, HEATMAP_COLS):
+        row = np.random.default_rng(width).standard_normal(width)
         tracemalloc.start()
         try:
-            binned = column_bins(iter(z), ncol)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            binned = column_bins(row)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert binned.tobytes() == z.tobytes()
-    assert peaks[1] - peaks[0] <= 1024, peaks
-    assert peaks[1] <= 1.25 * z.nbytes, peaks
+        assert binned is row
+        assert peak == 0, (width, peak)
+    wide = column_bins(np.arange(2.0**16))
+    assert wide.shape == (HEATMAP_COLS,) and column_bins(wide) is wide
 
 
 def test_heatmap_rejects_misshapen_rows(tmp_path):
     x, y, z = _heat_case(300)
-    for bad in (z[:, :299], z[:-1], list(z[:, :100]) + [z[0]], z[0]):
+    binned = _block_means(z)
+    ragged = list(binned[:, :100]) + [binned[0]]
+    for bad in (binned[:, :-1], binned[:-1], ragged, binned[0], binned[None]):
         with pytest.raises(ValidationError, match="z must be shaped"):
             heatmap(tmp_path / "bad.svg", x, y, bad)
+
+
+def test_heatmap_refuses_raw_rows_wider_than_its_bins(tmp_path):
+    # heatmap draws the cells it is given and bins only x: rows of all 300
+    # columns are refused, and their column bins are drawn.
+    x, y, z = _heat_case(300)
+    with pytest.raises(ValidationError, match="z must be shaped"):
+        heatmap(tmp_path / "raw.svg", x, y, z)
+    assert not (tmp_path / "raw.svg").exists()
+    heatmap(tmp_path / "binned.svg", x, y, [column_bins(row) for row in z])
