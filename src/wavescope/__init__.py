@@ -84,7 +84,6 @@ from .lyapunov import (
 from .synth import (
     BounceParams,
     CascadeParams,
-    bounce_map_jacobian,
     bounce_map_trajectory,
     cascade_hurst,
     gen_binomial_cascade,
@@ -130,8 +129,7 @@ __all__ = [
     # synth
     "BounceParams", "CascadeParams", "cascade_hurst",
     "gen_fbm", "gen_power_law_noise", "gen_sine_mix",
-    "bounce_map_trajectory", "bounce_map_jacobian", "gen_bouncing_ball",
-    "gen_binomial_cascade",
+    "bounce_map_trajectory", "gen_bouncing_ball", "gen_binomial_cascade",
     # cli and figures
     "RunConfig", "RunReport", "validate_config", "run", "figure_repro",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -82,7 +82,8 @@ def morlet_fourier_factor(omega0: float) -> float:
 
 
 def default_scales(n: int, sample_rate: float) -> np.ndarray:
-    """Dyadic ladder with 8 sub-octaves from 2 dt up to n dt / 4."""
+    """Dyadic ladder with 8 sub-octaves from 2 dt up to n dt / 4, the one
+    ladder cwt_morlet transforms on; it is empty below n = 8."""
     dt = 1.0 / sample_rate
     s0 = 2.0 * dt
     n_octaves = math.log2(n / 8.0)
@@ -332,16 +333,16 @@ def _tail_mass(s: float, dt: float, omega0: float) -> float:
 
 def cwt_morlet(
     ts: TimeSeries,
-    scales: Sequence[float] | np.ndarray | None = None,
     omega0: float = 6.0,
     norm: str = "l2",
     pad: str = "zero",
 ) -> Scalogram:
-    """Continuous Morlet transform over a log-spaced scale ladder.
+    """Continuous Morlet transform over the scale ladder ``default_scales``.
 
-    Scales must lie between 2 dt and n dt / 2; the default ladder spans
-    2 dt .. n dt / 4 with 8 sub-octaves per octave.  The mean is removed
-    before transforming.  ``pad="zero"`` extends to the next power of two
+    The ladder spans 2 dt .. n dt / 4 with 8 sub-octaves per octave, so a
+    series needs at least 8 samples; a shorter one is refused with
+    ValidationError.  The mean is removed before transforming.
+    ``pad="zero"`` extends to the next power of two
     (edge effects tracked by the cone of influence); ``pad="periodic"``
     wraps the signal instead, making the transform exactly shift-covariant.
     An ``omega0`` that leaves the smallest scale less than
@@ -377,20 +378,12 @@ def cwt_morlet(
     x = ts.samples
     n = x.size
     dt = ts.dt
-    scales = default_scales(n, ts.sample_rate) if scales is None else np.asarray(scales, dtype=float)
-    if (
-        scales.ndim != 1
-        or scales.size == 0
-        or not np.all(np.isfinite(scales))
-        or np.any(np.diff(scales) <= 0)
-    ):
-        raise ValidationError("scales must be a non-empty ascending 1-D finite array")
-    lo, hi = 2.0 * dt, 0.5 * n * dt
-    if scales[0] < lo * (1.0 - 1e-12) or scales[-1] > hi * (1.0 + 1e-12):
-        raise ScaleOutOfRangeError(
-            f"scales must lie within [{lo:g}, {hi:g}] s, got "
-            f"[{scales[0]:g}, {scales[-1]:g}]"
+    if n < 8:
+        raise ValidationError(
+            f"cwt_morlet needs at least 8 samples for its scale ladder from "
+            f"2 dt to n dt / 4, got {n}"
         )
+    scales = default_scales(n, ts.sample_rate)
     # The retained mass grows with the scale, so the smallest scale decides
     # whether every row keeps enough window energy below Nyquist.
     mass = _tail_mass(scales[0], dt, omega0)
@@ -398,8 +391,7 @@ def cwt_morlet(
         raise ValidationError(
             f"omega0 = {omega0:g} leaves no Morlet energy below Nyquist at the "
             f"smallest scale {scales[0]:g} s beyond a fraction {mass:.3g} < "
-            f"MIN_RETAINED_MASS = {MIN_RETAINED_MASS:g}; lower omega0 or raise "
-            "the smallest scale"
+            f"MIN_RETAINED_MASS = {MIN_RETAINED_MASS:g}; lower omega0"
         )
 
     demeaned = x - x.mean()
@@ -456,19 +448,18 @@ def cwt_morlet(
     )
 
 
-def _background_shape(sg: Scalogram, background: str, ar1: float | None, series):
+def _background_shape(sg: Scalogram, background: str, series):
     """Background spectrum per scale and the lag-1 coefficient it used.
 
-    A red background without ``ar1`` estimates it from ``series``.
+    A red background estimates the coefficient from ``series``.
     """
     if background not in BACKGROUNDS:
         raise ValidationError(f"unknown background {background!r}")
     if background == "white":
         return np.ones(sg.scales.size), None
-    if ar1 is None:
-        if series is None:
-            raise ValidationError("red background needs ar1 or the source series")
-        ar1 = _estimate_ar1(np.asarray(series, dtype=float))
+    if series is None:
+        raise ValidationError("red background needs the source series")
+    ar1 = _estimate_ar1(np.asarray(series, dtype=float))
     freq_norm = sg.periods ** -1.0 / sg.sample_rate  # cycles per sample
     shape = (1.0 - ar1 * ar1) / (
         1.0 + ar1 * ar1 - 2.0 * ar1 * np.cos(2.0 * math.pi * freq_norm)
@@ -510,14 +501,15 @@ def _chi2_ppf(p, dof):
 def global_power(
     sg: Scalogram,
     background: str = "white",
-    ar1: float | None = None,
     series: np.ndarray | None = None,
 ) -> GlobalPower:
     """Time-averaged power outside the cone, with significance curve.
 
     Scales that keep no point outside the cone are dropped.  The
     significance threshold at SIGNIFICANCE_LEVEL uses the chi-squared law
-    with the effective degrees of freedom of time averaging.
+    with the effective degrees of freedom of time averaging.  A red
+    background estimates its lag-1 coefficient from ``series``, which it
+    then requires, and reports it as ``ar1``.
 
     The power comes from ``sg.power_summary()``: a record kept on ``sg``
     by an earlier pass is reused without a transform, otherwise one pass
@@ -525,7 +517,7 @@ def global_power(
     heat map, and takes O(S n_fft log n_fft) time and O(n_fft) working
     memory.
     """
-    shape, ar1_used = _background_shape(sg, background, ar1, series)
+    shape, ar1 = _background_shape(sg, background, series)
     summary = sg.power_summary()
     counts, power = summary.counts, summary.mean_power
     keep = counts > 0
@@ -543,7 +535,7 @@ def global_power(
         power=power[keep],
         significance_95=signif[keep],
         background=background,
-        ar1=ar1_used,
+        ar1=ar1,
         n_averaged=counts[keep],
         signal_variance=sg.signal_variance,
         sample_rate=sg.sample_rate,

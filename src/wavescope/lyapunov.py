@@ -122,27 +122,23 @@ def _mutual_information(x: np.ndarray, lag: int) -> float:
     return float(np.sum(joint[mask] * np.log(joint[mask] / (pa @ pb)[mask])))
 
 
-def estimate_delay(ts: TimeSeries, max_lag: int | None = None) -> int:
+def estimate_delay(ts: TimeSeries) -> int:
     """Embedding delay of ``ts`` from the autocorrelation zero crossing.
 
     Returns the first lag where the sample ACF drops below 0.05 (the
     documented zero-crossing convention).  If that never happens within
-    ``max_lag`` (default N/4; must be >= 1), falls back to the first
-    local minimum of the lag-binned mutual information, computed lag by
-    lag and stopped there; with no such minimum, to the lag where the ACF
-    is smallest.
+    N/4 lags, falls back to the first local minimum of the lag-binned
+    mutual information, computed lag by lag and stopped there; with no
+    such minimum, to the lag where the ACF is smallest.  At least 256
+    samples are required.
 
     Cost: O(N log N) for the ACF, plus O(N) per mutual-information lag up
-    to the stop lag L (the minimum plus one, else ``max_lag``); memory O(N).
+    to the stop lag L (the minimum plus one, else N/4); memory O(N).
     """
     data = ts.samples
     if data.size < 256:
         raise ValidationError("need at least 256 samples to estimate a delay")
-    if max_lag is None:
-        max_lag = data.size // 4
-    elif max_lag < 1:
-        raise ValidationError(f"max_lag must be >= 1, got {max_lag}")
-    max_lag = min(max_lag, data.size - 2)
+    max_lag = data.size // 4
     rho = _autocorr(data, max_lag)
     below = np.flatnonzero(rho[1:] < ACF_ZERO_LEVEL)
     if below.size:

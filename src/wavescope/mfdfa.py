@@ -76,8 +76,9 @@ def q_grid(q_min: float = -10.0, q_max: float = 10.0, q_step: float = 1.0) -> np
 
 
 def default_scales(n: int) -> np.ndarray:
-    """Dyadic scale ladder support * 2**j of ``daubechies(2)`` admissible
-    for an n-point profile."""
+    """Dyadic scale ladder support * 2**j of ``daubechies(2)``, j = 1..L,
+    for an n-point profile: every scale up to n that leaves at least
+    MIN_SEGMENTS segments.  The one grid fluctuation_function uses."""
     support = daubechies(2).support
     scales = []
     level = 1
@@ -96,8 +97,8 @@ def default_scales(n: int) -> np.ndarray:
 class FluctuationTable:
     """F_q(s) surface plus, once fitted, the generalized Hurst exponents.
 
-    ``fluctuation[i, j]`` is F for ``q_values[i]`` at ``scales[j]`` (the
-    snapped scales).  ``levels[j]`` is the wavelet level behind column j.
+    ``fluctuation[i, j]`` is F for ``q_values[i]`` at ``scales[j]``.
+    ``levels[j]`` is the wavelet level behind column j.
     ``hurst``, ``fit_r2`` and ``fit_range`` are filled by
     :func:`generalized_hurst`.
     """
@@ -151,10 +152,6 @@ def segment_variance(fluct: np.ndarray, scale: int) -> np.ndarray:
     var_front = np.mean(front * front, axis=1)
     var_back = np.mean(back * back, axis=1)
     return np.concatenate([var_front, var_back])
-
-
-def _scale_to_level(scale: float, support: int) -> int:
-    return max(1, round(math.log2(max(scale, support) / support)))
 
 
 def _logsumexp(log_v: np.ndarray, factor: float, buf: np.ndarray) -> float:
@@ -225,17 +222,14 @@ def _moments(seg_var: np.ndarray, q_values: np.ndarray, scale: int) -> np.ndarra
 def fluctuation_function(
     prof: np.ndarray,
     q_values: np.ndarray | None = None,
-    scales: np.ndarray | None = None,
     boundary: str = "symmetric",
 ) -> FluctuationTable:
     """Evaluate F_q(s) of the profile ``prof`` over an analysis grid.
 
     ``q_values`` holds 1 to MAX_Q_VALUES moment orders, :func:`q_grid` by
-    default.  ``scales`` are requested segment lengths, non-empty and
-    ascending; ``None`` selects the full dyadic ladder admissible for the
-    profile length.  Requested scales snap to the nearest dyadic wavelet
-    level via s = support * 2**level (duplicates collapse) and the snapped
-    values are reported in the result.  The detrending wavelet is
+    default.  The scales are :func:`default_scales` of the profile length,
+    s = support * 2**level for the wavelet levels 1..L, each leaving at
+    least MIN_SEGMENTS segments.  The detrending wavelet is
     ``daubechies(2)``; ``extract_fluctuation`` refuses a ``boundary`` not
     in ``dwt.BOUNDARY_MODES`` before any transform runs.
 
@@ -251,23 +245,11 @@ def fluctuation_function(
         raise ValidationError(
             f"q_values must hold 1 to MAX_Q_VALUES = {MAX_Q_VALUES} orders, got {q_values.size}"
         )
-    if scales is not None:
-        scales = np.asarray(scales, dtype=int)
-        if scales.size < 1 or np.any(np.diff(scales) <= 0):
-            raise ValidationError("scales must be non-empty and ascending")
     wavelet = daubechies(2)
     values = np.asarray(prof, dtype=float)
     n = values.size
-    support = wavelet.support
-    requested = scales if scales is not None else default_scales(n)
-    levels = sorted({_scale_to_level(s, support) for s in requested})
-    scales = np.array([support * 2**lv for lv in levels], dtype=int)
-    for s in scales:
-        if 2 * (n // int(s)) < MIN_SEGMENTS:
-            raise ValidationError(
-                f"snapped scale {int(s)} leaves fewer than "
-                f"{MIN_SEGMENTS} segments for n={n}"
-            )
+    scales = default_scales(n)
+    levels = list(range(1, scales.size + 1))
 
     # Each level's fluctuation is reduced to its segment variances before
     # the next level is built, so no name keeps it.
@@ -283,7 +265,7 @@ def fluctuation_function(
         levels=np.asarray(levels, dtype=int),
         fluctuation=fq,
         n=n,
-        wavelet_support=support,
+        wavelet_support=wavelet.support,
     )
 
 

@@ -70,20 +70,9 @@ class TimeSeries:
                 f"sample_rate must be finite and positive, got {self.sample_rate}"
             )
 
-    def __len__(self) -> int:
-        return self.samples.size
-
     @property
     def dt(self) -> float:
         return 1.0 / self.sample_rate
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    def times(self) -> np.ndarray:
-        """Sample times in seconds."""
-        return self.t0 + np.arange(self.samples.size) / self.sample_rate
 
 
 def profile(x: np.ndarray) -> np.ndarray:
@@ -316,8 +305,8 @@ def write_csv(ts: TimeSeries, path: str | Path) -> None:
     Values are written with shortest round-trip float formatting, so
     loading the file back yields bit-identical samples.  Each block's
     times are computed from its row numbers k as ``t0 + k / sample_rate``,
-    the values of ``ts.times()``, so the series' times are never held
-    whole: O(TABLE_BLOCK_ROWS) memory beyond the samples.
+    so the series' times are never held whole: O(TABLE_BLOCK_ROWS) memory
+    beyond the samples.  Lines end with CRLF.
     """
 
     def block(lo, hi):
@@ -330,20 +319,20 @@ def write_csv(ts: TimeSeries, path: str | Path) -> None:
 TABLE_BLOCK_ROWS = 2048
 
 
-def write_table(path, header: list[str], columns, eol: str = "\n") -> None:
+def write_table(path, header: list[str], columns) -> None:
     """Write equal-length numeric columns as CSV under a header row.
 
     Every number is written as the ``repr`` of a float (``%r``) and every
-    line, the last too, ends with ``eol``.  Rows are formatted and written
-    ``TABLE_BLOCK_ROWS`` at a time, by one ``%`` call on the row template
-    repeated once per row: O(rows) time, and O(TABLE_BLOCK_ROWS) memory
-    beyond the columns as float arrays, whatever the table's size.
+    line, the last too, ends with a line feed.  Rows are formatted and
+    written ``TABLE_BLOCK_ROWS`` at a time, by one ``%`` call on the row
+    template repeated once per row: O(rows) time, and O(TABLE_BLOCK_ROWS)
+    memory beyond the columns as float arrays, whatever the table's size.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     rows = columns[0].shape[0]
     if any(c.shape != (rows,) for c in columns):
         raise ValidationError("write_table needs 1-D columns of one length")
-    _write_blocks(path, header, rows, lambda lo, hi: [c[lo:hi] for c in columns], eol)
+    _write_blocks(path, header, rows, lambda lo, hi: [c[lo:hi] for c in columns], "\n")
 
 
 def _write_blocks(path, header: list[str], rows: int, block, eol: str) -> None:

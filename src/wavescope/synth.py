@@ -27,7 +27,6 @@ __all__ = [
     "gen_bouncing_ball",
     "gen_binomial_cascade",
     "bounce_map_trajectory",
-    "bounce_map_jacobian",
     "cascade_hurst",
 ]
 
@@ -316,12 +315,6 @@ def bounce_map_trajectory(
         phis[k] = phi
         vs[k] = v
     return np.frombuffer(phis), np.frombuffer(vs)
-
-
-def bounce_map_jacobian(phi_next: float, p: BounceParams) -> np.ndarray:
-    """Jacobian of one impact-map step, evaluated at the updated phase."""
-    s = p.amplitude * math.sin(phi_next)
-    return np.array([[1.0, 1.0], [s, p.restitution + s]])
 
 
 def _ring_down(impulses: np.ndarray, decay: float) -> np.ndarray:

@@ -85,7 +85,8 @@ def test_direct_convolution_oracle():
     ts = TimeSeries(rng.standard_normal(n), rate)
     dt = 1.0 / rate
     s = 8 * dt
-    sg = cwt_morlet(ts, scales=[s], pad="zero")
+    sg = cwt_morlet(ts, pad="zero")
+    assert sg.scales[16] == s  # 2 dt * 2**(16 / SUBOCTAVES)
     x = ts.samples - ts.samples.mean()
     half = int(6 * s / dt)  # 6 sigma truncation, tail mass ~ 1e-8
     k = np.arange(-half, half + 1)
@@ -100,7 +101,7 @@ def test_direct_convolution_oracle():
             dt / math.sqrt(s)
         )
     interior = slice(half, n - half)
-    got = next(sg.rows([0]))[interior]
+    got = next(sg.rows([16]))[interior]
     want = direct[interior]
     assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
@@ -130,12 +131,12 @@ def test_coi_shape_and_reliable_mask():
     assert not mask[-1, 0]
 
 
-def test_scale_range_enforced():
-    ts = _tone(0.5, 100.0, 256)
-    with pytest.raises(ScaleOutOfRangeError):
-        cwt_morlet(ts, scales=[0.001])  # below 2 dt
-    with pytest.raises(ScaleOutOfRangeError):
-        cwt_morlet(ts, scales=[10.0])  # beyond n dt / 2
+@pytest.mark.parametrize("n", range(2, 8))
+def test_series_shorter_than_the_ladder_is_refused(n):
+    # The ladder runs from 2 dt to n dt / 4, so it is empty below 8 samples.
+    with pytest.raises(ValidationError, match="at least 8 samples"):
+        cwt_morlet(TimeSeries(np.arange(float(n)), 10.0))
+    assert cwt_morlet(TimeSeries(np.arange(8.0), 10.0)).scales.tolist() == [0.2]
 
 
 def test_omega0_and_norm_validation():
@@ -163,9 +164,6 @@ def test_omega0_with_no_energy_below_nyquist_is_refused(monkeypatch):
         m.setattr(np.fft, "fft", no_fft)
         with pytest.raises(ValidationError, match=r"omega0 = 13 .* smallest scale 0\.02 s"):
             cwt_morlet(ts, omega0=13.0)
-    # A ladder that starts higher keeps energy below Nyquist and runs.
-    sg = cwt_morlet(ts, scales=[0.04, 0.08], omega0=13.0)
-    assert all(np.all(np.isfinite(row)) for row in _rows(sg))
 
 
 @pytest.mark.parametrize("omega0", [11.5, 12.0])
@@ -201,15 +199,6 @@ def test_tail_mass_is_the_erf_form_to_1e8_above_the_floor():
             if tail >= cwtmod.MIN_RETAINED_MASS:
                 erf_form = cwtmod._retained_mass(s, dt, omega0)
                 assert abs(erf_form - tail) <= 1e-8 * tail
-
-
-@pytest.mark.parametrize(
-    "scales",
-    [[0.05, math.nan, 0.5], [math.nan], [0.05, math.inf], [-math.inf, 0.05]],
-)
-def test_non_finite_scales_are_rejected(scales):
-    with pytest.raises(ValidationError):
-        cwt_morlet(_tone(0.5, 100.0, 256), scales=scales)
 
 
 def _full_grid_cwt(ts, scales, omega0, norm, pad):
@@ -250,14 +239,17 @@ def _full_grid_cwt(ts, scales, omega0, norm, pad):
 )
 def test_band_limited_window_matches_full_grid_bytes(n, pad, norm, omega0, edge_scales):
     # Bytes, not a tolerance: the band only skips products with a window
-    # that is exactly zero, so even the signs of zero must agree.
+    # that is exactly zero, so even the signs of zero must agree.  With
+    # ``edge_scales`` one pass reads only the ladder's first and last rows,
+    # the widest band and the narrowest.
     rate = 20.0
     ts = TimeSeries(np.random.default_rng(n).standard_normal(n), rate)
-    dt = 1.0 / rate
-    scales = [2.0 * dt, n * dt / 2.0] if edge_scales else default_scales(n, rate)
-    sg = cwt_morlet(ts, scales=scales, omega0=omega0, norm=norm, pad=pad)
+    scales = default_scales(n, rate)
+    sg = cwt_morlet(ts, omega0=omega0, norm=norm, pad=pad)
     want = _full_grid_cwt(ts, scales, omega0, norm, pad)
-    assert [row.tobytes() for row in _rows(sg)] == [row.tobytes() for row in want]
+    read = [0, scales.size - 1] if edge_scales else range(scales.size)
+    got = [row.tobytes() for row in sg.rows(read)]
+    assert got == [want[i].tobytes() for i in read]
 
 
 @pytest.mark.parametrize("n", [2**12, 2**14])
@@ -499,7 +491,10 @@ def test_cone_slices_match_the_reliable_mask(n):
     # Each scale's points outside the cone are one run [lo, hi), empty
     # where the scale has none, at odd and even lengths alike.
     ts = TimeSeries(np.random.default_rng(n).standard_normal(n), 20.0)
-    sg = cwt_morlet(ts, scales=default_scales(n, 20.0).tolist() + [n / 40.0])
+    sg = cwt_morlet(ts)
+    # Every ladder scale keeps points outside the cone; the cone reads only
+    # the periods, so a scale of n dt / 2 appended here has none.
+    sg.scales = np.append(sg.scales, n / 40.0)
     mask = _reliable_mask(sg)
     runs = np.zeros_like(mask)
     for row, outside in zip(runs, sg._outside_slices()):
@@ -534,12 +529,14 @@ def test_dominant_periods_refuses_a_negative_count():
 
 
 def test_red_background_needs_ar1_or_series():
+    # A red background estimates its lag-1 coefficient from the series, so
+    # it refuses to run without one.
     ts = _tone(0.3, 100.0, 512)
     sg = cwt_morlet(ts)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="needs the source series"):
         global_power(sg, background="red")
-    gp = global_power(sg, background="red", ar1=0.5)
-    assert gp.ar1 == pytest.approx(0.5)
+    gp = global_power(sg, background="red", series=ts.samples)
+    assert gp.ar1 == cwtmod._estimate_ar1(ts.samples)
 
 
 #: A seeded AR(1) series with phi = 0.6, its red-background global power,

@@ -93,15 +93,6 @@ def test_fluctuation_monotone_in_q():
     assert np.all(diffs >= -1e-12 * table.fluctuation[:-1])
 
 
-def test_scales_snap_to_dyadic_levels():
-    prof = profile(np.diff(gen_fbm(0.5, 2048, seed=1).samples))
-    table = fluctuation_function(
-        prof, q_values=np.array([2.0]), scales=np.array([9.0, 30.0, 33.0])
-    )
-    # 9 -> level 1 (scale 8), 30 and 33 both -> level 3 (scale 32)
-    assert list(table.scales) == [8, 32]
-
-
 def test_zero_variance_segments_warn_for_negative_q():
     x = np.zeros(512)
     x[200:260] = np.sin(np.arange(60.0))

@@ -18,7 +18,6 @@ def test_timeseries_basic_fields():
     ts = TimeSeries(np.arange(8.0), 2.0)
     assert ts.sample_rate == 2.0
     assert ts.samples.size == 8
-    assert ts.duration == pytest.approx(4.0)
 
 
 def test_timeseries_rejects_nan_and_bad_rate():
@@ -99,14 +98,15 @@ def test_csv_round_trip_with_time_column(tmp_path):
 
 def test_csv_times_per_block_are_the_series_times(tmp_path):
     # Each block's times, computed from its row numbers, are the bytes of
-    # ts.times() written whole, also past the first block and with t0.
+    # the whole series' times t0 + k / rate, also past the first block and
+    # with t0.
     n = 2 * signal_core.TABLE_BLOCK_ROWS + 5
     ts = TimeSeries(np.random.default_rng(8).standard_normal(n), 7.0, t0=12.3)
     write_csv(ts, tmp_path / "blocks.csv")
-    signal_core.write_table(
-        tmp_path / "whole.csv", ["time_s", "value"], [ts.times(), ts.samples], eol="\r\n"
-    )
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    times = ts.t0 + np.arange(n) / ts.sample_rate
+    rows = zip(times.tolist(), ts.samples.tolist())
+    want = "time_s,value\r\n" + "".join(f"{t!r},{v!r}\r\n" for t, v in rows)
+    assert (tmp_path / "blocks.csv").read_bytes() == want.encode()
 
 
 def test_csv_bare_column_needs_rate(tmp_path):

@@ -13,7 +13,6 @@ from wavescope.synth import (
     MAX_SAMPLES,
     BounceParams,
     CascadeParams,
-    bounce_map_jacobian,
     bounce_map_trajectory,
     cascade_hurst,
     gen_binomial_cascade,
@@ -22,6 +21,8 @@ from wavescope.synth import (
     gen_power_law_noise,
     gen_sine_mix,
 )
+
+from map_oracle import bounce_map_jacobian
 
 
 # ---------------------------------------------------------------- fbm / fgn
