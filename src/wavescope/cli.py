@@ -31,7 +31,7 @@ from .errors import (
     WavescopeError,
 )
 from .figures import (
-    FIGURE_NAMES, emit_phase, figure_repro, fq_plot, phase_comparison, plain,
+    FIGURE_NAMES, emit_phase, figure_repro, fq_plot, phase_comparison,
     scalogram_plot, spectrum_plot, write_fq_table, write_json, writer,
 )
 from .signal_core import TimeSeries, load_csv, profile, write_csv, write_table
@@ -784,7 +784,7 @@ def _cmd_stage(args) -> int:
         }
     )
     report = run(cfg)
-    print(f"{name}: " + json.dumps(plain(report.summary[name]), sort_keys=True))
+    print(f"{name}: " + json.dumps(report.summary[name], sort_keys=True))
     return 0
 
 

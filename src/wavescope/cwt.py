@@ -83,7 +83,10 @@ def morlet_fourier_factor(omega0: float) -> float:
 
 def default_scales(n: int, sample_rate: float) -> np.ndarray:
     """Dyadic ladder with 8 sub-octaves from 2 dt up to n dt / 4, the one
-    ladder cwt_morlet transforms on; it is empty below n = 8."""
+    ladder cwt_morlet transforms on; it is empty below n = 8.  Every scale
+    keeps the middle sample outside the cone: the largest period, at most
+    n dt / 4 times the Fourier factor, stays below the cone's peak,
+    floor((n - 1) / 2) dt / sqrt(2) times that factor, for every n >= 7."""
     dt = 1.0 / sample_rate
     s0 = 2.0 * dt
     n_octaves = math.log2(n / 8.0)
@@ -91,19 +94,16 @@ def default_scales(n: int, sample_rate: float) -> np.ndarray:
     return s0 * 2.0 ** (j / SUBOCTAVES)
 
 
-def _mean_or_nan(values: np.ndarray) -> float:
-    return values.mean() if values.size else np.nan
-
-
 @dataclass
 class PowerSummary:
     """Scalogram.power_summary's record of |W|^2 outside the cone.
 
-    Per scale: ``counts`` samples outside the cone and their ``mean_power``
-    (NaN if none).  With the heat map, ``mean_relative`` is their mean of
-    |W|^2 / variance (its bits differ from ``mean_power / variance``) and
-    ``heatmap`` holds each row's column bins (signal_core.column_bins) of
-    log10(|W|^2 / variance + 1e-300); without it both are None.
+    Per scale: ``counts`` samples outside the cone (never 0 on the ladder)
+    and their ``mean_power``.  With the heat map, ``mean_relative`` is
+    their mean of |W|^2 / variance (its bits differ from ``mean_power /
+    variance``) and ``heatmap`` holds each row's column bins
+    (signal_core.column_bins) of log10(|W|^2 / variance + 1e-300); without
+    it both are None.
     """
 
     counts: np.ndarray
@@ -224,10 +224,10 @@ class Scalogram:
             power = np.abs(row)
             power **= 2
             counts.append(power[outside].size)
-            means.append(_mean_or_nan(power[outside]))
+            means.append(power[outside].mean())
             if heatmap:
                 power /= self.signal_variance
-                relative.append(_mean_or_nan(power[outside]))
+                relative.append(power[outside].mean())
                 power += 1e-300
                 np.log10(power, out=power)
                 bins.append(column_bins(power))
@@ -251,7 +251,7 @@ class Scalogram:
 
 @dataclass
 class GlobalPower:
-    """Time-averaged scalogram power outside the cone of influence."""
+    """Time-averaged power outside the cone per ladder scale, in arrays of its own."""
 
     scales: np.ndarray
     periods: np.ndarray
@@ -260,8 +260,6 @@ class GlobalPower:
     background: str
     ar1: float | None
     n_averaged: np.ndarray
-    signal_variance: float
-    sample_rate: float
 
 
 @dataclass
@@ -505,7 +503,7 @@ def global_power(
 ) -> GlobalPower:
     """Time-averaged power outside the cone, with significance curve.
 
-    Scales that keep no point outside the cone are dropped.  The
+    Every ladder scale is reported (see default_scales).  The
     significance threshold at SIGNIFICANCE_LEVEL uses the chi-squared law
     with the effective degrees of freedom of time averaging.  A red
     background estimates its lag-1 coefficient from ``series``, which it
@@ -519,26 +517,20 @@ def global_power(
     """
     shape, ar1 = _background_shape(sg, background, series)
     summary = sg.power_summary()
-    counts, power = summary.counts, summary.mean_power
-    keep = counts > 0
-    if not np.any(keep):
-        raise ValidationError("no scale has support outside the cone of influence")
+    counts = summary.counts
     base = sg.signal_variance * _mean_power_scale(sg) * shape
     dt = 1.0 / sg.sample_rate
     n_avg = counts.astype(float)
     dof = 2.0 * np.sqrt(1.0 + (n_avg * dt / (MORLET_GAMMA * sg.scales)) ** 2)
-    dof = np.maximum(dof, 2.0)
     signif = base * _chi2_ppf(SIGNIFICANCE_LEVEL, dof) / dof
     return GlobalPower(
-        scales=sg.scales[keep],
-        periods=sg.periods[keep],
-        power=power[keep],
-        significance_95=signif[keep],
+        scales=sg.scales.copy(),
+        periods=sg.periods,
+        power=summary.mean_power.copy(),
+        significance_95=signif,
         background=background,
         ar1=ar1,
-        n_averaged=counts[keep],
-        signal_variance=sg.signal_variance,
-        sample_rate=sg.sample_rate,
+        n_averaged=counts.copy(),
     )
 
 

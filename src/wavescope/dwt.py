@@ -258,11 +258,11 @@ def denoise(
     estimated from the finest level's median absolute value.
 
     For an L-tap wavelet this takes O(L n) time.  The killed bands are
-    freed before synthesis, so with symmetric edges the working memory is
-    about 3 n floats for ``kill_details`` (4.5 n for ``soft_threshold``):
-    the kept detail bands, one upsampled band and two convolutions of one
-    synthesis step.  Periodic edges add the first step's n/2 x L window
-    gather, L n / 2 floats.
+    freed before synthesis and a shrunk band after its step, so with
+    symmetric edges the working memory is about 3 n floats for
+    ``kill_details`` (4 n for ``soft_threshold``): the kept detail bands,
+    one upsampled band and two convolutions of one synthesis step.
+    Periodic edges add the first step's n/2 x L window gather, L n / 2.
     """
     if rule not in DENOISE_RULES:
         raise ValidationError(f"unknown denoise rule {rule!r}")
@@ -279,10 +279,12 @@ def denoise(
         return dwt_reconstruct(decomp)
     sigma = np.median(np.abs(decomp.details[0])) / 0.6745
     thr = sigma * math.sqrt(2.0 * math.log(max(x.size, 2)))
-    for j in range(levels):
-        d = decomp.details[j]
-        decomp.details[j] = np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
-    return dwt_reconstruct(decomp)
+    cur = decomp.approx
+    while decomp.details:  # a band leaves the pyramid as its step takes it
+        d = decomp.details.pop()
+        d = np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
+        cur = _synthesis(cur, d, spec, boundary, decomp.lengths.pop())
+    return cur
 
 
 def extract_fluctuation(

@@ -30,24 +30,9 @@ __all__ = ["FIGURE_NAMES", "figure_repro"]
 # artifact helpers
 
 
-def plain(obj):
-    """Recursively convert numpy containers so json sees pure Python."""
-    if isinstance(obj, np.ndarray):
-        return [plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain(v) for v in obj]
-    return obj
-
-
 def write_json(path: Path, obj) -> None:
-    path.write_text(
-        json.dumps(plain(obj), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
+    """Write ``obj``, of plain Python values only, as sorted, indented JSON."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def writer(outdir: Path, prefix: str, wanted, written: list):

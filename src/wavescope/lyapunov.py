@@ -86,14 +86,13 @@ class EmbeddingConfig:
 
 @dataclass(frozen=True)
 class LyapunovResult:
-    """Divergence-slope estimate with its fit diagnostics."""
+    """Divergence slope and fit diagnostics of one caller-given embedding."""
 
     exponent: float
     fit_range: tuple[int, int]
     r_squared: float
     n_pairs: int
     divergence: np.ndarray
-    config: EmbeddingConfig
 
     @property
     def positive(self) -> bool:
@@ -451,7 +450,6 @@ def largest_lyapunov(
         r_squared=r2,
         n_pairs=int(valid.size),
         divergence=divergence,
-        config=config,
     )
 
 

@@ -58,8 +58,9 @@ def q_grid(q_min: float = -10.0, q_max: float = 10.0, q_step: float = 1.0) -> np
     The default is -10..10 in steps of 1, zero included.  The grid is
     checked before np.arange builds it: a step of 0 divides by zero, a
     tiny one asks for more memory than there is, and a NaN or infinite
-    argument has no length.  So all three must be finite, ``q_step`` must
-    be > 0 and the grid may hold at most MAX_Q_VALUES orders.
+    argument has no length, nor has a ``q_max`` far below ``q_min``.  So
+    all three must be finite, ``q_step`` must be > 0 and the grid must
+    hold 1 to MAX_Q_VALUES orders.
     """
     for name, value in (("q_min", q_min), ("q_max", q_max), ("q_step", q_step)):
         if not math.isfinite(value):
@@ -67,10 +68,10 @@ def q_grid(q_min: float = -10.0, q_max: float = 10.0, q_step: float = 1.0) -> np
     if not q_step > 0:
         raise ValidationError(f"q_step must be > 0, got {q_step}")
     # np.arange's length is the ceiling of this ratio.
-    if (q_max + 0.5 * q_step - q_min) / q_step > MAX_Q_VALUES:
+    if not 0 < (q_max + 0.5 * q_step - q_min) / q_step <= MAX_Q_VALUES:
         raise ValidationError(
-            f"q from {q_min:g} to {q_max:g} in steps of {q_step:g} exceeds "
-            f"MAX_Q_VALUES = {MAX_Q_VALUES} orders"
+            f"q from {q_min:g} to {q_max:g} in steps of {q_step:g} must give "
+            f"1 to MAX_Q_VALUES = {MAX_Q_VALUES} orders"
         )
     return np.arange(q_min, q_max + 0.5 * q_step, q_step)
 

@@ -57,14 +57,13 @@ class PowerSpectrum:
     """One-sided power spectral density.
 
     ``freqs`` ascend from DC to Nyquist in Hz; ``power`` is the density in
-    units**2 / Hz; ``n`` is the original sample count and ``window`` the
-    taper that was applied ("none" or "hann").
+    units**2 / Hz; ``n`` is the original sample count.  The taper is the
+    caller's ``window`` argument of power_spectrum.
     """
 
     freqs: np.ndarray
     power: np.ndarray
     n: int
-    window: str
     sample_rate: float
 
     def __post_init__(self):
@@ -142,9 +141,7 @@ def power_spectrum(ts: TimeSeries, window: str = "none") -> PowerSpectrum:
     if n % 2 == 0:
         power[-1] /= 2.0
     freqs = np.fft.rfftfreq(n, d=1.0 / ts.sample_rate)
-    return PowerSpectrum(
-        freqs=freqs, power=power, n=n, window=window, sample_rate=ts.sample_rate
-    )
+    return PowerSpectrum(freqs=freqs, power=power, n=n, sample_rate=ts.sample_rate)
 
 
 def _band_average(freqs: np.ndarray, power: np.ndarray):

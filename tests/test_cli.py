@@ -480,6 +480,64 @@ def test_formats_off_writes_only_the_report(tmp_path, synth, pipeline):
     assert reports[False].summary == reports[True].summary
 
 
+def _assert_plain(obj, where):
+    """``obj`` is built of str, int, float, bool and None leaves in lists,
+    tuples and str-keyed dicts, exactly the types, so json writes it as
+    it is."""
+    if type(obj) is dict:
+        for key, value in obj.items():
+            assert type(key) is str, f"{where}: key {key!r}"
+            _assert_plain(value, f"{where}.{key}")
+    elif type(obj) in (list, tuple):
+        for i, value in enumerate(obj):
+            _assert_plain(value, f"{where}[{i}]")
+    else:
+        assert type(obj) in (str, int, float, bool, type(None)), (
+            f"{where}: {type(obj).__name__}"
+        )
+
+
+def test_every_stage_writes_and_reports_plain_python(tmp_path, monkeypatch):
+    # write_json and the one-shot print hand their objects to json.dumps
+    # unconverted, so a numpy scalar in a summary would fail the run.
+    objects = {}
+    real = climod.write_json
+
+    def recording(path, obj):
+        objects[path.name] = obj
+        real(path, obj)
+
+    monkeypatch.setattr(climod, "write_json", recording)
+    pipeline = [
+        {"stage": "spectrum", "window": "hann"},
+        {"stage": "fit", "f_lo": 0.01, "f_hi": 0.2},
+        {"stage": "heisenberg", "f_lo": 0.01, "f_hi": 0.2},
+        {"stage": "mfdfa", "difference": True},
+        {"stage": "cwt"},
+        {"stage": "globalpower"},
+        {"stage": "lyapunov"},
+        {"stage": "denoise"},
+    ]
+    assert {s["stage"] for s in pipeline} == set(_STAGE_PARAMS)
+    raw = {
+        "input": {
+            "kind": "synth",
+            "synth": {"kind": "fbm", "hurst": 0.6, "n": 4096, "sample_rate": 1.0, "seed": 3},
+        },
+        "pipeline": pipeline,
+        "output_dir": str(tmp_path / "out"),
+    }
+    report = run(validate_config(raw))
+    assert sorted(objects) == [
+        "01_fit_fit.json", "02_heisenberg_heisenberg.json", "03_mfdfa_mfdfa.json",
+        "05_globalpower_globalpower.json", "06_lyapunov_lyapunov.json", "report.json",
+    ]
+    assert list(report.summary) == ["input"] + [s["stage"] for s in pipeline]
+    _assert_plain(report.summary, "summary")
+    for name, obj in objects.items():
+        _assert_plain(obj, name)
+
+
 def _files(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 

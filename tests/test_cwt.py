@@ -486,6 +486,19 @@ def test_global_power_matches_masked_mean():
     assert np.array_equal(gp.n_averaged, mask.sum(axis=1)[keep])
 
 
+def test_global_power_arrays_are_its_own():
+    # Editing the result reaches neither the scalogram nor the record that
+    # it keeps for later readers.
+    sg = cwt_morlet(_tone(0.3, 100.0, 512))
+    gp = global_power(sg)
+    summary = sg.power_summary()
+    kept = (sg.scales, summary.mean_power, summary.counts)
+    before = [a.copy() for a in kept]
+    for a in (gp.scales, gp.periods, gp.power, gp.significance_95, gp.n_averaged):
+        a[...] = 0
+    assert all(np.array_equal(a, b) for a, b in zip(kept, before))
+
+
 @pytest.mark.parametrize("n", [17, 600, 777, 1024])
 def test_cone_slices_match_the_reliable_mask(n):
     # Each scale's points outside the cone are one run [lo, hi), empty
@@ -501,6 +514,17 @@ def test_cone_slices_match_the_reliable_mask(n):
         row[outside] = True
     assert np.array_equal(runs, mask)
     assert not mask[-1].any()
+
+
+@pytest.mark.parametrize("omega0", [5.0, 6.0, 8.0, 10.5])
+def test_every_ladder_scale_keeps_samples_outside_the_cone(omega0):
+    # default_scales' invariant, on which power_summary and global_power
+    # rely to average every scale: the largest period, at most n dt / 4
+    # times the Fourier factor, stays below the cone's peak, floor((n - 1)
+    # / 2) dt / sqrt(2) times the same factor.
+    for n in range(8, 2049):
+        sg = cwt_morlet(TimeSeries(np.zeros(n), 1.0), omega0=omega0)
+        assert all(s.start < s.stop for s in sg._outside_slices()), n
 
 
 def test_global_power_tone_peak_and_significance():
@@ -520,7 +544,7 @@ def test_dominant_periods_refuses_a_negative_count():
     gp = GlobalPower(
         scales=periods, periods=periods, power=np.array([0.0, 2.0, 0.0, 1.0, 0.0]),
         significance_95=np.ones(5), background="white", ar1=None,
-        n_averaged=np.ones(5, dtype=int), signal_variance=1.0, sample_rate=1.0,
+        n_averaged=np.ones(5, dtype=int),
     )
     assert dominant_periods(gp) == [2.0, 4.0]
     assert dominant_periods(gp, max_count=0) == []

@@ -52,6 +52,15 @@ def test_q_grid_refuses_an_argument_that_is_not_finite(args, name):
         q_grid(*args)
 
 
+@pytest.mark.parametrize("q_min, q_max", [(0.0, -10.0), (0.0, -1e300), (1e300, 0.0)])
+def test_q_grid_refuses_a_grid_with_no_order(q_min, q_max):
+    # A q_max far below q_min gave np.arange a length below its minimum,
+    # and it raised "Maximum allowed size exceeded"; one just below gave
+    # an empty grid that only fluctuation_function refused.
+    with pytest.raises(ValidationError, match="must give 1 to MAX_Q_VALUES"):
+        q_grid(q_min, q_max, 1.0)
+
+
 def test_segment_variance_hand_example():
     # n=10, scale=4: two front segments [0:4],[4:8], two back [2:6],[6:10]
     x = np.arange(10.0)

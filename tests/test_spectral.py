@@ -63,7 +63,7 @@ def test_fit_power_law_exact_synthetic():
     freqs = np.linspace(0.0, 10.0, 513)
     power = np.zeros_like(freqs)
     power[1:] = 3.0 * freqs[1:] ** -2.0
-    ps = PowerSpectrum(freqs, power, n=1024, window="none", sample_rate=20.0)
+    ps = PowerSpectrum(freqs, power, n=1024, sample_rate=20.0)
     fit = fit_power_law(ps, 0.05, 9.0)
     assert fit.slope == pytest.approx(-2.0, abs=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -75,7 +75,7 @@ def test_fit_power_law_band_respected():
     power = np.ones_like(freqs)
     sel = freqs >= 1.0
     power[sel] = freqs[sel] ** -3.0
-    ps = PowerSpectrum(freqs, power, n=1024, window="none", sample_rate=20.0)
+    ps = PowerSpectrum(freqs, power, n=1024, sample_rate=20.0)
     fit = fit_power_law(ps, 1.2, 9.0)
     assert fit.slope == pytest.approx(-3.0, abs=0.02)
     assert fit.band == (1.2, 9.0)
@@ -125,7 +125,7 @@ def test_heisenberg_presets():
     freqs = np.linspace(0.0, 10.0, 513)
     power = np.zeros_like(freqs)
     power[1:] = freqs[1:] ** (-5.0 / 3.0)
-    ps = PowerSpectrum(freqs, power, n=1024, window="none", sample_rate=20.0)
+    ps = PowerSpectrum(freqs, power, n=1024, sample_rate=20.0)
     res = heisenberg_fit(ps, 0.05, 9.0, regime="neutral")
     assert res.matches
     assert res.target == pytest.approx(-5.0 / 3.0)
@@ -137,7 +137,7 @@ def test_heisenberg_numeric_regime():
     freqs = np.linspace(0.0, 10.0, 513)
     power = np.zeros_like(freqs)
     power[1:] = freqs[1:] ** -2.5
-    ps = PowerSpectrum(freqs, power, n=1024, window="none", sample_rate=20.0)
+    ps = PowerSpectrum(freqs, power, n=1024, sample_rate=20.0)
     res = heisenberg_fit(ps, 0.05, 9.0, regime=-2.5, rel_tolerance=0.05)
     assert res.matches
     assert res.tolerance == pytest.approx(0.125)
