@@ -83,7 +83,6 @@ from .lyapunov import (
 )
 from .synth import (
     BounceParams,
-    CascadeParams,
     bounce_map_trajectory,
     cascade_hurst,
     gen_binomial_cascade,
@@ -127,7 +126,7 @@ __all__ = [
     "EmbeddingConfig", "LyapunovResult", "estimate_delay",
     "largest_lyapunov", "map_lyapunov",
     # synth
-    "BounceParams", "CascadeParams", "cascade_hurst",
+    "BounceParams", "cascade_hurst",
     "gen_fbm", "gen_power_law_noise", "gen_sine_mix",
     "bounce_map_trajectory", "gen_bouncing_ball", "gen_binomial_cascade",
     # cli and figures

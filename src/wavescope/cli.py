@@ -291,9 +291,8 @@ def _build_input(cfg: RunConfig) -> TimeSeries:
     if kind == "bounce":
         rate = spec.pop("sample_rate")
         return synth.gen_bouncing_ball(synth.BounceParams(**spec), sample_rate=rate)
-    if kind == "cascade":
-        return synth.gen_binomial_cascade(synth.CascadeParams(**spec))
-    gen = synth.gen_power_law_noise if kind == "powerlaw" else synth.gen_sine_mix
+    gen = {"powerlaw": synth.gen_power_law_noise, "sines": synth.gen_sine_mix,
+           "cascade": synth.gen_binomial_cascade}[kind]
     return gen(**spec)
 
 
@@ -487,7 +486,7 @@ def _stage_globalpower(ts, params, emit, shared):
     """
     sg = shared(cwtmod.cwt_morlet, ts, omega0=params["omega0"], norm="l2", pad="zero")
     sg.power_summary(heatmap=True)
-    gp = cwtmod.global_power(sg, background=params["background"], series=ts.samples)
+    gp = cwtmod.global_power(sg, background=params["background"])
     peaks = cwtmod.dominant_periods(gp, max_count=params["max_peaks"])
     emit(
         "globalpower.csv",
@@ -511,7 +510,7 @@ def _stage_globalpower(ts, params, emit, shared):
     )
     info = {
         "dominant_periods_s": peaks,
-        "background": gp.background,
+        "background": params["background"],
         "n_scales": int(gp.scales.size),
     }
     emit("globalpower.json", write_json, info)
@@ -655,7 +654,7 @@ def run(cfg: RunConfig) -> RunReport:
         except Exception as err:
             marker = outdir / f"{stage_name}.failed"
             marker.write_text(f"{type(err).__name__}: {err}\n", encoding="utf-8")
-            raise StageError(stage_name, f"{stage_name}: {err}") from err
+            raise StageError(f"stage '{stage_name}': {stage_name}: {err}") from err
 
     ts = attempt("input", _build_input, cfg)
     writer(outdir, "", wanted, written)("input.csv", lambda path: write_csv(ts, path))

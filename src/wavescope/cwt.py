@@ -123,8 +123,10 @@ class Scalogram:
     The scalogram keeps the positive half of the signal spectrum, the
     (n_fft + 1) // 2 bins that the rows read (8 n_fft bytes), the padded
     length n_fft, and each row's frequency band and prefactor: O(n_fft + S)
-    memory.  It runs a row's inverse FFT each time a reader asks for the
-    row; it holds no S x n array.  A pass over the rows inverts each one in
+    memory.  It also keeps a reference to the samples it was built from,
+    not a copy, from which a red global_power estimates its AR(1)
+    coefficient.  It runs a row's inverse FFT each time a reader asks for
+    the row; it holds no S x n array.  A pass over the rows inverts each one in
     place in a single complex n_fft buffer of its own, so a streamed row
     stays valid until the pass is asked for the next one.
     ``power_summary`` keeps the record of its pass, O(S HEATMAP_COLS), and
@@ -132,7 +134,7 @@ class Scalogram:
     """
 
     def __init__(self, scales, times, coi, omega0, sample_rate, norm,
-                 signal_variance, spec, n_fft, freq_step, bands):
+                 signal_variance, series, spec, n_fft, freq_step, bands):
         self.scales = scales
         self.times = times
         self.coi = coi
@@ -140,6 +142,7 @@ class Scalogram:
         self.sample_rate = sample_rate
         self.norm = norm
         self.signal_variance = signal_variance
+        self._series = series
         # The padded signal spectrum up to its last positive bin, the padded
         # length, the frequency step in Hz, and per row (start, stop,
         # prefactor): the positive band where the window is nonzero and the
@@ -257,20 +260,18 @@ class GlobalPower:
     periods: np.ndarray
     power: np.ndarray
     significance_95: np.ndarray
-    background: str
     ar1: float | None
-    n_averaged: np.ndarray
 
 
 @dataclass
 class PhaseSeries:
-    """Instantaneous phase and amplitude along one scalogram row."""
+    """Instantaneous phase along one scalogram row; the row itself, and so
+    its amplitude, is ``Scalogram.rows`` at the scale's index."""
 
     scale: float
     period: float
     times: np.ndarray
     phase: np.ndarray
-    amplitude: np.ndarray
     sample_rate: float
 
 
@@ -439,6 +440,7 @@ def cwt_morlet(
         sample_rate=ts.sample_rate,
         norm=norm,
         signal_variance=variance,
+        series=x,
         spec=spec,
         n_fft=n_fft,
         freq_step=freq_step,
@@ -446,18 +448,17 @@ def cwt_morlet(
     )
 
 
-def _background_shape(sg: Scalogram, background: str, series):
+def _background_shape(sg: Scalogram, background: str):
     """Background spectrum per scale and the lag-1 coefficient it used.
 
-    A red background estimates the coefficient from ``series``.
+    A red background estimates the coefficient from the samples that
+    ``sg`` was built from.
     """
     if background not in BACKGROUNDS:
         raise ValidationError(f"unknown background {background!r}")
     if background == "white":
         return np.ones(sg.scales.size), None
-    if series is None:
-        raise ValidationError("red background needs the source series")
-    ar1 = _estimate_ar1(np.asarray(series, dtype=float))
+    ar1 = _estimate_ar1(sg._series)
     freq_norm = sg.periods ** -1.0 / sg.sample_rate  # cycles per sample
     shape = (1.0 - ar1 * ar1) / (
         1.0 + ar1 * ar1 - 2.0 * ar1 * np.cos(2.0 * math.pi * freq_norm)
@@ -496,18 +497,16 @@ def _chi2_ppf(p, dof):
     return 2.0 * gammaincinv(dof / 2.0, p)
 
 
-def global_power(
-    sg: Scalogram,
-    background: str = "white",
-    series: np.ndarray | None = None,
-) -> GlobalPower:
+def global_power(sg: Scalogram, background: str = "white") -> GlobalPower:
     """Time-averaged power outside the cone, with significance curve.
 
     Every ladder scale is reported (see default_scales).  The
     significance threshold at SIGNIFICANCE_LEVEL uses the chi-squared law
     with the effective degrees of freedom of time averaging.  A red
-    background estimates its lag-1 coefficient from ``series``, which it
-    then requires, and reports it as ``ar1``.
+    background estimates its lag-1 coefficient from the samples that
+    ``sg`` was built from, O(n), and reports it as ``ar1``; a white one
+    reports None.  The samples averaged per scale are
+    ``sg.power_summary().counts``.
 
     The power comes from ``sg.power_summary()``: a record kept on ``sg``
     by an earlier pass is reused without a transform, otherwise one pass
@@ -515,12 +514,11 @@ def global_power(
     heat map, and takes O(S n_fft log n_fft) time and O(n_fft) working
     memory.
     """
-    shape, ar1 = _background_shape(sg, background, series)
+    shape, ar1 = _background_shape(sg, background)
     summary = sg.power_summary()
-    counts = summary.counts
     base = sg.signal_variance * _mean_power_scale(sg) * shape
     dt = 1.0 / sg.sample_rate
-    n_avg = counts.astype(float)
+    n_avg = summary.counts.astype(float)
     dof = 2.0 * np.sqrt(1.0 + (n_avg * dt / (MORLET_GAMMA * sg.scales)) ** 2)
     signif = base * _chi2_ppf(SIGNIFICANCE_LEVEL, dof) / dof
     return GlobalPower(
@@ -528,9 +526,7 @@ def global_power(
         periods=sg.periods,
         power=summary.mean_power.copy(),
         significance_95=signif,
-        background=background,
         ar1=ar1,
-        n_averaged=counts.copy(),
     )
 
 
@@ -553,7 +549,7 @@ def dominant_periods(gp: GlobalPower, max_count: int | None = None) -> list[floa
 
 
 def phase_at_scale(sg: Scalogram, scale: float) -> PhaseSeries:
-    """Phase/amplitude series of the row nearest the requested scale.
+    """Phase series of the row nearest the requested scale.
 
     Proximity is measured on the logarithmic scale axis and the actually
     used scale is reported back; no silent substitution: a scale that is
@@ -576,7 +572,6 @@ def phase_at_scale(sg: Scalogram, scale: float) -> PhaseSeries:
         period=float(sg.periods[idx]),
         times=sg.times,
         phase=np.angle(row),
-        amplitude=np.abs(row),
         sample_rate=sg.sample_rate,
     )
 

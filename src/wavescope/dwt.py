@@ -130,10 +130,10 @@ class DwtDecomposition:
     """Multi-level DWT coefficient pyramid.
 
     ``details[j-1]`` holds level-j detail coefficients (level 1 is the
-    finest), or None for a band that :func:`dwt_reconstruct` leaves out;
-    ``approx`` is the coarsest approximation.  ``lengths[k]`` is the
-    signal length entering level k+1, needed to invert the symmetric
-    mode.
+    finest), or None for a band that :func:`dwt_reconstruct` leaves out,
+    so the depth is ``len(details)``; ``approx`` is the coarsest
+    approximation.  ``lengths[k]`` is the signal length entering level
+    k+1, needed to invert the symmetric mode.
     """
 
     approx: np.ndarray
@@ -141,10 +141,6 @@ class DwtDecomposition:
     boundary: str
     lengths: list[int]
     spec: WaveletSpec
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
 
 
 def _analysis(x: np.ndarray, filters: Sequence[np.ndarray], boundary: str):

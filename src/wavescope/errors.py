@@ -3,6 +3,8 @@
 Every error raised by library code derives from :class:`WavescopeError` so
 callers can catch one base class at pipeline boundaries.  The CLI maps the
 three coarse families (configuration, stage execution, I/O) to exit codes.
+An error's message names what it refused, the value or the stage; only
+:class:`ParseError` also carries a field, its row.
 """
 
 from __future__ import annotations
@@ -41,14 +43,8 @@ class InsufficientBandError(WavescopeError):
 
 
 class OutOfRangeError(WavescopeError):
-    """A derived quantity fell outside its valid open interval.
-
-    The offending value is attached so callers can still inspect it.
-    """
-
-    def __init__(self, message: str, value: float | None = None):
-        super().__init__(message)
-        self.value = value
+    """A derived quantity fell outside its valid open interval; the
+    message states the value."""
 
 
 class BoundaryValueError(WavescopeError):
@@ -88,8 +84,4 @@ class ConfigError(WavescopeError):
 
 
 class StageError(WavescopeError):
-    """A pipeline stage failed.  Carries the stage name.  CLI exit code 3."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"stage '{stage}': {message}")
-        self.stage = stage
+    """A pipeline stage failed; the message names the stage.  CLI exit code 3."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -184,13 +183,9 @@ def _fig8(emit) -> None:
 
 
 def _fig9(emit) -> None:
-    ts = synth.gen_binomial_cascade(synth.CascadeParams(0.75, 14))
+    ts = synth.gen_binomial_cascade(0.75, 14)
     table = mfdfa.fluctuation_function(profile(ts.samples))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = mfdfa.generalized_hurst(
-            table, fit_range=(16.0, table.n / 16.0)
-        )
+    table = mfdfa.generalized_hurst(table, fit_range=(16.0, table.n / 16.0))
     sel = np.flatnonzero(np.isin(table.q_values, (-10, -5, -2, 0, 2, 5, 10)))
     emit(
         "fig9a.svg",
@@ -222,9 +217,7 @@ def _fig9(emit) -> None:
 
 
 def _fig10(emit) -> None:
-    ts = _four_tone_series()
-    sg = cwtmod.cwt_morlet(ts)
-    gp = cwtmod.global_power(sg, background="white", series=ts.samples)
+    gp = cwtmod.global_power(cwtmod.cwt_morlet(_four_tone_series()))
     peaks = cwtmod.dominant_periods(gp, max_count=4)
     emit(
         "fig10a.svg",

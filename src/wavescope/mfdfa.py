@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dwt import daubechies, extract_fluctuation
+from .dwt import WaveletSpec, daubechies, extract_fluctuation
 from .errors import (
     PoorFitWarning,
     ValidationError,
@@ -52,6 +52,15 @@ R2_FLOOR = 0.9
 MAX_Q_VALUES = 1001
 
 
+def _wavelet() -> WaveletSpec:
+    """The detrending wavelet, ``daubechies(2)``: its support (4) sets the
+    scale ladder and the default lower end of the h(q) fit range.  It is
+    built per call, not once at import: its factorization (np.roots)
+    calls LAPACK, and a first LAPACK call at import grew a fresh
+    process's RSS by about 1.1 MiB before any input was built."""
+    return daubechies(2)
+
+
 def q_grid(q_min: float = -10.0, q_max: float = 10.0, q_step: float = 1.0) -> np.ndarray:
     """Moment orders from ``q_min`` in steps of ``q_step`` up to ``q_max``.
 
@@ -80,7 +89,7 @@ def default_scales(n: int) -> np.ndarray:
     """Dyadic scale ladder support * 2**j of ``daubechies(2)``, j = 1..L,
     for an n-point profile: every scale up to n that leaves at least
     MIN_SEGMENTS segments.  The one grid fluctuation_function uses."""
-    support = daubechies(2).support
+    support = _wavelet().support
     scales = []
     level = 1
     while True:
@@ -98,18 +107,16 @@ def default_scales(n: int) -> np.ndarray:
 class FluctuationTable:
     """F_q(s) surface plus, once fitted, the generalized Hurst exponents.
 
-    ``fluctuation[i, j]`` is F for ``q_values[i]`` at ``scales[j]``.
-    ``levels[j]`` is the wavelet level behind column j.
-    ``hurst``, ``fit_r2`` and ``fit_range`` are filled by
-    :func:`generalized_hurst`.
+    ``fluctuation[i, j]`` is F for ``q_values[i]`` at ``scales[j]``,
+    the ladder of :func:`default_scales`, whose column j is wavelet level
+    j + 1 of ``daubechies(2)``.  ``hurst``, ``fit_r2`` and ``fit_range``
+    are filled by :func:`generalized_hurst`.
     """
 
     q_values: np.ndarray
     scales: np.ndarray
-    levels: np.ndarray
     fluctuation: np.ndarray
     n: int
-    wavelet_support: int
     hurst: np.ndarray | None = None
     fit_r2: np.ndarray | None = None
     fit_range: tuple[float, float] | None = None
@@ -246,15 +253,14 @@ def fluctuation_function(
         raise ValidationError(
             f"q_values must hold 1 to MAX_Q_VALUES = {MAX_Q_VALUES} orders, got {q_values.size}"
         )
-    wavelet = daubechies(2)
     values = np.asarray(prof, dtype=float)
     n = values.size
     scales = default_scales(n)
-    levels = list(range(1, scales.size + 1))
+    levels = range(1, scales.size + 1)
 
     # Each level's fluctuation is reduced to its segment variances before
     # the next level is built, so no name keeps it.
-    flucts = extract_fluctuation(values, wavelet, levels, boundary=boundary)
+    flucts = extract_fluctuation(values, _wavelet(), levels, boundary=boundary)
     columns = []
     for s in scales.tolist():
         seg = segment_variance(next(flucts), s)
@@ -263,10 +269,8 @@ def fluctuation_function(
     return FluctuationTable(
         q_values=q_values.copy(),
         scales=scales,
-        levels=np.asarray(levels, dtype=int),
         fluctuation=fq,
         n=n,
-        wavelet_support=wavelet.support,
     )
 
 
@@ -283,7 +287,7 @@ def generalized_hurst(
     table with ``hurst``, ``fit_r2``, ``fit_range`` set.
     """
     lo, hi = (None, None) if fit_range is None else fit_range
-    lo = 2.0 * table.wavelet_support if lo is None else lo
+    lo = 2.0 * _wavelet().support if lo is None else lo
     hi = table.n / 8.0 if hi is None else hi
     sel = (table.scales >= lo) & (table.scales <= hi)
     if int(sel.sum()) < MIN_FIT_SCALES:

@@ -44,7 +44,8 @@ class TimeSeries:
     samples
         1-D float array, finite, at least two points.
     sample_rate
-        Samples per second, finite and strictly positive.
+        Samples per second, finite and strictly positive, with a finite
+        period 1 / sample_rate (a rate below about 5.6e-309 overflows it).
     label
         Free-form provenance string (file name, generator name...).
     t0
@@ -65,9 +66,11 @@ class TimeSeries:
             raise ValidationError("need at least two samples")
         if not np.all(np.isfinite(samples)):
             raise ValidationError("samples contain NaN or Inf")
-        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
+        rate = self.sample_rate
+        if not (rate > 0 and math.isfinite(rate) and math.isfinite(1.0 / float(rate))):
             raise ValidationError(
-                f"sample_rate must be finite and positive, got {self.sample_rate}"
+                f"sample_rate must be finite and positive, with a finite period "
+                f"1 / sample_rate, got {rate}"
             )
 
     @property

@@ -56,9 +56,10 @@ BANDS_PER_DECADE = 8
 class PowerSpectrum:
     """One-sided power spectral density.
 
-    ``freqs`` ascend from DC to Nyquist in Hz; ``power`` is the density in
-    units**2 / Hz; ``n`` is the original sample count.  The taper is the
-    caller's ``window`` argument of power_spectrum.
+    ``freqs`` ascend from DC to Nyquist in Hz, in steps of sample_rate /
+    n; ``power`` is the density in units**2 / Hz; ``n`` is the original
+    sample count.  The taper is the caller's ``window`` argument of
+    power_spectrum.
     """
 
     freqs: np.ndarray
@@ -75,10 +76,6 @@ class PowerSpectrum:
             raise ValidationError("freqs must be strictly ascending")
         if not np.all(np.isfinite(self.power)) or np.any(self.power < 0):
             raise ValidationError("power must be finite and non-negative")
-
-    @property
-    def df(self) -> float:
-        return self.sample_rate / self.n
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,8 @@ def power_spectrum(ts: TimeSeries, window: str = "none") -> PowerSpectrum:
     """One-sided periodogram of a series of at least 8 samples.
 
     Without a window, the density integrates exactly to the mean square of
-    the signal (discrete Parseval identity):  sum(power) * df == mean(x**2).
+    the signal (discrete Parseval identity):  sum(power) * sample_rate / n
+    == mean(x**2).
 
     O(n log n) time for n samples.  The traced working memory is about
     3 n floats, the n/2 + 1 complex bins and their power and frequencies,
@@ -195,16 +193,15 @@ def hurst_from_alpha(alpha_abs: float) -> float:
     """Hurst exponent from the spectral exponent, H = (alpha - 1) / 2.
 
     Valid for 1 < alpha < 3.  Outside that range the mapped value is not a
-    Hurst exponent; OutOfRangeError is raised with the offending value
-    attached rather than clamped.
+    Hurst exponent; OutOfRangeError is raised, its message stating the
+    value, rather than clamped.
     """
     if not alpha_abs > 0:
         raise ValidationError("alpha_abs must be positive")
     hurst = (alpha_abs - 1.0) / 2.0
     if not 0.0 < hurst < 1.0:
         raise OutOfRangeError(
-            f"alpha = {alpha_abs:g} maps to H = {hurst:g}, outside (0, 1)",
-            value=hurst,
+            f"alpha = {alpha_abs:g} maps to H = {hurst:g}, outside (0, 1)"
         )
     return hurst
 

@@ -20,7 +20,6 @@ from .signal_core import TimeSeries
 
 __all__ = [
     "BounceParams",
-    "CascadeParams",
     "gen_fbm",
     "gen_power_law_noise",
     "gen_sine_mix",
@@ -77,26 +76,6 @@ class BounceParams:
         if self.n_impacts < 1:
             raise ValidationError("n_impacts must be >= 1")
         _check_size(self.n_impacts, "n_impacts")
-
-
-@dataclass(frozen=True)
-class CascadeParams:
-    """Binomial multiplicative cascade: weight ``a`` to the left half at
-    every dyadic refinement.  The construction is deterministic."""
-
-    a: float
-    levels: int
-
-    def __post_init__(self):
-        if not 0.5 < self.a < 1.0:
-            raise ValidationError("cascade weight a must lie in (0.5, 1)")
-        if self.levels < 1:
-            raise ValidationError("levels must be >= 1")
-        # Compared as an exponent: 2**levels itself may be too big to build.
-        if self.levels > math.log2(MAX_SAMPLES):
-            raise ValidationError(
-                f"levels = {self.levels} gives more than MAX_SAMPLES = {MAX_SAMPLES} samples"
-            )
 
 
 def cascade_hurst(a: float, q: float) -> float:
@@ -390,15 +369,25 @@ def gen_bouncing_ball(p: BounceParams, sample_rate: float | None = None) -> Time
     )
 
 
-def gen_binomial_cascade(p: CascadeParams) -> TimeSeries:
+def gen_binomial_cascade(a: float, levels: int) -> TimeSeries:
     """Deterministic binomial measure of length 2**levels at unit rate.
 
-    Element i receives weight a**popcount(i) * (1-a)**(levels-popcount(i)),
-    the standard dyadic multiplicative construction whose generalized Hurst
-    exponents are given by :func:`cascade_hurst`.
+    The cascade gives weight ``a`` to the left half at every dyadic
+    refinement, so element i receives a**popcount(i) *
+    (1-a)**(levels-popcount(i)), the standard multiplicative construction
+    whose generalized Hurst exponents are given by :func:`cascade_hurst`.
+    Requires 0.5 < a < 1 and 1 <= levels <= log2(MAX_SAMPLES); a request
+    outside is refused with ValidationError before anything is allocated.
     """
-    bits = np.bitwise_count(np.arange(2**p.levels, dtype=np.uint64)).astype(np.int64)
-    samples = (p.a**bits) * ((1.0 - p.a) ** (p.levels - bits))
-    return TimeSeries(
-        samples, 1.0, label=f"cascade(a={p.a:g}, levels={p.levels})"
-    )
+    if not 0.5 < a < 1.0:
+        raise ValidationError("cascade weight a must lie in (0.5, 1)")
+    if levels < 1:
+        raise ValidationError("levels must be >= 1")
+    # Compared as an exponent: 2**levels itself may be too big to build.
+    if levels > math.log2(MAX_SAMPLES):
+        raise ValidationError(
+            f"levels = {levels} gives more than MAX_SAMPLES = {MAX_SAMPLES} samples"
+        )
+    bits = np.bitwise_count(np.arange(2**levels, dtype=np.uint64)).astype(np.int64)
+    samples = (a**bits) * ((1.0 - a) ** (levels - bits))
+    return TimeSeries(samples, 1.0, label=f"cascade(a={a:g}, levels={levels})")

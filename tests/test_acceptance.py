@@ -51,7 +51,6 @@ from wavescope.spectral import (
 )
 from wavescope.synth import (
     BounceParams,
-    CascadeParams,
     cascade_hurst,
     gen_binomial_cascade,
     gen_bouncing_ball,
@@ -90,7 +89,7 @@ def test_fbm_hurst_recovery(hurst):
 
 
 def test_cascade_hurst_spectrum_matches_closed_form():
-    ts = gen_binomial_cascade(CascadeParams(0.75, 16))
+    ts = gen_binomial_cascade(0.75, 16)
     table = generalized_hurst(
         fluctuation_function(profile(ts.samples)), fit_range=(16.0, 4096.0)
     )
@@ -118,7 +117,8 @@ def test_fluctuation_function_matches_naive_reimplementation():
     prof = profile(x)
     table = fluctuation_function(prof)
 
-    flucts = extract_fluctuation(prof, daubechies(2), table.levels)
+    levels = range(1, table.scales.size + 1)
+    flucts = extract_fluctuation(prof, daubechies(2), levels)
     for col, (fluct, scale) in enumerate(zip(flucts, table.scales)):
         n = fluct.size
         s = int(scale)

@@ -119,7 +119,7 @@ _SYNTHS = {
     ),
     "cascade": (
         {"kind": "cascade", "a": 0.7, "levels": 6},
-        lambda: synth.gen_binomial_cascade(synth.CascadeParams(0.7, 6)).samples,
+        lambda: synth.gen_binomial_cascade(0.7, 6).samples,
     ),
 }
 
@@ -379,6 +379,20 @@ def test_oversized_synth_input_fails_the_input_stage(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(cfg_path)]) == 3
     assert "MAX_SAMPLES" in (tmp_path / "out" / "input.failed").read_text()
+
+
+def test_a_rate_whose_period_overflows_fails_the_input_stage(tmp_path):
+    # 1 / 1e-310 overflows to inf.  The series was accepted, input.csv got
+    # infinite times, and the stages failed on internal checks.
+    raw = _good_raw(tmp_path, pipeline=[{"stage": "spectrum"}])
+    raw["input"]["synth"]["sample_rate"] = 1e-310
+    cfg_path = tmp_path / "tiny_rate.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    out = tmp_path / "out"
+    assert "sample_rate" in (out / "input.failed").read_text()
+    assert "1e-310" in (out / "input.failed").read_text()
+    assert not (out / "input.csv").exists()
 
 
 def test_unexpected_stage_exception_leaves_marker(tmp_path, monkeypatch):

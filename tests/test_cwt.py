@@ -441,8 +441,9 @@ def test_streamed_rows_match_the_held_coefficients(pad, norm):
     coeffs = _grid(held)
     assert [r.tobytes() for r in _rows(streamed)] == [r.tobytes() for r in coeffs]
     a, b = global_power(streamed), global_power(held)
-    for name in ("power", "significance_95", "n_averaged"):
+    for name in ("power", "significance_95"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert streamed.power_summary().counts.tobytes() == held.power_summary().counts.tobytes()
     # The per-scale power that global_power read is the masked mean's.
     want = _masked_means(held, np.abs(coeffs) ** 2)
     assert streamed.power_summary().mean_power.tobytes() == want.tobytes()
@@ -467,15 +468,17 @@ def test_phase_at_scale_evaluates_only_its_row(monkeypatch):
     for idx, want in zip(picks, held_phase):
         ph = phase_at_scale(sg, float(sg.scales[idx]))
         assert ph.phase.tobytes() == np.angle(coeffs[idx]).tobytes()
-        assert ph.amplitude.tobytes() == np.abs(coeffs[idx]).tobytes()
         assert ph.phase.tobytes() == want.tobytes()
     assert len(calls) == 3
+    # The amplitude is the modulus of the same row.
+    for idx in picks:
+        assert np.abs(next(sg.rows((idx,)))).tobytes() == np.abs(coeffs[idx]).tobytes()
 
 
 def test_global_power_matches_masked_mean():
     ts = _tone(0.3, 100.0, 1024)
     sg = cwt_morlet(ts)
-    gp = global_power(sg, background="white", series=ts.samples)
+    gp = global_power(sg, background="white")
     mask = _reliable_mask(sg)
     power = np.abs(_grid(sg)) ** 2
     keep = mask.sum(axis=1) > 0
@@ -483,7 +486,7 @@ def test_global_power_matches_masked_mean():
         [row[m].mean() for row, m in zip(power[keep], mask[keep])]
     )
     assert gp.power.tobytes() == manual.tobytes()
-    assert np.array_equal(gp.n_averaged, mask.sum(axis=1)[keep])
+    assert np.array_equal(sg.power_summary().counts, mask.sum(axis=1)[keep])
 
 
 def test_global_power_arrays_are_its_own():
@@ -494,7 +497,7 @@ def test_global_power_arrays_are_its_own():
     summary = sg.power_summary()
     kept = (sg.scales, summary.mean_power, summary.counts)
     before = [a.copy() for a in kept]
-    for a in (gp.scales, gp.periods, gp.power, gp.significance_95, gp.n_averaged):
+    for a in (gp.scales, gp.periods, gp.power, gp.significance_95):
         a[...] = 0
     assert all(np.array_equal(a, b) for a, b in zip(kept, before))
 
@@ -531,7 +534,7 @@ def test_global_power_tone_peak_and_significance():
     rate, n, period = 100.0, 4096, 0.3
     ts = _tone(period, rate, n)
     sg = cwt_morlet(ts)
-    gp = global_power(sg, background="white", series=ts.samples)
+    gp = global_power(sg, background="white")
     peaks = dominant_periods(gp, max_count=1)
     assert peaks and peaks[0] == pytest.approx(period, rel=0.1)
     i = int(np.argmin(np.abs(gp.periods - period)))
@@ -543,8 +546,7 @@ def test_dominant_periods_refuses_a_negative_count():
     periods = np.arange(1.0, 6.0)
     gp = GlobalPower(
         scales=periods, periods=periods, power=np.array([0.0, 2.0, 0.0, 1.0, 0.0]),
-        significance_95=np.ones(5), background="white", ar1=None,
-        n_averaged=np.ones(5, dtype=int),
+        significance_95=np.ones(5), ar1=None,
     )
     assert dominant_periods(gp) == [2.0, 4.0]
     assert dominant_periods(gp, max_count=0) == []
@@ -552,15 +554,16 @@ def test_dominant_periods_refuses_a_negative_count():
         dominant_periods(gp, max_count=-1)
 
 
-def test_red_background_needs_ar1_or_series():
-    # A red background estimates its lag-1 coefficient from the series, so
-    # it refuses to run without one.
+def test_red_background_estimates_ar1_from_the_scalograms_samples():
+    # The scalogram keeps a reference to the samples it was built from, not
+    # a copy, and a red background estimates its lag-1 coefficient from
+    # them; a white one estimates none.
     ts = _tone(0.3, 100.0, 512)
     sg = cwt_morlet(ts)
-    with pytest.raises(ValidationError, match="needs the source series"):
-        global_power(sg, background="red")
-    gp = global_power(sg, background="red", series=ts.samples)
+    assert sg._series is ts.samples
+    gp = global_power(sg, background="red")
     assert gp.ar1 == cwtmod._estimate_ar1(ts.samples)
+    assert global_power(sg).ar1 is None
 
 
 #: A seeded AR(1) series with phi = 0.6, its red-background global power,
@@ -575,7 +578,7 @@ x = np.empty_like(e)
 x[0] = e[0]
 for t in range(1, x.size):
     x[t] = 0.6 * x[t - 1] + e[t]
-gp = global_power(cwt_morlet(TimeSeries(x, 1.0)), background="red", series=x)
+gp = global_power(cwt_morlet(TimeSeries(x, 1.0)), background="red")
 digest = hashlib.sha256(gp.significance_95.tobytes()).hexdigest()
 """
 
@@ -673,7 +676,7 @@ def test_phase_difference_segments_at_the_run_edges(mask, segments):
 
     def series(phase):
         n = phase.size
-        return PhaseSeries(1.0, 1.0, np.arange(n, dtype=float), phase, np.ones(n), 1.0)
+        return PhaseSeries(1.0, 1.0, np.arange(n, dtype=float), phase, 1.0)
 
     cmp_ = phase_difference(series(delta), series(np.zeros(delta.size)))
     assert cmp_.segments == segments

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import wavescope
-from wavescope import cwt, dwt, lyapunov, mfdfa, signal_core, spectral, svg, synth
+from wavescope import cwt, dwt, errors, lyapunov, mfdfa, signal_core, spectral, svg, synth
 
 
 def test_import_leaves_heavy_scipy_modules_out(fresh_python):
@@ -63,8 +64,9 @@ def test_python_dash_m_runs_the_cli_without_a_warning(fresh_python):
 # selector-string set, gave way to None detail bands.  The analysis grids
 # are the package's own: cwt_morlet's scales and fluctuation_function's
 # are always the default ladders, estimate_delay scans up to n // 4 lags,
-# a red global_power always estimates its AR(1) coefficient, and
-# write_table always ends its lines with a line feed.
+# a red global_power always estimates its AR(1) coefficient from the
+# scalogram's own samples, and write_table always ends its lines with a
+# line feed.  gen_binomial_cascade is deterministic: it takes no seed.
 _FIXED_SETTINGS = [
     (cwt.global_power, "siglevel"),
     (spectral.dominant_frequency, "exclude_dc"),
@@ -82,13 +84,14 @@ _FIXED_SETTINGS = [
     (lyapunov._mutual_information, "bins"),
     (lyapunov._linear_region, "r2_floor"),
     (synth.gen_bouncing_ball, "burn_in"),
-    (synth.CascadeParams, "seed"),
+    (synth.gen_binomial_cascade, "seed"),
     (signal_core.profile, "sample_rate"),
     (signal_core.load_csv, "time_column"),
     (cwt.cwt_morlet, "scales"),
     (mfdfa.fluctuation_function, "scales"),
     (lyapunov.estimate_delay, "max_lag"),
     (cwt.global_power, "ar1"),
+    (cwt.global_power, "series"),
     (signal_core.write_table, "eol"),
 ]
 
@@ -252,6 +255,8 @@ def test_every_public_callable_has_a_caller():
 # the wrapper types Profile and MfdfaConfig, and default_q_values, gave way
 # to a plain profile array, fluctuation_function's keywords and q_grid.
 # bounce_map_jacobian is the tests' Jacobian oracle (tests/map_oracle.py).
+# CascadeParams was built only to call gen_binomial_cascade, which now
+# takes its two numbers as keywords.
 _REMOVED_CALLABLES = [
     (signal_core, "detrend_mean"),
     (spectral, "alpha_from_hurst"),
@@ -261,6 +266,7 @@ _REMOVED_CALLABLES = [
     (mfdfa, "MfdfaConfig"),
     (mfdfa, "default_q_values"),
     (synth, "bounce_map_jacobian"),
+    (synth, "CascadeParams"),
 ]
 
 
@@ -271,3 +277,35 @@ def test_removed_callables_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(wavescope, name)
     assert name not in wavescope.__all__
+
+
+# Result fields, properties and exception attributes that no caller read:
+# each is derived from what the result holds or from a constant.
+# PowerSpectrum.df is sample_rate / n; GlobalPower.n_averaged is
+# power_summary().counts and its background the caller's argument;
+# PhaseSeries.amplitude is |Scalogram.rows| at the scale; a pyramid's depth
+# is len(details); a FluctuationTable's levels are 1..len(scales) of the
+# one MFDFA wavelet, daubechies(2), of support 4; and the messages of
+# OutOfRangeError and StageError state the value and the stage.
+_REMOVED_FIELDS = [
+    (spectral.PowerSpectrum, "df"),
+    (cwt.GlobalPower, "n_averaged"),
+    (cwt.GlobalPower, "background"),
+    (cwt.PhaseSeries, "amplitude"),
+    (dwt.DwtDecomposition, "levels"),
+    (mfdfa.FluctuationTable, "levels"),
+    (mfdfa.FluctuationTable, "wavelet_support"),
+    (errors.OutOfRangeError, "value"),
+    (errors.StageError, "stage"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name", _REMOVED_FIELDS, ids=[f"{o.__name__}-{n}" for o, n in _REMOVED_FIELDS]
+)
+def test_removed_fields_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    if dataclasses.is_dataclass(owner):
+        assert name not in {f.name for f in dataclasses.fields(owner)}
+    else:  # an exception takes its message alone
+        assert not hasattr(owner("message"), name)

@@ -84,7 +84,8 @@ def test_fluctuation_q2_is_rms_of_segment_variance():
     ts = gen_fbm(0.6, 2048, seed=0)
     prof = profile(np.diff(ts.samples))
     table = fluctuation_function(prof, q_values=np.array([2.0]))
-    flucts = extract_fluctuation(prof, daubechies(2), table.levels)
+    levels = range(1, table.scales.size + 1)
+    flucts = extract_fluctuation(prof, daubechies(2), levels)
     for j, (fluct, s) in enumerate(zip(flucts, table.scales)):
         seg = segment_variance(fluct, int(s))
         assert table.fluctuation[0, j] == pytest.approx(
@@ -125,7 +126,8 @@ def test_zero_variance_warns_once_per_scale():
         table = fluctuation_function(x)
     zero = [w for w in caught if issubclass(w.category, ZeroVarianceWarning)]
     affected = []
-    for fluct, s in zip(extract_fluctuation(x, daubechies(2), table.levels), table.scales):
+    levels = range(1, table.scales.size + 1)
+    for fluct, s in zip(extract_fluctuation(x, daubechies(2), levels), table.scales):
         if np.any(segment_variance(fluct, int(s)) == 0):
             affected.append(int(s))
     assert len(affected) == 8
@@ -157,7 +159,7 @@ def test_one_analysis_pass_per_direction(monkeypatch):
     monkeypatch.setattr(dwt, "_analysis", counted)
     prof = np.cumsum(np.random.default_rng(5).standard_normal(4096))
     table = fluctuation_function(prof)
-    assert len(calls) == 2 * int(table.levels.max())
+    assert len(calls) == 2 * table.scales.size  # one level per scale
 
 
 def test_unknown_boundary_is_refused_before_any_analysis_step(monkeypatch):
@@ -300,10 +302,8 @@ def _exact_table(h_by_q, scales):
     return FluctuationTable(
         q_values=q,
         scales=np.asarray(scales),
-        levels=np.arange(1, len(scales) + 1),
         fluctuation=fl,
         n=4096,
-        wavelet_support=4,
     )
 
 
@@ -323,14 +323,14 @@ def test_generalized_hurst_default_fit_range():
     table = _exact_table({2.0: 0.5}, scales)
     out = generalized_hurst(table)
     lo, hi = out.fit_range
-    assert lo == pytest.approx(2 * table.wavelet_support)
+    assert lo == pytest.approx(2 * daubechies(2).support)
     assert hi == pytest.approx(table.n / 8)
 
 
 @pytest.mark.parametrize("ends", [(None, None), (None, 256.0), (16.0, None)])
 def test_generalized_hurst_fills_each_open_end_with_its_default(ends):
     table = fluctuation_function(profile(gen_fbm(0.6, 2**12, seed=3).samples))
-    default = (2.0 * table.wavelet_support, table.n / 8.0)
+    default = (2.0 * daubechies(2).support, table.n / 8.0)
     explicit = tuple(d if v is None else v for v, d in zip(ends, default))
     got = generalized_hurst(table, fit_range=ends)
     want = generalized_hurst(table, fit_range=explicit)
@@ -353,10 +353,8 @@ def test_generalized_hurst_warns_on_poor_fit():
     table = FluctuationTable(
         q_values=np.array([2.0]),
         scales=scales,
-        levels=np.arange(1, scales.size + 1),
         fluctuation=fl,
         n=4096,
-        wavelet_support=4,
     )
     with pytest.warns(PoorFitWarning):
         generalized_hurst(table, fit_range=(8.0, 512.0))

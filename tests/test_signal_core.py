@@ -31,6 +31,15 @@ def test_timeseries_rejects_nan_and_bad_rate():
         TimeSeries(np.arange(4.0), -5.0)
 
 
+@pytest.mark.parametrize("rate", [1e-310, 5e-324, np.float64(1e-309)])
+def test_a_rate_whose_period_overflows_is_refused(rate):
+    # Below about 5.6e-309 Hz, 1 / sample_rate is inf, and so would be
+    # every time the series gives.
+    with pytest.raises(ValidationError, match=f"finite period .* got {rate}"):
+        TimeSeries(np.arange(4.0), rate)
+    assert np.isfinite(TimeSeries(np.arange(4.0), 5.6e-309).dt)
+
+
 @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
 def test_a_rate_that_is_not_finite_is_refused(tmp_path, rate):
     with pytest.raises(ValidationError, match="finite"):

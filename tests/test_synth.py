@@ -12,7 +12,6 @@ from wavescope.lyapunov import map_lyapunov
 from wavescope.synth import (
     MAX_SAMPLES,
     BounceParams,
-    CascadeParams,
     bounce_map_trajectory,
     cascade_hurst,
     gen_binomial_cascade,
@@ -325,7 +324,7 @@ def test_bounce_params_refuse_non_finite_drive_freq(drive_freq):
 
 
 def test_cascade_length_and_positivity():
-    ts = gen_binomial_cascade(CascadeParams(0.75, 10))
+    ts = gen_binomial_cascade(0.75, 10)
     assert ts.samples.size == 2**10
     assert np.all(ts.samples > 0)
 
@@ -336,14 +335,14 @@ def test_cascade_weights_follow_the_bit_count_of_the_index(a):
     levels = 10
     k = np.array([bin(i).count("1") for i in range(2**levels)], dtype=np.int64)
     want = a**k * (1.0 - a) ** (levels - k)
-    got = gen_binomial_cascade(CascadeParams(a, levels)).samples
+    got = gen_binomial_cascade(a, levels).samples
     assert got.tobytes() == want.tobytes()
 
 
 def test_cascade_mass_conservation():
     # each split only redistributes mass; the total stays at one
     for levels in (8, 12):
-        x = gen_binomial_cascade(CascadeParams(0.6, levels)).samples
+        x = gen_binomial_cascade(0.6, levels).samples
         assert x.sum() == pytest.approx(1.0, rel=1e-9)
 
 
@@ -365,11 +364,11 @@ def test_cascade_hurst_q_zero_limit():
 
 def test_cascade_weight_validation():
     with pytest.raises(ValidationError):
-        CascadeParams(0.5, 10)  # a = 1/2 degenerates to uniform
+        gen_binomial_cascade(0.5, 10)  # a = 1/2 degenerates to uniform
     with pytest.raises(ValidationError):
-        CascadeParams(1.0, 10)
+        gen_binomial_cascade(1.0, 10)
     with pytest.raises(ValidationError):
-        CascadeParams(0.75, 0)
+        gen_binomial_cascade(0.75, 0)
 
 
 # ------------------------------------------------------------- input size
@@ -382,7 +381,7 @@ def test_generators_refuse_more_than_max_samples():
         lambda: gen_fbm(0.5, 2**70),
         lambda: gen_power_law_noise(1.0, 2**70),
         lambda: gen_sine_mix([(1.0, 1.0, 0.0)], 10.0, 2**70),
-        lambda: CascadeParams(0.7, 70),
+        lambda: gen_binomial_cascade(0.7, 70),
         lambda: gen_bouncing_ball(BounceParams(7.0, 25.0, 0.9, 50, seed=3), 1e300),
         lambda: gen_bouncing_ball(BounceParams(7.0, 25.0, 0.9, 50, seed=3), math.inf),
     ):
@@ -390,10 +389,24 @@ def test_generators_refuse_more_than_max_samples():
             make()
 
 
-def test_param_objects_take_max_samples_and_refuse_one_more():
-    assert 2 ** CascadeParams(0.7, 24).levels == MAX_SAMPLES
+class _Reached(Exception):
+    pass
+
+
+def _stop_at_arange(n, **kwargs):
+    raise _Reached(n)
+
+
+def test_param_objects_take_max_samples_and_refuse_one_more(monkeypatch):
+    # 24 levels pass the check and reach the index array of MAX_SAMPLES
+    # entries, which is stopped before it is allocated; 25 are refused.
+    monkeypatch.setattr(np, "arange", _stop_at_arange)
+    with pytest.raises(_Reached) as reached:
+        gen_binomial_cascade(0.7, 24)
+    assert reached.value.args == (MAX_SAMPLES,)
+    monkeypatch.undo()
     with pytest.raises(ValidationError, match="MAX_SAMPLES"):
-        CascadeParams(0.7, 25)
+        gen_binomial_cascade(0.7, 25)
     assert BounceParams(7.0, 25.0, 0.9, MAX_SAMPLES).n_impacts == MAX_SAMPLES
     with pytest.raises(ValidationError, match="MAX_SAMPLES"):
         BounceParams(7.0, 25.0, 0.9, MAX_SAMPLES + 1)
