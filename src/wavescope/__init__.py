@@ -9,8 +9,8 @@ The package groups nine concerns behind one namespace:
 - ``cwt``: Morlet scalograms, significance tests, phase comparison
 - ``lyapunov``: delay embedding and largest-exponent estimation
 - ``synth``: generators with analytic ground truth for validation
-- ``figures``: the paper's figures rebuilt from synthetic stand-ins
-- ``cli``: config-driven pipeline runner and command line
+- ``figures``: the paper's figure presets on synthetic stand-ins
+- ``cli``: config-driven pipeline runner, figure rebuilds and command line
 """
 
 from .errors import (
@@ -91,8 +91,7 @@ from .synth import (
     gen_power_law_noise,
     gen_sine_mix,
 )
-from .figures import figure_repro
-from .cli import RunConfig, RunReport, run, validate_config
+from .cli import RunConfig, RunReport, figure_repro, run, validate_config
 
 __version__ = "0.1.0"
 

@@ -3,7 +3,8 @@
 This module holds the config schema and its validation, the input
 builder, the pipeline stages, ``run`` and the argv handling; each
 subcommand names its handler and ``main`` calls it.  The figure presets
-and the artifact writer live in ``figures``.  Identical config and seed
+and the artifact writer live in ``figures``; ``figure_repro`` runs a
+preset's stages through ``run``'s own loop.  Identical config and seed
 produce byte-identical artifacts, which the run report makes checkable
 by hashing every file it writes.
 
@@ -31,7 +32,7 @@ from .errors import (
     WavescopeError,
 )
 from .figures import (
-    FIGURE_NAMES, emit_phase, figure_repro, fq_plot, phase_comparison,
+    FIGURE_NAMES, FIGURES, emit_phase, fq_plot, phase_comparison,
     scalogram_plot, spectrum_plot, write_fq_table, write_json, writer,
 )
 from .signal_core import TimeSeries, load_csv, profile, write_csv, write_table
@@ -435,7 +436,7 @@ def _stage_mfdfa(ts, params, emit, shared):
         [table.q_values, table.hurst, table.fit_r2],
     )
     rows = range(0, table.q_values.size, max(1, table.q_values.size // 6))
-    emit("fq.svg", fq_plot, table, rows, "scale (samples)", "fluctuation function")
+    emit("fq.svg", fq_plot, table, rows)
     emit(
         "hurst.svg",
         svg.line_plot,
@@ -470,7 +471,7 @@ def _stage_cwt(ts, params, emit, shared):
         ["scale_s", "period_s", "mean_power_outside_coi"],
         [sg.scales, sg.periods, sg.power_summary(heatmap=True).mean_power],
     )
-    emit("scalogram.svg", scalogram_plot, sg, "scalogram, log10 power / variance")
+    emit("scalogram.svg", scalogram_plot, sg)
     return ts, {
         "n_scales": int(sg.scales.size),
         "period_range_s": [float(sg.periods[0]), float(sg.periods[-1])],
@@ -557,8 +558,8 @@ def _stage_lyapunov(ts, params, emit, shared):
     return ts, info
 
 
-# ``run`` looks each stage up here at call time, so wrapping an entry
-# (as the benchmark's traced pass does) instruments every run.
+# _run_stages looks each stage up here at call time, so wrapping an entry
+# (as the benchmark's traced pass does) instruments every run and figure.
 _STAGE_FUNCS = {
     "denoise": _stage_denoise,
     "spectrum": _stage_spectrum,
@@ -618,56 +619,66 @@ _STAGE_PARAMS = {
 }
 
 
+def _attempt(outdir: Path, stage_name: str, fn, *args):
+    """``fn(*args)``; if it raises, a ``<stage_name>.failed`` marker in
+    ``outdir`` records the reason and StageError names the stage."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        marker = outdir / f"{stage_name}.failed"
+        marker.write_text(f"{type(err).__name__}: {err}\n", encoding="utf-8")
+        raise StageError(f"stage '{stage_name}': {err}") from err
+
+
+def _run_stages(ts, pipeline, outdir, wanted, written, prefix="") -> dict:
+    """Run ``pipeline``'s stage mappings in turn, from ``ts``, each through
+    _attempt, and return their summary.  Stage i writes with the prefix
+    ``<prefix><i:02d>_<stage>_``.
+
+    The stages share one result through a _Shared: a spectrum or a
+    scalogram, computed once per series and params and held until the next
+    shared call, a stage that returns a new series or the end of the loop.
+    The summary keeps the first stage of a name under that name and each
+    repeat under ``<i:02d>_<stage>``, so ``[fit, fit]`` reports ``fit`` and
+    ``01_fit``.
+    """
+    shared = _Shared()
+    summary: dict = {}
+    for i, stage in enumerate(pipeline):
+        name = stage["stage"]
+        params = _with_defaults(stage, _STAGE_PARAMS[name])
+        tag = f"{i:02d}_{name}"
+        emit = writer(outdir, f"{prefix}{tag}_", wanted, written)
+        key = tag if name in summary else name
+        ts, summary[key] = _attempt(outdir, name, _STAGE_FUNCS[name], ts, params, emit, shared)
+    return summary
+
+
 def run(cfg: RunConfig) -> RunReport:
     """Execute a validated pipeline; see :func:`validate_config`.
 
     Raises StageError naming the failing stage; before the raise, a
     ``<stage>.failed`` marker records the reason next to any partial
-    output of that stage.
-
-    Stages share one result through the run's _Shared: a spectrum or a
-    scalogram, computed once per series and params and held until the
-    next shared call, a stage that returns a new series or the end of the
-    run.  ``cwt`` and ``globalpower`` read one ``power_summary`` record,
-    which always bins the heat map, so in either order each row's inverse
-    FFT runs once.
-
-    The summary keeps the first stage of a name under that name and each
-    repeat under its artifact prefix, so ``[fit, fit]`` reports ``fit``
-    and ``01_fit``.
+    output of that stage.  ``cwt`` and ``globalpower`` read one
+    ``power_summary`` record, which always bins the heat map, so in either
+    order each row's inverse FFT runs once.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     summary: dict = {}
-    stages = [
-        (s["stage"], _with_defaults(s, _STAGE_PARAMS[s["stage"]])) for s in cfg.pipeline
-    ]
-    shared = _Shared()
 
     def wanted(name):
         return cfg.formats[name.rsplit(".", 1)[1]]
 
-    def attempt(stage_name, fn, *args):
-        try:
-            return fn(*args)
-        except Exception as err:
-            marker = outdir / f"{stage_name}.failed"
-            marker.write_text(f"{type(err).__name__}: {err}\n", encoding="utf-8")
-            raise StageError(f"stage '{stage_name}': {stage_name}: {err}") from err
-
-    ts = attempt("input", _build_input, cfg)
+    ts = _attempt(outdir, "input", _build_input, cfg)
     writer(outdir, "", wanted, written)("input.csv", lambda path: write_csv(ts, path))
     summary["input"] = {
         "n": int(ts.samples.size),
         "sample_rate_hz": float(ts.sample_rate),
         "label": ts.label,
     }
-    for i, (name, params) in enumerate(stages):
-        prefix = f"{i:02d}_{name}"
-        emit = writer(outdir, prefix + "_", wanted, written)
-        key = prefix if name in summary else name
-        ts, summary[key] = attempt(name, _STAGE_FUNCS[name], ts, params, emit, shared)
+    summary.update(_run_stages(ts, cfg.pipeline, outdir, wanted, written))
     report = RunReport(
         artifacts=[
             {"path": p.name, "sha256": _sha256(p)} for p in written
@@ -679,6 +690,23 @@ def run(cfg: RunConfig) -> RunReport:
         {"artifacts": report.artifacts, "summary": report.summary, "exit_code": 0},
     )
     return report
+
+
+def figure_repro(name: str, out_dir: str | Path) -> list[Path]:
+    """Rebuild one documentation figure: its preset's stages run on the
+    stand-in through _run_stages with every format on, each file named
+    ``<name>_<NN>_<stage>_<file>``, then its extra writer, if any."""
+    if name not in FIGURES:
+        raise ConfigError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
+    build, pipeline, extra = FIGURES[name]
+    outdir = Path(out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    if build is not None:
+        _run_stages(build(), pipeline, outdir, lambda f: True, written, f"{name}_")
+    if extra is not None:
+        extra(writer(outdir, "", lambda f: True, written))
+    return written
 
 
 # --------------------------------------------------------------------------

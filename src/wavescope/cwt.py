@@ -99,16 +99,13 @@ class PowerSummary:
     """Scalogram.power_summary's record of |W|^2 outside the cone.
 
     Per scale: ``counts`` samples outside the cone (never 0 on the ladder)
-    and their ``mean_power``.  With the heat map, ``mean_relative`` is
-    their mean of |W|^2 / variance (its bits differ from ``mean_power /
-    variance``) and ``heatmap`` holds each row's column bins
-    (signal_core.column_bins) of log10(|W|^2 / variance + 1e-300); without
-    it both are None.
+    and their ``mean_power``.  With the heat map, ``heatmap`` holds each
+    row's column bins (signal_core.column_bins) of log10(|W|^2 / variance
+    + 1e-300); without it, it is None.
     """
 
     counts: np.ndarray
     mean_power: np.ndarray
-    mean_relative: np.ndarray | None
     heatmap: np.ndarray | None
 
 
@@ -221,7 +218,7 @@ class Scalogram:
         kept = self._summary
         if kept is not None and (kept.heatmap is not None or not heatmap):
             return kept
-        counts, means, relative, bins = [], [], [], []
+        counts, means, bins = [], [], []
         coeff_rows = self.rows(range(self.scales.size))
         for row, outside in zip(coeff_rows, self._outside_slices()):
             power = np.abs(row)
@@ -230,13 +227,12 @@ class Scalogram:
             means.append(power[outside].mean())
             if heatmap:
                 power /= self.signal_variance
-                relative.append(power[outside].mean())
                 power += 1e-300
                 np.log10(power, out=power)
                 bins.append(column_bins(power))
             del power  # before the next row is computed
-        maps = (np.array(relative), np.array(bins)) if heatmap else (None, None)
-        self._summary = PowerSummary(np.array(counts), np.array(means), *maps)
+        heat = np.array(bins) if heatmap else None
+        self._summary = PowerSummary(np.array(counts), np.array(means), heat)
         return self._summary
 
     def _outside_slices(self) -> list[slice]:

@@ -1,9 +1,13 @@
-"""The paper's figures 7-12 rebuilt from synthetic stand-ins, and the
+"""The paper's figures 7-12 as presets on synthetic stand-ins, and the
 artifact writer and plot helpers that the pipeline stages share.
 
-Stages, presets and ``phase`` write every file through ``writer``;
-``cli`` imports it and the helpers below by their public names, and
-``__all__`` lists only the figure entry points.  Everything written is
+A preset is data: a stand-in series, a list of stages in the ``run``
+config schema, and an extra writer or None (see ``FIGURES``).
+``cli.figure_repro`` runs the stages through ``run``'s own stage loop, so
+a figure is the files its stages write, plus those of its extra writer
+(fig11, which compares three series, has only that).  Stages, presets
+and ``phase`` write every file through ``writer``; ``cli`` imports it
+and the helpers below by their public names.  Everything written is
 deterministic: JSON has sorted keys and repr-roundtrip floats, CSV
 numbers use repr, SVG uses fixed precision, and no artifact carries a
 timestamp.  Nothing here imports ``cli``.
@@ -18,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import cwt as cwtmod
-from . import mfdfa, spectral, svg, synth
-from .errors import ConfigError
+from . import mfdfa, svg, synth
 from .signal_core import TimeSeries, profile, write_table
 
-__all__ = ["FIGURE_NAMES", "figure_repro"]
+__all__ = ["FIGURE_NAMES"]
 
 
 # --------------------------------------------------------------------------
@@ -53,14 +56,14 @@ def writer(outdir: Path, prefix: str, wanted, written: list):
     return emit
 
 
-def spectrum_plot(path, ps, title, guides=(), label="power"):
+def spectrum_plot(path, ps, title, guides=()):
     """Log-log spectrum with a dashed guide line per ``(fit, slope, label)``.
 
     A guide runs across the fitted band, anchored at the band's centre on
     the fit; its slope is the fit's own when ``slope`` is None.
     """
     nz = ps.freqs > 0
-    curves = [(ps.freqs[nz], ps.power[nz], label)]
+    curves = [(ps.freqs[nz], ps.power[nz], "power")]
     for fit, slope, text in guides:
         f_lo, f_hi = fit.band
         f = np.array([f_lo, f_hi])
@@ -88,18 +91,19 @@ def write_fq_table(path, table):
     write_table(path, header, cols)
 
 
-def fq_plot(path, table, rows, xlabel, title):
+def fq_plot(path, table, rows):
     """Log-log F_q(s) curves for the moment orders at ``rows``."""
     curves = [
         (table.scales.astype(float), table.fluctuation[i], f"q={table.q_values[i]:g}")
         for i in rows
     ]
     return svg.line_plot(
-        path, curves, xlabel=xlabel, ylabel="F_q(s)", title=title, xlog=True, ylog=True
+        path, curves, xlabel="scale (samples)", ylabel="F_q(s)",
+        title="fluctuation function", xlog=True, ylog=True,
     )
 
 
-def scalogram_plot(path, sg, title):
+def scalogram_plot(path, sg):
     """Heatmap of log10 power relative to the variance, cone of influence
     drawn, from the column bins of ``sg.power_summary(heatmap=True)``."""
     return svg.heatmap(
@@ -109,14 +113,14 @@ def scalogram_plot(path, sg, title):
         sg.power_summary(heatmap=True).heatmap,
         xlabel="time (s)",
         ylabel="period (s)",
-        title=title,
+        title="scalogram, log10 power / variance",
         ylog=True,
         overlay=(sg.times, sg.coi),
     )
 
 
 # --------------------------------------------------------------------------
-# figure reproduction presets
+# figure presets
 
 _FOUR_TONES = [(0.018, 0.7, 0.0), (0.049, 1.5, 0.8), (0.226, 0.7, 1.6), (0.578, 1.3, 2.4)]
 
@@ -141,116 +145,10 @@ def _two_regime_noise(n: int = 2**15, rate: float = 50000.0, fc: float = 500.0):
     return TimeSeries(samples, rate, label="two-regime noise")
 
 
-def _fig7(emit) -> None:
+def _profiled_noise() -> TimeSeries:
+    """The profile of 1/f noise, whose spectrum falls about as f^-3."""
     ts = synth.gen_power_law_noise(1.0, 2**14, seed=7, sample_rate=50000.0)
-    prof = profile(ts.samples)
-    walk = TimeSeries(prof, ts.sample_rate)
-    ps = spectral.power_spectrum(walk)
-    fit = spectral.fit_power_law(ps, 330.0, 8000.0)
-    hurst = spectral.hurst_from_alpha(min(fit.alpha_abs, 2.999))
-    t = np.arange(prof.size) / ts.sample_rate
-    emit(
-        "fig7a.svg",
-        svg.line_plot,
-        [(t, prof, "profile")],
-        xlabel="time (s)",
-        ylabel="cumulative sum",
-        title="profile of the series",
-    )
-    emit(
-        "fig7b.svg",
-        spectrum_plot,
-        ps,
-        "power law of the profile",
-        [(fit, None, f"slope {fit.slope:.2f}")],
-        label="profile power",
-    )
-    emit("fig7.csv", write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
-    info = {"alpha_abs": fit.alpha_abs, "slope": fit.slope, "hurst": hurst}
-    emit("fig7.json", write_json, info)
-
-
-def _fig8(emit) -> None:
-    ts = _four_tone_series()
-    sg = cwtmod.cwt_morlet(ts)
-    emit("fig8.svg", scalogram_plot, sg, "scalogram with cone of influence")
-    emit(
-        "fig8.csv",
-        write_table,
-        ["period_s", "mean_power_outside_coi"],
-        [sg.periods, sg.power_summary(heatmap=True).mean_relative],
-    )
-
-
-def _fig9(emit) -> None:
-    ts = synth.gen_binomial_cascade(0.75, 14)
-    table = mfdfa.fluctuation_function(profile(ts.samples))
-    table = mfdfa.generalized_hurst(table, fit_range=(16.0, table.n / 16.0))
-    sel = np.flatnonzero(np.isin(table.q_values, (-10, -5, -2, 0, 2, 5, 10)))
-    emit(
-        "fig9a.svg",
-        fq_plot,
-        table,
-        sel,
-        "scale s (samples)",
-        "fluctuation functions of the cascade",
-    )
-    emit("fig9a.csv", write_fq_table, table)
-    closed = np.array([synth.cascade_hurst(0.75, v) for v in table.q_values])
-    emit(
-        "fig9b.svg",
-        svg.line_plot,
-        [
-            (table.q_values, table.hurst, "measured h(q)"),
-            (table.q_values, closed, "closed form", True),
-        ],
-        xlabel="q",
-        ylabel="h(q)",
-        title="generalized Hurst exponents",
-    )
-    emit(
-        "fig9b.csv",
-        write_table,
-        ["q", "h_measured", "h_closed_form"],
-        [table.q_values, table.hurst, closed],
-    )
-
-
-def _fig10(emit) -> None:
-    gp = cwtmod.global_power(cwtmod.cwt_morlet(_four_tone_series()))
-    peaks = cwtmod.dominant_periods(gp, max_count=4)
-    emit(
-        "fig10a.svg",
-        svg.line_plot,
-        [(gp.periods, gp.power, "global power")],
-        xlabel="period (s)",
-        ylabel="power",
-        title="time-averaged wavelet power",
-        xlog=True,
-        vmarks=[(p, f"{p * 1e3:.0f} ms") for p in sorted(peaks)],
-    )
-    emit("fig10a.csv", write_table, ["period_s", "power"], [gp.periods, gp.power])
-    emit("fig10a.json", write_json, {"dominant_periods_s": sorted(peaks)})
-    emit(
-        "fig10b.svg",
-        svg.line_plot,
-        [
-            (gp.periods, gp.power, "global power"),
-            (gp.periods, gp.significance_95, "95% significance", True),
-        ],
-        xlabel="period (s)",
-        ylabel="power",
-        title="global power against the 95% level",
-        xlog=True,
-        ylog=True,
-    )
-    sig = gp.power > gp.significance_95
-    emit(
-        "fig10b.csv",
-        write_table,
-        ["period_s", "power", "significance_95", "significant"],
-        [gp.periods, gp.power, gp.significance_95, sig],
-    )
+    return TimeSeries(profile(ts.samples), ts.sample_rate)
 
 
 def phase_comparison(sga, sgb, period: float):
@@ -279,6 +177,13 @@ def emit_phase(emit, svg_name, csv_name, cmp_, bands, label, title) -> None:
         bands=bands,
     )
     emit(csv_name, write_table, ["time_s", "delta_phi_rad"], [cmp_.times, cmp_.delta])
+
+
+def _cascade_closed_form(emit) -> None:
+    """The cascade's h(q) in closed form, on the ``mfdfa`` stage's q grid."""
+    q = mfdfa.q_grid()
+    closed = np.array([synth.cascade_hurst(0.75, v) for v in q])
+    emit("fig9_closed_form.csv", write_table, ["q", "h_closed_form"], [q, closed])
 
 
 def _fig11(emit) -> None:
@@ -313,53 +218,21 @@ def _fig11(emit) -> None:
     )
 
 
-def _fig12(emit) -> None:
-    ts = _two_regime_noise()
-    ps = spectral.power_spectrum(ts)
-    neutral = spectral.heisenberg_fit(ps, 20.0, 400.0, regime="neutral")
-    dissip = spectral.heisenberg_fit(ps, 800.0, 20000.0, regime="dissipation")
-    emit(
-        "fig12.svg",
-        spectrum_plot,
-        ps,
-        "spectral regimes",
-        [
-            (neutral.fit, neutral.target, "-5/3 neutral"),
-            (dissip.fit, dissip.target, "-7 dissipation"),
-        ],
-    )
-    emit("fig12.csv", write_table, ["freq_hz", "power"], [ps.freqs, ps.power])
-    emit(
-        "fig12.json",
-        write_json,
-        {
-            "neutral": {"slope": neutral.fit.slope, "matches": neutral.matches},
-            "dissipation": {"slope": dissip.fit.slope, "matches": dissip.matches},
-        },
-    )
-
-
-#: Each preset emits its files through the writer; a figure name keeps the
-#: files whose names start with it, so fig9a and fig9b share one preset.
-_FIGURES = {
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9a": _fig9,
-    "fig9b": _fig9,
-    "fig10a": _fig10,
-    "fig10b": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
+#: name -> (stand-in series maker, stages in the ``run`` config schema,
+#: extra writer or None); ``cli.figure_repro`` runs them.  fig11 compares
+#: three series, so it is an extra writer alone.
+FIGURES = {
+    "fig7": (_profiled_noise, [{"stage": "spectrum"},
+                               {"stage": "fit", "f_lo": 330.0, "f_hi": 8000.0}], None),
+    "fig8": (_four_tone_series, [{"stage": "cwt"}], None),
+    "fig9": (lambda: synth.gen_binomial_cascade(0.75, 14),
+             [{"stage": "mfdfa", "fit_lo": 16.0, "fit_hi": 1024.0}], _cascade_closed_form),
+    "fig10": (_four_tone_series, [{"stage": "globalpower", "max_peaks": 4}], None),
+    "fig11": (None, [], _fig11),
+    "fig12": (_two_regime_noise, [
+        {"stage": "spectrum"},
+        {"stage": "heisenberg", "f_lo": 20.0, "f_hi": 400.0, "regime": "neutral"},
+        {"stage": "heisenberg", "f_lo": 800.0, "f_hi": 20000.0, "regime": "dissipation"},
+    ], None),
 }
-FIGURE_NAMES = tuple(_FIGURES)
-
-
-def figure_repro(name: str, out_dir: str | Path) -> list[Path]:
-    """Rebuild one documentation figure from its synthetic stand-in."""
-    if name not in _FIGURES:
-        raise ConfigError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
-    outdir = Path(out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    _FIGURES[name](writer(outdir, "", lambda f: f.startswith(name), written))
-    return written
+FIGURE_NAMES = tuple(FIGURES)

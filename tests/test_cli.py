@@ -951,12 +951,26 @@ def test_stage_subcommand_flags_are_the_declared_params():
 
 
 _FIGURE_FILES = {
-    "fig7": ["fig7a.svg", "fig7b.svg", "fig7.csv", "fig7.json"],
-    "fig8": ["fig8.svg", "fig8.csv"],
-    "fig9a": ["fig9a.svg", "fig9a.csv"],
-    "fig9b": ["fig9b.svg", "fig9b.csv"],
-    "fig10a": ["fig10a.svg", "fig10a.csv", "fig10a.json"],
-    "fig10b": ["fig10b.svg", "fig10b.csv"],
+    "fig7": [
+        "fig7_00_spectrum_spectrum.csv",
+        "fig7_00_spectrum_spectrum.svg",
+        "fig7_01_fit_fit.json",
+        "fig7_01_fit_fit.svg",
+    ],
+    "fig8": ["fig8_00_cwt_scales.csv", "fig8_00_cwt_scalogram.svg"],
+    "fig9": [
+        "fig9_00_mfdfa_fq.csv",
+        "fig9_00_mfdfa_hurst.csv",
+        "fig9_00_mfdfa_fq.svg",
+        "fig9_00_mfdfa_hurst.svg",
+        "fig9_00_mfdfa_mfdfa.json",
+        "fig9_closed_form.csv",
+    ],
+    "fig10": [
+        "fig10_00_globalpower_globalpower.csv",
+        "fig10_00_globalpower_globalpower.svg",
+        "fig10_00_globalpower_globalpower.json",
+    ],
     "fig11": [
         "fig11_locked.svg",
         "fig11_locked.csv",
@@ -964,7 +978,14 @@ _FIGURE_FILES = {
         "fig11_detuned.csv",
         "fig11.json",
     ],
-    "fig12": ["fig12.svg", "fig12.csv", "fig12.json"],
+    "fig12": [
+        "fig12_00_spectrum_spectrum.csv",
+        "fig12_00_spectrum_spectrum.svg",
+        "fig12_01_heisenberg_heisenberg.json",
+        "fig12_01_heisenberg_heisenberg.svg",
+        "fig12_02_heisenberg_heisenberg.json",
+        "fig12_02_heisenberg_heisenberg.svg",
+    ],
 }
 
 
@@ -975,29 +996,32 @@ _PINNED_VERSIONS = ("2.4.6", "1.17.1")
 
 #: sha256 of each file of all figure presets.
 _FIGURE_DIGESTS = {
-    "fig10a.csv": "0f35e5d4459d3909df6e6bda5575c873736c5ed6ef41f1d0fd204a7c722c29d7",
-    "fig10a.json": "780a47a254827ef6586cb27a3fd27ceae45d3ff08e36987a46751eb7dfd889c2",
-    "fig10a.svg": "1dac02d8b59e9be9693c6b95591a319dc451fa5d1f76700e4340bdb5c5167e18",
-    "fig10b.csv": "4788b3b797ebc48b541f59abdacd874a2bf1806299776cbc702fa67487aff41e",
-    "fig10b.svg": "df4fd82ed2d13f544e03de2241a3d4f82b9e2c14513d8ed5d3aedd19ebdfd165",
+    "fig10_00_globalpower_globalpower.csv": "8e59aa5f1092d296580bfbf2db6a541b543d7950dc1015c8f6f923de82bf488d",
+    "fig10_00_globalpower_globalpower.json": "49f10d6156e2e0fcd3ac981209ab303d1b2408eb7d6762716c4581d997899a59",
+    "fig10_00_globalpower_globalpower.svg": "f3d9d08fe964989977b7812a801efa45230f74d6b8947d80319366ffe67b94c9",
     "fig11.json": "924a95a06959f85c596670764cf92d9340161764ddf3a33ad46ecd42ba032a0a",
     "fig11_detuned.csv": "afb37c3e271dce1047d7c7796a6b1704fe6eced6f6db34a9fd087466cfd78b3c",
     "fig11_detuned.svg": "fc8a8d3f9b3a7a12233830d4ce83f06de72a20d5de9875eedab6e0e292a656c2",
     "fig11_locked.csv": "4137b8f2fba06de2b3cf310225f9a97787296bd3d9c722dcf5b21ee38e446368",
     "fig11_locked.svg": "87aee65ae0ae75323eb1e6569136437bc9a80b084e2e1658e1725c4e35bd0d63",
-    "fig12.csv": "78ef382240e0a79a42a891db356e4d41869801c7689281802e5e22127e07075b",
-    "fig12.json": "6caa2b061f0f11d4dd9135db9b122c99d875884c7e56be35cf29f5dbc990a16b",
-    "fig12.svg": "b73fa38bbd9056f2aec4c869c12c45bfdf49d37f9958e801f76effa72fbaf7e4",
-    "fig7.csv": "52205cefaf49059566c8ee09a0526f0c8e2d68bdafef99bf0e49a55d96ac415f",
-    "fig7.json": "1ca091116f05b3d1814b1191db49c6f7469c1d3e76101cabcffdb1513bfe94d2",
-    "fig7a.svg": "13008e9a5d8950f46836bed84d102932688eadfd2aee95cc3d13f652b9aa190a",
-    "fig7b.svg": "42a710d03bd045e1194d778f03377afdd8819bc08b49df5a29335ac5867f36c4",
-    "fig8.csv": "fba0b38c882ceee094cd6be99b8aa03e80e6397fb12608e39b8aad339ba134ec",
-    "fig8.svg": "c81c5c96db61026c0cc57fccea86bd2433f4b4e5d0e6e0e9df2c0880e75f8b02",
-    "fig9a.csv": "64470b90a9cfb32a484f6de25ba4407a017b0a72229a8197fd7a4f9c01789c1c",
-    "fig9a.svg": "151713a457f937f654391aa257640698c41d3879194795412d2e32a68d472548",
-    "fig9b.csv": "8c26655b6f59ee4aebbbe229519cd84831d4c8b70535aded58b0a6403e613ca9",
-    "fig9b.svg": "b097e79fc6add249cfc7f733933c6381e6daa80cd10c24af5ce045d885dad017",
+    "fig12_00_spectrum_spectrum.csv": "78ef382240e0a79a42a891db356e4d41869801c7689281802e5e22127e07075b",
+    "fig12_00_spectrum_spectrum.svg": "7269ddf4b7784cdbf87b0c010adab3628ca37b6503b88b42fa04f4e0bf6be6d0",
+    "fig12_01_heisenberg_heisenberg.json": "a1355bc828a64fc726941c3d2667db1f8522c5671b31c9e86211b1dc6012af08",
+    "fig12_01_heisenberg_heisenberg.svg": "245c4fceb91c9f0fac4b850e85c2e140d4318f64655213e52db178d1ed6140b9",
+    "fig12_02_heisenberg_heisenberg.json": "a9b4e758da406e3d57d2191b130c3ae0bf400b50f775101424cf3b958d8ac8c4",
+    "fig12_02_heisenberg_heisenberg.svg": "b674a64b3100e64df890d33291cc948cff34634dfeab9d0fc359ca2e7260d831",
+    "fig7_00_spectrum_spectrum.csv": "52205cefaf49059566c8ee09a0526f0c8e2d68bdafef99bf0e49a55d96ac415f",
+    "fig7_00_spectrum_spectrum.svg": "bc17d62d7004a5c9ab8d2f2ddd9e38b979fd09100ed84517608e54a4b597c317",
+    "fig7_01_fit_fit.json": "8fc0fcea5d3f0872ae4b8f4f957e1a537ad63a1f381779cd0b57c615acd3d457",
+    "fig7_01_fit_fit.svg": "8cf70ca590829ba0adbfbb3d43bf5b59e2c09326b0ab8bbc2a02984939d9e00a",
+    "fig8_00_cwt_scales.csv": "1ce9bc43506f89b18ba30c1fa2a01d345d3ce43b0a491e23d936da54fecf26fd",
+    "fig8_00_cwt_scalogram.svg": "f8f80eb183cd6756988ec85d3dd4037ef610473dd58793bcc16043d4d3039313",
+    "fig9_00_mfdfa_fq.csv": "64470b90a9cfb32a484f6de25ba4407a017b0a72229a8197fd7a4f9c01789c1c",
+    "fig9_00_mfdfa_fq.svg": "b0d13c2d510c552e8df383e593ae357482231f2311177ae93cab94506ff17bfa",
+    "fig9_00_mfdfa_hurst.csv": "4a6911ff4ea75d5d918f1fc545e7352d4f5bcf2e32f32161f8782d897c6ff46f",
+    "fig9_00_mfdfa_hurst.svg": "47cd9c11db2ccf8eacd8dbfebf3ba5bd7cfb41dcb9fe7f075f469a7bbd18b939",
+    "fig9_00_mfdfa_mfdfa.json": "b706c8fef0df17b670b93188094b8b08aec439a0d3cb9ac22f04a269fbf312cc",
+    "fig9_closed_form.csv": "4b27ac1c21dd6ca6b56df9a58cebdf4232f47286fec19e993eb790295b7c99ee",
 }
 
 #: sha256 of each file of the README config's run.
@@ -1067,6 +1091,84 @@ def test_readme_config_artifacts_are_pinned(tmp_path):
 def test_figure_repro_rejects_unknown_name(tmp_path):
     with pytest.raises(ConfigError):
         figure_repro("fig99", tmp_path)
+
+
+def test_figure_presets_are_run_configs(tmp_path, monkeypatch):
+    # Each preset's stages pass the config check, so none can hold a param
+    # that its stage does not declare, and they run through the stage loop
+    # of run, which looks every stage up in _STAGE_FUNCS as it starts.
+    ran = []
+    for stage, fn in list(_STAGE_FUNCS.items()):
+        def traced(*args, stage=stage, fn=fn):
+            ran.append(stage)
+            return fn(*args)
+        monkeypatch.setitem(_STAGE_FUNCS, stage, traced)
+    for name, (_, stages, _) in figmod.FIGURES.items():
+        cfg = validate_config(
+            {"input": {"kind": "csv", "path": "x.csv"}, "pipeline": stages, "output_dir": "x"}
+        )
+        assert cfg.pipeline == stages, name
+        ran.clear()
+        figure_repro(name, tmp_path / name)
+        assert ran == [s["stage"] for s in stages], name
+
+
+@pytest.mark.parametrize("name", ["fig9a", "fig9b", "fig10a", "fig10b"])
+def test_split_figure_names_are_gone(tmp_path, name):
+    argv = ["figure-repro", "--name", name, "--outdir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def figures(tmp_path_factory):
+    """Every figure preset, written into one directory."""
+    out = tmp_path_factory.mktemp("figures")
+    for name in FIGURE_NAMES:
+        figure_repro(name, out)
+    return out
+
+
+def _csv_columns(path):
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    return {head: np.array([float(r[i]) for r in rows[1:]]) for i, head in enumerate(rows[0])}
+
+
+def test_fig9_hurst_exponents_follow_the_closed_form(figures):
+    measured = _csv_columns(figures / "fig9_00_mfdfa_hurst.csv")
+    closed = _csv_columns(figures / "fig9_closed_form.csv")
+    assert measured["q"].tobytes() == closed["q"].tobytes()
+    h = dict(zip(measured["q"], measured["h"]))
+    h_closed = dict(zip(closed["q"], closed["h_closed_form"]))
+    for q in (-5.0, -2.0, 2.0, 5.0):
+        assert abs(h[q] - h_closed[q]) <= 0.12, q
+    assert h[-10.0] - h[10.0] >= 0.4
+
+
+def test_fig10_dominant_periods_are_the_tones(figures):
+    info = json.loads((figures / "fig10_00_globalpower_globalpower.json").read_text())
+    tones = np.array([0.018, 0.049, 0.226, 0.578])
+    # log2 distance of each peak from each tone; the ladder has 8 bins per octave
+    octaves = np.abs(np.log2(np.array(info["dominant_periods_s"])[:, None] / tones))
+    assert octaves.shape == (4, 4)
+    assert sorted(octaves.argmin(axis=1)) == [0, 1, 2, 3]  # one peak per tone
+    assert octaves.min(axis=1).max() <= 1.0 / 8.0
+
+
+def test_fig11_locked_pair_holds_its_offset_and_the_detuned_one_drifts(figures):
+    info = json.loads((figures / "fig11.json").read_text())
+    assert abs(info["locked_median_rad"] - np.pi / 4) <= 0.05
+    assert info["locked_segments"] == [[0, 8192]]
+    rate = 200.0
+    longest = max((b - a for a, b in info["detuned_segments"]), default=0) / rate
+    assert longest <= 1.1 * info["drift_bound_s"]
+
+
+def test_fig12_both_spectral_regimes_match(figures):
+    for name in ("fig12_01_heisenberg_heisenberg.json", "fig12_02_heisenberg_heisenberg.json"):
+        assert json.loads((figures / name).read_text())["matches"] is True, name
 
 
 def test_phase_subcommand_reports_locked_offset(tmp_path):

@@ -388,7 +388,7 @@ def test_global_power_bins_no_heat_map(monkeypatch):
     monkeypatch.setattr("wavescope.cwt.column_bins", refused)
     gp = global_power(sg)
     summary = sg.power_summary()
-    assert summary.heatmap is None and summary.mean_relative is None
+    assert summary.heatmap is None
     assert gp.power.tobytes() == summary.mean_power[summary.counts > 0].tobytes()
 
 
@@ -410,11 +410,8 @@ def test_power_summary_keeps_the_record_it_covers(monkeypatch):
     with_map = plain.power_summary(heatmap=True)
     assert with_map is plain.power_summary() is plain.power_summary(heatmap=True)
     assert len(calls) == 3 * plain.scales.size
-    for name in ("counts", "mean_power", "mean_relative", "heatmap"):
+    for name in ("counts", "mean_power", "heatmap"):
         assert getattr(with_map, name).tobytes() == getattr(full.power_summary(), name).tobytes()
-    power = np.abs(_grid(cwt_morlet(ts))) ** 2
-    want = _masked_means(plain, power / plain.signal_variance)
-    assert with_map.mean_relative.tobytes() == want.tobytes()
 
 
 def test_interleaved_row_passes_keep_their_own_buffers():

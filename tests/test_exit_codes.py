@@ -212,6 +212,22 @@ def test_generated_configs_keep_the_exit_code_contract(data, csv_path):
         _check_contract(*_run(raw, Path(workdir)))
 
 
+def test_a_failed_stage_is_named_once(csv_path, tmp_path):
+    # The message reads "stage 'lyapunov': <reason>"; the marker keeps the
+    # error's type and reason.
+    raw = {
+        "input": {"kind": "csv", "path": str(csv_path)},
+        "pipeline": [{"stage": "lyapunov", "delay": 0}],
+    }
+    code, stderr, out = _run(raw, tmp_path)
+    _check_contract(code, stderr, out)
+    assert code == 3
+    assert re.findall(r"\blyapunov\b", stderr) == ["lyapunov"], stderr
+    assert stderr == "stage failed: stage 'lyapunov': delay must be >= 1\n"
+    marker = (out / "lyapunov.failed").read_text(encoding="utf-8")
+    assert marker == "ValidationError: delay must be >= 1\n"
+
+
 # ------------------------------------------------------------ argv
 
 

@@ -9,7 +9,10 @@ artifact as it was: run the script on both trees, each into its own
 OUTDIR, and compare the printed lines (``diff`` or ``sort | uniq -u``).
 It holds
 
-- every figure preset (``figure-repro``);
+- every figure preset (``figure-repro``), each into its own directory:
+  the files that its stages write, named ``<fig>_<NN>_<stage>_<file>``,
+  and its extra writer's files (fig9's ``fig9_closed_form.csv``, fig11's
+  phase comparisons);
 - one ``synth`` CSV of every input kind, two of them sines;
 - one ``run`` of 2^14 fBm through every stage, with both denoise rules
   and a white and a red ``globalpower``, its ``input.csv`` and
