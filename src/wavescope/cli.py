@@ -523,8 +523,9 @@ def _stage_lyapunov(ts, params, emit, shared):
 
     O(n log n + L n + m log m + u k log m + max_iter pairs dim + max_iter
     c + p^2) time and O(n dim + 1024 k) memory for n samples, m embedded
-    points, u of them without a partner after the first neighbour pass,
-    k <= 64 candidates, L estimate_delay's mutual-information stop lag (0
+    points, u of them without a partner after the first neighbour pass
+    (which asks for each point's nearest candidate only), k <= 64
+    candidates, L estimate_delay's mutual-information stop lag (0
     when the autocorrelation crosses its floor, at most n / 4; max_iter
     <= 300 by default), c knee breakpoints kept by the closed-form screen
     and p <= max_iter the fitted prefix (see largest_lyapunov).

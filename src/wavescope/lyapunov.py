@@ -58,6 +58,11 @@ FNN_WARN_FRACTION = 0.10
 #: arrays a query holds whatever the number of embedded points.
 _QUERY_ROWS = 1024
 
+#: Candidates per point in the first neighbor pass.  Only the points
+#: whose nearest candidate is inside the Theiler window or below the
+#: separation floor are asked again for the full capped list.
+_FIRST_PASS_K = 1
+
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
@@ -340,8 +345,8 @@ def largest_lyapunov(
     estimator's own partner pairs, triggers EmbeddingQualityWarning.
 
     Cost for m embedded points: the embedding and kd-tree O(m dim)
-    memory, O(m log m) time to build; the first neighbor pass (two
-    candidates per point) O(m log m); the second pass, over the u points
+    memory, O(m log m) time to build; the first neighbor pass (one
+    candidate per point) O(m log m); the second pass, over the u points
     the first left without a partner, O(u k log m) time.  Both passes ask
     the tree 1024 rows at a time, so their candidates take
     O(min(u, 1024) k) memory.  The divergence trace reads the series
@@ -383,10 +388,10 @@ def largest_lyapunov(
     # from exact repeats of a periodic signal), so such pairs are skipped.
     floor = 1e-9 * float(np.std(x))
     rows = np.arange(m)
-    # Most rows find their partner among the two nearest candidates; only
-    # the rest pay for the full candidate list.  Both passes read the same
+    # Most rows take their nearest candidate as partner; only the rest pay
+    # for the full candidate list.  Both passes read the same
     # distance-sorted list, so the pick does not depend on the split.
-    partner, sep = _first_partner(tree, emb, rows, 2, theiler, floor)
+    partner, sep = _first_partner(tree, emb, rows, _FIRST_PASS_K, theiler, floor)
     unresolved = np.flatnonzero(partner < 0)
     if unresolved.size:
         partner[unresolved], sep[unresolved] = _first_partner(
@@ -453,67 +458,6 @@ def largest_lyapunov(
     )
 
 
-#: Veltkamp's splitting constant for doubles, 2**27 + 1: ``a`` splits
-#: exactly into a 26-bit high part and a remainder of at most 26 bits.
-_SPLIT = 134217729.0
-#: Bounds on |a|, |b| and |a * b| inside which the split cannot overflow
-#: and the rounding error of ``a * b`` is itself an exact double.
-_FMA_MAX = 2.0**900
-_FMA_MIN = 2.0**-900
-
-
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c with a single rounding.
-
-    The common case runs on floats: ``p = a * b`` and its exact rounding
-    error ``e`` come from Dekker's (1971) error-free product on
-    Veltkamp-split halves, so ``p + e + c`` is exactly ``a * b + c``, and
-    ``math.fsum`` (Shewchuk's correctly rounded summation) rounds it once.
-    That path is taken only when it is provably exact and finite:
-    ``|a|``, ``|b|`` and ``|p|`` at most 2**900, ``|p|`` at least 2**-900
-    and ``c`` finite.  Everything else (zero or subnormal products, an
-    exact-zero result, non-finite or huge inputs) goes through exact
-    integer arithmetic: every finite double is an integer over a power of
-    two, so the sum is one exact fraction, and CPython's int / int true
-    division rounds it correctly.  An exact zero takes the IEEE sign: that
-    of ``a * b + c`` when the product is a zero, else +0.0.  Non-finite
-    inputs raise from ``float.as_integer_ratio`` (ValueError for NaN,
-    OverflowError for an infinity); a result beyond the largest double
-    raises OverflowError.  About 0.3 us per call on the float path, 0.7 us
-    on the exact one (CPython 3.11, one core of a 2-core x86-64 host).
-    """
-    p = a * b
-    if (
-        _FMA_MIN <= abs(p) <= _FMA_MAX
-        and abs(a) <= _FMA_MAX
-        and abs(b) <= _FMA_MAX
-        and math.isfinite(c)
-    ):
-        t = _SPLIT * a
-        ah = t - (t - a)
-        al = a - ah
-        t = _SPLIT * b
-        bh = t - (t - b)
-        bl = b - bh
-        e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-        r = math.fsum((p, e, c))
-        if r:
-            return r
-    return _fma_exact(a, b, c)
-
-
-def _fma_exact(a: float, b: float, c: float) -> float:
-    """The exact-integer form of ``_fma``, for every case its float path
-    does not cover."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    cn, cd = c.as_integer_ratio()
-    num = an * bn * cd + cn * ad * bd
-    if num == 0:
-        return a * b + c if an == 0 or bn == 0 else 0.0
-    return num / (ad * bd * cd)
-
-
 def map_lyapunov(p: BounceParams, burn_in: int = 1000) -> float:
     """Largest exponent of the impact map via tangent norm growth, per impact.
 
@@ -523,17 +467,14 @@ def map_lyapunov(p: BounceParams, burn_in: int = 1000) -> float:
     Requires ``p.n_impacts`` >= 10**4 for the iterated estimate.
 
     The tangent vector is advanced on scalars by the map's Jacobian
-    [[1, 1], [s, r + s]] with s = A sin(phi): the second row is the
-    exactly rounded fma(s, u0, (r + s) u1), which gives the bits of the
-    2x2 matrix product under a BLAS that evaluates that row with a fused
-    multiply-add, as OpenBLAS does.  ``_fma`` computes it on floats
-    (Dekker's error-free product, then ``math.fsum``) whenever the
-    product and its factors lie within 2**±900, which holds on every
-    impact of the benchmark presets; other cases fall back to exact
-    integer arithmetic.  The loop runs on Python floats (the phases read
-    through the array's buffer), about 0.55 us per impact on one core of
-    a 2-core x86-64 host.  Time is O(burn_in + n_impacts); memory is
-    O(n_impacts), the trajectory's phases held in one array.
+    [[1, 1], [s, r + s]] with s = A sin(phi): the second row is
+    s * u0 + (r + s) * u1 on Python floats, every product and sum
+    rounded once as an IEEE double, so the bits do not depend on a BLAS
+    kernel or on a fused multiply-add.  The loop reads the
+    phases through the array's buffer: about 0.37 us per impact, 0.6 us
+    with the trajectory, on one core of a 2-core x86-64 host (CPython
+    3.11).  Time is O(burn_in + n_impacts); memory is O(n_impacts), the
+    trajectory's phases held in one array.
     """
     if p.amplitude == 0.0:
         return math.log(p.restitution)
@@ -549,7 +490,7 @@ def map_lyapunov(p: BounceParams, burn_in: int = 1000) -> float:
     log_sum = 0.0
     for k, phi in enumerate(memoryview(phis)):
         s = a * math.sin(phi)
-        u0, u1 = u0 + u1, _fma(s, u0, (r + s) * u1)
+        u0, u1 = u0 + u1, s * u0 + (r + s) * u1
         norm = math.hypot(u0, u1)
         u0 /= norm
         u1 /= norm

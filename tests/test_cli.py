@@ -449,6 +449,29 @@ def test_failed_stage_leaves_marker(tmp_path):
     assert "band" in marker.read_text()
 
 
+def test_periodic_bounce_render_refuses_through_run(tmp_path):
+    # A period-1 orbit of the paper's ball: the render repeats itself to
+    # rounding, so every partner outside the Theiler window sits below the
+    # separation floor and the stage names that cause.
+    raw = {
+        "input": {
+            "kind": "synth",
+            "synth": {"kind": "bounce", "amplitude": 4.0, "restitution": 0.55,
+                      "n_impacts": 400, "drive_freq": 10.0, "sample_rate": 640.0},
+        },
+        "seed": 1,
+        "pipeline": [{"stage": "lyapunov"}],
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "periodic_bounce.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    out = tmp_path / "out"
+    assert "repeats itself to rounding" in (out / "lyapunov.failed").read_text()
+    # No lyapunov.json (nor divergence.csv) under any stage prefix.
+    assert sorted(f.name for f in out.iterdir()) == ["input.csv", "lyapunov.failed"]
+
+
 def _warns_if(bounce):
     """Expect the EmbeddingQualityWarning of the bounce series below, whose
     embedding at dim 3 leaves 12 % false nearest neighbours."""

@@ -308,8 +308,8 @@ def test_bouncing_ball_param_validation():
 
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
 def test_bounce_params_refuse_non_finite_amplitude(amplitude):
-    # NaN and +inf pass a bare `amplitude < 0`; the map exponent then
-    # failed deep inside its exact fma.
+    # NaN and +inf pass a bare `amplitude < 0`; the map exponent's tangent
+    # loop then runs on non-finite values.
     with pytest.raises(ValidationError, match="amplitude"):
         BounceParams(amplitude, 25.0, 0.5, 100)
 
