@@ -346,7 +346,6 @@ def _stage_denoise(ts, params, emit, shared):
         levels=params["levels"],
         rule=params["rule"],
         kill_count=params["kill_count"],
-        boundary=params["boundary"],
     )
     out = TimeSeries(cleaned, ts.sample_rate, label=ts.label)
     emit("denoised.csv", lambda path: write_csv(out, path))
@@ -464,7 +463,7 @@ def _stage_cwt(ts, params, emit, shared):
     and params reads too, in either order: O(S n_fft log n_fft) time and
     O(n_fft + S HEATMAP_COLS) memory.
     """
-    sg = shared(cwtmod.cwt_morlet, ts, **params)  # omega0, norm and pad
+    sg = shared(cwtmod.cwt_morlet, ts, **params)  # omega0 and norm
     emit(
         "scales.csv",
         write_table,
@@ -485,7 +484,7 @@ def _stage_globalpower(ts, params, emit, shared):
     does, and bins the heat map even when no ``cwt`` stage writes it.
     Time and memory as for ``cwt``.
     """
-    sg = shared(cwtmod.cwt_morlet, ts, omega0=params["omega0"], norm="l2", pad="zero")
+    sg = shared(cwtmod.cwt_morlet, ts, omega0=params["omega0"], norm="l2")
     sg.power_summary(heatmap=True)
     gp = cwtmod.global_power(sg, background=params["background"])
     peaks = cwtmod.dominant_periods(gp, max_count=params["max_peaks"])
@@ -583,7 +582,6 @@ _STAGE_PARAMS = {
         _Param("levels", int, None),
         _Param("kill_count", int, None),
         _Param("vanishing_moments", int, 2),
-        _Param("boundary", None, "symmetric", dwt.BOUNDARY_MODES),
     ),
     "spectrum": (_Param("window", None, "none", spectral.WINDOWS),),
     "fit": (_Param("f_lo", float), _Param("f_hi", float)),
@@ -604,7 +602,6 @@ _STAGE_PARAMS = {
     "cwt": (
         _OMEGA0,
         _Param("norm", None, "l2", cwtmod.NORMS),
-        _Param("pad", None, "zero", cwtmod.PAD_MODES),
     ),
     "globalpower": (
         _OMEGA0,

@@ -63,10 +63,9 @@ SIGNIFICANCE_LEVEL = 0.95
 #: scale 2 dt, and exactly 0.0 from 12.25 on).
 MIN_RETAINED_MASS = 1e-9
 
-#: The normalizations and padding modes cwt_morlet takes, and the
-#: backgrounds global_power tests against.
+#: The normalizations cwt_morlet takes, and the backgrounds global_power
+#: tests against.
 NORMS = ("l2", "eq4")
-PAD_MODES = ("zero", "periodic")
 BACKGROUNDS = ("white", "red")
 
 #: Largest block Scalogram.rows frees to warm the heap.  glibc raises
@@ -326,20 +325,14 @@ def _tail_mass(s: float, dt: float, omega0: float) -> float:
     return 0.5 * (math.erfc(omega0 - nyq) - math.erfc(omega0))
 
 
-def cwt_morlet(
-    ts: TimeSeries,
-    omega0: float = 6.0,
-    norm: str = "l2",
-    pad: str = "zero",
-) -> Scalogram:
+def cwt_morlet(ts: TimeSeries, omega0: float = 6.0, norm: str = "l2") -> Scalogram:
     """Continuous Morlet transform over the scale ladder ``default_scales``.
 
     The ladder spans 2 dt .. n dt / 4 with 8 sub-octaves per octave, so a
     series needs at least 8 samples; a shorter one is refused with
-    ValidationError.  The mean is removed before transforming.
-    ``pad="zero"`` extends to the next power of two
-    (edge effects tracked by the cone of influence); ``pad="periodic"``
-    wraps the signal instead, making the transform exactly shift-covariant.
+    ValidationError.  The mean is removed before transforming, and the
+    series is zero-padded to n_fft, the next power of two >= 2 n; the
+    cone of influence marks the samples that the padding reaches.
     An ``omega0`` that leaves the smallest scale less than
     ``MIN_RETAINED_MASS`` = 1e-9 of its window energy below Nyquist (above
     about 10.52 at 2 dt) is refused with ValidationError.
@@ -349,9 +342,8 @@ def cwt_morlet(
     exactly 0.0 where |s w - w0| >= 39 (exp(-760.5) is below the smallest
     double), so it is evaluated and applied only on the positive band
     inside that limit; the coefficients equal those of the full-grid
-    product bit for bit.  With S scales and n_fft the padded length (the
-    next power of two >= 2 n for zero padding, n for periodic), this call
-    takes O(n_fft log n_fft + S log n_fft) time and returns a Scalogram of
+    product bit for bit.  With S scales, this call takes
+    O(n_fft log n_fft + S log n_fft) time and returns a Scalogram of
     O(n_fft + S) memory that runs no inverse FFT yet.  The padded signal
     is transformed in place in one complex n_fft buffer, which is then cut
     in place to the (n_fft + 1) // 2 positive bins the rows read; the
@@ -368,8 +360,6 @@ def cwt_morlet(
         )
     if norm not in NORMS:
         raise ValidationError(f"unknown norm {norm!r}")
-    if pad not in PAD_MODES:
-        raise ValidationError(f"unknown pad mode {pad!r}")
     x = ts.samples
     n = x.size
     dt = ts.dt
@@ -391,9 +381,9 @@ def cwt_morlet(
 
     demeaned = x - x.mean()
     variance = float(np.var(demeaned))
-    # At least double the length for zero padding, so the frequency grid
-    # resolves the Morlet window even at the largest scale.
-    n_fft = 1 << int(math.ceil(math.log2(2 * n))) if pad == "zero" else n
+    # At least double the length, so the frequency grid resolves the
+    # Morlet window even at the largest scale.
+    n_fft = 1 << int(math.ceil(math.log2(2 * n)))
     # The signal is transformed in place in one complex buffer, zero past
     # the series; that is the transform of the real padded signal, bit for
     # bit, since numpy converts real input to complex before transforming.

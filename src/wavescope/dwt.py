@@ -1,4 +1,4 @@
-"""Orthogonal Daubechies wavelet transform with periodic or symmetric edges.
+"""Orthogonal Daubechies wavelet transform with symmetric edges.
 
 The compactly supported Daubechies family is built by spectral
 factorization, for 1 to MAX_VANISHING_MOMENTS vanishing moments; above
@@ -9,12 +9,9 @@ detrending wavelet throughout the package; the 8-tap member (four
 vanishing moments) is selectable wherever a :class:`WaveletSpec` is
 accepted.
 
-Two boundary policies are provided.  ``periodic`` treats the signal as
-circular and yields a critically sampled, exactly orthogonal transform
-(energy is conserved).  ``symmetric`` reflects the signal at the edges, as
-often as a signal shorter than the filter needs, and keeps slightly
-redundant coefficient arrays; it avoids wrap-around artifacts and is the
-right choice for trend extraction.
+The one edge policy is symmetric reflection: the signal is mirrored at
+its ends, as often as a signal shorter than the filter needs, and the
+coefficient arrays are slightly redundant, with no wrap-around artifacts.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ __all__ = [
     "denoise",
     "extract_fluctuation",
 ]
-
-BOUNDARY_MODES = ("periodic", "symmetric")
 
 #: The rules denoise applies to the detail levels.
 DENOISE_RULES = ("kill_details", "soft_threshold")
@@ -133,40 +128,27 @@ class DwtDecomposition:
     finest), or None for a band that :func:`dwt_reconstruct` leaves out,
     so the depth is ``len(details)``; ``approx`` is the coarsest
     approximation.  ``lengths[k]`` is the signal length entering level
-    k+1, needed to invert the symmetric mode.
+    k+1, needed to invert the symmetric edges.
     """
 
     approx: np.ndarray
     details: list[np.ndarray | None]
-    boundary: str
     lengths: list[int]
     spec: WaveletSpec
 
 
-def _analysis(x: np.ndarray, filters: Sequence[np.ndarray], boundary: str):
+def _analysis(x: np.ndarray, filters: Sequence[np.ndarray]):
     """One analysis step: ``x`` filtered by each of ``filters`` and
     downsampled by two, one compact array per filter."""
     L = filters[0].size
-    if boundary == "periodic":
-        n = x.size
-        windows = x[(2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n]
-        return [windows @ f for f in filters]
     ext = np.pad(x, L - 1, mode="symmetric")
     return [np.correlate(ext, f, mode="valid")[1::2].copy() for f in filters]
 
 
-def _synthesis(a, d, spec: WaveletSpec, boundary: str, out_len: int):
+def _synthesis(a, d, spec: WaveletSpec, out_len: int):
     """Inverse of one analysis step; ``d`` is None for a dropped band."""
     h, g = spec.scaling, spec.wavelet
     L = h.size
-    if boundary == "periodic":
-        n = 2 * a.size
-        out = np.zeros(n)
-        base = 2 * np.arange(a.size)
-        for k in range(L):
-            contrib = a * h[k] if d is None else a * h[k] + d * g[k]
-            out[(base + k) % n] += contrib  # distinct indices within one tap
-        return out
     up = np.zeros(2 * a.size - 1)
     up[::2] = a
     rec = np.convolve(up, h)
@@ -183,45 +165,33 @@ def dwt_max_level(n: int, spec: WaveletSpec) -> int:
     return int(math.floor(math.log2(n / (spec.support - 1))))
 
 
-def _check_analysis(x: np.ndarray, levels: int, boundary: str) -> None:
+def _check_analysis(x: np.ndarray, levels: int) -> None:
     """Raise as :func:`dwt_decompose` documents when ``x`` cannot be
     analysed down to ``levels``."""
     if x.ndim != 1:
         raise ValidationError("input must be one-dimensional")
     if levels < 1:
         raise ValidationError("levels must be >= 1")
-    if boundary not in BOUNDARY_MODES:
-        raise ValidationError(f"unknown boundary mode {boundary!r}")
     # x.size < 2**levels, compared without building 2**levels, which a
     # huge level count would make too big to form or to print.
     if levels >= x.size.bit_length():
         raise TooShortError(f"need at least 2**{levels} samples, got {x.size}")
-    if boundary == "periodic" and x.size % (2**levels) != 0:
-        raise ValidationError(
-            "periodic boundary requires the length to be divisible by 2**levels"
-        )
 
 
-def dwt_decompose(
-    x: np.ndarray, spec: WaveletSpec, levels: int, boundary: str = "symmetric"
-) -> DwtDecomposition:
-    """Multi-level discrete wavelet decomposition.
+def dwt_decompose(x: np.ndarray, spec: WaveletSpec, levels: int) -> DwtDecomposition:
+    """Multi-level discrete wavelet decomposition with symmetric edges.
 
-    Requires ``len(x) >= 2**levels``; the periodic mode additionally needs
-    the length to be divisible by ``2**levels`` so that every stage stays
-    critically sampled.
+    Requires ``len(x) >= 2**levels``.
     """
     approx = np.asarray(x, dtype=float)
-    _check_analysis(approx, levels, boundary)
+    _check_analysis(approx, levels)
     details: list[np.ndarray] = []
     lengths: list[int] = []
     for _ in range(levels):
         lengths.append(approx.size)
-        approx, d = _analysis(approx, (spec.scaling, spec.wavelet), boundary)
+        approx, d = _analysis(approx, (spec.scaling, spec.wavelet))
         details.append(d)
-    return DwtDecomposition(
-        approx=approx, details=details, boundary=boundary, lengths=lengths, spec=spec
-    )
+    return DwtDecomposition(approx=approx, details=details, lengths=lengths, spec=spec)
 
 
 def dwt_reconstruct(decomp: DwtDecomposition) -> np.ndarray:
@@ -233,7 +203,7 @@ def dwt_reconstruct(decomp: DwtDecomposition) -> np.ndarray:
     """
     cur = decomp.approx
     for d, size in zip(reversed(decomp.details), reversed(decomp.lengths)):
-        cur = _synthesis(cur, d, decomp.spec, decomp.boundary, size)
+        cur = _synthesis(cur, d, decomp.spec, size)
     return cur
 
 
@@ -243,7 +213,6 @@ def denoise(
     levels: int | None = None,
     rule: str = "kill_details",
     kill_count: int | None = None,
-    boundary: str = "symmetric",
 ) -> np.ndarray:
     """Suppress broadband noise while keeping the dominant oscillation.
 
@@ -253,12 +222,11 @@ def denoise(
     universal threshold ``sigma * sqrt(2 ln n)`` with the noise scale
     estimated from the finest level's median absolute value.
 
-    For an L-tap wavelet this takes O(L n) time.  The killed bands are
-    freed before synthesis and a shrunk band after its step, so with
-    symmetric edges the working memory is about 3 n floats for
+    The transform has symmetric edges.  For an L-tap wavelet this takes
+    O(L n) time.  The killed bands are freed before synthesis and a shrunk
+    band after its step, so the working memory is about 3 n floats for
     ``kill_details`` (4 n for ``soft_threshold``): the kept detail bands,
     one upsampled band and two convolutions of one synthesis step.
-    Periodic edges add the first step's n/2 x L window gather, L n / 2.
     """
     if rule not in DENOISE_RULES:
         raise ValidationError(f"unknown denoise rule {rule!r}")
@@ -266,7 +234,7 @@ def denoise(
     spec = spec if spec is not None else daubechies(2)
     if levels is None:
         levels = max(1, dwt_max_level(x.size, spec) - 2)
-    decomp = dwt_decompose(x, spec, levels, boundary=boundary)
+    decomp = dwt_decompose(x, spec, levels)
     if rule == "kill_details":
         kill = math.ceil(levels / 2) if kill_count is None else kill_count
         if not 0 <= kill <= levels:
@@ -279,15 +247,12 @@ def denoise(
     while decomp.details:  # a band leaves the pyramid as its step takes it
         d = decomp.details.pop()
         d = np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
-        cur = _synthesis(cur, d, spec, boundary, decomp.lengths.pop())
+        cur = _synthesis(cur, d, spec, decomp.lengths.pop())
     return cur
 
 
 def extract_fluctuation(
-    values: np.ndarray,
-    spec: WaveletSpec,
-    levels: Sequence[int],
-    boundary: str = "symmetric",
+    values: np.ndarray, spec: WaveletSpec, levels: Sequence[int]
 ) -> Iterator[np.ndarray]:
     """Bandpass fluctuation of a profile around its trend at each of
     ``levels``, an ascending sequence of levels >= 1.
@@ -309,12 +274,12 @@ def extract_fluctuation(
     levels = [operator.index(j) for j in levels]
     if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValidationError("levels must be ascending and >= 1")
-    _check_analysis(values, levels[-1], boundary)
+    _check_analysis(values, levels[-1])
     # Both pyramids advance together; each level's reversed residual is
     # folded into the forward one in place, and no name holds a level's
     # array once it is handed out.
-    fwd = _residuals(values, spec, levels, boundary)
-    rev = _residuals(values[::-1], spec, levels, boundary)
+    fwd = _residuals(values, spec, levels)
+    rev = _residuals(values[::-1], spec, levels)
     return (_fold(next(fwd), next(rev)) for _ in levels)
 
 
@@ -325,16 +290,16 @@ def _fold(fwd: np.ndarray, rev: np.ndarray) -> np.ndarray:
     return fwd
 
 
-def _residuals(values, spec: WaveletSpec, levels: list[int], boundary: str):
+def _residuals(values, spec: WaveletSpec, levels: list[int]):
     """``values`` minus its trend at each of ``levels``, from one pass of
     approximations: the trend is synthesised from the approximation alone."""
     lengths: list[int] = []
     approx = values
     for level in range(1, levels[-1] + 1):
         lengths.append(approx.size)
-        (approx,) = _analysis(approx, (spec.scaling,), boundary)
+        (approx,) = _analysis(approx, (spec.scaling,))
         if level in levels:
             trend = approx
             for size in reversed(lengths):
-                trend = _synthesis(trend, None, spec, boundary, size)
+                trend = _synthesis(trend, None, spec, size)
             yield values - trend

@@ -230,7 +230,6 @@ def _moments(seg_var: np.ndarray, q_values: np.ndarray, scale: int) -> np.ndarra
 def fluctuation_function(
     prof: np.ndarray,
     q_values: np.ndarray | None = None,
-    boundary: str = "symmetric",
 ) -> FluctuationTable:
     """Evaluate F_q(s) of the profile ``prof`` over an analysis grid.
 
@@ -238,8 +237,7 @@ def fluctuation_function(
     default.  The scales are :func:`default_scales` of the profile length,
     s = support * 2**level for the wavelet levels 1..L, each leaving at
     least MIN_SEGMENTS segments.  The detrending wavelet is
-    ``daubechies(2)``; ``extract_fluctuation`` refuses a ``boundary`` not
-    in ``dwt.BOUNDARY_MODES`` before any transform runs.
+    ``daubechies(2)``, with symmetric edges.
 
     The profile is decomposed once per direction for all levels (see
     :func:`~wavescope.dwt.extract_fluctuation`), and each level's
@@ -260,7 +258,7 @@ def fluctuation_function(
 
     # Each level's fluctuation is reduced to its segment variances before
     # the next level is built, so no name keeps it.
-    flucts = extract_fluctuation(values, _wavelet(), levels, boundary=boundary)
+    flucts = extract_fluctuation(values, _wavelet(), levels)
     columns = []
     for s in scales.tolist():
         seg = segment_variance(next(flucts), s)
@@ -282,9 +280,11 @@ def generalized_hurst(
 
     The default range drops scales below twice the wavelet support and
     above N/8; a None end takes its default.  The range must keep
-    MIN_FIT_SCALES scales.  Orders whose fit falls under R2_FLOOR are
-    flagged through PoorFitWarning but still reported.  Returns a new
-    table with ``hurst``, ``fit_r2``, ``fit_range`` set.
+    MIN_FIT_SCALES scales, and every F_q(s) in it must be > 0, or
+    ZeroVarianceError names the first scale where one is not: its log has
+    no fit.  Orders whose fit falls under R2_FLOOR are flagged through
+    PoorFitWarning but still reported.  Returns a new table with
+    ``hurst``, ``fit_r2``, ``fit_range`` set.
     """
     lo, hi = (None, None) if fit_range is None else fit_range
     lo = 2.0 * _wavelet().support if lo is None else lo
@@ -295,11 +295,19 @@ def generalized_hurst(
             f"fit range [{lo:g}, {hi:g}] keeps {int(sel.sum())} scales, "
             f"need >= {MIN_FIT_SCALES}"
         )
+    fq = table.fluctuation[:, sel]
+    bad = np.argwhere(~(fq.T > 0))  # (scale, order) pairs, scale first
+    if bad.size:
+        j, i = bad[0]
+        raise ZeroVarianceError(
+            f"scale {table.scales[sel][j]}: F_q(s) = {fq[i, j]:g} at q = "
+            f"{table.q_values[i]:g}; h(q) fits log F_q(s), which needs F_q(s) > 0"
+        )
     log_s = np.log(table.scales[sel].astype(float))
     hurst = np.empty(table.q_values.size)
     r2 = np.empty(table.q_values.size)
     for i in range(table.q_values.size):
-        hurst[i], _, r2[i], _ = fit_line(log_s, np.log(table.fluctuation[i, sel]))
+        hurst[i], _, r2[i], _ = fit_line(log_s, np.log(fq[i]))
     poor = table.q_values[r2 < R2_FLOOR]
     if poor.size:
         warnings.warn(

@@ -63,6 +63,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        # On a span of a few ulps of its values, adding the step can leave
+        # v where it is; the loop ends there rather than never.
+        if v + step == v:
+            break
         v += step
     return ticks
 

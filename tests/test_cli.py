@@ -87,6 +87,9 @@ def test_validate_fills_defaults(tmp_path):
         # neither kind draws a random number, so neither declares a seed
         lambda r: r["input"].update(synth=dict(_SYNTHS["sines"][0], seed=1)),
         lambda r: r["input"].update(synth=dict(_SYNTHS["cascade"][0], seed=1)),
+        # each transform has one edge policy, so neither is a param
+        lambda r: r["pipeline"].append({"stage": "denoise", "boundary": "symmetric"}),
+        lambda r: r["pipeline"].append({"stage": "cwt", "pad": "zero"}),
     ],
 )
 def test_validate_rejects_bad_configs(tmp_path, mutate):
@@ -428,6 +431,20 @@ def test_mfdfa_stage_refuses_one_order_more_than_max_q_values(tmp_path):
     assert "MAX_Q_VALUES" in failed
 
 
+def test_mfdfa_stage_refuses_a_zero_fluctuation(tmp_path):
+    # A silent series gives F_q(s) = 0 for q > 0: no NaN exponents in
+    # mfdfa.json, but a failed stage.
+    raw = _good_raw(tmp_path, pipeline=[{"stage": "mfdfa", "q_min": 1.0, "q_max": 3.0}])
+    raw["input"]["synth"] = {
+        "kind": "sines", "components": [[0.5, 0.0, 0.0]], "sample_rate": 64.0, "n": 4096
+    }
+    cfg_path = tmp_path / "silent.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert (tmp_path / "out" / "mfdfa.failed").read_text().startswith("ZeroVarianceError: scale 8")
+    assert not (tmp_path / "out" / "mfdfa.json").exists()
+
+
 def test_negative_csv_column_fails_the_input_stage(tmp_path):
     raw = _good_raw(tmp_path, pipeline=[])
     raw["input"] = {"kind": "csv", "path": _sine_csv(tmp_path), "column": -1}
@@ -596,7 +613,7 @@ def _files(directory):
             ["--difference", "--q-step", "2"],
             {"stage": "mfdfa", "difference": True, "q_step": 2.0},
         ),
-        (["--pad", "periodic"], {"stage": "cwt", "pad": "periodic"}),
+        (["--norm", "eq4"], {"stage": "cwt", "norm": "eq4"}),
         (["--max-peaks", "2", "--svg"], {"stage": "globalpower", "max_peaks": 2}),
         (["--dim", "3", "--delay", "8"], {"stage": "lyapunov", "dim": 3, "delay": 8}),
     ],
@@ -664,7 +681,7 @@ def _stage(name):
         ([{"stage": "cwt"}, {"stage": "globalpower"}], 1),
         ([{"stage": "globalpower"}, {"stage": "cwt"}], 1),
         ([{"stage": "cwt", "norm": "eq4"}, {"stage": "globalpower"}], 2),
-        ([{"stage": "cwt", "pad": "periodic"}, {"stage": "globalpower"}], 2),
+        ([{"stage": "globalpower"}, {"stage": "cwt", "norm": "eq4"}], 2),
         ([{"stage": "cwt"}, {"stage": "denoise"}, {"stage": "globalpower"}], 2),
         # fit and heisenberg read the unwindowed spectrum; so does a
         # spectrum stage with its default window, but not with hann.
@@ -946,11 +963,9 @@ def test_stage_choice_sets_are_the_librarys_own():
     # validate_config and the library's own refusal read one constant.
     owners = {
         ("denoise", "rule"): dwt.DENOISE_RULES,
-        ("denoise", "boundary"): dwt.BOUNDARY_MODES,
         ("spectrum", "window"): spectral.WINDOWS,
         ("heisenberg", "regime"): tuple(spectral.REGIMES),
         ("cwt", "norm"): cwtmod.NORMS,
-        ("cwt", "pad"): cwtmod.PAD_MODES,
         ("globalpower", "background"): cwtmod.BACKGROUNDS,
         ("lyapunov", "delay"): ("auto",),
     }

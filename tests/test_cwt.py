@@ -85,7 +85,7 @@ def test_direct_convolution_oracle():
     ts = TimeSeries(rng.standard_normal(n), rate)
     dt = 1.0 / rate
     s = 8 * dt
-    sg = cwt_morlet(ts, pad="zero")
+    sg = cwt_morlet(ts)
     assert sg.scales[16] == s  # 2 dt * 2**(16 / SUBOCTAVES)
     x = ts.samples - ts.samples.mean()
     half = int(6 * s / dt)  # 6 sigma truncation, tail mass ~ 1e-8
@@ -104,17 +104,6 @@ def test_direct_convolution_oracle():
     got = next(sg.rows([16]))[interior]
     want = direct[interior]
     assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
-
-
-def test_periodic_pad_is_shift_covariant():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(128)
-    rate = 10.0
-    shift = 17
-    a = cwt_morlet(TimeSeries(x, rate), pad="periodic")
-    b = cwt_morlet(TimeSeries(np.roll(x, shift), rate), pad="periodic")
-    for row_a, row_b in zip(_rows(a), _rows(b)):
-        assert np.allclose(np.roll(row_a, shift), row_b, atol=1e-10)
 
 
 def test_coi_shape_and_reliable_mask():
@@ -148,8 +137,6 @@ def test_omega0_and_norm_validation():
             cwt_morlet(ts, omega0=omega0)
     with pytest.raises(ValidationError):
         cwt_morlet(ts, norm="l1")
-    with pytest.raises(ValidationError):
-        cwt_morlet(ts, pad="reflect")
 
 
 def test_omega0_with_no_energy_below_nyquist_is_refused(monkeypatch):
@@ -185,7 +172,7 @@ def test_omega0_8_is_accepted_with_the_erf_prefactor():
     scales = default_scales(n, rate)
     assert scales[0] == 2.0 / rate
     sg = cwt_morlet(ts, omega0=8.0)
-    want = _full_grid_cwt(ts, scales, 8.0, "l2", "zero")
+    want = _full_grid_cwt(ts, scales, 8.0, "l2")
     assert [row.tobytes() for row in _rows(sg)] == [row.tobytes() for row in want]
 
 
@@ -201,12 +188,12 @@ def test_tail_mass_is_the_erf_form_to_1e8_above_the_floor():
                 assert abs(erf_form - tail) <= 1e-8 * tail
 
 
-def _full_grid_cwt(ts, scales, omega0, norm, pad):
+def _full_grid_cwt(ts, scales, omega0, norm):
     """Reference: the window evaluated and applied on the whole frequency
     grid, every row inverted and scaled at its padded length."""
     x = ts.samples - ts.samples.mean()
     n, dt = x.size, ts.dt
-    n_fft = 1 << int(math.ceil(math.log2(2 * n))) if pad == "zero" else n
+    n_fft = 1 << int(math.ceil(math.log2(2 * n)))
     padded = np.zeros(n_fft)
     padded[:n] = x
     spec = np.fft.fft(padded)
@@ -225,19 +212,17 @@ def _full_grid_cwt(ts, scales, omega0, norm, pad):
 
 
 @pytest.mark.parametrize(
-    "n, pad, norm, omega0, edge_scales",
+    "n, norm, omega0, edge_scales",
     [
-        (600, "zero", "l2", 6.0, False),
-        (600, "periodic", "l2", 6.0, False),
-        (777, "zero", "l2", 6.0, False),
-        (777, "periodic", "l2", 6.0, False),
-        (600, "zero", "eq4", 6.0, False),
-        (600, "zero", "l2", 8.0, False),
-        (777, "periodic", "eq4", 8.0, True),
-        (600, "zero", "l2", 6.0, True),
+        (600, "l2", 6.0, False),
+        (777, "l2", 6.0, False),
+        (600, "eq4", 6.0, False),
+        (600, "l2", 8.0, False),
+        (777, "eq4", 8.0, True),
+        (600, "l2", 6.0, True),
     ],
 )
-def test_band_limited_window_matches_full_grid_bytes(n, pad, norm, omega0, edge_scales):
+def test_band_limited_window_matches_full_grid_bytes(n, norm, omega0, edge_scales):
     # Bytes, not a tolerance: the band only skips products with a window
     # that is exactly zero, so even the signs of zero must agree.  With
     # ``edge_scales`` one pass reads only the ladder's first and last rows,
@@ -245,8 +230,8 @@ def test_band_limited_window_matches_full_grid_bytes(n, pad, norm, omega0, edge_
     rate = 20.0
     ts = TimeSeries(np.random.default_rng(n).standard_normal(n), rate)
     scales = default_scales(n, rate)
-    sg = cwt_morlet(ts, omega0=omega0, norm=norm, pad=pad)
-    want = _full_grid_cwt(ts, scales, omega0, norm, pad)
+    sg = cwt_morlet(ts, omega0=omega0, norm=norm)
+    want = _full_grid_cwt(ts, scales, omega0, norm)
     read = [0, scales.size - 1] if edge_scales else range(scales.size)
     got = [row.tobytes() for row in sg.rows(read)]
     assert got == [want[i].tobytes() for i in read]
@@ -334,13 +319,13 @@ def test_each_inverse_fft_sees_the_half_spectrum_the_row_buffer_and_o_n(monkeypa
     assert max(live) <= 8 * n_fft + 16 * n_fft + 3 * 8 * n + record, max(live) / n
 
 
-@pytest.mark.parametrize("n, pad", [(600, "zero"), (777, "zero"), (600, "periodic"), (777, "periodic")])
-def test_the_scalogram_holds_only_the_positive_half_of_the_spectrum(n, pad):
+@pytest.mark.parametrize("n", [600, 777])
+def test_the_scalogram_holds_only_the_positive_half_of_the_spectrum(n):
     # The bands read bins 1 .. (n_fft + 1) // 2 - 1, so that is all the
     # spectrum kept: the bytes of the full transform's first bins.
     ts = TimeSeries(np.random.default_rng(n).standard_normal(n), 20.0)
-    sg = cwt_morlet(ts, pad=pad)
-    n_fft = 2048 if pad == "zero" else n
+    sg = cwt_morlet(ts)
+    n_fft = 2048
     padded = np.zeros(n_fft)
     padded[:n] = ts.samples - ts.samples.mean()
     half = (n_fft + 1) // 2
@@ -428,13 +413,13 @@ def test_interleaved_row_passes_keep_their_own_buffers():
     assert offset == list(zip(want, want[1:]))
 
 
-@pytest.mark.parametrize("pad, norm", [("zero", "l2"), ("periodic", "eq4")])
-def test_streamed_rows_match_the_held_coefficients(pad, norm):
+@pytest.mark.parametrize("norm", ["l2", "eq4"])
+def test_streamed_rows_match_the_held_coefficients(norm):
     # Streamed rows are the bytes of a grid copied from another pass,
     # whether or not that scalogram was read before, and so is the global
     # power.
     ts = TimeSeries(np.random.default_rng(7).standard_normal(1000), 20.0)
-    streamed, held = (cwt_morlet(ts, pad=pad, norm=norm) for _ in range(2))
+    streamed, held = (cwt_morlet(ts, norm=norm) for _ in range(2))
     coeffs = _grid(held)
     assert [r.tobytes() for r in _rows(streamed)] == [r.tobytes() for r in coeffs]
     a, b = global_power(streamed), global_power(held)

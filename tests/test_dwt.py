@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wavescope import TooShortError, ValidationError, dwt
 from wavescope.dwt import (
-    BOUNDARY_MODES,
     daubechies,
     denoise,
     dwt_decompose,
@@ -66,20 +65,15 @@ def test_every_buildable_order_is_orthogonal():
     seed=st.integers(0, 2**31 - 1),
     n=st.integers(32, 700),
     vm=st.sampled_from([1, 2, 3, 4]),
-    boundary=st.sampled_from(list(BOUNDARY_MODES)),
 )
-def test_perfect_reconstruction_property(seed, n, vm, boundary):
+def test_perfect_reconstruction_property(seed, n, vm):
     rng = np.random.default_rng(seed)
     spec = daubechies(vm)
     levels = min(3, dwt_max_level(n, spec))
     if levels < 1:
         return
-    if boundary == "periodic":
-        n -= n % 2**levels  # periodic mode needs divisibility by 2**levels
-        if n < spec.support:
-            return
     x = rng.standard_normal(n)
-    decomp = dwt_decompose(x, spec, levels, boundary=boundary)
+    decomp = dwt_decompose(x, spec, levels)
     back = dwt_reconstruct(decomp)
     assert np.max(np.abs(back - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
@@ -138,17 +132,18 @@ def test_denoise_takes_one_step_per_level_in_bounded_memory(n, monkeypatch):
 def test_decompose_levels_and_lengths():
     x = np.random.default_rng(1).standard_normal(256)
     spec = daubechies(2)
-    decomp = dwt_decompose(x, spec, 4, boundary="periodic")
-    # periodic transform halves exactly at each level
-    assert [d.size for d in decomp.details] == [128, 64, 32, 16]
-    assert decomp.approx.size == 16
+    decomp = dwt_decompose(x, spec, 4)
+    # A symmetric step of an L-tap filter keeps (m + L - 1) // 2 of m samples.
+    assert [d.size for d in decomp.details] == [129, 66, 34, 18]
+    assert decomp.approx.size == 18
+    assert decomp.lengths == [256, 129, 66, 34]
 
 
 def test_decompose_rejects_excess_depth():
     x = np.arange(64.0)
     spec = daubechies(2)
     with pytest.raises(TooShortError):
-        dwt_decompose(x, spec, dwt_max_level(64, spec) + 3, boundary="periodic")
+        dwt_decompose(x, spec, dwt_max_level(64, spec) + 3)
 
 
 def test_decompose_refuses_a_huge_level_count_before_forming_its_power():
@@ -165,7 +160,7 @@ def test_reconstruct_keep_subset_is_linear():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(128)
     spec = daubechies(3)
-    decomp = dwt_decompose(x, spec, 3, boundary="symmetric")
+    decomp = dwt_decompose(x, spec, 3)
     full = dwt_reconstruct(decomp)
     d1, d2, d3 = decomp.details
     zero = np.zeros_like(decomp.approx)
@@ -182,7 +177,7 @@ def test_linear_ramp_interior_details_vanish():
     n = 512
     x = 0.7 * np.arange(n) + 3.0
     spec = daubechies(2)
-    decomp = dwt_decompose(x, spec, 3, boundary="symmetric")
+    decomp = dwt_decompose(x, spec, 3)
     edge = 4 * spec.support
     for d in decomp.details:
         interior = d[edge : d.size - edge]
@@ -225,7 +220,7 @@ def test_extract_fluctuation_is_direction_symmetrized_residual():
     level = 3
 
     def residual(v):
-        decomp = dwt_decompose(v, spec, level, boundary="symmetric")
+        decomp = dwt_decompose(v, spec, level)
         return v - dwt_reconstruct(replace(decomp, details=[None] * level))
 
     want = 0.5 * (residual(x) + residual(x[::-1])[::-1])
@@ -233,19 +228,18 @@ def test_extract_fluctuation_is_direction_symmetrized_residual():
     assert np.allclose(fluct, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
-def test_extract_fluctuation_levels_share_one_pyramid_exactly(boundary):
+def test_extract_fluctuation_levels_share_one_pyramid_exactly():
     rng = np.random.default_rng(11)
     x = np.cumsum(rng.standard_normal(4096))
     spec = daubechies(2)
     levels = [1, 2, 4, 7, 9]
 
     def residual(v, level):
-        decomp = dwt_decompose(v, spec, level, boundary=boundary)
+        decomp = dwt_decompose(v, spec, level)
         return v - dwt_reconstruct(replace(decomp, details=[None] * level))
 
     before = x.copy()
-    got = list(extract_fluctuation(x, spec, levels, boundary=boundary))
+    got = list(extract_fluctuation(x, spec, levels))
     # The two directions are folded in place, into fresh residuals only.
     assert np.array_equal(x, before)
     assert not any(np.shares_memory(fluct, x) for fluct in got)
@@ -253,7 +247,7 @@ def test_extract_fluctuation_levels_share_one_pyramid_exactly(boundary):
     for fluct, level in zip(got, levels):
         want = 0.5 * (residual(x, level) + residual(x[::-1], level)[::-1])
         assert np.array_equal(fluct, want)
-        assert np.array_equal(fluct, next(extract_fluctuation(x, spec, [level], boundary)))
+        assert np.array_equal(fluct, next(extract_fluctuation(x, spec, [level])))
 
 
 def test_extract_fluctuation_rejects_unordered_levels():
@@ -269,10 +263,6 @@ def test_extract_fluctuation_checks_a_level_sequence_at_the_call():
     spec = daubechies(2)
     with pytest.raises(TooShortError):
         extract_fluctuation(np.arange(16.0), spec, [1, 5])
-    with pytest.raises(ValidationError):
-        extract_fluctuation(np.arange(48.0), spec, [1, 5], boundary="periodic")
-    with pytest.raises(ValidationError):
-        extract_fluctuation(np.arange(64.0), spec, [1, 2], boundary="mirror")
     with pytest.raises(ValidationError):
         extract_fluctuation(np.ones((8, 8)), spec, [1, 2])
 

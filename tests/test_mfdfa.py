@@ -116,6 +116,24 @@ def test_all_zero_variance_is_an_error():
             fluctuation_function(np.zeros(512), q_values=np.array([-2.0]))
 
 
+def test_a_zero_fluctuation_inside_the_fit_range_is_refused():
+    # Positive orders give F_q(s) = 0 on a flat profile instead of
+    # raising; its log has no fit, so generalized_hurst names the scale
+    # rather than return NaN exponents.
+    flat = fluctuation_function(np.zeros(4096), q_values=np.array([1.0, 2.0, 3.0]))
+    assert not flat.fluctuation.any()
+    with pytest.raises(ZeroVarianceError, match=r"^scale 8: F_q\(s\) = 0 at q = 1;"):
+        generalized_hurst(flat)
+    # A zero outside the fit range (here above n / 8) is not read.
+    table = fluctuation_function(profile(np.random.default_rng(2).standard_normal(4096)))
+    zeroed = table.fluctuation.copy()
+    zeroed[:, -1] = 0.0
+    assert table.scales[-1] > 4096 / 8
+    want = generalized_hurst(table).hurst
+    got = generalized_hurst(FluctuationTable(table.q_values, table.scales, zeroed, 4096)).hurst
+    assert got.tobytes() == want.tobytes()
+
+
 def test_zero_variance_warns_once_per_scale():
     # Flat except for one burst: every scale but the largest has some
     # zero-variance segments, and the 11 orders q <= 0 share one warning.
@@ -160,22 +178,6 @@ def test_one_analysis_pass_per_direction(monkeypatch):
     prof = np.cumsum(np.random.default_rng(5).standard_normal(4096))
     table = fluctuation_function(prof)
     assert len(calls) == 2 * table.scales.size  # one level per scale
-
-
-def test_unknown_boundary_is_refused_before_any_analysis_step(monkeypatch):
-    # extract_fluctuation's argument check is the one refusal.
-    calls = []
-    original = dwt._analysis
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(dwt, "_analysis", counted)
-    prof = profile(np.random.default_rng(5).standard_normal(4096))
-    with pytest.raises(ValidationError, match="mirror"):
-        fluctuation_function(prof, boundary="mirror")
-    assert calls == []
 
 
 def test_fluctuation_function_frees_each_level_before_the_next(monkeypatch):
@@ -237,9 +239,8 @@ _PINNED_VERSIONS = ("2.4.6", "1.17.1")
 
 
 def test_fluctuation_tables_are_pinned():
-    # sha256 over the F_q(s) tables of fBm increments and of fBm itself
-    # with periodic edges: the levels are built one at a time and the
-    # tables keep their bytes.
+    # sha256 over the F_q(s) tables of fBm increments and of fBm itself:
+    # the levels are built one at a time and the tables keep their bytes.
     versions = (np.__version__, scipy.__version__)
     if versions != _PINNED_VERSIONS:
         pytest.skip(
@@ -255,9 +256,9 @@ def test_fluctuation_tables_are_pinned():
                     x = gen_fbm(hurst, 2**k, seed=seed).samples
                     table = fluctuation_function(profile(np.diff(x)))
                     digest.update(table.fluctuation.tobytes())
-                    table = fluctuation_function(profile(x), boundary="periodic")
+                    table = fluctuation_function(profile(x))
                     digest.update(table.fluctuation.tobytes())
-    assert digest.hexdigest() == "2a10deea01f0c9b4df6cf0603cf5cd36ba3161edae9dfb6439307f63a21d3044"
+    assert digest.hexdigest() == "6a92962dcd36db3e7dc50669d85c44ca0c82492bf9247c3f49f2d061d4f36f1f"
 
 
 def test_logsumexp_has_the_bits_of_scipy():
@@ -280,11 +281,6 @@ def test_logsumexp_has_the_bits_of_scipy():
         a = np.array(a)
         got = mfdfa._logsumexp(a, 1.0, np.empty_like(a))
         assert np.float64(got).tobytes() == np.float64(logsumexp(a)).tobytes()
-
-
-def test_config_rejects_unknown_boundary():
-    with pytest.raises(ValidationError):
-        fluctuation_function(np.zeros(512), boundary="wrap")
 
 
 def test_config_holds_at_most_max_q_values_orders():

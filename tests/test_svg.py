@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -67,6 +68,31 @@ def test_line_plot_rejects_bad_input(tmp_path):
         line_plot(tmp_path / "x.svg", [])
     with pytest.raises(ValidationError):
         line_plot(tmp_path / "y.svg", [(np.arange(4.0), np.arange(5.0), "bad")])
+
+
+#: Child set-up that caps the address space at 256 MiB above what the
+#: imports mapped, so a tick loop that never ends raises MemoryError in
+#: the child instead of filling the host's memory.
+_CAPPED = """\
+import resource
+from wavescope import svg
+with open("/proc/self/statm") as statm:
+    mapped = int(statm.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + 2**28, mapped + 2**28))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+def test_ticks_end_on_a_span_of_a_few_ulps(fresh_python, tmp_path):
+    # Around 1e16 the ulp is 2, so the 0.5 step of a span of 2 adds
+    # nothing: the ticks stop at the first one.
+    path = tmp_path / "flat.svg"
+    code = (
+        "print(svg._nice_ticks(1e16, 1e16 + 2))\n"
+        f"svg.line_plot({str(path)!r}, [([0.0, 1.0], [1e16, 1e16 + 2], 'flat')])\n"
+    )
+    assert fresh_python(code, _CAPPED).stdout == "[1e+16]\n"
+    assert path.read_text().count(">1e+16</text>") == 1
 
 
 def test_heatmap_caps_columns(tmp_path):

@@ -18,6 +18,9 @@ It holds
   and a white and a red ``globalpower``, its ``input.csv`` and
   ``report.json`` included;
 - one ``run`` of a binomial cascade;
+- one ``run`` of 2^12 fBm with the declared choices that the others
+  leave out: a numeric ``heisenberg`` regime, ``cwt`` with ``norm:
+  "eq4"`` and a ``lyapunov`` delay given as an integer;
 - ``phase`` on the two sine CSVs;
 - the one-shots ``denoise --rule soft_threshold`` and ``globalpower``
   on the fBm run's ``input.csv``.
@@ -69,6 +72,17 @@ RUNS = {
     "run_cascade": {
         "input": {"kind": "synth", "synth": {"kind": "cascade", "a": 0.75, "levels": 14}},
         "pipeline": [{"stage": "mfdfa", "fit_lo": 16.0, "fit_hi": 1024.0}, {"stage": "spectrum"}],
+        "formats": {"svg": True},
+    },
+    # A numeric regime is the target slope itself.
+    "run_choices": {
+        "input": {"kind": "synth", "synth": {**FBM, "n": 2**12}},
+        "pipeline": [
+            {"stage": "heisenberg", "f_lo": 0.5, "f_hi": 20.0, "regime": -2.0},
+            {"stage": "cwt", "norm": "eq4"},
+            {"stage": "lyapunov", "delay": 4},
+        ],
+        "seed": 2,
         "formats": {"svg": True},
     },
 }
