@@ -421,10 +421,7 @@ def _stage_heisenberg(ts, params, emit, shared):
 def _stage_mfdfa(ts, params, emit, shared):
     """Multifractal fluctuation analysis."""
     data = np.diff(ts.samples) if params["difference"] else ts.samples
-    # q_grid bounds the grid before building it, so with Q <= MAX_Q_VALUES
-    # orders the stage takes O(n log n + n Q) time.
-    q = mfdfa.q_grid(params["q_min"], params["q_max"], params["q_step"])
-    table = mfdfa.fluctuation_function(profile(data), q_values=q)
+    table = mfdfa.fluctuation_function(profile(data))
     fit_range = (params["fit_lo"], params["fit_hi"])
     table = mfdfa.generalized_hurst(table, fit_range=fit_range)
     emit("fq.csv", write_fq_table, table)
@@ -445,7 +442,7 @@ def _stage_mfdfa(ts, params, emit, shared):
         title="generalized Hurst exponents",
     )
     info = {
-        "h2": table.hurst_at(2.0) if np.any(np.isclose(table.q_values, 2.0)) else None,
+        "h2": table.hurst_at(2.0),
         "delta_h": table.delta_h,
         "fit_range": list(table.fit_range),
         "n_scales": int(table.scales.size),
@@ -463,7 +460,7 @@ def _stage_cwt(ts, params, emit, shared):
     and params reads too, in either order: O(S n_fft log n_fft) time and
     O(n_fft + S HEATMAP_COLS) memory.
     """
-    sg = shared(cwtmod.cwt_morlet, ts, **params)  # omega0 and norm
+    sg = shared(cwtmod.cwt_morlet, ts, **params)  # norm
     emit(
         "scales.csv",
         write_table,
@@ -484,7 +481,7 @@ def _stage_globalpower(ts, params, emit, shared):
     does, and bins the heat map even when no ``cwt`` stage writes it.
     Time and memory as for ``cwt``.
     """
-    sg = shared(cwtmod.cwt_morlet, ts, omega0=params["omega0"], norm="l2")
+    sg = shared(cwtmod.cwt_morlet, ts, norm="l2")
     sg.power_summary(heatmap=True)
     gp = cwtmod.global_power(sg, background=params["background"])
     peaks = cwtmod.dominant_periods(gp, max_count=params["max_peaks"])
@@ -571,8 +568,6 @@ _STAGE_FUNCS = {
     "lyapunov": _stage_lyapunov,
 }
 
-_OMEGA0 = _Param("omega0", float, 6.0)
-
 #: Each stage's params, declared once: validate_config checks configs
 #: against them, run fills in their defaults and each stage subcommand
 #: gets one flag per param.
@@ -595,16 +590,9 @@ _STAGE_PARAMS = {
         _Param("difference", bool, False),
         _Param("fit_lo", float, None),
         _Param("fit_hi", float, None),
-        _Param("q_min", float, -10.0),
-        _Param("q_max", float, 10.0),
-        _Param("q_step", float, 1.0),
     ),
-    "cwt": (
-        _OMEGA0,
-        _Param("norm", None, "l2", cwtmod.NORMS),
-    ),
+    "cwt": (_Param("norm", None, "l2", cwtmod.NORMS),),
     "globalpower": (
-        _OMEGA0,
         _Param("background", None, "white", cwtmod.BACKGROUNDS),
         _Param("max_peaks", int, None),
     ),

@@ -1,8 +1,9 @@
 """Morlet continuous wavelet transform, global power and phase extraction.
 
 The transform is evaluated scale by scale in the Fourier domain with the
-analytic Morlet window exp(-(s w - w0)^2 / 2) on positive frequencies,
-each scale's row only when a reader reaches it (see Scalogram).
+analytic Morlet window exp(-(s w - w0)^2 / 2), w0 = OMEGA0 = 6, on
+positive frequencies, each scale's row only when a reader reaches it (see
+Scalogram).
 Two amplitude conventions are supported: the energy choice 1/sqrt(s)
 (default, keeps white-noise power flat across scales and puts the scale
 response peak of a sinusoid exactly at its equivalent Fourier period) and
@@ -44,8 +45,12 @@ __all__ = [
 #: Sub-octaves per octave in the default scale ladder.
 SUBOCTAVES = 8
 
-#: Decorrelation scale factor of the param-6 Morlet, used for the
-#: effective degrees of freedom of time-averaged power.
+#: Centre frequency of the Morlet window, the one cwt_morlet transforms with.
+OMEGA0 = 6.0
+
+#: Decorrelation scale factor of the OMEGA0 = 6 Morlet (Torrence & Compo
+#: 1998, Table 2), used for the effective degrees of freedom of
+#: time-averaged power.
 MORLET_GAMMA = 2.32
 
 #: Synchronization band half-width in radians and minimum dwell time in
@@ -55,13 +60,6 @@ SYNC_MIN_PERIODS = 3.0
 
 #: Confidence level of GlobalPower's ``significance_95``.
 SIGNIFICANCE_LEVEL = 0.95
-
-#: Least fraction of its window energy that the smallest scale must keep
-#: below Nyquist, or cwt_morlet refuses the ladder.  Below it the erf
-#: form of the fraction, which the row prefactors use, is off by more
-#: than 1e-8 relative through cancellation (1.1e-6 at omega0 = 11 and
-#: scale 2 dt, and exactly 0.0 from 12.25 on).
-MIN_RETAINED_MASS = 1e-9
 
 #: The normalizations cwt_morlet takes, and the backgrounds global_power
 #: tests against.
@@ -129,12 +127,11 @@ class Scalogram:
     serves every later request that record covers without a new pass.
     """
 
-    def __init__(self, scales, times, coi, omega0, sample_rate, norm,
+    def __init__(self, scales, times, coi, sample_rate, norm,
                  signal_variance, series, spec, n_fft, freq_step, bands):
         self.scales = scales
         self.times = times
         self.coi = coi
-        self.omega0 = omega0
         self.sample_rate = sample_rate
         self.norm = norm
         self.signal_variance = signal_variance
@@ -151,7 +148,7 @@ class Scalogram:
 
     @property
     def fourier_factor(self) -> float:
-        return morlet_fourier_factor(self.omega0)
+        return morlet_fourier_factor(OMEGA0)
 
     @property
     def periods(self) -> np.ndarray:
@@ -194,7 +191,7 @@ class Scalogram:
             start, stop, prefactor = self._bands[i]
             # The band's angular frequencies, as fftfreq computes them.
             omega = 2.0 * math.pi * (np.arange(start, stop) * self._freq_step)
-            window = _morlet_hat(omega, self.scales[i], self.omega0)
+            window = _morlet_hat(omega, self.scales[i])
             np.multiply(self._spec[start:stop], window, out=buf[start:stop])
             # Freed before the FFT allocates its scratch: at the smallest
             # scales a band spans every positive bin.
@@ -297,13 +294,13 @@ def _wrap(angle: np.ndarray | float) -> np.ndarray | float:
 _WINDOW_HALF_WIDTH = 39.0
 
 
-def _morlet_hat(omega: np.ndarray, s: float, omega0: float) -> np.ndarray:
+def _morlet_hat(omega: np.ndarray, s: float) -> np.ndarray:
     """Analytic Morlet window in the Fourier domain at positive ``omega``."""
-    arg = s * omega - omega0
+    arg = s * omega - OMEGA0
     return np.exp(-0.5 * arg * arg) * (math.pi**-0.25) * math.sqrt(2.0 * math.pi)
 
 
-def _retained_mass(s: float, dt: float, omega0: float) -> float:
+def _retained_mass(s: float, dt: float) -> float:
     """Fraction of the Morlet energy that fits below Nyquist at scale s.
 
     Near the smallest admissible scale (2 dt) a sizable part of the window
@@ -313,29 +310,18 @@ def _retained_mass(s: float, dt: float, omega0: float) -> float:
     precision.
     """
     nyq = s * math.pi / dt
-    return 0.5 * (math.erf(nyq - omega0) + math.erf(omega0))
+    return 0.5 * (math.erf(nyq - OMEGA0) + math.erf(OMEGA0))
 
 
-def _tail_mass(s: float, dt: float, omega0: float) -> float:
-    """The fraction of :func:`_retained_mass` computed from the upper
-    tails, erfc(omega0 - nyq) - erfc(omega0), with no cancellation when
-    it is small; it decides the refusal, and the erf form keeps every
-    accepted row's bits."""
-    nyq = s * math.pi / dt
-    return 0.5 * (math.erfc(omega0 - nyq) - math.erfc(omega0))
-
-
-def cwt_morlet(ts: TimeSeries, omega0: float = 6.0, norm: str = "l2") -> Scalogram:
-    """Continuous Morlet transform over the scale ladder ``default_scales``.
+def cwt_morlet(ts: TimeSeries, norm: str = "l2") -> Scalogram:
+    """Continuous Morlet transform with centre frequency OMEGA0 = 6 over
+    the scale ladder ``default_scales``.
 
     The ladder spans 2 dt .. n dt / 4 with 8 sub-octaves per octave, so a
     series needs at least 8 samples; a shorter one is refused with
     ValidationError.  The mean is removed before transforming, and the
     series is zero-padded to n_fft, the next power of two >= 2 n; the
     cone of influence marks the samples that the padding reaches.
-    An ``omega0`` that leaves the smallest scale less than
-    ``MIN_RETAINED_MASS`` = 1e-9 of its window energy below Nyquist (above
-    about 10.52 at 2 dt) is refused with ValidationError.
 
     Each row multiplies the signal spectrum by the window and inverts it.
     The window is zero at and below zero frequency, and it underflows to
@@ -354,10 +340,6 @@ def cwt_morlet(ts: TimeSeries, omega0: float = 6.0, norm: str = "l2") -> Scalogr
     reduction over all rows, takes O(S n_fft log n_fft) time and O(n_fft)
     working memory and keeps its record for later readers.
     """
-    if not math.isfinite(omega0) or omega0 < 5.0:
-        raise ValidationError(
-            "omega0 must be a finite number >= 5 for a usable analytic Morlet"
-        )
     if norm not in NORMS:
         raise ValidationError(f"unknown norm {norm!r}")
     x = ts.samples
@@ -369,15 +351,6 @@ def cwt_morlet(ts: TimeSeries, omega0: float = 6.0, norm: str = "l2") -> Scalogr
             f"2 dt to n dt / 4, got {n}"
         )
     scales = default_scales(n, ts.sample_rate)
-    # The retained mass grows with the scale, so the smallest scale decides
-    # whether every row keeps enough window energy below Nyquist.
-    mass = _tail_mass(scales[0], dt, omega0)
-    if not mass >= MIN_RETAINED_MASS:
-        raise ValidationError(
-            f"omega0 = {omega0:g} leaves no Morlet energy below Nyquist at the "
-            f"smallest scale {scales[0]:g} s beyond a fraction {mass:.3g} < "
-            f"MIN_RETAINED_MASS = {MIN_RETAINED_MASS:g}; lower omega0"
-        )
 
     demeaned = x - x.mean()
     variance = float(np.var(demeaned))
@@ -398,18 +371,18 @@ def cwt_morlet(ts: TimeSeries, omega0: float = 6.0, norm: str = "l2") -> Scalogr
     freq_step = 1.0 / (n_fft * dt)
     # The positive angular frequencies, omega[1:(n_fft + 1) // 2], ascend.
     positive = 2.0 * math.pi * (np.arange(1, (n_fft + 1) // 2) * freq_step)
-    starts = 1 + np.searchsorted(positive, (omega0 - _WINDOW_HALF_WIDTH) / scales)
-    stops = 1 + np.searchsorted(positive, (omega0 + _WINDOW_HALF_WIDTH) / scales)
+    starts = 1 + np.searchsorted(positive, (OMEGA0 - _WINDOW_HALF_WIDTH) / scales)
+    stops = 1 + np.searchsorted(positive, (OMEGA0 + _WINDOW_HALF_WIDTH) / scales)
     bands = []
     for start, stop, s in zip(starts.tolist(), stops.tolist(), scales.tolist()):
         # Discretized continuous transform: prefactor s from the change of
         # variables, times the chosen amplitude convention, divided by the
         # sub-Nyquist energy fraction of the sampled window.
         prefactor = math.sqrt(s) if norm == "l2" else 1.0
-        prefactor /= math.sqrt(_retained_mass(s, dt, omega0))
+        prefactor /= math.sqrt(_retained_mass(s, dt))
         bands.append((start, stop, prefactor))
 
-    ff = morlet_fourier_factor(omega0)
+    ff = morlet_fourier_factor(OMEGA0)
     # The distance to the nearer edge, min(t, n - 1 - t), then the cone.
     coi = np.arange(n, dtype=float)
     np.subtract(n - 1, coi[n // 2 :], out=coi[n // 2 :])
@@ -422,7 +395,6 @@ def cwt_morlet(ts: TimeSeries, omega0: float = 6.0, norm: str = "l2") -> Scalogr
         scales=scales,
         times=times,
         coi=coi,
-        omega0=omega0,
         sample_rate=ts.sample_rate,
         norm=norm,
         signal_variance=variance,

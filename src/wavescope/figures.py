@@ -181,7 +181,7 @@ def emit_phase(emit, svg_name, csv_name, cmp_, bands, label, title) -> None:
 
 def _cascade_closed_form(emit) -> None:
     """The cascade's h(q) in closed form, on the ``mfdfa`` stage's q grid."""
-    q = mfdfa.q_grid()
+    q = mfdfa.Q_VALUES
     closed = np.array([synth.cascade_hurst(0.75, v) for v in q])
     emit("fig9_closed_form.csv", write_table, ["q", "h_closed_form"], [q, closed])
 

@@ -8,8 +8,8 @@ profile is cut into floor(N/s) windows from the front and the same number
 from the back, every window contributes its mean squared fluctuation, and
 the q-th order fluctuation function is the power mean of order q/2 of
 those segment variances.  The profile is a plain array (see
-:func:`~wavescope.signal_core.profile`), and :func:`q_grid` builds and
-bounds the moment orders.
+:func:`~wavescope.signal_core.profile`), and the moment orders are the
+one grid Q_VALUES, q = -10, -9, ..., 10.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .signal_core import fit_line
 
 __all__ = [
     "FluctuationTable",
-    "q_grid",
     "default_scales",
     "segment_variance",
     "fluctuation_function",
@@ -46,10 +45,10 @@ MIN_SEGMENTS = 4
 MIN_FIT_SCALES = 6
 R2_FLOOR = 0.9
 
-#: Most moment orders an analysis grid may hold.  fluctuation_function's
-#: time grows linearly with their count Q, about 4 ms per order at 2^20
-#: samples on a 2-core AVX-512 host, so this bounds it near 5 s there.
-MAX_Q_VALUES = 1001
+#: The moment orders q = -10, -9, ..., 10 (zero included), the one grid
+#: fluctuation_function evaluates.
+Q_VALUES = np.arange(-10.0, 10.5, 1.0)
+Q_VALUES.flags.writeable = False
 
 
 def _wavelet() -> WaveletSpec:
@@ -59,30 +58,6 @@ def _wavelet() -> WaveletSpec:
     calls LAPACK, and a first LAPACK call at import grew a fresh
     process's RSS by about 1.1 MiB before any input was built."""
     return daubechies(2)
-
-
-def q_grid(q_min: float = -10.0, q_max: float = 10.0, q_step: float = 1.0) -> np.ndarray:
-    """Moment orders from ``q_min`` in steps of ``q_step`` up to ``q_max``.
-
-    The default is -10..10 in steps of 1, zero included.  The grid is
-    checked before np.arange builds it: a step of 0 divides by zero, a
-    tiny one asks for more memory than there is, and a NaN or infinite
-    argument has no length, nor has a ``q_max`` far below ``q_min``.  So
-    all three must be finite, ``q_step`` must be > 0 and the grid must
-    hold 1 to MAX_Q_VALUES orders.
-    """
-    for name, value in (("q_min", q_min), ("q_max", q_max), ("q_step", q_step)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
-    if not q_step > 0:
-        raise ValidationError(f"q_step must be > 0, got {q_step}")
-    # np.arange's length is the ceiling of this ratio.
-    if not 0 < (q_max + 0.5 * q_step - q_min) / q_step <= MAX_Q_VALUES:
-        raise ValidationError(
-            f"q from {q_min:g} to {q_max:g} in steps of {q_step:g} must give "
-            f"1 to MAX_Q_VALUES = {MAX_Q_VALUES} orders"
-        )
-    return np.arange(q_min, q_max + 0.5 * q_step, q_step)
 
 
 def default_scales(n: int) -> np.ndarray:
@@ -132,7 +107,8 @@ class FluctuationTable:
 
     @property
     def delta_h(self) -> float:
-        """Spread h(q_min) - h(q_max), the multifractality measure."""
+        """Spread of h(q) from the first order to the last, h(-10) - h(10)
+        on Q_VALUES: the multifractality measure."""
         if self.hurst is None:
             raise ValidationError("call generalized_hurst first")
         return float(self.hurst[0] - self.hurst[-1])
@@ -227,14 +203,11 @@ def _moments(seg_var: np.ndarray, q_values: np.ndarray, scale: int) -> np.ndarra
     return out
 
 
-def fluctuation_function(
-    prof: np.ndarray,
-    q_values: np.ndarray | None = None,
-) -> FluctuationTable:
-    """Evaluate F_q(s) of the profile ``prof`` over an analysis grid.
+def fluctuation_function(prof: np.ndarray) -> FluctuationTable:
+    """Evaluate F_q(s) of the profile ``prof`` over the analysis grid.
 
-    ``q_values`` holds 1 to MAX_Q_VALUES moment orders, :func:`q_grid` by
-    default.  The scales are :func:`default_scales` of the profile length,
+    The moment orders are Q_VALUES, the Q = 21 orders -10..10 in steps
+    of 1.  The scales are :func:`default_scales` of the profile length,
     s = support * 2**level for the wavelet levels 1..L, each leaving at
     least MIN_SEGMENTS segments.  The detrending wavelet is
     ``daubechies(2)``, with symmetric edges.
@@ -242,15 +215,10 @@ def fluctuation_function(
     The profile is decomposed once per direction for all levels (see
     :func:`~wavescope.dwt.extract_fluctuation`), and each level's
     fluctuation is reduced to its segment variances before the next level
-    is built.  For n samples, L levels and Q moment orders this takes
-    O(n log n + n Q) time, and the working memory is about 5.5 n floats
-    whatever L is, plus O(n / s) segment variances.
+    is built.  For n samples and L levels this takes O(n log n) time, the
+    Q = 21 orders adding O(n Q), and the working memory is about 5.5 n
+    floats whatever L is, plus O(n / s) segment variances.
     """
-    q_values = np.asarray(q_grid() if q_values is None else q_values, dtype=float)
-    if not 1 <= q_values.size <= MAX_Q_VALUES:
-        raise ValidationError(
-            f"q_values must hold 1 to MAX_Q_VALUES = {MAX_Q_VALUES} orders, got {q_values.size}"
-        )
     values = np.asarray(prof, dtype=float)
     n = values.size
     scales = default_scales(n)
@@ -262,10 +230,10 @@ def fluctuation_function(
     columns = []
     for s in scales.tolist():
         seg = segment_variance(next(flucts), s)
-        columns.append(_moments(seg, q_values, s))
+        columns.append(_moments(seg, Q_VALUES, s))
     fq = np.column_stack(columns)
     return FluctuationTable(
-        q_values=q_values.copy(),
+        q_values=Q_VALUES.copy(),
         scales=scales,
         fluctuation=fq,
         n=n,

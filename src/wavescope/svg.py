@@ -50,7 +50,8 @@ def _fmt(v: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+    """Ticks of a linear axis, whose span _Axes keeps finite."""
+    if hi <= lo:
         return [lo]
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -85,9 +86,19 @@ def _tick_label(v: float) -> str:
 
 
 class _Axes:
-    """Data-to-pixel mapping for one panel."""
+    """Data-to-pixel mapping for one panel.
+
+    A linear axis whose span hi - lo overflows to inf (or is NaN) has no
+    pixel mapping and no ticks, so it is refused with ValidationError
+    before any file is opened.
+    """
 
     def __init__(self, xlim, ylim, xlog, ylog):
+        for name, (lo, hi), log in (("x", xlim, xlog), ("y", ylim, ylog)):
+            if not log and not math.isfinite(hi - lo):
+                raise ValidationError(
+                    f"the {name} axis from {lo:g} to {hi:g} spans more than a float holds"
+                )
         self.x0, self.x1 = _MARGIN_L, WIDTH - _MARGIN_R
         self.y0, self.y1 = HEIGHT - _MARGIN_B, _MARGIN_T
         self.xlim, self.ylim = xlim, ylim

@@ -156,7 +156,7 @@ def test_four_tones_peak_at_their_scales():
     gp = global_power(sg)
     p = gp.power
     maxima = [i for i in range(1, p.size - 1) if p[i] > p[i - 1] and p[i] > p[i + 1]]
-    factor = morlet_fourier_factor(sg.omega0)
+    factor = sg.fourier_factor
     log_scales = np.log(sg.scales)
     for period, _, _ in comps:
         idx = int(np.argmin(np.abs(log_scales - math.log(period / factor))))

@@ -17,8 +17,8 @@ from wavescope import (
     ConfigError,
     EmbeddingQualityWarning,
     ParseError,
+    ZeroVarianceWarning,
     dwt,
-    mfdfa,
     spectral,
     svg,
     synth,
@@ -82,7 +82,8 @@ def test_validate_fills_defaults(tmp_path):
         lambda r: r["pipeline"].append({"stage": "lyapunov", "delay": "x"}),
         lambda r: r["pipeline"][0].update(difference="no"),
         lambda r: r["pipeline"].append({"stage": "lyapunov", "dim": True}),
-        lambda r: r["pipeline"].append({"stage": "cwt", "omega0": float("nan")}),
+        # the Morlet omega0 and the MFDFA q grid are constants, not params
+        lambda r: r["pipeline"].append({"stage": "cwt", "omega0": 6.0}),
         lambda r: r["input"]["synth"].update(sample_rate=float("inf")),
         # neither kind draws a random number, so neither declares a seed
         lambda r: r["input"].update(synth=dict(_SYNTHS["sines"][0], seed=1)),
@@ -90,6 +91,10 @@ def test_validate_fills_defaults(tmp_path):
         # each transform has one edge policy, so neither is a param
         lambda r: r["pipeline"].append({"stage": "denoise", "boundary": "symmetric"}),
         lambda r: r["pipeline"].append({"stage": "cwt", "pad": "zero"}),
+        lambda r: r["pipeline"].append({"stage": "globalpower", "omega0": 6.0}),
+        lambda r: r["pipeline"][0].update(q_min=-10.0),
+        lambda r: r["pipeline"][0].update(q_max=10.0),
+        lambda r: r["pipeline"][0].update(q_step=1.0),
     ],
 )
 def test_validate_rejects_bad_configs(tmp_path, mutate):
@@ -305,14 +310,6 @@ def _sine_csv(tmp_path):
     return str(path)
 
 
-def test_cwt_omega0_without_energy_below_nyquist_fails_the_stage(tmp_path):
-    out = tmp_path / "out"
-    argv = ["cwt", "--input", _sine_csv(tmp_path), "--outdir", str(out), "--omega0", "13"]
-    assert main(argv) == 3
-    marker = (out / "cwt.failed").read_text()
-    assert marker.startswith("ValidationError: omega0 = 13 leaves no Morlet energy")
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -324,6 +321,17 @@ def test_one_shot_rejects_bad_values_before_output(tmp_path, args):
     out = tmp_path / "out"
     argv = args + ["--input", _sine_csv(tmp_path), "--outdir", str(out)]
     assert main(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["cwt", "--omega0", "8"], ["mfdfa", "--q-min", "0"]])
+def test_one_shot_has_no_flag_for_a_fixed_setting(tmp_path, args):
+    # The Morlet omega0 and the MFDFA q grid are constants, not params.
+    out = tmp_path / "out"
+    argv = args + ["--input", _sine_csv(tmp_path), "--outdir", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     assert not out.exists()
 
 
@@ -412,35 +420,19 @@ def test_unexpected_stage_exception_leaves_marker(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "mfdfa.failed").read_text() == "RuntimeError: unexpected\n"
 
 
-def _mfdfa_failure(tmp_path, **q):
-    raw = _good_raw(tmp_path, pipeline=[{"stage": "mfdfa", **q}])
-    cfg_path = tmp_path / "q_grid.json"
-    cfg_path.write_text(json.dumps(raw))
-    assert main(["run", "--config", str(cfg_path)]) == 3
-    return (tmp_path / "out" / "mfdfa.failed").read_text()
-
-
-@pytest.mark.parametrize("q_step", [0, -1])
-def test_mfdfa_stage_refuses_a_q_step_that_is_not_positive(tmp_path, q_step):
-    assert "q_step must be > 0" in _mfdfa_failure(tmp_path, q_step=q_step)
-
-
-def test_mfdfa_stage_refuses_one_order_more_than_max_q_values(tmp_path):
-    # q = 0, 1, ..., MAX_Q_VALUES: refused before np.arange builds it.
-    failed = _mfdfa_failure(tmp_path, q_min=0, q_max=mfdfa.MAX_Q_VALUES)
-    assert "MAX_Q_VALUES" in failed
-
-
 def test_mfdfa_stage_refuses_a_zero_fluctuation(tmp_path):
-    # A silent series gives F_q(s) = 0 for q > 0: no NaN exponents in
-    # mfdfa.json, but a failed stage.
-    raw = _good_raw(tmp_path, pipeline=[{"stage": "mfdfa", "q_min": 1.0, "q_max": 3.0}])
+    # A silent series has no positive segment variance, so the grid's
+    # first order, q = -10, has no power mean: no NaN exponents in
+    # mfdfa.json, but a failed stage, after the warning that every
+    # segment was dropped.
+    raw = _good_raw(tmp_path, pipeline=[{"stage": "mfdfa"}])
     raw["input"]["synth"] = {
         "kind": "sines", "components": [[0.5, 0.0, 0.0]], "sample_rate": 64.0, "n": 4096
     }
     cfg_path = tmp_path / "silent.json"
     cfg_path.write_text(json.dumps(raw))
-    assert main(["run", "--config", str(cfg_path)]) == 3
+    with pytest.warns(ZeroVarianceWarning, match="dropped 1024 zero-variance segments"):
+        assert main(["run", "--config", str(cfg_path)]) == 3
     assert (tmp_path / "out" / "mfdfa.failed").read_text().startswith("ZeroVarianceError: scale 8")
     assert not (tmp_path / "out" / "mfdfa.json").exists()
 
@@ -464,6 +456,20 @@ def test_failed_stage_leaves_marker(tmp_path):
     marker = tmp_path / "out" / "fit.failed"
     assert marker.exists()
     assert "band" in marker.read_text()
+
+
+def test_fit_stage_reports_a_hurst_outside_the_unit_interval_as_null(tmp_path):
+    # White noise fits a slope near 0, whose alpha maps to H < 0: the stage
+    # still succeeds, with no exponent and a note saying why.
+    raw = _good_raw(tmp_path, pipeline=[{"stage": "fit", "f_lo": 0.5, "f_hi": 40.0}])
+    raw["input"]["synth"] = {"kind": "powerlaw", "beta": 0.0, "n": 4096, "sample_rate": 100.0}
+    cfg_path = tmp_path / "white.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    info = json.loads((tmp_path / "out" / "00_fit_fit.json").read_text())
+    assert info["hurst"] is None
+    assert info["hurst_note"] == "alpha = 0.0603185 maps to H = -0.469841, outside (0, 1)"
+    assert "fractal_dimension_note" not in info
 
 
 def test_periodic_bounce_render_refuses_through_run(tmp_path):
@@ -610,8 +616,8 @@ def _files(directory):
             {"stage": "heisenberg", "f_lo": 0.01, "f_hi": 0.2, "regime": -2.0},
         ),
         (
-            ["--difference", "--q-step", "2"],
-            {"stage": "mfdfa", "difference": True, "q_step": 2.0},
+            ["--difference", "--fit-hi", "1024"],
+            {"stage": "mfdfa", "difference": True, "fit_hi": 1024.0},
         ),
         (["--norm", "eq4"], {"stage": "cwt", "norm": "eq4"}),
         (["--max-peaks", "2", "--svg"], {"stage": "globalpower", "max_peaks": 2}),

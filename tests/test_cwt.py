@@ -129,68 +129,24 @@ def test_series_shorter_than_the_ladder_is_refused(n):
 
 
 def test_omega0_and_norm_validation():
+    # omega0 is the constant OMEGA0, not a parameter; norm has two choices.
     ts = _tone(0.5, 100.0, 256)
-    with pytest.raises(ValidationError):
-        cwt_morlet(ts, omega0=3.0)
-    for omega0 in (math.nan, math.inf):
-        with pytest.raises(ValidationError):
-            cwt_morlet(ts, omega0=omega0)
+    with pytest.raises(TypeError):
+        cwt_morlet(ts, omega0=6.0)
     with pytest.raises(ValidationError):
         cwt_morlet(ts, norm="l1")
 
 
-def test_omega0_with_no_energy_below_nyquist_is_refused(monkeypatch):
-    # At omega0 = 13 the whole window of the smallest default scale, 2 dt,
-    # lies above Nyquist; the refusal comes before any FFT.
-    ts = _tone(0.5, 100.0, 256)
-
-    def no_fft(*args, **kwargs):
-        raise AssertionError("FFT ran before the refusal")
-
-    with monkeypatch.context() as m:
-        m.setattr(np.fft, "fft", no_fft)
-        with pytest.raises(ValidationError, match=r"omega0 = 13 .* smallest scale 0\.02 s"):
-            cwt_morlet(ts, omega0=13.0)
+def test_the_scalogram_reads_the_one_omega0():
+    sg = cwt_morlet(_tone(0.5, 100.0, 256))
+    assert cwtmod.OMEGA0 == 6.0
+    assert sg.fourier_factor == morlet_fourier_factor(6.0)
+    assert not hasattr(sg, "omega0")
 
 
-@pytest.mark.parametrize("omega0", [11.5, 12.0])
-def test_omega0_under_the_retained_mass_floor_is_refused(omega0):
-    # At the smallest scale 2 dt the window keeps 8.1e-14 (11.5) and
-    # 3.1e-16 (12) of its energy below Nyquist, under MIN_RETAINED_MASS;
-    # the erf form read those 2e-4 and 7 % too high.
-    ts = _tone(0.5, 100.0, 256)
-    with pytest.raises(ValidationError, match=f"omega0 = {omega0:g} .* MIN_RETAINED_MASS"):
-        cwt_morlet(ts, omega0=omega0)
-
-
-def test_omega0_8_is_accepted_with_the_erf_prefactor():
-    # The floor only decides the refusal: at omega0 = 8 the smallest
-    # scale keeps 0.0076 of its energy, and every row keeps the bytes of
-    # the full-grid reference, which divides by the erf form.
-    rate, n = 20.0, 600
-    ts = TimeSeries(np.random.default_rng(8).standard_normal(n), rate)
-    scales = default_scales(n, rate)
-    assert scales[0] == 2.0 / rate
-    sg = cwt_morlet(ts, omega0=8.0)
-    want = _full_grid_cwt(ts, scales, 8.0, "l2")
-    assert [row.tobytes() for row in _rows(sg)] == [row.tobytes() for row in want]
-
-
-def test_tail_mass_is_the_erf_form_to_1e8_above_the_floor():
-    # Where the tail form clears MIN_RETAINED_MASS, the erf form that the
-    # prefactors use agrees with it to 1e-8 relative, at any scale.
-    dt = 0.01
-    for s in (2 * dt, 2.5 * dt, 4 * dt):
-        for omega0 in np.linspace(5.0, 14.0, 181):
-            tail = cwtmod._tail_mass(s, dt, omega0)
-            if tail >= cwtmod.MIN_RETAINED_MASS:
-                erf_form = cwtmod._retained_mass(s, dt, omega0)
-                assert abs(erf_form - tail) <= 1e-8 * tail
-
-
-def _full_grid_cwt(ts, scales, omega0, norm):
-    """Reference: the window evaluated and applied on the whole frequency
-    grid, every row inverted and scaled at its padded length."""
+def _full_grid_cwt(ts, scales, norm):
+    """Reference: the omega0 = 6 window evaluated and applied on the whole
+    frequency grid, every row inverted and scaled at its padded length."""
     x = ts.samples - ts.samples.mean()
     n, dt = x.size, ts.dt
     n_fft = 1 << int(math.ceil(math.log2(2 * n)))
@@ -200,11 +156,11 @@ def _full_grid_cwt(ts, scales, omega0, norm):
     omega = 2.0 * math.pi * np.fft.fftfreq(n_fft, d=dt)
     coeffs = np.empty((len(scales), n), dtype=complex)
     for i, s in enumerate(scales):
-        arg = s * omega - omega0
+        arg = s * omega - 6.0
         window = np.where(omega > 0, np.exp(-0.5 * arg * arg), 0.0)
         window = window * (math.pi**-0.25) * math.sqrt(2.0 * math.pi)
         prefactor = math.sqrt(s) if norm == "l2" else 1.0
-        retained = 0.5 * (math.erf(s * math.pi / dt - omega0) + math.erf(omega0))
+        retained = 0.5 * (math.erf(s * math.pi / dt - 6.0) + math.erf(6.0))
         prefactor /= math.sqrt(retained)
         row = np.fft.ifft(spec * window) * prefactor
         coeffs[i] = row[:n]
@@ -212,17 +168,16 @@ def _full_grid_cwt(ts, scales, omega0, norm):
 
 
 @pytest.mark.parametrize(
-    "n, norm, omega0, edge_scales",
+    "n, norm, edge_scales",
     [
-        (600, "l2", 6.0, False),
-        (777, "l2", 6.0, False),
-        (600, "eq4", 6.0, False),
-        (600, "l2", 8.0, False),
-        (777, "eq4", 8.0, True),
-        (600, "l2", 6.0, True),
+        (600, "l2", False),
+        (777, "l2", False),
+        (600, "eq4", False),
+        (777, "eq4", True),
+        (600, "l2", True),
     ],
 )
-def test_band_limited_window_matches_full_grid_bytes(n, norm, omega0, edge_scales):
+def test_band_limited_window_matches_full_grid_bytes(n, norm, edge_scales):
     # Bytes, not a tolerance: the band only skips products with a window
     # that is exactly zero, so even the signs of zero must agree.  With
     # ``edge_scales`` one pass reads only the ladder's first and last rows,
@@ -230,8 +185,8 @@ def test_band_limited_window_matches_full_grid_bytes(n, norm, omega0, edge_scale
     rate = 20.0
     ts = TimeSeries(np.random.default_rng(n).standard_normal(n), rate)
     scales = default_scales(n, rate)
-    sg = cwt_morlet(ts, omega0=omega0, norm=norm)
-    want = _full_grid_cwt(ts, scales, omega0, norm)
+    sg = cwt_morlet(ts, norm=norm)
+    want = _full_grid_cwt(ts, scales, norm)
     read = [0, scales.size - 1] if edge_scales else range(scales.size)
     got = [row.tobytes() for row in sg.rows(read)]
     assert got == [want[i].tobytes() for i in read]
@@ -501,14 +456,13 @@ def test_cone_slices_match_the_reliable_mask(n):
     assert not mask[-1].any()
 
 
-@pytest.mark.parametrize("omega0", [5.0, 6.0, 8.0, 10.5])
-def test_every_ladder_scale_keeps_samples_outside_the_cone(omega0):
+def test_every_ladder_scale_keeps_samples_outside_the_cone():
     # default_scales' invariant, on which power_summary and global_power
     # rely to average every scale: the largest period, at most n dt / 4
     # times the Fourier factor, stays below the cone's peak, floor((n - 1)
     # / 2) dt / sqrt(2) times the same factor.
     for n in range(8, 2049):
-        sg = cwt_morlet(TimeSeries(np.zeros(n), 1.0), omega0=omega0)
+        sg = cwt_morlet(TimeSeries(np.zeros(n), 1.0))
         assert all(s.start < s.stop for s in sg._outside_slices()), n
 
 

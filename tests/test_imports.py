@@ -93,6 +93,8 @@ _FIXED_SETTINGS = [
     (cwt.global_power, "ar1"),
     (cwt.global_power, "series"),
     (signal_core.write_table, "eol"),
+    (cwt.cwt_morlet, "omega0"),
+    (mfdfa.fluctuation_function, "q_values"),
 ]
 
 
@@ -256,7 +258,8 @@ def test_every_public_callable_has_a_caller():
 # to a plain profile array, fluctuation_function's keywords and q_grid.
 # bounce_map_jacobian is the tests' Jacobian oracle (tests/map_oracle.py).
 # CascadeParams was built only to call gen_binomial_cascade, which now
-# takes its two numbers as keywords.
+# takes its two numbers as keywords.  q_grid gave way to the one grid
+# mfdfa.Q_VALUES.
 _REMOVED_CALLABLES = [
     (signal_core, "detrend_mean"),
     (spectral, "alpha_from_hurst"),
@@ -267,6 +270,7 @@ _REMOVED_CALLABLES = [
     (mfdfa, "default_q_values"),
     (synth, "bounce_map_jacobian"),
     (synth, "CascadeParams"),
+    (mfdfa, "q_grid"),
 ]
 
 

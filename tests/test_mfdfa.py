@@ -22,7 +22,6 @@ from wavescope.mfdfa import (
     default_scales,
     fluctuation_function,
     generalized_hurst,
-    q_grid,
     segment_variance,
 )
 from wavescope.signal_core import profile
@@ -30,35 +29,12 @@ from wavescope.synth import gen_fbm
 
 
 def test_default_q_grid():
-    q = q_grid()
-    assert q[0] == -10.0 and q[-1] == 10.0
-    assert 0.0 in q
-    assert np.all(np.diff(q) == 1.0)
-
-
-@pytest.mark.parametrize(
-    "args, name",
-    [
-        ((float("nan"),), "q_min"),
-        ((-1.0, float("inf")), "q_max"),
-        ((-1.0, 1.0, float("inf")), "q_step"),
-    ],
-    ids=["q_min-nan", "q_max-inf", "q_step-inf"],
-)
-def test_q_grid_refuses_an_argument_that_is_not_finite(args, name):
-    # A NaN passes both of the grid's comparisons, and np.arange then
-    # raised its own ValueError.
-    with pytest.raises(ValidationError, match=f"{name} must be finite"):
-        q_grid(*args)
-
-
-@pytest.mark.parametrize("q_min, q_max", [(0.0, -10.0), (0.0, -1e300), (1e300, 0.0)])
-def test_q_grid_refuses_a_grid_with_no_order(q_min, q_max):
-    # A q_max far below q_min gave np.arange a length below its minimum,
-    # and it raised "Maximum allowed size exceeded"; one just below gave
-    # an empty grid that only fluctuation_function refused.
-    with pytest.raises(ValidationError, match="must give 1 to MAX_Q_VALUES"):
-        q_grid(q_min, q_max, 1.0)
+    # The one grid: q = -10, -9, ..., 10, zero included, read-only.
+    q = mfdfa.Q_VALUES
+    assert q.tobytes() == np.arange(-10.0, 10.5, 1.0).tobytes()
+    assert not q.flags.writeable
+    table = fluctuation_function(profile(gen_fbm(0.5, 256, seed=1).samples))
+    assert table.q_values.tobytes() == q.tobytes()
 
 
 def test_segment_variance_hand_example():
@@ -83,12 +59,13 @@ def test_fluctuation_q2_is_rms_of_segment_variance():
     # F_2(s)^2 must equal the arithmetic mean of segment variances
     ts = gen_fbm(0.6, 2048, seed=0)
     prof = profile(np.diff(ts.samples))
-    table = fluctuation_function(prof, q_values=np.array([2.0]))
+    table = fluctuation_function(prof)
+    row = int(np.flatnonzero(table.q_values == 2.0)[0])
     levels = range(1, table.scales.size + 1)
     flucts = extract_fluctuation(prof, daubechies(2), levels)
     for j, (fluct, s) in enumerate(zip(flucts, table.scales)):
         seg = segment_variance(fluct, int(s))
-        assert table.fluctuation[0, j] == pytest.approx(
+        assert table.fluctuation[row, j] == pytest.approx(
             np.sqrt(seg.mean()), rel=1e-12
         )
 
@@ -97,8 +74,7 @@ def test_fluctuation_monotone_in_q():
     # power-mean inequality: F_q(s) is nondecreasing in q at every scale
     ts = gen_fbm(0.4, 4096, seed=2)
     prof = profile(np.diff(ts.samples))
-    q = np.arange(-6.0, 6.5, 0.5)
-    table = fluctuation_function(prof, q_values=q)
+    table = fluctuation_function(prof)
     diffs = np.diff(table.fluctuation, axis=0)
     assert np.all(diffs >= -1e-12 * table.fluctuation[:-1])
 
@@ -107,21 +83,22 @@ def test_zero_variance_segments_warn_for_negative_q():
     x = np.zeros(512)
     x[200:260] = np.sin(np.arange(60.0))
     with pytest.warns(ZeroVarianceWarning):
-        fluctuation_function(x, q_values=np.array([-2.0, 2.0]))
+        fluctuation_function(x)
 
 
 def test_all_zero_variance_is_an_error():
     with pytest.warns(ZeroVarianceWarning):
         with pytest.raises((ZeroVarianceError, ValidationError)):
-            fluctuation_function(np.zeros(512), q_values=np.array([-2.0]))
+            fluctuation_function(np.zeros(512))
 
 
 def test_a_zero_fluctuation_inside_the_fit_range_is_refused():
-    # Positive orders give F_q(s) = 0 on a flat profile instead of
-    # raising; its log has no fit, so generalized_hurst names the scale
-    # rather than return NaN exponents.
-    flat = fluctuation_function(np.zeros(4096), q_values=np.array([1.0, 2.0, 3.0]))
-    assert not flat.fluctuation.any()
+    # Positive orders give F_q(s) = 0 on a flat profile; its log has no
+    # fit, so generalized_hurst names the scale rather than return NaN
+    # exponents.  fluctuation_function refuses a flat profile at q < 0
+    # first, so the table is built here.
+    scales = default_scales(4096)
+    flat = FluctuationTable(np.array([1.0, 2.0, 3.0]), scales, np.zeros((3, scales.size)), 4096)
     with pytest.raises(ZeroVarianceError, match=r"^scale 8: F_q\(s\) = 0 at q = 1;"):
         generalized_hurst(flat)
     # A zero outside the fit range (here above n / 8) is not read.
@@ -223,7 +200,7 @@ def test_moments_share_one_scaled_buffer_across_the_orders():
     # under glibc those per-order copies came from the heap once a Morlet
     # pass had raised the mmap threshold.
     seg = np.random.default_rng(3).random(2**16 // 8)
-    q = mfdfa.q_grid()
+    q = mfdfa.Q_VALUES
     mfdfa._moments(seg, q, 8)
     tracemalloc.start()
     try:
@@ -281,15 +258,6 @@ def test_logsumexp_has_the_bits_of_scipy():
         a = np.array(a)
         got = mfdfa._logsumexp(a, 1.0, np.empty_like(a))
         assert np.float64(got).tobytes() == np.float64(logsumexp(a)).tobytes()
-
-
-def test_config_holds_at_most_max_q_values_orders():
-    prof = profile(np.diff(gen_fbm(0.5, 256, seed=1).samples))
-    q = np.zeros(mfdfa.MAX_Q_VALUES)
-    assert fluctuation_function(prof, q_values=q).q_values.size == mfdfa.MAX_Q_VALUES
-    for size in (0, mfdfa.MAX_Q_VALUES + 1):
-        with pytest.raises(ValidationError, match="MAX_Q_VALUES"):
-            fluctuation_function(prof, q_values=np.zeros(size))
 
 
 def _exact_table(h_by_q, scales):

@@ -95,6 +95,28 @@ def test_ticks_end_on_a_span_of_a_few_ulps(fresh_python, tmp_path):
     assert path.read_text().count(">1e+16</text>") == 1
 
 
+@pytest.mark.parametrize("top", [8.9e307, 1.7e308])
+def test_an_axis_span_that_overflows_is_refused_before_the_file(tmp_path, top):
+    # The 4 % padding takes [-8.9e307, 8.9e307] to +-9.6e307, whose span
+    # overflows: the ticks raised OverflowError.  The span of
+    # [-1.7e308, 1.7e308] overflows before padding, and the file held nan
+    # coordinates.
+    path = tmp_path / "wide.svg"
+    with pytest.raises(ValidationError, match="y axis .* spans more than a float holds"):
+        line_plot(path, [([0.0, 1.0], [-top, top], "wide")])
+    with pytest.raises(ValidationError, match="x axis"):
+        line_plot(path, [([-top, top], [0.0, 1.0], "wide")])
+    assert not path.exists()
+
+
+def test_a_heatmap_axis_span_that_overflows_is_refused_before_the_file(tmp_path):
+    # The heat map's limits are its data's own, with no padding.
+    path = tmp_path / "wide.svg"
+    with pytest.raises(ValidationError, match="y axis"):
+        heatmap(path, np.array([0.0, 1.0]), np.array([-1.7e308, 1.7e308]), np.zeros((2, 2)))
+    assert not path.exists()
+
+
 def test_heatmap_caps_columns(tmp_path):
     x = np.arange(1000, dtype=float)
     y = np.arange(20, dtype=float)
