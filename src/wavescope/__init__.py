@@ -48,8 +48,6 @@ from .spectral import (
     power_spectrum,
 )
 from .dwt import (
-    WaveletSpec,
-    daubechies,
     denoise,
     dwt_decompose,
     dwt_max_level,
@@ -112,8 +110,8 @@ __all__ = [
     "fractal_dimension", "dominant_frequency", "heisenberg_fit",
     "NEUTRAL_CASCADE_SLOPE", "DISSIPATION_SLOPE",
     # dwt
-    "WaveletSpec", "daubechies", "dwt_max_level", "dwt_decompose",
-    "dwt_reconstruct", "denoise", "extract_fluctuation",
+    "dwt_max_level", "dwt_decompose", "dwt_reconstruct", "denoise",
+    "extract_fluctuation",
     # mfdfa
     "FluctuationTable", "segment_variance",
     "fluctuation_function", "generalized_hurst",

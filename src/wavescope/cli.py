@@ -340,13 +340,7 @@ class _Shared:
 def _stage_denoise(ts, params, emit, shared):
     """Wavelet denoising."""
     shared.drop()
-    cleaned = dwt.denoise(
-        ts.samples,
-        dwt.daubechies(params["vanishing_moments"]),
-        levels=params["levels"],
-        rule=params["rule"],
-        kill_count=params["kill_count"],
-    )
+    cleaned = dwt.denoise(ts.samples, rule=params["rule"])
     out = TimeSeries(cleaned, ts.sample_rate, label=ts.label)
     emit("denoised.csv", lambda path: write_csv(out, path))
     return out, {
@@ -572,12 +566,7 @@ _STAGE_FUNCS = {
 #: against them, run fills in their defaults and each stage subcommand
 #: gets one flag per param.
 _STAGE_PARAMS = {
-    "denoise": (
-        _Param("rule", None, "kill_details", dwt.DENOISE_RULES),
-        _Param("levels", int, None),
-        _Param("kill_count", int, None),
-        _Param("vanishing_moments", int, 2),
-    ),
+    "denoise": (_Param("rule", None, "kill_details", dwt.DENOISE_RULES),),
     "spectrum": (_Param("window", None, "none", spectral.WINDOWS),),
     "fit": (_Param("f_lo", float), _Param("f_hi", float)),
     "heisenberg": (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dwt import WaveletSpec, daubechies, extract_fluctuation
+from .dwt import SUPPORT, extract_fluctuation
 from .errors import (
     PoorFitWarning,
     ValidationError,
@@ -51,24 +51,14 @@ Q_VALUES = np.arange(-10.0, 10.5, 1.0)
 Q_VALUES.flags.writeable = False
 
 
-def _wavelet() -> WaveletSpec:
-    """The detrending wavelet, ``daubechies(2)``: its support (4) sets the
-    scale ladder and the default lower end of the h(q) fit range.  It is
-    built per call, not once at import: its factorization (np.roots)
-    calls LAPACK, and a first LAPACK call at import grew a fresh
-    process's RSS by about 1.1 MiB before any input was built."""
-    return daubechies(2)
-
-
 def default_scales(n: int) -> np.ndarray:
-    """Dyadic scale ladder support * 2**j of ``daubechies(2)``, j = 1..L,
-    for an n-point profile: every scale up to n that leaves at least
-    MIN_SEGMENTS segments.  The one grid fluctuation_function uses."""
-    support = _wavelet().support
+    """Dyadic scale ladder SUPPORT * 2**j of the detrending wavelet,
+    j = 1..L, for an n-point profile: every scale up to n that leaves at
+    least MIN_SEGMENTS segments.  The one grid fluctuation_function uses."""
     scales = []
     level = 1
     while True:
-        s = support * 2**level
+        s = SUPPORT * 2**level
         if 2 * (n // s) < MIN_SEGMENTS or s > n:
             break
         scales.append(s)
@@ -84,8 +74,8 @@ class FluctuationTable:
 
     ``fluctuation[i, j]`` is F for ``q_values[i]`` at ``scales[j]``,
     the ladder of :func:`default_scales`, whose column j is wavelet level
-    j + 1 of ``daubechies(2)``.  ``hurst``, ``fit_r2`` and ``fit_range``
-    are filled by :func:`generalized_hurst`.
+    j + 1.  ``hurst``, ``fit_r2`` and ``fit_range`` are filled by
+    :func:`generalized_hurst`.
     """
 
     q_values: np.ndarray
@@ -208,9 +198,9 @@ def fluctuation_function(prof: np.ndarray) -> FluctuationTable:
 
     The moment orders are Q_VALUES, the Q = 21 orders -10..10 in steps
     of 1.  The scales are :func:`default_scales` of the profile length,
-    s = support * 2**level for the wavelet levels 1..L, each leaving at
-    least MIN_SEGMENTS segments.  The detrending wavelet is
-    ``daubechies(2)``, with symmetric edges.
+    s = SUPPORT * 2**level for the wavelet levels 1..L, each leaving at
+    least MIN_SEGMENTS segments.  The detrending wavelet is the DWT's
+    one, the 4-tap Daubechies filter, with symmetric edges.
 
     The profile is decomposed once per direction for all levels (see
     :func:`~wavescope.dwt.extract_fluctuation`), and each level's
@@ -226,7 +216,7 @@ def fluctuation_function(prof: np.ndarray) -> FluctuationTable:
 
     # Each level's fluctuation is reduced to its segment variances before
     # the next level is built, so no name keeps it.
-    flucts = extract_fluctuation(values, _wavelet(), levels)
+    flucts = extract_fluctuation(values, levels)
     columns = []
     for s in scales.tolist():
         seg = segment_variance(next(flucts), s)
@@ -255,7 +245,7 @@ def generalized_hurst(
     ``hurst``, ``fit_r2``, ``fit_range`` set.
     """
     lo, hi = (None, None) if fit_range is None else fit_range
-    lo = 2.0 * _wavelet().support if lo is None else lo
+    lo = 2.0 * SUPPORT if lo is None else lo
     hi = table.n / 8.0 if hi is None else hi
     sel = (table.scales >= lo) & (table.scales <= hi)
     if int(sel.sum()) < MIN_FIT_SCALES:

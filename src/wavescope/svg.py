@@ -148,7 +148,9 @@ def _limits(arrays: list[np.ndarray], log: bool) -> tuple[float, float]:
         if log:
             return lo / 2.0, hi * 2.0
         return lo - pad, hi + pad
-    if not log:
+    if not log and math.isfinite(hi - lo):
+        # A span that overflows is left unpadded, for _Axes to refuse by
+        # the data's own ends.
         pad = (hi - lo) * 0.04
         return lo - pad, hi + pad
     return lo, hi

@@ -25,7 +25,7 @@ from wavescope.cwt import (
     phase_difference,
 )
 from wavescope.dwt import (
-    daubechies,
+    SUPPORT,
     denoise,
     dwt_decompose,
     dwt_max_level,
@@ -118,7 +118,7 @@ def test_fluctuation_function_matches_naive_reimplementation():
     table = fluctuation_function(prof)
 
     levels = range(1, table.scales.size + 1)
-    flucts = extract_fluctuation(prof, daubechies(2), levels)
+    flucts = extract_fluctuation(prof, levels)
     for col, (fluct, scale) in enumerate(zip(flucts, table.scales)):
         n = fluct.size
         s = int(scale)
@@ -291,26 +291,23 @@ def test_bounce_presets_sign_matches_map_oracle():
 def test_perfect_reconstruction_on_random_signals():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        vm = int(rng.integers(1, 9))
         levels = int(rng.integers(1, 5))
-        spec = daubechies(vm)
         if rng.random() < 0.5:
             n = int(rng.integers(16, 130)) * 2**levels
         else:
             n = int(rng.integers(256, 2048))
-        levels = min(levels, dwt_max_level(n, spec))
+        levels = min(levels, dwt_max_level(n))
         x = rng.standard_normal(n)
-        rec = dwt_reconstruct(dwt_decompose(x, spec, levels))
+        rec = dwt_reconstruct(dwt_decompose(x, levels))
         assert np.max(np.abs(rec - x)) <= 1e-10 * np.max(np.abs(x))
 
 
 def test_linear_ramp_has_zero_interior_details():
     x = np.linspace(0.0, 5.0, 1024)
-    spec = daubechies(4)
-    dec = dwt_decompose(x, spec, 3)
+    dec = dwt_decompose(x, 3)
     bound = 1e-10 * float(np.max(np.abs(x)))
     for d in dec.details:
-        interior = d[spec.support : d.size - spec.support]
+        interior = d[SUPPORT : d.size - SUPPORT]
         assert np.max(np.abs(interior)) <= bound
 
 

@@ -95,6 +95,10 @@ def test_validate_fills_defaults(tmp_path):
         lambda r: r["pipeline"][0].update(q_min=-10.0),
         lambda r: r["pipeline"][0].update(q_max=10.0),
         lambda r: r["pipeline"][0].update(q_step=1.0),
+        # the DWT has one wavelet and denoise one depth and kill count
+        lambda r: r["pipeline"].append({"stage": "denoise", "vanishing_moments": 2}),
+        lambda r: r["pipeline"].append({"stage": "denoise", "levels": 3}),
+        lambda r: r["pipeline"].append({"stage": "denoise", "kill_count": 1}),
     ],
 )
 def test_validate_rejects_bad_configs(tmp_path, mutate):
@@ -293,14 +297,13 @@ def test_csv_reader_refusal_is_a_parse_error(tmp_path, capsys):
 
 
 def test_denoise_one_shot_keeps_a_constant_shorter_than_the_filter(tmp_path):
-    const = tmp_path / "const6.csv"
-    write_csv(TimeSeries(np.full(6, 2.0), 1.0), const)
+    const = tmp_path / "const3.csv"
+    write_csv(TimeSeries(np.full(3, 2.0), 1.0), const)
     out = tmp_path / "out"
-    argv = ["denoise", "--input", str(const), "--vanishing-moments", "4",
-            "--outdir", str(out)]
+    argv = ["denoise", "--input", str(const), "--outdir", str(out)]
     assert main(argv) == 0
     denoised = load_csv(out / "00_denoise_denoised.csv").samples
-    assert denoised.size == 6
+    assert denoised.size == 3
     assert np.max(np.abs(denoised - 2.0)) <= 1e-12
 
 
@@ -324,9 +327,16 @@ def test_one_shot_rejects_bad_values_before_output(tmp_path, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [["cwt", "--omega0", "8"], ["mfdfa", "--q-min", "0"]])
+@pytest.mark.parametrize("args", [
+    ["cwt", "--omega0", "8"],
+    ["mfdfa", "--q-min", "0"],
+    ["denoise", "--vanishing-moments", "4"],
+    ["denoise", "--levels", "3"],
+    ["denoise", "--kill-count", "1"],
+])
 def test_one_shot_has_no_flag_for_a_fixed_setting(tmp_path, args):
-    # The Morlet omega0 and the MFDFA q grid are constants, not params.
+    # The Morlet omega0, the MFDFA q grid, the wavelet and the denoise
+    # depth and kill count are constants, not params.
     out = tmp_path / "out"
     argv = args + ["--input", _sine_csv(tmp_path), "--outdir", str(out)]
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -67,6 +68,9 @@ def test_python_dash_m_runs_the_cli_without_a_warning(fresh_python):
 # a red global_power always estimates its AR(1) coefficient from the
 # scalogram's own samples, and write_table always ends its lines with a
 # line feed.  gen_binomial_cascade is deterministic: it takes no seed.
+# The DWT has one wavelet, the 4-tap Daubechies filter, so no transform
+# takes a wavelet, and denoise always decomposes to max(1,
+# dwt_max_level(n) - 2) levels and kills the finest half, rounded up.
 _FIXED_SETTINGS = [
     (cwt.global_power, "siglevel"),
     (spectral.dominant_frequency, "exclude_dc"),
@@ -95,6 +99,12 @@ _FIXED_SETTINGS = [
     (signal_core.write_table, "eol"),
     (cwt.cwt_morlet, "omega0"),
     (mfdfa.fluctuation_function, "q_values"),
+    (dwt.dwt_decompose, "spec"),
+    (dwt.dwt_max_level, "spec"),
+    (dwt.extract_fluctuation, "spec"),
+    (dwt.denoise, "spec"),
+    (dwt.denoise, "levels"),
+    (dwt.denoise, "kill_count"),
 ]
 
 
@@ -259,7 +269,9 @@ def test_every_public_callable_has_a_caller():
 # bounce_map_jacobian is the tests' Jacobian oracle (tests/map_oracle.py).
 # CascadeParams was built only to call gen_binomial_cascade, which now
 # takes its two numbers as keywords.  q_grid gave way to the one grid
-# mfdfa.Q_VALUES.
+# mfdfa.Q_VALUES.  daubechies and WaveletSpec built and held the filter
+# family, of which only the 4-tap member was used: it is dwt.SCALING,
+# with MAX_VANISHING_MOMENTS, the family's order bound, gone too.
 _REMOVED_CALLABLES = [
     (signal_core, "detrend_mean"),
     (spectral, "alpha_from_hurst"),
@@ -271,6 +283,9 @@ _REMOVED_CALLABLES = [
     (synth, "bounce_map_jacobian"),
     (synth, "CascadeParams"),
     (mfdfa, "q_grid"),
+    (dwt, "daubechies"),
+    (dwt, "WaveletSpec"),
+    (dwt, "MAX_VANISHING_MOMENTS"),
 ]
 
 
@@ -288,8 +303,8 @@ def test_removed_callables_are_gone(module, name):
 # PowerSpectrum.df is sample_rate / n; GlobalPower.n_averaged is
 # power_summary().counts and its background the caller's argument;
 # PhaseSeries.amplitude is |Scalogram.rows| at the scale; a pyramid's depth
-# is len(details); a FluctuationTable's levels are 1..len(scales) of the
-# one MFDFA wavelet, daubechies(2), of support 4; and the messages of
+# is len(details) and its filter is dwt's one; a FluctuationTable's levels
+# are 1..len(scales) of that wavelet, of support 4; and the messages of
 # OutOfRangeError and StageError state the value and the stage.
 # PowerSummary.mean_relative was read only by a figure writer, which now
 # runs the cwt stage and writes its mean_power.
@@ -299,6 +314,7 @@ _REMOVED_FIELDS = [
     (cwt.GlobalPower, "background"),
     (cwt.PhaseSeries, "amplitude"),
     (dwt.DwtDecomposition, "levels"),
+    (dwt.DwtDecomposition, "spec"),
     (mfdfa.FluctuationTable, "levels"),
     (mfdfa.FluctuationTable, "wavelet_support"),
     (errors.OutOfRangeError, "value"),
@@ -316,3 +332,39 @@ def test_removed_fields_are_gone(owner, name):
         assert name not in {f.name for f in dataclasses.fields(owner)}
     else:  # an exception takes its message alone
         assert not hasattr(owner("message"), name)
+
+
+# Per-layer names that the benchmark derives rather than traces: a
+# scalogram's size, file sizes, its own seeded probe, its overhead and its
+# checks.
+_DERIVED_TARGETS = re.compile(
+    r"cwt\.coeff_bytes$|svg\.\w+\.bytes$|cli\.artifact_bytes\.|lyapunov\.seeded_fbm\.|trace\.|check\."
+)
+
+
+def test_every_traced_benchmark_target_names_a_function_that_exists():
+    # A traced run (--trace 1) fails when a per-layer target goes
+    # unmeasured, so a target whose function or stage was deleted or
+    # renamed would show only then.  The benchmark traces each public
+    # function in a module's __all__ as <module>.<function> and each
+    # stage of the run as cli.stage.<name>.
+    from wavescope import cli
+
+    reference = _PACKAGE.parents[1] / "bench" / "reference.json"
+    targets = json.loads(reference.read_text(encoding="utf-8"))["per_layer_targets"]
+    assert "dwt.denoise.s" in targets  # the reference was read
+    missing = []
+    for name in targets:
+        if _DERIVED_TARGETS.match(name):
+            continue
+        module_name, attr, *_ = name.split(".")
+        if module_name == "cli" and attr == "stage":
+            if name.split(".")[2] not in cli._STAGE_FUNCS:
+                missing.append(name)
+            continue
+        module = importlib.import_module(f"wavescope.{module_name}")
+        fn = getattr(module, attr, None)
+        if not (attr in module.__all__ and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__):
+            missing.append(name)
+    assert missing == [], "no such function or stage: " + ", ".join(missing)

@@ -16,7 +16,7 @@ from wavescope import (
     ZeroVarianceWarning,
 )
 from wavescope import dwt, mfdfa
-from wavescope.dwt import daubechies, extract_fluctuation
+from wavescope.dwt import SUPPORT, extract_fluctuation
 from wavescope.mfdfa import (
     FluctuationTable,
     default_scales,
@@ -62,7 +62,7 @@ def test_fluctuation_q2_is_rms_of_segment_variance():
     table = fluctuation_function(prof)
     row = int(np.flatnonzero(table.q_values == 2.0)[0])
     levels = range(1, table.scales.size + 1)
-    flucts = extract_fluctuation(prof, daubechies(2), levels)
+    flucts = extract_fluctuation(prof, levels)
     for j, (fluct, s) in enumerate(zip(flucts, table.scales)):
         seg = segment_variance(fluct, int(s))
         assert table.fluctuation[row, j] == pytest.approx(
@@ -122,7 +122,7 @@ def test_zero_variance_warns_once_per_scale():
     zero = [w for w in caught if issubclass(w.category, ZeroVarianceWarning)]
     affected = []
     levels = range(1, table.scales.size + 1)
-    for fluct, s in zip(extract_fluctuation(x, daubechies(2), levels), table.scales):
+    for fluct, s in zip(extract_fluctuation(x, levels), table.scales):
         if np.any(segment_variance(fluct, int(s)) == 0):
             affected.append(int(s))
     assert len(affected) == 8
@@ -287,14 +287,14 @@ def test_generalized_hurst_default_fit_range():
     table = _exact_table({2.0: 0.5}, scales)
     out = generalized_hurst(table)
     lo, hi = out.fit_range
-    assert lo == pytest.approx(2 * daubechies(2).support)
+    assert lo == pytest.approx(2 * SUPPORT)
     assert hi == pytest.approx(table.n / 8)
 
 
 @pytest.mark.parametrize("ends", [(None, None), (None, 256.0), (16.0, None)])
 def test_generalized_hurst_fills_each_open_end_with_its_default(ends):
     table = fluctuation_function(profile(gen_fbm(0.6, 2**12, seed=3).samples))
-    default = (2.0 * daubechies(2).support, table.n / 8.0)
+    default = (2.0 * SUPPORT, table.n / 8.0)
     explicit = tuple(d if v is None else v for v, d in zip(ends, default))
     got = generalized_hurst(table, fit_range=ends)
     want = generalized_hurst(table, fit_range=explicit)

@@ -100,10 +100,14 @@ def test_an_axis_span_that_overflows_is_refused_before_the_file(tmp_path, top):
     # The 4 % padding takes [-8.9e307, 8.9e307] to +-9.6e307, whose span
     # overflows: the ticks raised OverflowError.  The span of
     # [-1.7e308, 1.7e308] overflows before padding, and the file held nan
-    # coordinates.
+    # coordinates; such a span is not padded, so the message names the
+    # data's ends, not -inf and inf.
     path = tmp_path / "wide.svg"
-    with pytest.raises(ValidationError, match="y axis .* spans more than a float holds"):
+    with pytest.raises(ValidationError, match="y axis .* spans more than a float holds") as err:
         line_plot(path, [([0.0, 1.0], [-top, top], "wide")])
+    assert "inf" not in str(err.value)
+    if top == 1.7e308:
+        assert "from -1.7e+308 to 1.7e+308" in str(err.value)
     with pytest.raises(ValidationError, match="x axis"):
         line_plot(path, [([-top, top], [0.0, 1.0], "wide")])
     assert not path.exists()
