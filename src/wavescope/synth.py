@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -264,40 +263,34 @@ def gen_sine_mix(
     return TimeSeries(samples, sample_rate, label=f"sines({label})")
 
 
-def bounce_map_impacts(p: BounceParams) -> Iterator[tuple[float, float]]:
-    """(phase, velocity) after each impact of the map, without end, each
-    computed when asked for: phi <- (phi + v) mod 2 pi, then v <- r v -
-    A cos(phi), on Python floats, from an initial condition drawn from the
-    seeded generator, so the impacts are reproducible bit for bit."""
-    rng = np.random.default_rng(p.seed)
-    phi = float(rng.uniform(0.0, 2.0 * math.pi))
-    v = float(rng.uniform(math.pi, 3.0 * math.pi))
-    r, a, two_pi = p.restitution, p.amplitude, 2.0 * math.pi
-    while True:
-        phi = (phi + v) % two_pi
-        v = r * v - a * math.cos(phi)
-        yield phi, v
-
-
 def bounce_map_trajectory(
     p: BounceParams, n: int | None = None, burn_in: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterate the impact map; returns (phases, velocities) after burn-in.
 
-    The n impacts of :func:`bounce_map_impacts` after the first
-    ``burn_in`` fill two ``array('d')`` buffers that the returned arrays
-    share.  Requires ``n >= 1`` and ``burn_in >= 0``.  O(burn_in + n)
-    time, O(n) memory.
+    The initial condition is drawn from the seeded generator, so the
+    trajectory is reproducible bit for bit.  Requires ``n >= 1`` and
+    ``burn_in >= 0``.  The map is iterated on Python floats: the burn-in
+    keeps nothing, and the n kept impacts fill two ``array('d')`` buffers
+    that the returned arrays share.  O(burn_in + n) time, O(n) memory.
     """
     n = p.n_impacts if n is None else n
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if burn_in < 0:
         raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+    rng = np.random.default_rng(p.seed)
+    phi = float(rng.uniform(0.0, 2.0 * math.pi))
+    v = float(rng.uniform(math.pi, 3.0 * math.pi))
+    r, a, two_pi = p.restitution, p.amplitude, 2.0 * math.pi
+    for _ in range(burn_in):
+        phi = (phi + v) % two_pi
+        v = r * v - a * math.cos(phi)
     phis = array("d", [0.0]) * n
     vs = array("d", [0.0]) * n
-    impacts = islice(bounce_map_impacts(p), burn_in, burn_in + n)
-    for k, (phi, v) in enumerate(impacts):
+    for k in range(n):
+        phi = (phi + v) % two_pi
+        v = r * v - a * math.cos(phi)
         phis[k] = phi
         vs[k] = v
     return np.frombuffer(phis), np.frombuffer(vs)

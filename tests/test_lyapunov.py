@@ -87,47 +87,13 @@ def test_mutual_information_scan_stops_at_first_minimum(monkeypatch):
     calls = []
     real = lyapunov._mutual_information
 
-    def counting(rows, cols):
-        calls.append(2**14 - rows.size)  # the lag of the slices
-        return real(rows, cols)
+    def counting(x, lag, *args, **kwargs):
+        calls.append(lag)
+        return real(x, lag, *args, **kwargs)
 
     monkeypatch.setattr(lyapunov, "_mutual_information", counting)
     assert estimate_delay(gen_fbm(0.7, 2**14, seed=1)) == 75
     assert calls == list(range(1, 77))
-
-
-def _histogram2d_mi(x, lag):
-    """The mutual information of lag ``lag`` from np.histogram2d itself."""
-    joint, _, _ = np.histogram2d(x[:-lag], x[lag:], bins=lyapunov.MI_BINS)
-    joint /= joint.sum()
-    pa = joint.sum(axis=1, keepdims=True)
-    pb = joint.sum(axis=0, keepdims=True)
-    mask = joint > 0
-    return float(np.sum(joint[mask] * np.log(joint[mask] / (pa @ pb)[mask])))
-
-
-def test_mutual_information_has_the_bits_of_histogram2d():
-    # Every lag's slices are binned on edges over their own extremes, as
-    # np.histogram2d bins them: each slice holds its maximum, the last
-    # edge, and a constant slice spans its value +-0.5.  The heads and
-    # tails of the last two inputs are constant from lag 100 on.
-    rng = np.random.default_rng(5)
-    noise = rng.standard_normal(100)
-    inputs = {
-        "fbm": gen_fbm(0.7, 2**11, seed=1).samples,
-        "ramp": np.arange(300.0),
-        "few values": rng.integers(0, 5, 400).astype(float),
-        "constant head": np.concatenate([np.full(200, 2.0), noise]),
-        "constant tail": np.concatenate([noise, np.full(200, -1.0)]),
-    }
-    for name, x in inputs.items():
-        max_lag = x.size - 2
-        lags = 0
-        for lag, bins in enumerate(lyapunov._lagged_bins(x, max_lag), start=1):
-            got = lyapunov._mutual_information(*bins)
-            assert got.hex() == _histogram2d_mi(x, lag).hex(), (name, lag)
-            lags += 1
-        assert lags == max_lag
 
 
 # ------------------------------------------------------- embedding config
@@ -705,20 +671,6 @@ def test_map_lyapunov_deterministic():
     a = map_lyapunov(p)
     b = map_lyapunov(p)
     assert a == b
-
-
-def test_map_lyapunov_holds_no_trajectory():
-    # The tangent advances as each impact is produced.  A stored trajectory
-    # of these 20,200 impacts took 16 bytes each, 323 kB.
-    p = BounceParams(9.0, 25.0, 0.7, 20_000, seed=2)
-    map_lyapunov(p)
-    tracemalloc.start()
-    try:
-        map_lyapunov(p, burn_in=5000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 1024
 
 
 def test_map_lyapunov_needs_enough_impacts():

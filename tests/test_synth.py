@@ -2,7 +2,6 @@ import hashlib
 import math
 import platform
 import tracemalloc
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from wavescope.lyapunov import map_lyapunov
 from wavescope.synth import (
     MAX_SAMPLES,
     BounceParams,
-    bounce_map_impacts,
     bounce_map_trajectory,
     cascade_hurst,
     gen_binomial_cascade,
@@ -203,12 +201,6 @@ def test_bounce_map_trajectory_deterministic():
     b_phi, b_v = bounce_map_trajectory(p)
     assert np.array_equal(a_phi, b_phi)
     assert np.array_equal(a_v, b_v)
-
-
-def test_bounce_map_impacts_are_the_trajectory_one_at_a_time():
-    p = BounceParams(7.0, 25.0, 0.9, 500, seed=3)
-    phis, vs = bounce_map_trajectory(p, n=50, burn_in=20)
-    assert list(islice(bounce_map_impacts(p), 20, 70)) == list(zip(phis.tolist(), vs.tolist()))
 
 
 @pytest.mark.parametrize("n, burn_in", [(10, -3), (10, -1), (0, 0), (-2, 5)])
